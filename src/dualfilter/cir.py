@@ -469,32 +469,39 @@ class CIRFamily:
 
 
 class _PureDeathSampler:
-    """Exact sampler of the pure-death dual (binomial thinning)."""
+    """Exact sampler of the pure-death dual (binomial thinning).
+
+    Every CIR dual sampler is called once per filter step as
+    ``sampler(points, counts, theta, dt, rng)`` with ``(M, 1)`` source
+    points and their copy counts; it returns ``counts.sum()`` rows of
+    shape ``(., 1)``, the copies of each source together, in source order.
+    """
 
     def __init__(self, params: CIRParams):
         self.params = params
 
-    def __call__(self, point, theta, dt, rng):
+    def __call__(self, points, counts, theta, dt, rng):
         s = pure_death_survival(dt, theta, self.params)
-        return (int(rng.binomial(_m_of(point), s)),)
-
-    def many(self, point, theta, dt, rng, size):
-        s = pure_death_survival(dt, theta, self.params)
-        return [(int(v),) for v in rng.binomial(_m_of(point), s, size)]
+        return rng.binomial(np.repeat(points[:, 0], counts), s)[:, None]
 
 
 class _BirthDeathSampler:
-    """Two-stage (branching) sampler of the B&D dual at fixed theta."""
+    """Two-stage (branching) sampler of the B&D dual at fixed theta.
+
+    The batched call draws each source's copies with :meth:`many`, one
+    source after another, so the random stream is the per-source one.
+    """
 
     def __init__(self, params: CIRParams):
         self.params = params
 
-    def __call__(self, point, theta, dt, rng):
-        return (linear_bd_sample(_m_of(point), dt, theta, self.params, rng),)
+    def __call__(self, points, counts, theta, dt, rng):
+        return np.concatenate([self.many(pt, theta, dt, rng, int(c))
+                               for pt, c in zip(points, counts)])
 
     def many(self, point, theta, dt, rng, size):
-        vals = linear_bd_sample_many(_m_of(point), dt, theta, self.params, rng, size)
-        return [(int(v),) for v in vals]
+        return linear_bd_sample_many(int(point[0]), dt, theta, self.params,
+                                     rng, size)[:, None]
 
 
 class _GillespieBDSampler:
@@ -504,9 +511,11 @@ class _GillespieBDSampler:
         self.params = params
         self.max_events = max_events
 
-    def __call__(self, point, theta, dt, rng):
-        return (gillespie_bd(_m_of(point), dt, theta, self.params, rng,
-                             self.max_events),)
+    def __call__(self, points, counts, theta, dt, rng):
+        starts = np.repeat(points[:, 0], counts)
+        return np.array([gillespie_bd(int(m), dt, theta, self.params, rng,
+                                      self.max_events) for m in starts],
+                        dtype=np.int64)[:, None]
 
 
 class CIRModel:

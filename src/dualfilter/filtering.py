@@ -172,8 +172,9 @@ def dual_particle_filter(data: Sequence[ObservationRecord], cfg: FilterConfig,
 
     Each step updates the current finite mixture exactly, then approximates
     the propagation by resampling ``n_particles`` dual indices (systematic
-    by default) and pushing each through the chosen dual sampler.  The
-    whole run is deterministic given the config seed.
+    by default) and pushing them through the chosen dual sampler in one
+    batched call per step.  The whole run is deterministic given the
+    config seed.
     """
     rng = np.random.default_rng(cfg.seed)
     sampler = model.dual_sampler(cfg.dual_kind)

@@ -314,11 +314,12 @@ def dual_particle_propagate(mix: DualMixture,
 
     Draws ``n_particles`` source indices from the mixture weights
     (independently for ``select="multinomial"``, stratified with a single
-    uniform offset for ``select="systematic"``), pushes each through
-    ``sampler(point, theta, dt, rng)`` and returns the empirical
-    distribution of the arrival indices.  If the sampler object exposes a
-    ``many(point, theta, dt, rng, size)`` method it is used to draw whole
-    batches at once.
+    uniform offset for ``select="systematic"``), pushes them all through
+    one call ``sampler(points, counts, theta, dt, rng)`` and returns the
+    empirical distribution of the arrival indices.  ``points`` is the
+    ``(M, K)`` int array of the sources drawn at least once and ``counts``
+    their copy numbers; the sampler returns ``counts.sum()`` arrival rows,
+    the copies of each source together and the sources in order.
 
     The result is bit-reproducible for a given seeded ``rng``.
     """
@@ -331,19 +332,15 @@ def dual_particle_propagate(mix: DualMixture,
     else:
         raise ValueError(f"unknown selection scheme {select!r}")
 
-    many = getattr(sampler, "many", None)
-    acc: dict[Index, int] = {}
-    for point, c in zip(mix.points, counts):
-        if c == 0:
-            continue
-        if many is not None:
-            arrivals = many(point, mix.theta, dt, rng, int(c))
-        else:
-            arrivals = [sampler(point, mix.theta, dt, rng) for _ in range(int(c))]
-        for a in arrivals:
-            key = _as_point(a)
-            acc[key] = acc.get(key, 0) + 1
-    weights = {pt: cnt / n_particles for pt, cnt in acc.items()}
+    drawn = counts > 0
+    sources = np.array(mix.points, dtype=np.int64)[drawn]
+    arrivals = np.asarray(sampler(sources, counts[drawn], mix.theta, dt, rng))
+    if arrivals.shape != (n_particles, sources.shape[1]):
+        raise ValueError(f"sampler returned shape {arrivals.shape}, "
+                         f"expected {(n_particles, sources.shape[1])}")
+    # DualMixture rejects arrivals with a negative coordinate
+    uniq, cnt = np.unique(arrivals, axis=0, return_counts=True)
+    weights = {tuple(int(v) for v in pt): c / n_particles for pt, c in zip(uniq, cnt)}
     new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
     return DualMixture.from_weights(mix.family, weights, new_theta)
 

@@ -56,9 +56,7 @@ __all__ = [
     "typed_death_kernel",
     "typed_death_sample_many",
     "moran_sample_many",
-    "wf_chain_sample",
     "wf_chain_sample_many",
-    "wf_diffusion_binned_sample",
     "wf_diffusion_binned_sample_many",
     "wf_transition_sample",
     "wf_transition_sample_many",
@@ -430,20 +428,42 @@ def typed_death_kernel(m, t: float, p: WFParams, tail_eps: float = 0.0) -> dict:
             for pt, pr in zip(pts, probs) if pr > 0.0}
 
 
-def typed_death_sample_many(m, t: float, p: WFParams,
-                            rng: np.random.Generator, size: int) -> np.ndarray:
+def _start_rows(n0, p: WFParams, size: int | None) -> np.ndarray:
+    """Stacked ``(N, K)`` start rows: one row per path, or ``n0`` repeated."""
+    rows = np.array(n0, dtype=np.int64, ndmin=2)
+    if rows.ndim != 2 or rows.shape[1] != p.k:
+        raise DimensionError(f"start rows must have {p.k} columns")
+    if np.any(rows < 0):
+        raise ValueError("counts must be non-negative")
+    if size is not None and rows.shape[0] == 1:
+        rows = np.repeat(rows, size, axis=0)
+    return rows
+
+
+def typed_death_sample_many(m, t: float, p: WFParams, rng: np.random.Generator,
+                            size: int | None = None) -> np.ndarray:
     """Exact draws of the typed Kingman dual at time ``t`` (vectorized).
 
-    Two stages: the surviving block count from its closed-form law, then a
-    multivariate hypergeometric type profile.
+    ``m`` is one source (repeated ``size`` times) or one row per path.  Two
+    stages: the surviving block count from its closed-form law, one draw
+    per distinct ``|m|``, then a multivariate hypergeometric type profile,
+    drawn coordinate by coordinate as a hypergeometric of each type against
+    the types after it.
     """
-    m = _as_counts(m, p.k)
-    d = block_count_probs(sum(m), t, p)
-    totals = rng.choice(len(d), p=d, size=size)
-    out = np.empty((size, p.k), dtype=np.int64)
-    for v in np.unique(totals):
-        sel = totals == v
-        out[sel] = rng.multivariate_hypergeometric(m, int(v), size=int(sel.sum()))
+    m = _start_rows(m, p, size)
+    mtot = m.sum(axis=1)
+    need = np.empty_like(mtot)
+    for v in np.unique(mtot):
+        sel = mtot == v
+        d = block_count_probs(int(v), t, p)
+        need[sel] = rng.choice(len(d), p=d, size=int(sel.sum()))
+    out = np.empty_like(m)
+    rest = mtot.copy()
+    for i in range(p.k - 1):
+        rest -= m[:, i]
+        out[:, i] = rng.hypergeometric(m[:, i], rest, need)
+        need -= out[:, i]
+    out[:, -1] = need
     return out
 
 
@@ -452,18 +472,18 @@ def typed_death_sample_many(m, t: float, p: WFParams,
 # ---------------------------------------------------------------------------
 
 def moran_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
-                      size: int, max_rounds: int = 2_000_000) -> np.ndarray:
+                      size: int | None = None, max_rounds: int = 2_000_000) -> np.ndarray:
     """Gillespie simulation of the Moran dual, vectorized across paths.
 
-    All paths start at ``n0``; each round draws one holding time and one
-    replacement event for every still-active path.  ``|n|`` is conserved.
+    Paths start at ``n0``, one source repeated ``size`` times or one row
+    per path; each round draws one holding time and one replacement event
+    for every still-active path.  ``|n|`` is conserved.
     """
-    n0 = _as_counts(n0, p.k)
     alpha = p.alpha_array()
     k = p.k
-    state = np.tile(np.asarray(n0, dtype=np.int64), (size, 1))
-    t_rem = np.full(size, float(t))
-    active = np.arange(size)
+    state = _start_rows(n0, p, size)
+    t_rem = np.full(len(state), float(t))
+    active = np.arange(len(state))
     offdiag = ~np.eye(k, dtype=bool)
     for _ in range(max_rounds):
         if active.size == 0:
@@ -497,7 +517,7 @@ def moran_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
 
 
 def wf_chain_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
+                         size: int | None = None) -> np.ndarray:
     """Discrete Wright-Fisher chain approximation of the Moran dual.
 
     Runs non-overlapping generations of multinomial resampling with
@@ -513,26 +533,23 @@ def wf_chain_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
       exact per-unit-time drift ``(alpha_i - theta x_i)/2``.
 
     The calibration test locks this choice against the Gillespie-simulated
-    Moran chain.
+    Moran chain.  ``n0`` is one source repeated ``size`` times or one row
+    per path; ``u`` and ``G`` depend on ``N``, so the generations run once
+    for all the rows of each distinct total, in increasing order of ``N``.
     """
-    n0 = _as_counts(n0, p.k)
-    n_tot = sum(n0)
-    if n_tot < 1:
-        return np.tile(np.asarray(n0, dtype=np.int64), (size, 1))
-    u = 1.0 - math.sqrt(n_tot / (n_tot + p.theta))
-    gens_per_unit = p.theta / (2.0 * u)
-    gens = max(1, int(round(WF_CHAIN_GENERATIONS_PER_UNIT * gens_per_unit * t)))
-    base = u * p.alpha_array() / p.theta
-    state = np.tile(np.asarray(n0, dtype=np.int64), (size, 1))
-    for _ in range(gens):
-        pvals = (1.0 - u) * state / n_tot + base
-        state = rng.multinomial(n_tot, pvals)
+    state = _start_rows(n0, p, size)
+    totals = state.sum(axis=1)
+    for n_tot in np.unique(totals[totals > 0]):
+        u = 1.0 - math.sqrt(n_tot / (n_tot + p.theta))
+        gens_per_unit = p.theta / (2.0 * u)
+        gens = max(1, int(round(WF_CHAIN_GENERATIONS_PER_UNIT * gens_per_unit * t)))
+        base = u * p.alpha_array() / p.theta
+        sel = totals == n_tot
+        rows = state[sel]
+        for _ in range(gens):
+            rows = rng.multinomial(n_tot, (1.0 - u) * rows / n_tot + base)
+        state[sel] = rows
     return state
-
-
-def wf_chain_sample(n0, t: float, p: WFParams, rng: np.random.Generator) -> tuple:
-    """Single draw of the WF-chain approximation of the Moran dual."""
-    return tuple(int(v) for v in wf_chain_sample_many(n0, t, p, rng, 1)[0])
 
 
 def entrance_truncation_level(t: float) -> int:
@@ -623,9 +640,9 @@ def wf_transition_sample(x, t: float, p: WFParams,
     return wf_transition_sample_many(np.asarray(x, dtype=float), t, p, rng, 1)[0]
 
 
-def _bin_largest_remainder(xs: np.ndarray, n_tot: int) -> np.ndarray:
-    """Round rows of n_tot * xs to integers preserving the row total."""
-    targets = n_tot * xs
+def _bin_largest_remainder(xs: np.ndarray, n_tot: np.ndarray) -> np.ndarray:
+    """Round rows of n_tot * xs to integers preserving each row's total."""
+    targets = n_tot[:, None] * xs
     base = np.floor(targets).astype(np.int64)
     rem = targets - base
     deficit = n_tot - base.sum(axis=1)
@@ -635,26 +652,22 @@ def _bin_largest_remainder(xs: np.ndarray, n_tot: int) -> np.ndarray:
 
 
 def wf_diffusion_binned_sample_many(n0, t: float, p: WFParams,
-                                    rng: np.random.Generator, size: int) -> np.ndarray:
+                                    rng: np.random.Generator,
+                                    size: int | None = None) -> np.ndarray:
     """Binned WF-diffusion approximation of the Moran dual.
 
-    Rescales ``n0`` to a simplex point, draws the diffusion transition, and
-    bins back to counts with a largest-remainder correction so the total
+    Rescales each start row (``n0`` repeated ``size`` times, or one row per
+    path) to a simplex point, draws the diffusion transition, and bins back
+    to counts with a largest-remainder correction so each row's total
     ``|n0|`` is always preserved.
     """
-    n0 = _as_counts(n0, p.k)
-    n_tot = sum(n0)
-    if n_tot < 1:
-        return np.tile(np.asarray(n0, dtype=np.int64), (size, 1))
-    x = np.asarray(n0, dtype=float) / n_tot
-    xs = wf_transition_sample_many(x, t, p, rng, size)
-    return _bin_largest_remainder(xs, n_tot)
-
-
-def wf_diffusion_binned_sample(n0, t: float, p: WFParams,
-                               rng: np.random.Generator) -> tuple:
-    """Single draw of the binned WF-diffusion approximation."""
-    return tuple(int(v) for v in wf_diffusion_binned_sample_many(n0, t, p, rng, 1)[0])
+    state = _start_rows(n0, p, size)
+    totals = state.sum(axis=1)
+    moving = totals > 0
+    if np.any(moving):
+        xs = wf_transition_sample_many(state[moving] / totals[moving, None], t, p, rng)
+        state[moving] = _bin_largest_remainder(xs, totals[moving])
+    return state
 
 
 def emission_log_pmf(x, y: ObservationRecord, p: WFParams) -> np.ndarray:
@@ -732,62 +745,32 @@ class WFFamily:
             raise DomainError("simplex coordinates must sum to one")
 
 
-class _TypedDeathSampler:
-    """Exact sampler of the typed Kingman dual (block count + hypergeometric)."""
+class _DualSampler:
+    """One of the WF dual samplers, drawn for a whole filter step at once.
 
-    def __init__(self, params: WFParams):
+    Called as ``sampler(points, counts, theta, dt, rng)`` with ``(M, K)``
+    source points and their copy counts, it returns ``counts.sum()`` rows,
+    the copies of each source together, in source order, from one call of
+    the batched ``draw(rows, dt, params, rng)``.  ``theta`` is unused: the
+    WF duals have no deterministic component.
+    """
+
+    def __init__(self, draw, params: WFParams):
+        self.draw = draw
         self.params = params
 
-    def __call__(self, point, theta, dt, rng):
-        return tuple(int(v) for v in
-                     typed_death_sample_many(point, dt, self.params, rng, 1)[0])
-
-    def many(self, point, theta, dt, rng, size):
-        vals = typed_death_sample_many(point, dt, self.params, rng, size)
-        return [tuple(int(v) for v in row) for row in vals]
+    def __call__(self, points, counts, theta, dt, rng):
+        return self.draw(np.repeat(points, counts, axis=0), dt, self.params, rng)
 
 
-class _MoranSampler:
-    """Gillespie sampler of the Moran dual."""
-
-    def __init__(self, params: WFParams):
-        self.params = params
-
-    def __call__(self, point, theta, dt, rng):
-        return tuple(int(v) for v in
-                     moran_sample_many(point, dt, self.params, rng, 1)[0])
-
-    def many(self, point, theta, dt, rng, size):
-        vals = moran_sample_many(point, dt, self.params, rng, size)
-        return [tuple(int(v) for v in row) for row in vals]
-
-
-class _WFChainSampler:
-    """Discrete WF-chain approximation of the Moran dual."""
-
-    def __init__(self, params: WFParams):
-        self.params = params
-
-    def __call__(self, point, theta, dt, rng):
-        return wf_chain_sample(point, dt, self.params, rng)
-
-    def many(self, point, theta, dt, rng, size):
-        vals = wf_chain_sample_many(point, dt, self.params, rng, size)
-        return [tuple(int(v) for v in row) for row in vals]
-
-
-class _WFDiffusionSampler:
-    """Binned WF-diffusion approximation of the Moran dual."""
-
-    def __init__(self, params: WFParams):
-        self.params = params
-
-    def __call__(self, point, theta, dt, rng):
-        return wf_diffusion_binned_sample(point, dt, self.params, rng)
-
-    def many(self, point, theta, dt, rng, size):
-        vals = wf_diffusion_binned_sample_many(point, dt, self.params, rng, size)
-        return [tuple(int(v) for v in row) for row in vals]
+#: dual kind -> batched sampler: exact typed death, or the Moran dual by
+#: Gillespie simulation, WF chain or binned diffusion
+_DUAL_DRAWS = {
+    "pure_death": typed_death_sample_many,
+    "moran": moran_sample_many,
+    "wf_chain": wf_chain_sample_many,
+    "wf_diffusion": wf_diffusion_binned_sample_many,
+}
 
 
 class WFModel:
@@ -832,15 +815,9 @@ class WFModel:
         return None
 
     def dual_sampler(self, kind: str):
-        if kind == "pure_death":
-            return _TypedDeathSampler(self.params)
-        if kind == "moran":
-            return _MoranSampler(self.params)
-        if kind == "wf_chain":
-            return _WFChainSampler(self.params)
-        if kind == "wf_diffusion":
-            return _WFDiffusionSampler(self.params)
-        raise ValueError(f"unknown WF dual kind {kind!r}")
+        if kind not in _DUAL_DRAWS:
+            raise ValueError(f"unknown WF dual kind {kind!r}")
+        return _DualSampler(_DUAL_DRAWS[kind], self.params)
 
     def theta_evolve_for(self, kind: str):
         return None

@@ -293,8 +293,8 @@ def test_systematic_counts_near_proportional():
 
 def test_dual_particle_single_particle_point_mass(rng):
     mix = make_mix([(0,), (3,)], [0.5, 0.5])
-    out = dual_particle_propagate(mix, lambda pt, th, dt, r: (pt[0] + 1,),
-                                  1, 0.1, rng)
+    out = dual_particle_propagate(
+        mix, lambda pts, c, th, dt, r: np.repeat(pts + 1, c, axis=0), 1, 0.1, rng)
     assert out.support_size == 1
     assert out.weights[0] == 1.0
 
@@ -304,7 +304,8 @@ def test_dual_particle_identity_sampler_l1():
     pts = [(i,) for i in range(8)]
     w = np.random.default_rng(0).dirichlet(np.ones(8))
     mix = make_mix(pts, w)
-    out = dual_particle_propagate(mix, lambda pt, th, dt, r: pt, 100_000, 0.1, rng)
+    out = dual_particle_propagate(
+        mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 100_000, 0.1, rng)
     got = out.as_dict()
     l1 = sum(abs(got.get(pt, 0.0) - wi) for pt, wi in zip(mix.points, mix.weights))
     assert l1 < 0.02
@@ -344,11 +345,22 @@ def test_dual_particle_bd_sampler_matches_gillespie(cir_model):
 
 def test_dual_particle_systematic_selection(rng):
     mix = make_mix([(0,), (1,)], [0.5, 0.5])
-    out = dual_particle_propagate(mix, lambda pt, th, dt, r: pt, 2, 0.1, rng,
-                                  select="systematic")
+    out = dual_particle_propagate(
+        mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 2, 0.1, rng,
+        select="systematic")
     # stratified selection with equal weights always keeps one copy of each
     assert out.points == ((0,), (1,))
     np.testing.assert_allclose(out.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda pts, c, th, dt, r: np.repeat(pts - 1, c, axis=0),  # negative arrival
+    lambda pts, c, th, dt, r: pts,                            # one row per source
+])
+def test_dual_particle_rejects_bad_sampler_output(sampler):
+    mix = make_mix([(0,), (1,)], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        dual_particle_propagate(mix, sampler, 10, 0.1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
