@@ -42,13 +42,10 @@ __all__ = [
     "embedded_up_prob",
     "gillespie_bd",
     "linear_bd_rates",
-    "linear_bd_sample",
     "linear_bd_sample_many",
     "pure_death_theta",
     "pure_death_survival",
     "pure_death_pmf",
-    "pure_death_transition",
-    "cir_transition_sample",
     "cir_transition_sample_many",
     "emission_log_pmf",
 ]
@@ -292,12 +289,6 @@ def linear_bd_sample_many(m0, t: float, theta: float, p: CIRParams,
     return native + immigrants
 
 
-def linear_bd_sample(m0: int, t: float, theta: float, p: CIRParams,
-                     rng: np.random.Generator) -> int:
-    """Single draw of the B&D dual via the two-stage construction."""
-    return int(linear_bd_sample_many(m0, t, theta, p, rng, 1)[0])
-
-
 def pure_death_theta(t, theta0: float, p: CIRParams):
     """Deterministic dual parameter flow of the pure-death dual.
 
@@ -351,16 +342,6 @@ def pure_death_pmf(m: int, t: float, theta0: float, p: CIRParams) -> np.ndarray:
     return pmf
 
 
-def pure_death_transition(m: int, n: int, t: float, theta0: float, p: CIRParams) -> float:
-    """Probability the pure-death dual moves from ``m`` to ``n`` in time ``t``.
-
-    Zero outside ``0 <= n <= m``; ``t = 0`` gives the point mass at ``m``.
-    """
-    if n < 0 or n > m:
-        return 0.0
-    return float(pure_death_pmf(m, t, theta0, p)[n])
-
-
 def _transition_constants(t: float, p: CIRParams) -> tuple[float, float]:
     """(c, r) of the Gamma-Poisson form of the CIR transition over time t.
 
@@ -385,12 +366,6 @@ def cir_transition_sample_many(x, t: float, p: CIRParams,
     c, r = _transition_constants(t, p)
     j = rng.poisson(np.broadcast_to(x * c, (size,)))
     return rng.gamma(p.alpha + j, 1.0 / r)
-
-
-def cir_transition_sample(x: float, t: float, p: CIRParams,
-                          rng: np.random.Generator) -> float:
-    """One exact draw of the CIR transition from state ``x`` over time ``t``."""
-    return float(cir_transition_sample_many(float(x), t, p, rng, 1)[0])
 
 
 def emission_log_pmf(x, y: ObservationRecord, p: CIRParams) -> np.ndarray:

@@ -81,8 +81,10 @@ def kahan_sum(values) -> float:
 def normalize(weights: Mapping[Index, float]) -> dict[Index, float]:
     """Normalize a weight map to a probability map over its support.
 
-    Zero-weight entries are dropped.  Keys are processed in lexicographic
-    order so the result does not depend on the input iteration order.
+    Entries whose normalized weight is zero are dropped, including denormal
+    weights that underflow in the division.  Keys are processed in
+    lexicographic order so the result does not depend on the input
+    iteration order.
 
     Raises:
         DegenerateWeights: if no weight is strictly positive, or any weight
@@ -96,7 +98,8 @@ def normalize(weights: Mapping[Index, float]) -> dict[Index, float]:
     total = kahan_sum(vals)
     if total <= 0.0:
         raise DegenerateWeights("all weights are zero")
-    return {k: v / total for (k, _), v in zip(items, vals) if v > 0.0}
+    out = {k: v / total for (k, _), v in zip(items, vals)}
+    return {k: w for k, w in out.items() if w > 0.0}
 
 
 def _as_point(point) -> Index:

@@ -19,15 +19,14 @@ Two dual processes drive propagation:
   approximated by a discrete Wright-Fisher chain or by a binned draw from
   the diffusion transition itself.
 
-The block-counting transition probabilities use the classical alternating
-spectral series, which is numerically fragile for short horizons; terms
-are paired and compensated-summed, and the computation falls back to a
-(seed-deterministic) Monte-Carlo estimate when more than six significant
-digits are lost.
+The block-counting chain is pure death with a lower bidiagonal generator,
+so its transition law is computed exactly and deterministically as a row
+of the generator's matrix exponential.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -52,13 +51,11 @@ __all__ = [
     "moran_transitions",
     "gillespie_jump_chain",
     "block_count_probs",
-    "typed_transition",
     "typed_death_kernel",
     "typed_death_sample_many",
     "moran_sample_many",
     "wf_chain_sample_many",
     "wf_diffusion_binned_sample_many",
-    "wf_transition_sample",
     "wf_transition_sample_many",
     "entrance_truncation_level",
     "emission_log_pmf",
@@ -75,11 +72,6 @@ logger = logging.getLogger(__name__)
 #: so this constant equals one.  It is locked by the calibration test
 #: against the Gillespie-simulated Moran chain (TV gate at N = 20).
 WF_CHAIN_GENERATIONS_PER_UNIT = 1.0
-
-#: lost significant digits beyond which the block-count series is abandoned
-SERIES_LOST_DIGITS = 6.0
-#: paths used by the Monte-Carlo fallback for block-count transitions
-BLOCK_MC_PATHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -250,84 +242,22 @@ def gillespie_jump_chain(transitions_fn, n0, t: float, rng: np.random.Generator,
 # Block-counting chain of the typed death dual
 # ---------------------------------------------------------------------------
 
-_BLOCK_CACHE: dict = {}
+@functools.lru_cache(maxsize=1024)
+def _block_count_row(m_tot: int, t: float, theta: float) -> np.ndarray:
+    """Row ``m_tot`` of ``expm(Q t)`` for the block-counting generator ``Q``.
 
-
-def _block_series_row(m: int, n: int, t: float, theta: float) -> tuple[float, float]:
-    """One alternating-series probability d_{m,n}(t) and its lost digits.
-
-    Terms are paired (adjacent k) and compensated-summed in descending
-    magnitude; the returned "lost digits" is log10 of the cancellation
-    between the largest term and the final sum.
+    ``Q`` is lower bidiagonal on ``0..m_tot``: level ``k`` steps to ``k-1``
+    at rate ``k (theta + k - 1) / 2``.  Entries are clipped at zero and the
+    row renormalized; the cache holds rows only, never the matrix.
     """
-    ks = np.arange(max(n, 1), m + 1, dtype=float)
-    logmag = (-ks * (ks + theta - 1.0) * t / 2.0
-              + np.log(2.0 * ks + theta - 1.0)
-              + gammaln(n + theta + ks - 1.0) - gammaln(n + theta)
-              - gammaln(n + 1.0) - gammaln(ks - n + 1.0)
-              + gammaln(m + 1.0) - gammaln(m - ks + 1.0)
-              - gammaln(m + theta + ks) + gammaln(m + theta))
-    signs = np.where((ks - n) % 2 == 0, 1.0, -1.0)
-    if n == 0:
-        # k = 0 term of the spectral expansion equals one exactly
-        logmag = np.concatenate(([0.0], logmag))
-        signs = np.concatenate(([1.0], signs))
-    top = float(np.max(logmag))
-    scaled = signs * np.exp(logmag - top)
-    # pair adjacent alternating terms before accumulating
-    if len(scaled) % 2 == 1:
-        pairs = np.concatenate((scaled[:-1:2] + scaled[1::2], scaled[-1:]))
-    else:
-        pairs = scaled[::2] + scaled[1::2]
-    order = np.argsort(-np.abs(pairs), kind="stable")
-    total = kahan_sum(pairs[order])
-    if total == 0.0:
-        lost = math.inf if top > -700.0 else 0.0
-    else:
-        lost = -math.log10(abs(total))
-    return float(math.exp(top) * total), lost
-
-
-def _block_count_series(m_tot: int, t: float, theta: float) -> np.ndarray | None:
-    """Full transition vector via the spectral series, or None on breakdown."""
-    probs = np.empty(m_tot + 1)
-    for n in range(m_tot + 1):
-        value, lost = _block_series_row(m_tot, n, t, theta)
-        if lost >= SERIES_LOST_DIGITS or value < -1e-9 or value > 1.0 + 1e-6:
-            return None
-        probs[n] = max(value, 0.0)
-    total = kahan_sum(probs)
-    if not 1.0 - 1e-6 <= total <= 1.0 + 1e-6:
-        return None
-    return probs / total
-
-
-def _block_count_mc(m_tot: int, t: float, theta: float,
-                    n_paths: int = BLOCK_MC_PATHS) -> np.ndarray:
-    """Monte-Carlo fallback for block-count transitions.
-
-    The chain is pure death with sojourn time Exp(k(theta+k-1)/2) at level
-    k, so a path is a cumulative sum of independent exponentials; the state
-    at ``t`` is read off by counting completed sojourns.  The RNG seed is
-    derived from the arguments, keeping results run-deterministic.
-    """
-    entropy = [0x7D4A11,
-               m_tot,
-               int.from_bytes(np.float64(t).tobytes(), "little"),
-               int.from_bytes(np.float64(theta).tobytes(), "little")]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    levels = np.arange(m_tot, 0, -1, dtype=float)
-    scales = 2.0 / (levels * (theta + levels - 1.0))
-    counts = np.zeros(m_tot + 1, dtype=np.int64)
-    chunk = max(1, min(n_paths, 20_000_000 // max(m_tot, 1)))
-    remaining = n_paths
-    while remaining > 0:
-        c = min(chunk, remaining)
-        sojourn = rng.exponential(scales, size=(c, m_tot))
-        completed = (np.cumsum(sojourn, axis=1) <= t).sum(axis=1)
-        counts += np.bincount(m_tot - completed, minlength=m_tot + 1)
-        remaining -= c
-    return counts / n_paths
+    from scipy.linalg import expm  # on first use: CIR runs never load it
+    k = np.arange(m_tot + 1, dtype=float)
+    rates = k * (theta + k - 1.0) / 2.0
+    q = np.diag(-rates) + np.diag(rates[1:], -1)
+    row = np.clip(expm(q * t)[m_tot], 0.0, None)
+    row /= row.sum()
+    row.setflags(write=False)
+    return row
 
 
 def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
@@ -335,9 +265,10 @@ def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
 
     Starting from ``m_tot`` lineages, returns the vector of probabilities
     of holding ``n`` lineages after time ``t`` for ``n = 0..m_tot``; the
-    chain steps down at rate ``k (theta + k - 1) / 2``.  Computed by the
-    alternating spectral series; falls back to Monte-Carlo when the series
-    cancels away six or more significant digits.
+    chain steps down at rate ``k (theta + k - 1) / 2``.  The law is the
+    exact row of the matrix exponential of the chain's generator; the
+    result is read-only and shared between calls with the same
+    ``(m_tot, t, theta)``.
     """
     if m_tot < 0:
         raise ValueError("m_tot must be non-negative")
@@ -345,42 +276,13 @@ def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
         return np.ones(1)
     if t <= 0:
         raise ValueError("time must be positive")
-    key = (m_tot, float(t), p.alpha)
-    cached = _BLOCK_CACHE.get(key)
-    if cached is not None:
-        return cached
-    probs = _block_count_series(m_tot, t, p.theta)
-    if probs is None:
-        logger.debug("block-count series unstable at m=%d t=%g; using Monte-Carlo",
-                     m_tot, t)
-        probs = _block_count_mc(m_tot, t, p.theta)
-    probs.setflags(write=False)
-    _BLOCK_CACHE[key] = probs
-    return probs
+    return _block_count_row(int(m_tot), float(t), p.theta)
 
 
 def _log_choose(n, k):
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-
-
-def typed_transition(m, n, t: float, p: WFParams) -> float:
-    """Closed-form transition probability of the typed Kingman dual.
-
-    Factorizes as the block-count probability of ``|m| -> |n|`` times the
-    multivariate-hypergeometric probability that the ``|n|`` surviving
-    lineages carry type profile ``n``; zero unless ``n <= m`` componentwise.
-    """
-    m = _as_counts(m, p.k)
-    n = _as_counts(n, p.k)
-    if any(ni > mi for mi, ni in zip(m, n)):
-        return 0.0
-    mtot, ntot = sum(m), sum(n)
-    d = block_count_probs(mtot, t, p)
-    loghyp = (sum(_log_choose(mi, ni) for mi, ni in zip(m, n))
-              - _log_choose(mtot, ntot))
-    return float(d[ntot] * math.exp(loghyp))
 
 
 def _bounded_compositions(total: int, bounds) -> list:
@@ -632,12 +534,6 @@ def wf_transition_sample_many(x, t: float, p: WFParams,
             l[sel] = rng.multinomial(int(v), x[sel])
     g = rng.standard_gamma(p.alpha_array()[None, :] + l)
     return g / g.sum(axis=1, keepdims=True)
-
-
-def wf_transition_sample(x, t: float, p: WFParams,
-                         rng: np.random.Generator) -> np.ndarray:
-    """One draw of the WF diffusion transition from simplex point ``x``."""
-    return wf_transition_sample_many(np.asarray(x, dtype=float), t, p, rng, 1)[0]
 
 
 def _bin_largest_remainder(xs: np.ndarray, n_tot: np.ndarray) -> np.ndarray:

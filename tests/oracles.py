@@ -374,6 +374,32 @@ def block_count_path(m: int, t: float, theta: float, rng: np.random.Generator) -
     return k
 
 
+def block_count_series_mp(m: int, t: float, theta: float, dps: int = 80) -> np.ndarray:
+    """Block-counting transition law from the alternating spectral series.
+
+    The series of Griffiths (1980) and Tavare (1984), summed in ``mpmath``
+    at ``dps`` decimal digits so that its cancellation costs no accuracy
+    at double precision:
+    ``d_{m,n}(t) = [n = 0] + sum_{k >= max(n,1)} (-1)^(k-n) e^(-k(k+theta-1)t/2)
+    (2k+theta-1) (n+theta)_(k-1) m_[k] / (n! (k-n)! (m+theta)_(k))``,
+    with rising factorials ``(a)_(k)`` and the falling factorial ``m_[k]``.
+    """
+    import mpmath
+    with mpmath.workdps(dps):
+        t, theta = mpmath.mpf(t), mpmath.mpf(theta)
+        out = np.empty(m + 1)
+        for n in range(m + 1):
+            total = mpmath.mpf(1 if n == 0 else 0)
+            for k in range(max(n, 1), m + 1):
+                total += ((-1) ** (k - n) * mpmath.exp(-k * (k + theta - 1) * t / 2)
+                          * (2 * k + theta - 1) * mpmath.rf(n + theta, k - 1)
+                          * mpmath.rf(m - k + 1, k)
+                          / (mpmath.factorial(n) * mpmath.factorial(k - n)
+                             * mpmath.rf(m + theta, k)))
+            out[n] = float(total)
+    return out
+
+
 def wf_two_step_brute_force(y0, y1, dt: float, p, n_paths: int,
                             rng: np.random.Generator) -> dict:
     """Brute-force two-step WF filter with Gillespie kernels.

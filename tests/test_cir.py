@@ -5,14 +5,12 @@ import pytest
 from scipy.stats import binom, nbinom
 
 from dualfilter import InvalidDualParam, ObservationRecord
-from dualfilter.cir import (bd_rates, cir_transition_sample,
-                            cir_transition_sample_many, density_ratio,
-                            embedded_up_prob, emission_log_pmf, gillespie_bd,
-                            linear_bd_rates, linear_bd_sample,
+from dualfilter.cir import (bd_rates, cir_transition_sample_many,
+                            density_ratio, embedded_up_prob, emission_log_pmf,
+                            gillespie_bd, linear_bd_rates,
                             linear_bd_sample_many, log_density_ratio,
                             log_marginal, pure_death_pmf, pure_death_survival,
-                            pure_death_theta, pure_death_transition,
-                            update_conjugate)
+                            pure_death_theta, update_conjugate)
 
 from .oracles import (chi2_pvalue_vs_pmf, quad_cir_marginal, quad_survival,
                       rk_pure_death_theta, thinning_death_sample,
@@ -199,7 +197,8 @@ def test_linear_bd_pure_death_reduction_is_binomial(cir_params):
 
 
 def test_linear_bd_zero_start_no_immigration(cir_params, rng):
-    assert linear_bd_sample(0, 1.0, cir_params.beta, cir_params, rng) == 0
+    out = linear_bd_sample_many(0, 1.0, cir_params.beta, cir_params, rng, 1_000)
+    assert np.all(out == 0)
 
 
 def test_linear_bd_ergodic_negative_binomial(cir_params):
@@ -249,8 +248,11 @@ def test_pure_death_pmf_normalizes(cir_params):
 
 
 def test_pure_death_transition_out_of_range(cir_params):
-    assert pure_death_transition(4, 5, 0.1, 2.1, cir_params) == 0.0
-    assert pure_death_transition(4, -1, 0.1, 2.1, cir_params) == 0.0
+    # the pmf lives on 0..m: no mass above the start or below zero
+    pmf = pure_death_pmf(4, 0.1, 2.1, cir_params)
+    assert len(pmf) == 5
+    assert np.all(pmf >= 0.0)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pure_death_pmf_matches_thinning_gillespie(cir_params):
@@ -298,7 +300,10 @@ def test_cir_transition_mean_identity(cir_params):
 
 
 def test_cir_transition_scalar_wrapper(cir_params, rng):
-    assert cir_transition_sample(2.0, 0.5, cir_params, rng) >= 0.0
+    # one draw from one scalar state is a single non-negative value
+    out = cir_transition_sample_many(2.0, 0.5, cir_params, rng, 1)
+    assert out.shape == (1,)
+    assert out[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------

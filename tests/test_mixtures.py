@@ -37,6 +37,8 @@ def test_normalize_symmetric():
 def test_normalize_drops_zero_weights():
     out = normalize({(0,): 3.0, (1,): 0.0})
     assert out == {(0,): 1.0}
+    # a denormal weight that underflows to zero in the division
+    assert normalize({(0,): 4.0, (1,): 5e-324}) == {(0,): 1.0}
 
 
 def test_normalize_rejects_all_zero():

@@ -163,3 +163,18 @@ def test_wf_smoothing_mean_against_monte_carlo(wf3_model):
     mc_mean = w @ x0
     se = math.sqrt(float(np.sum(w[:, None] ** 2 * (x0 - mc_mean) ** 2)))
     assert np.abs(smooth_mean - mc_mean).max() < max(4 * se, 0.01)
+
+
+def test_smoother_long_series_keeps_weights_positive(cir_model):
+    # weights that underflow to zero in normalization are dropped, so a
+    # T=200 exact trace of Poisson(5) counts smooths to the end
+    counts = np.random.default_rng(0).poisson(5, 200)
+    records = cir_records(counts.tolist())
+    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    trace = exact_filter(records, cfg, cir_model)
+    out = smoother(records, cfg, cir_model, trace)
+    assert len(out) == 200
+    for res in out:
+        weights = np.asarray(res.mixture.weights)
+        assert np.all(weights > 0.0)
+        assert abs(weights.sum() - 1.0) <= 1e-10

@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfilter import DimensionError, ObservationRecord, WFParams
 from dualfilter.wf import (block_count_probs, density_ratio,
@@ -9,12 +12,13 @@ from dualfilter.wf import (block_count_probs, density_ratio,
                            kingman_rates, kingman_transitions, log_marginal,
                            moran_rates, moran_sample_many, moran_transitions,
                            typed_death_kernel, typed_death_sample_many,
-                           typed_transition, update_counts,
-                           wf_chain_sample_many, wf_diffusion_binned_sample_many,
-                           wf_transition_sample, wf_transition_sample_many)
+                           update_counts, wf_chain_sample_many,
+                           wf_diffusion_binned_sample_many,
+                           wf_transition_sample_many)
 
-from .oracles import (block_count_path, moran_path, quad_wf_marginal,
-                      tv_sample_vs_pmf, tv_tuple_samples, typed_kingman_path)
+from .oracles import (block_count_path, block_count_series_mp, moran_path,
+                      quad_wf_marginal, tv_sample_vs_pmf, tv_tuple_samples,
+                      typed_kingman_path)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +204,30 @@ def test_block_count_matches_gillespie(wf3_params):
     assert tv_sample_vs_pmf(samples, probs) < 0.02
 
 
-def test_block_count_series_agrees_with_monte_carlo(wf3_params):
-    from dualfilter.wf import _block_count_mc, _block_count_series
-    series = _block_count_series(30, 0.3, wf3_params.theta)
-    assert series is not None
-    mc = _block_count_mc(30, 0.3, wf3_params.theta)
-    assert 0.5 * np.abs(series - mc).sum() < 0.02
+@pytest.mark.parametrize("m, t, alpha", [(60, 0.05, (1.1,) * 3),
+                                          (30, 0.1, (3.0,) * 4),
+                                          (120, 0.1, (3.0,) * 4)],
+                         ids=["m60", "m30", "m120"])
+def test_block_count_matches_high_precision_series(m, t, alpha):
+    # short horizons, where the double-precision series cancels away digits
+    p = WFParams(alpha)
+    want = block_count_series_mp(m, t, p.theta)
+    assert np.max(np.abs(block_count_probs(m, t, p) - want)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 150),
+       log_t=st.floats(math.log(1e-3), math.log(5.0)),
+       alpha=st.tuples(*[st.floats(0.1, 5.0)] * 3))
+def test_block_count_row_properties(m, log_t, alpha):
+    p, t = WFParams(alpha), math.exp(log_t)
+    probs = block_count_probs(m, t, p)
+    assert len(probs) == m + 1
+    assert np.all(probs >= 0.0)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    # no death event: the holding time at level m exceeds t
+    stay = math.exp(-m * (p.theta + m - 1.0) * t / 2.0)
+    assert abs(probs[m] - stay) <= 1e-13
 
 
 def test_block_count_zero_start(wf3_params):
@@ -217,7 +239,11 @@ def test_block_count_zero_start(wf3_params):
 # ---------------------------------------------------------------------------
 
 def test_typed_transition_requires_componentwise_order(wf3_params):
-    assert typed_transition((2, 1, 0), (1, 2, 0), 0.5, wf3_params) == 0.0
+    # every reachable type profile lies below its source componentwise
+    src = (2, 1, 0)
+    kern = typed_death_kernel(src, 0.5, wf3_params)
+    assert all(all(n <= m for n, m in zip(pt, src)) for pt in kern)
+    assert (1, 2, 0) not in kern
 
 
 def test_typed_transition_one_survivor_symmetry():
@@ -360,9 +386,24 @@ def test_wf_transition_mean_identity(wf3_params):
 
 
 def test_wf_transition_scalar_wrapper(wf3_params, rng):
-    out = wf_transition_sample(np.array([0.3, 0.3, 0.4]), 0.2, wf3_params, rng)
-    assert out.shape == (3,)
+    # one draw from one simplex point is a single simplex row
+    out = wf_transition_sample_many(np.array([0.3, 0.3, 0.4]), 0.2, wf3_params,
+                                    rng, 1)
+    assert out.shape == (1, 3)
     assert abs(out.sum() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("alpha, t", [((3.0,) * 4, 0.1), ((3.0,) * 4, 0.2),
+                                      ((1.1,) * 3, 0.1), ((1.1,) * 3, 1.0)])
+def test_wf_transition_entrance_level_not_sensitive(alpha, t, monkeypatch, caplog):
+    from dualfilter import wf
+    monkeypatch.setattr(wf, "_SENSITIVITY_CHECKED", set())
+    p = WFParams(alpha)
+    with caplog.at_level(logging.WARNING, logger="dualfilter.wf"):
+        wf_transition_sample_many(np.full(p.k, 1.0 / p.k), t, p,
+                                  np.random.default_rng(0), 10)
+    assert not any("entrance truncation level" in r.getMessage()
+                   for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------
