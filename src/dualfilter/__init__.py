@@ -19,7 +19,7 @@ from .errors import (AlignmentError, ConfigError, DegenerateWeights,
                      ZeroLikelihood)
 from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
                        mixture_marginal_pdf, mixture_moments, mixture_pdf,
-                       normalize, propagate, prune, sample_mixture,
+                       propagate, prune, sample_mixture,
                        systematic_counts, update)
 from .cir import CIRModel, CIRParams
 from .wf import WFModel, WFParams
@@ -34,7 +34,7 @@ __all__ = [
     "DomainError", "InvalidDualParam", "DimensionError",
     "SimulationBudgetExceeded", "AlignmentError", "UnsupportedModel",
     "ConfigError",
-    "DualMixture", "ObservationRecord", "normalize", "prune", "propagate",
+    "DualMixture", "ObservationRecord", "prune", "propagate",
     "update", "dual_particle_propagate", "mixture_moments", "mixture_pdf",
     "mixture_marginal_pdf", "sample_mixture", "systematic_counts",
     "CIRParams", "CIRModel", "WFParams", "WFModel",

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, InvalidDualParam, SimulationBudgetExceeded
-from .mixtures import DualMixture, Index, ObservationRecord
+from .mixtures import DualMixture, ObservationRecord
 
 __all__ = [
     "CIRParams",
@@ -39,7 +39,6 @@ __all__ = [
     "update_conjugate",
     "log_marginal",
     "bd_rates",
-    "embedded_up_prob",
     "gillespie_bd",
     "linear_bd_rates",
     "linear_bd_sample_many",
@@ -80,10 +79,6 @@ class CIRParams:
     @property
     def beta(self) -> float:
         return self.gamma / self.sigma ** 2
-
-
-def _m_of(point) -> int:
-    return int(point[0]) if isinstance(point, tuple) else int(point)
 
 
 def log_density_ratio(x, m: int, theta: float, p: CIRParams):
@@ -130,23 +125,25 @@ def update_conjugate(m: int, theta: float, y: ObservationRecord,
     return m + sum(counts), theta + len(counts) * p.tau
 
 
-def log_marginal(m: int, theta: float, y: ObservationRecord, p: CIRParams) -> float:
+def log_marginal(m, theta: float, y: ObservationRecord, p: CIRParams):
     """Log marginal likelihood of a Poisson batch under Gamma(delta/2+m, theta).
 
     This is the Gamma-Poisson (negative-binomial type) closed form for the
     joint probability of the whole batch, including the Poisson factorial
-    normalizers.  An empty batch has likelihood one.
+    normalizers.  An empty batch has likelihood one.  ``m`` is an integer
+    or an array of them; the result has its shape.
     """
+    m = np.asarray(m)
     counts = y.values
     k = len(counts)
     if k == 0:
-        return 0.0
+        return np.zeros(m.shape) if m.ndim else 0.0
     a = p.alpha + m
     s = sum(counts)
     out = (s * math.log(p.tau) - sum(gammaln(c + 1) for c in counts)
            + a * math.log(theta) - gammaln(a)
            + gammaln(a + s) - (a + s) * math.log(theta + k * p.tau))
-    return float(out)
+    return out if out.ndim else float(out)
 
 
 def bd_rates(m: int, theta: float, p: CIRParams) -> tuple[float, float]:
@@ -164,20 +161,6 @@ def bd_rates(m: int, theta: float, p: CIRParams) -> tuple[float, float]:
     lam = 2.0 * p.sigma ** 2 * (p.alpha + m) * diff
     mu = 2.0 * p.sigma ** 2 * theta * m
     return lam, mu
-
-
-def embedded_up_prob(m: int, alpha: float, beta: float, k: int) -> float:
-    """Up-move probability of the embedded B&D jump chain.
-
-    Uses the simplified parameterization (sigma^2 = 1/2, tau = 1, theta =
-    beta + k after conditioning on a batch of size k):
-    ``p_up = k*(alpha+m) / (k*(alpha+m) + m*(beta+k))``.  From ``m = 0``
-    the chain can only move up, so ``p_up = 1`` by convention.
-    """
-    if m == 0:
-        return 1.0
-    up = k * (alpha + m)
-    return up / (up + m * (beta + k))
 
 
 def gillespie_bd(m0: int, t: float, theta: float, p: CIRParams,
@@ -385,57 +368,60 @@ def emission_log_pmf(x, y: ObservationRecord, p: CIRParams) -> np.ndarray:
     return out
 
 
-def _gamma_logpdf(x: np.ndarray, a: float, rate: float) -> np.ndarray:
-    """Gamma(a, rate) log-density with explicit boundary handling at x = 0."""
+def _gamma_logpdf(x: np.ndarray, a: np.ndarray, rate: float) -> np.ndarray:
+    """Gamma(a_m, rate) log-densities, one row per shape, at grid ``x``.
+
+    Returns an ``(M, G)`` array with explicit boundary handling at x = 0.
+    """
     x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)[:, None]
     const = a * math.log(rate) - gammaln(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         body = const + (a - 1.0) * np.log(x) - rate * x
-    if a == 1.0:
-        at_zero = const
-    elif a < 1.0:
-        at_zero = np.inf
-    else:
-        at_zero = -np.inf
+    at_zero = np.select([a == 1.0, a < 1.0], [const, np.inf], -np.inf)
     return np.where(x == 0.0, at_zero, body)
 
 
 class CIRFamily:
-    """Gamma component kernels g(x, m, theta) = Gamma(delta/2 + m, theta)."""
+    """Gamma component kernels g(x, m, theta) = Gamma(delta/2 + m, theta).
+
+    The component methods take the ``(M, 1)`` support array of a mixture
+    and return one row per support point.
+    """
 
     tag = "cir-gamma"
 
     def __init__(self, params: CIRParams):
         self.params = params
 
-    def component_mean(self, point: Index, theta: float) -> np.ndarray:
-        a = self.params.alpha + _m_of(point)
-        return np.array([a / theta])
+    def _shapes(self, points) -> np.ndarray:
+        return self.params.alpha + np.asarray(points)[:, 0]
 
-    def component_var(self, point: Index, theta: float) -> np.ndarray:
-        a = self.params.alpha + _m_of(point)
-        return np.array([a / theta ** 2])
+    def component_mean(self, points, theta: float) -> np.ndarray:
+        return (self._shapes(points) / theta)[:, None]
 
-    def component_logpdf(self, x, point: Index, theta: float) -> np.ndarray:
-        return _gamma_logpdf(x, self.params.alpha + _m_of(point), theta)
+    def component_var(self, points, theta: float) -> np.ndarray:
+        return (self._shapes(points) / theta ** 2)[:, None]
 
-    def marginal_component_logpdf(self, grid, point: Index, theta: float,
+    def component_logpdf(self, x, points, theta: float) -> np.ndarray:
+        return _gamma_logpdf(x, self._shapes(points), theta)
+
+    def marginal_component_logpdf(self, grid, points, theta: float,
                                   coord: int = 0) -> np.ndarray:
         if coord != 0:
             raise DomainError("the CIR signal is univariate")
-        return self.component_logpdf(grid, point, theta)
+        return self.component_logpdf(grid, points, theta)
 
-    def marginal_component_cdf(self, x: float, point: Index, theta: float,
-                               coord: int = 0) -> float:
+    def marginal_component_cdf(self, x: float, points, theta: float,
+                               coord: int = 0) -> np.ndarray:
         from scipy.special import gammainc
         if coord != 0:
             raise DomainError("the CIR signal is univariate")
-        a = self.params.alpha + _m_of(point)
-        return float(gammainc(a, theta * max(x, 0.0)))
+        return gammainc(self._shapes(points), theta * max(x, 0.0))
 
-    def sample_component(self, point: Index, theta: float,
+    def sample_component(self, point, theta: float,
                          rng: np.random.Generator, size: int) -> np.ndarray:
-        a = self.params.alpha + _m_of(point)
+        a = self.params.alpha + int(point[0])
         return rng.gamma(a, 1.0 / theta, size)
 
     def check_domain(self, grid: np.ndarray) -> None:
@@ -507,20 +493,22 @@ class CIRModel:
     # -- conjugate filtering interface ------------------------------------
 
     def prior_mixture(self) -> DualMixture:
-        return DualMixture(self.family, ((0,),), np.array([1.0]), self.theta0)
+        return DualMixture(self.family, np.zeros((1, 1), dtype=np.int64),
+                           np.array([1.0]), self.theta0)
 
-    def shift_index(self, y: ObservationRecord, point: Index) -> Index:
-        return (_m_of(point) + sum(y.values),)
+    def shift_index(self, y: ObservationRecord, points: np.ndarray) -> np.ndarray:
+        return points + sum(y.values)
 
     def shift_param(self, y: ObservationRecord, theta: float) -> float:
         return theta + len(y.values) * self.params.tau
 
-    def log_marginal_point(self, point: Index, theta: float, y: ObservationRecord) -> float:
-        return log_marginal(_m_of(point), theta, y, self.params)
+    def log_marginal_point(self, points: np.ndarray, theta: float,
+                           y: ObservationRecord) -> np.ndarray:
+        return log_marginal(points[:, 0], theta, y, self.params)
 
-    def pd_kernel(self, point: Index, theta: float, dt: float) -> dict:
-        pmf = pure_death_pmf(_m_of(point), dt, theta, self.params)
-        return {(n,): float(pr) for n, pr in enumerate(pmf) if pr > 0.0}
+    def pd_kernel(self, point, theta: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        m = int(point[0])
+        return np.arange(m + 1)[:, None], pure_death_pmf(m, dt, theta, self.params)
 
     def theta_flow(self, theta: float, dt: float) -> float:
         return pure_death_theta(dt, theta, self.params)
@@ -555,30 +543,30 @@ class CIRModel:
         return tuple(int(v) for v in rng.poisson(self.params.tau * x, batch))
 
     # -- smoothing closure --------------------------------------------------
+    # Indices are ``(..., 1)`` arrays (or tuples); the methods broadcast
+    # over their leading axes.
 
-    def combine_index(self, m: Index, n: Index) -> Index:
-        return (_m_of(m) + _m_of(n),)
+    def combine_index(self, m, n) -> np.ndarray:
+        return np.add(m, n)
 
     def combine_param(self, theta_a: float, theta_b: float) -> float:
         return theta_a + theta_b - self.params.beta
 
-    def log_combine_const(self, m: Index, n: Index,
-                          theta_a: float, theta_b: float) -> float:
+    def log_combine_const(self, m, n, theta_a: float, theta_b: float):
         """log C with h(x,m,ta) h(x,n,tb) = C h(x, m+n, ta+tb-beta)."""
         a = self.params.alpha
-        mi, ni = _m_of(m), _m_of(n)
-        return float(
-            gammaln(a) - gammaln(a + mi) - gammaln(a + ni) + gammaln(a + mi + ni)
-            - a * math.log(self.params.beta)
-            + (a + mi) * math.log(theta_a) + (a + ni) * math.log(theta_b)
-            - (a + mi + ni) * math.log(theta_a + theta_b - self.params.beta))
+        mi, ni = np.asarray(m)[..., 0], np.asarray(n)[..., 0]
+        return (gammaln(a) - gammaln(a + mi) - gammaln(a + ni) + gammaln(a + mi + ni)
+                - a * math.log(self.params.beta)
+                + (a + mi) * math.log(theta_a) + (a + ni) * math.log(theta_b)
+                - (a + mi + ni) * math.log(theta_a + theta_b - self.params.beta))
 
-    def closure_spread(self, m: Index, n: Index, theta_a: float, theta_b: float,
+    def closure_spread(self, m, n, theta_a: float, theta_b: float,
                        grid: np.ndarray) -> float:
         """Max relative spread of h*h / h(combined) over a grid (should be ~0)."""
-        logs = (log_density_ratio(grid, _m_of(m), theta_a, self.params)
-                + log_density_ratio(grid, _m_of(n), theta_b, self.params)
-                - log_density_ratio(grid, _m_of(self.combine_index(m, n)),
+        logs = (log_density_ratio(grid, int(m[0]), theta_a, self.params)
+                + log_density_ratio(grid, int(n[0]), theta_b, self.params)
+                - log_density_ratio(grid, int(self.combine_index(m, n)[0]),
                                     self.combine_param(theta_a, theta_b), self.params))
         vals = np.exp(logs - np.max(logs))
         return float((vals.max() - vals.min()) / vals.max())

@@ -17,7 +17,9 @@ Four benchmark scenarios compare the inference procedures at desk scale:
 Every cell (replicate x method x particle count) derives its RNG stream
 from ``(seed, scenario, cell_index, replicate)`` through a SeedSequence,
 so results are byte-identical across re-runs at any thread count; rows are
-flushed in cell order after all cells complete.
+flushed in cell order after all cells complete.  The manifest's
+``seed_table`` holds the seed each cell ran with: the ``FilterConfig`` seed
+of a filtering cell, the SeedSequence entropy list of a predictive cell.
 """
 
 from __future__ import annotations
@@ -181,14 +183,23 @@ def _scenario_id(name: str) -> int:
     return zlib.crc32(name.encode())
 
 
-def _derive_rng(seed: int, scenario: str, *path) -> np.random.Generator:
-    entropy = [seed, _scenario_id(scenario)] + [int(v) for v in path]
+def _entropy(seed: int, scenario: str, *path) -> list[int]:
+    return [seed, _scenario_id(scenario)] + [int(v) for v in path]
+
+
+def _derive_rng(entropy: list[int]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _derive_int_seed(seed: int, scenario: str, *path) -> int:
-    entropy = [seed, _scenario_id(scenario)] + [int(v) for v in path]
+def _derive_int_seed(entropy: list[int]) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+def _cell_seed(spec: ExperimentSpec, cell_idx: int, rep: int):
+    """Seed of one cell: the ``FilterConfig`` seed of a filtering cell, the
+    ``SeedSequence`` entropy of a predictive cell's generator."""
+    entropy = _entropy(spec.seed, spec.scenario, cell_idx, rep)
+    return _derive_int_seed(entropy) if spec.flavor == "filtering" else entropy
 
 
 def simulate_dataset(spec: ExperimentSpec, rng: np.random.Generator):
@@ -226,7 +237,7 @@ def simulate_dataset(spec: ExperimentSpec, rng: np.random.Generator):
 
 def _predictive_context(spec: ExperimentSpec, rep: int) -> dict:
     model = spec.build_model()
-    rng = _derive_rng(spec.seed, spec.scenario, 0xDA7A, rep)
+    rng = _derive_rng(_entropy(spec.seed, spec.scenario, 0xDA7A, rep))
     _, records = simulate_dataset(spec, rng)
     cfg = FilterConfig(model=spec.model, method="exact", delta_t=spec.delta_t)
     trace = run_filter(records, cfg, model)
@@ -241,7 +252,7 @@ def _predictive_context(spec: ExperimentSpec, rep: int) -> dict:
 def _filtering_context(spec: ExperimentSpec, rep: int) -> dict:
     tail = REFERENCE_KERNEL_TAIL if spec.model == "wf" else 0.0
     ref_model = spec.build_model(kernel_tail_eps=tail)
-    rng = _derive_rng(spec.seed, spec.scenario, 0xDA7A, rep)
+    rng = _derive_rng(_entropy(spec.seed, spec.scenario, 0xDA7A, rep))
     signal, records = simulate_dataset(spec, rng)
     ref_cfg = FilterConfig(model=spec.model, method="pruned",
                            delta_t=spec.delta_t, prune_eps=REFERENCE_PRUNE_EPS)
@@ -250,12 +261,11 @@ def _filtering_context(spec: ExperimentSpec, rep: int) -> dict:
                 ref_trace=ref_trace)
 
 
-def _predictive_cell(spec: ExperimentSpec, ctx: dict, cell_idx: int,
+def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
                      rep: int, label: str, n: int) -> list[tuple]:
     model = ctx["model"]
     method, dual = METHOD_TABLE[label]
-    rng = np.random.default_rng(np.random.SeedSequence(
-        [spec.seed, _scenario_id(spec.scenario), cell_idx, rep]))
+    rng = _derive_rng(seed)
     if method == "exact":
         approx = ctx["ref_pred"]
     elif method == "dual_particle":
@@ -277,12 +287,11 @@ def _predictive_cell(spec: ExperimentSpec, ctx: dict, cell_idx: int,
             base + ("err_sd", float(np.abs(sd - ctx["ref_sd"]).mean()))]
 
 
-def _filtering_cell(spec: ExperimentSpec, ctx: dict, cell_idx: int,
+def _filtering_cell(spec: ExperimentSpec, ctx: dict, seed: int,
                     rep: int, label: str, n: int) -> list[tuple]:
     method, dual = METHOD_TABLE[label]
     cfg = FilterConfig(
-        model=spec.model, method=method, delta_t=spec.delta_t,
-        seed=_derive_int_seed(spec.seed, spec.scenario, cell_idx, rep),
+        model=spec.model, method=method, delta_t=spec.delta_t, seed=seed,
         n_particles=n, dual_kind=dual or None, resampling=spec.resampling)
     trace = run_filter(ctx["records"], cfg, ctx["model"])
     metrics = error_metrics(trace, ctx["ref_trace"], signal=ctx["signal"])
@@ -317,6 +326,7 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
                  for rep in range(spec.replicates)
                  for label in spec.methods
                  for n in spec.particle_counts)]
+    seed_table = {idx: _cell_seed(spec, idx, rep) for idx, rep, _, _ in cells}
 
     rows: dict[int, list[tuple]] = {}
     wall: dict[str, float] = {}
@@ -326,7 +336,7 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
         idx, rep, label, n = cell
         t0 = time_mod.perf_counter()
         try:
-            result = cell_fn(spec, contexts[rep], idx, rep, label, n)
+            result = cell_fn(spec, contexts[rep], seed_table[idx], rep, label, n)
         except Exception as exc:  # noqa: BLE001 - per-cell failures are recorded
             method, dual = METHOD_TABLE[label]
             result = [(spec.scenario, method, dual, n, rep, "", "error", float("nan"))]
@@ -364,8 +374,7 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
         "reference": {"prune_eps": REFERENCE_PRUNE_EPS,
                       "kernel_tail_eps": REFERENCE_KERNEL_TAIL}
         if spec.flavor == "filtering" else {"method": "exact"},
-        "seed_table": {str(idx): _derive_int_seed(spec.seed, spec.scenario, idx, rep)
-                       for idx, rep, _, _ in cells},
+        "seed_table": {str(idx): seed for idx, seed in seed_table.items()},
         "wall_times_s": wall,
         "errors": errors,
     }

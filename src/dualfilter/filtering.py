@@ -28,9 +28,8 @@ from scipy.special import logsumexp
 
 from .errors import AlignmentError, UnsupportedModel, ZeroLikelihood
 from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
-                       kahan_sum, mixture_marginal_pdf, mixture_moments,
-                       mixture_quantile, propagate, prune, systematic_counts,
-                       update)
+                       mixture_marginal_pdf, mixture_moments, mixture_quantile,
+                       propagate, prune, systematic_counts, update)
 
 __all__ = [
     "FilterConfig",
@@ -111,7 +110,7 @@ class FilterTrace:
 
     @property
     def total_loglik(self) -> float:
-        return kahan_sum(self.loglik)
+        return math.fsum(self.loglik)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -291,16 +290,16 @@ def smoother(data: Sequence[ObservationRecord], cfg: FilterConfig, model,
     """Marginal smoothing laws from a forward trace and a backward recursion.
 
     Requires an exact or pruned forward trace (finite mixtures).  The
-    backward pass reuses the forward machinery with the data in reverse
-    order: backward deterministic parameters follow the same conjugate map
-    and flow, and backward weights satisfy
-
-    ``om_i[m] = sum_n om_{i+1}[n] mu(n, pre_i; y_i) p_{shift(y_i,n), m}``
-
-    computed in log space.  Forward and backward mixtures are then combined
-    through the model's product-closure (index sum, parameter combination
-    and a constant factor), yielding one mixture per observation time; at
-    the terminal time the result coincides with the filtering law.
+    backward pass is the forward recursion run on the reversed data from
+    the model prior: ``B_n`` is the prior mixture and
+    ``B_{i-1} = propagate(update(B_i, y_i))`` with the exact pure-death
+    kernel and parameter flow, so ``B_i`` carries the likelihood of the
+    observations after time ``i``.  Each backward mixture is combined
+    with the filtering mixture at the same time through the model's
+    product closure (index sum, parameter combination and a constant
+    factor), all pairs of support rows at once in log space, yielding one
+    mixture per observation time; at the terminal time the result
+    coincides with the filtering law.
 
     Raises:
         UnsupportedModel: if the trace holds particle clouds or the model's
@@ -314,56 +313,24 @@ def smoother(data: Sequence[ObservationRecord], cfg: FilterConfig, model,
         return []
     _verify_closure(model, trace)
 
-    n = len(data) - 1
-    dt = cfg.delta_t
-
-    # backward deterministic parameters
-    pre = [None] * (n + 1)   # state after flowing back from time i+1
-    post = [None] * (n + 1)  # state after absorbing y_i
-    pre[n] = model.theta0
-    post[n] = model.shift_param(data[n], model.theta0)
-    for i in range(n - 1, -1, -1):
-        pre[i] = model.theta_flow(post[i + 1], dt)
-        post[i] = model.shift_param(data[i], pre[i])
-
-    # backward weights: om[i] carries the cost-to-go mixture used at time i-1
-    zero = tuple([0] * len(trace.filtering[0].points[0]))
-    om_next = {zero: 0.0}
-    om_by_step = {n + 1: om_next}
-    for i in range(n, 0, -1):
-        y = data[i]
-        acc: dict = {}
-        for src, lw in om_by_step[i + 1].items():
-            lmu = model.log_marginal_point(src, pre[i], y)
-            shifted = model.shift_index(y, src)
-            kern = model.pd_kernel(shifted, post[i], dt)
-            for dst, pr in kern.items():
-                if pr <= 0.0:
-                    continue
-                cand = lw + lmu + math.log(pr)
-                prev = acc.get(dst)
-                acc[dst] = cand if prev is None else float(np.logaddexp(prev, cand))
-        top = max(acc.values())
-        om_by_step[i] = {pt: lw - top for pt, lw in sorted(acc.items())}
+    backward = [model.prior_mixture()]
+    for y in data[:0:-1]:
+        posterior, _ = update(backward[-1], y, model.log_marginal_point,
+                              model.shift_index, model.shift_param)
+        backward.append(propagate(posterior, model.pd_kernel, model.theta_flow,
+                                  cfg.delta_t))
+    backward.reverse()
 
     out = []
-    for i in range(n + 1):
-        filt = trace.filtering[i]
-        theta_f = filt.theta
-        theta_b = pre[i]
-        combined: dict = {}
-        for bpt, blw in om_by_step[i + 1].items():
-            for fpt, fw in zip(filt.points, filt.weights):
-                lw = (blw + math.log(fw)
-                      + model.log_combine_const(bpt, fpt, theta_b, theta_f))
-                key = model.combine_index(bpt, fpt)
-                prev = combined.get(key)
-                combined[key] = lw if prev is None else float(np.logaddexp(prev, lw))
-        top = max(combined.values())
-        weights = {pt: math.exp(lw - top) for pt, lw in sorted(combined.items())}
+    for time, filt, back in zip(trace.times, trace.filtering, backward):
+        fwd_rows, back_rows = filt.points[None, :, :], back.points[:, None, :]
+        logw = (np.log(back.weights)[:, None] + np.log(filt.weights)[None, :]
+                + model.log_combine_const(back_rows, fwd_rows, back.theta, filt.theta))
+        points = model.combine_index(back_rows, fwd_rows).reshape(-1, filt.dim)
         mixture = DualMixture.from_weights(
-            filt.family, weights, model.combine_param(theta_b, theta_f))
-        out.append(SmoothingResult(time=float(trace.times[i]), mixture=mixture))
+            filt.family, points, np.exp(logw - logw.max()).ravel(),
+            model.combine_param(back.theta, filt.theta))
+        out.append(SmoothingResult(time=float(time), mixture=mixture))
     return out
 
 

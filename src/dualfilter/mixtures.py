@@ -2,25 +2,26 @@
 
 Every filtering, predictive and smoothing law handled by this package is a
 finitely supported mixture of elementary kernels indexed by multi-indices
-(tuples of non-negative integers), optionally sharing one deterministic
+(vectors of non-negative integers), optionally sharing one deterministic
 parameter ``theta``.  This module implements the model-agnostic algebra on
-such mixtures: normalization, pruning, kernel propagation, Bayes updates,
-particle approximation of the mixing measure, and moment/density evaluation.
+such mixtures: pruning, kernel propagation, Bayes updates, particle
+approximation of the mixing measure, and moment/density evaluation.
 
 Representation choices:
 
-* a multi-index is a plain ``tuple`` of non-negative ints (length 1 for
-  one-dimensional duals), which keeps supports hashable and gives a natural
-  lexicographic order;
+* the support of a mixture is one read-only int64 array of shape
+  ``(M, K)``, one multi-index per row (``K = 1`` for one-dimensional
+  duals), with distinct rows in lexicographic order;
 * the deterministic dual parameter is a ``float`` (or ``None`` for models
   whose dual has no deterministic component);
 * model-specific component kernels (Gamma or Dirichlet densities) live in a
   small "family" object attached to each mixture; see ``cir.CIRFamily`` and
-  ``wf.WFFamily``.
+  ``wf.WFFamily``.  Its methods take the whole support array at once.
 
-Support iteration is always canonicalized (lexicographic order) before any
-accumulation so floating-point sums are platform- and run-deterministic, and
-weight totals use compensated (Kahan) summation.
+Mixtures are built from raw rows and weights by
+:meth:`DualMixture.from_weights`, which merges repeated rows, drops zero
+weights and normalizes, so every accumulation runs in the canonical row
+order and floating-point sums are platform- and run-deterministic.
 
 All mixture values are immutable after construction; the functions here are
 pure and safe to call concurrently as long as each caller owns its RNG.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -39,11 +40,8 @@ from scipy.special import logsumexp
 from .errors import DegenerateWeights, InvalidKernel, ZeroLikelihood
 
 __all__ = [
-    "Index",
     "ObservationRecord",
     "DualMixture",
-    "kahan_sum",
-    "normalize",
     "prune",
     "propagate",
     "update",
@@ -58,57 +56,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-Index = tuple  # tuple[int, ...]
-
 #: tolerance on the post-normalization weight total
 WEIGHT_SUM_TOL = 1e-12
 #: tolerance on kernel mass before a kernel is declared super-stochastic
 KERNEL_MASS_TOL = 1e-8
-
-
-def kahan_sum(values) -> float:
-    """Compensated sum of an iterable of floats."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = float(v) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
-def normalize(weights: Mapping[Index, float]) -> dict[Index, float]:
-    """Normalize a weight map to a probability map over its support.
-
-    Entries whose normalized weight is zero are dropped, including denormal
-    weights that underflow in the division.  Keys are processed in
-    lexicographic order so the result does not depend on the input
-    iteration order.
-
-    Raises:
-        DegenerateWeights: if no weight is strictly positive, or any weight
-            is negative or non-finite.
-    """
-    items = sorted(weights.items())
-    vals = [float(v) for _, v in items]
-    for v in vals:
-        if not math.isfinite(v) or v < 0.0:
-            raise DegenerateWeights(f"invalid weight {v!r}")
-    total = kahan_sum(vals)
-    if total <= 0.0:
-        raise DegenerateWeights("all weights are zero")
-    out = {k: v / total for (k, _), v in zip(items, vals)}
-    return {k: w for k, w in out.items() if w > 0.0}
-
-
-def _as_point(point) -> Index:
-    pt = tuple(int(c) for c in point)
-    if not pt:
-        raise ValueError("multi-index must have at least one coordinate")
-    if any(c < 0 for c in pt):
-        raise ValueError(f"negative coordinate in multi-index {pt}")
-    return pt
 
 
 @dataclass(frozen=True)
@@ -136,6 +87,15 @@ class ObservationRecord:
         return len(self.values)
 
 
+def _strictly_increasing_rows(points: np.ndarray) -> bool:
+    """True if consecutive rows increase strictly in lexicographic order."""
+    step = np.diff(points, axis=0)
+    moved = step != 0
+    first = moved.argmax(axis=1)
+    return bool(np.all(moved.any(axis=1))
+                and np.all(step[np.arange(len(step)), first] > 0))
+
+
 @dataclass(frozen=True)
 class DualMixture:
     """Finitely supported mixture over the dual space.
@@ -144,7 +104,8 @@ class DualMixture:
         family: model family object (see module docstring) exposing the
             component kernels; its ``tag`` is ``"cir-gamma"`` or
             ``"wf-dirichlet"``.
-        points: distinct multi-indices in lexicographic order.
+        points: read-only int64 array of shape ``(M, K)``, one non-negative
+            multi-index per row, rows distinct and in lexicographic order.
         weights: strictly positive weights aligned with ``points``, summing
             to one within ``WEIGHT_SUM_TOL``.
         theta: deterministic dual parameter shared by all components
@@ -152,21 +113,26 @@ class DualMixture:
     """
 
     family: object
-    points: tuple
+    points: np.ndarray
     weights: np.ndarray
     theta: float | None = None
 
     def __post_init__(self):
-        points = tuple(_as_point(pt) for pt in self.points)
-        if sorted(set(points)) != list(points):
+        points = np.array(self.points, dtype=np.int64)
+        if points.ndim != 2 or points.shape[1] == 0:
+            raise ValueError("support points must be an (M, K) array with K >= 1")
+        if np.any(points < 0):
+            raise ValueError("negative coordinate in a support point")
+        if not _strictly_increasing_rows(points):
             raise ValueError("support points must be distinct and sorted")
-        w = np.asarray(self.weights, dtype=float).copy()
+        w = np.array(self.weights, dtype=float)
         if w.shape != (len(points),):
             raise ValueError("weights must align with support points")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise DegenerateWeights("weights must be finite and strictly positive")
-        if abs(kahan_sum(w) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(math.fsum(w) - 1.0) > WEIGHT_SUM_TOL:
             raise DegenerateWeights("weights must sum to one")
+        points.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", w)
@@ -174,16 +140,36 @@ class DualMixture:
             object.__setattr__(self, "theta", float(self.theta))
 
     @classmethod
-    def from_weights(cls, family, weights: Mapping[Index, float],
+    def from_weights(cls, family, points, weights,
                      theta: float | None = None) -> "DualMixture":
-        """Build a mixture from an unnormalized weight map."""
-        norm = normalize(weights)
-        return cls(family=family, points=tuple(norm.keys()),
-                   weights=np.fromiter(norm.values(), dtype=float, count=len(norm)),
-                   theta=theta)
+        """Build a mixture from ``(L, K)`` rows and non-negative raw weights.
 
-    def as_dict(self) -> dict[Index, float]:
-        return dict(zip(self.points, self.weights))
+        Repeated rows are merged by adding their weights, the total is
+        normalized to one, and rows whose normalized weight is zero are
+        dropped, including denormal weights that underflow in the division.
+        The result does not depend on the order of the input rows.
+
+        Raises:
+            DegenerateWeights: if no weight is strictly positive, or any weight
+                is negative or non-finite.
+        """
+        points = np.asarray(points, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        if points.ndim != 2 or weights.shape != (len(points),):
+            raise ValueError("need (L, K) points with one weight per row")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+            raise DegenerateWeights("weights must be finite and non-negative")
+        uniq, inverse = np.unique(points, axis=0, return_inverse=True)
+        merged = np.bincount(inverse.ravel(), weights=weights, minlength=len(uniq))
+        total = math.fsum(merged)
+        if total <= 0.0:
+            raise DegenerateWeights("all weights are zero")
+        merged /= total
+        keep = merged > 0.0
+        return cls(family=family, points=uniq[keep], weights=merged[keep], theta=theta)
+
+    def as_dict(self) -> dict[tuple, float]:
+        return dict(zip(map(tuple, self.points.tolist()), self.weights.tolist()))
 
     @property
     def support_size(self) -> int:
@@ -191,7 +177,7 @@ class DualMixture:
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return self.points.shape[1]
 
 
 def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
@@ -208,25 +194,25 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
     if eps == 0.0:
         return mix, 0.0
     keep = mix.weights >= eps
-    removed = kahan_sum(mix.weights[~keep])
     if not np.any(keep):
         raise DegenerateWeights("pruning removed the entire support")
-    kept = {pt: w for pt, w, k in zip(mix.points, mix.weights, keep) if k}
+    removed = math.fsum(mix.weights[~keep])
     if removed > 0.0:
         logger.debug("pruned %d of %d support points, removed mass %.3e",
                      int(np.sum(~keep)), mix.support_size, removed)
-    return DualMixture.from_weights(mix.family, kept, mix.theta), float(removed)
+    return (DualMixture.from_weights(mix.family, mix.points[keep],
+                                     mix.weights[keep], mix.theta), removed)
 
 
-def propagate(mix: DualMixture,
-              kernel: Callable[[Index, float | None, float], Mapping[Index, float]],
-              theta_evolve: Callable[[float | None, float], float | None] | None,
-              dt: float) -> DualMixture:
+def propagate(mix: DualMixture, kernel, theta_evolve, dt: float) -> DualMixture:
     """Push a mixture through a dual transition kernel over a time step.
 
-    ``kernel(point, theta, dt)`` must return a (sub-)probability map of
-    arrival indices for one source index.  The output weight at ``n`` is
-    ``sum_m w_m * kernel(m)[n]``, renormalized, and the deterministic
+    ``kernel(point, theta, dt)`` is called once per source row and returns
+    ``(arrivals, probs)``: an ``(L, K)`` int array of arrival indices and
+    their (sub-)probabilities.  The per-source arrays, weighted by the
+    source weights, are concatenated and merged by
+    :meth:`DualMixture.from_weights`, so the output weight at ``n`` is
+    ``sum_m w_m * kernel(m)[n]``, renormalized.  The deterministic
     parameter is advanced by ``theta_evolve`` (identity when ``None``).
 
     Raises:
@@ -234,33 +220,35 @@ def propagate(mix: DualMixture,
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
-    acc: dict[Index, float] = {}
+    arrivals, weights = [], []
     for point, w in zip(mix.points, mix.weights):
-        probs = kernel(point, mix.theta, dt)
-        mass = kahan_sum(probs.values())
+        pts, probs = kernel(point, mix.theta, dt)
+        probs = np.asarray(probs, dtype=float)
+        mass = math.fsum(probs)
         if mass > 1.0 + KERNEL_MASS_TOL:
             raise InvalidKernel(
-                f"kernel mass {mass:.12f} from {point} exceeds one")
-        for n, pr in sorted(probs.items()):
-            if pr > 0.0:
-                key = _as_point(n)
-                acc[key] = acc.get(key, 0.0) + w * float(pr)
+                f"kernel mass {mass:.12f} from {point.tolist()} exceeds one")
+        arrivals.append(np.asarray(pts, dtype=np.int64))
+        weights.append(w * probs)
     new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
-    return DualMixture.from_weights(mix.family, acc, new_theta)
+    return DualMixture.from_weights(mix.family, np.concatenate(arrivals),
+                                    np.concatenate(weights), new_theta)
 
 
 def update(mix: DualMixture,
            y,
-           log_marginal: Callable[[Index, float | None, object], float],
-           index_shift: Callable[[object, Index], Index],
+           log_marginal: Callable[[np.ndarray, float | None, object], np.ndarray],
+           index_shift: Callable[[object, np.ndarray], np.ndarray],
            param_shift: Callable[[object, float | None], float | None],
            ) -> tuple[DualMixture, float]:
     """Bayes-update a mixture with one observation batch.
 
-    New weights are proportional to ``w_m * exp(log_marginal(m, theta, y))``,
-    indices are shifted by ``index_shift`` and ``theta`` by ``param_shift``.
-    Marginal likelihoods are consumed in log space and normalized via
-    log-sum-exp.
+    ``log_marginal(points, theta, y)`` returns the ``(M,)`` log marginal
+    likelihoods of the support rows and ``index_shift(y, points)`` their
+    ``(M, K)`` shifted rows.  New weights are proportional to
+    ``w_m * exp(log_marginal[m])``, normalized via log-sum-exp; rows that
+    the shift sends to the same index are merged, and ``theta`` is moved
+    by ``param_shift``.
 
     Returns the posterior mixture and the log marginal likelihood of ``y``
     under the prior mixture (the filter's log-evidence increment).
@@ -269,25 +257,17 @@ def update(mix: DualMixture,
         ZeroLikelihood: if every component has zero likelihood, or any
             marginal is NaN/+inf.
     """
-    logw = np.log(mix.weights)
-    logmu = np.array([float(log_marginal(pt, mix.theta, y)) for pt in mix.points])
+    logmu = np.asarray(log_marginal(mix.points, mix.theta, y), dtype=float)
     if np.any(np.isnan(logmu)) or np.any(np.isposinf(logmu)):
         raise ZeroLikelihood("marginal likelihood returned a non-finite value")
-    joint = logw + logmu
+    joint = np.log(mix.weights) + logmu
     if np.all(np.isneginf(joint)):
         raise ZeroLikelihood("all components have zero marginal likelihood")
     log_evidence = float(logsumexp(joint))
-
-    merged: dict[Index, float] = {}
-    for pt, lw in zip(mix.points, joint):
-        if np.isneginf(lw):
-            continue
-        new_pt = _as_point(index_shift(y, pt))
-        prev = merged.get(new_pt)
-        merged[new_pt] = lw if prev is None else float(np.logaddexp(prev, lw))
-    weights = {pt: math.exp(lw - log_evidence) for pt, lw in sorted(merged.items())}
     new_theta = param_shift(y, mix.theta)
-    return DualMixture.from_weights(mix.family, weights, new_theta), log_evidence
+    return (DualMixture.from_weights(mix.family, index_shift(y, mix.points),
+                                     np.exp(joint - log_evidence), new_theta),
+            log_evidence)
 
 
 def systematic_counts(weights: np.ndarray, n: int, offset: float) -> np.ndarray:
@@ -336,16 +316,14 @@ def dual_particle_propagate(mix: DualMixture,
         raise ValueError(f"unknown selection scheme {select!r}")
 
     drawn = counts > 0
-    sources = np.array(mix.points, dtype=np.int64)[drawn]
+    sources = mix.points[drawn]
     arrivals = np.asarray(sampler(sources, counts[drawn], mix.theta, dt, rng))
-    if arrivals.shape != (n_particles, sources.shape[1]):
+    if arrivals.shape != (n_particles, mix.dim):
         raise ValueError(f"sampler returned shape {arrivals.shape}, "
-                         f"expected {(n_particles, sources.shape[1])}")
+                         f"expected {(n_particles, mix.dim)}")
     # DualMixture rejects arrivals with a negative coordinate
-    uniq, cnt = np.unique(arrivals, axis=0, return_counts=True)
-    weights = {tuple(int(v) for v in pt): c / n_particles for pt, c in zip(uniq, cnt)}
     new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
-    return DualMixture.from_weights(mix.family, weights, new_theta)
+    return DualMixture.from_weights(mix.family, arrivals, np.ones(n_particles), new_theta)
 
 
 def mixture_moments(mix: DualMixture) -> tuple[np.ndarray, np.ndarray]:
@@ -355,17 +333,10 @@ def mixture_moments(mix: DualMixture) -> tuple[np.ndarray, np.ndarray]:
     the CIR model, Dirichlet components for WF) and are combined exactly:
     ``E[X] = sum w_m mu_m`` and ``E[X^2] = sum w_m (var_m + mu_m^2)``.
     """
-    mean = None
-    second = None
-    for pt, w in zip(mix.points, mix.weights):
-        mu = np.asarray(mix.family.component_mean(pt, mix.theta), dtype=float)
-        var = np.asarray(mix.family.component_var(pt, mix.theta), dtype=float)
-        if mean is None:
-            mean = w * mu
-            second = w * (var + mu * mu)
-        else:
-            mean += w * mu
-            second += w * (var + mu * mu)
+    mu = mix.family.component_mean(mix.points, mix.theta)
+    var = mix.family.component_var(mix.points, mix.theta)
+    mean = mix.weights @ mu
+    second = mix.weights @ (var + mu * mu)
     sd = np.sqrt(np.maximum(second - mean * mean, 0.0))
     return mean, sd
 
@@ -381,10 +352,7 @@ def mixture_pdf(mix: DualMixture, grid) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=float)
     mix.family.check_domain(grid)
-    out = np.zeros(grid.shape[0] if grid.ndim > 1 else grid.shape, dtype=float)
-    for pt, w in zip(mix.points, mix.weights):
-        out += w * np.exp(mix.family.component_logpdf(grid, pt, mix.theta))
-    return out
+    return mix.weights @ np.exp(mix.family.component_logpdf(grid, mix.points, mix.theta))
 
 
 def mixture_marginal_pdf(mix: DualMixture, grid, coord: int = 0) -> np.ndarray:
@@ -395,10 +363,8 @@ def mixture_marginal_pdf(mix: DualMixture, grid, coord: int = 0) -> np.ndarray:
     and the result equals :func:`mixture_pdf`.
     """
     grid = np.asarray(grid, dtype=float)
-    out = np.zeros_like(grid)
-    for pt, w in zip(mix.points, mix.weights):
-        out += w * np.exp(mix.family.marginal_component_logpdf(grid, pt, mix.theta, coord))
-    return out
+    return mix.weights @ np.exp(mix.family.marginal_component_logpdf(
+        grid, mix.points, mix.theta, coord))
 
 
 def mixture_quantile(mix: DualMixture, q: float, coord: int = 0) -> float:
@@ -407,8 +373,8 @@ def mixture_quantile(mix: DualMixture, q: float, coord: int = 0) -> float:
         raise ValueError("quantile level must lie in (0, 1)")
 
     def cdf(x):
-        return kahan_sum(w * mix.family.marginal_component_cdf(x, pt, mix.theta, coord)
-                         for pt, w in zip(mix.points, mix.weights))
+        return math.fsum(mix.weights * mix.family.marginal_component_cdf(
+            x, mix.points, mix.theta, coord))
 
     lo, hi = 0.0, 1.0
     while cdf(hi) < q and hi < 1e12:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError, SimulationBudgetExceeded
-from .mixtures import DualMixture, Index, ObservationRecord, kahan_sum
+from .mixtures import DualMixture, ObservationRecord
 
 __all__ = [
     "WFParams",
@@ -45,11 +45,6 @@ __all__ = [
     "density_ratio",
     "update_counts",
     "log_marginal",
-    "kingman_rates",
-    "moran_rates",
-    "kingman_transitions",
-    "moran_transitions",
-    "gillespie_jump_chain",
     "block_count_probs",
     "typed_death_kernel",
     "typed_death_sample_many",
@@ -141,101 +136,28 @@ def update_counts(m, y: ObservationRecord, p: WFParams) -> tuple:
     return tuple(mi + ci for mi, ci in zip(m, c))
 
 
-def log_marginal(m, y: ObservationRecord, p: WFParams) -> float:
+def log_marginal(m, y: ObservationRecord, p: WFParams):
     """Log marginal likelihood of a categorical count batch under Dirichlet(alpha+m).
 
     Ordered-sample (sequence) probability: the multinomial coefficient is a
     constant across mixture components and is omitted, so it cancels in
-    weight normalization.
+    weight normalization.  ``m`` is one count vector, or an ``(M, K)``
+    array of them with one result per row.
     """
-    m = _as_counts(m, p.k)
-    c = _as_counts(y.values, p.k)
-    ctot = sum(c)
+    m = np.asarray(m)
+    if m.shape[-1:] != (p.k,):
+        raise DimensionError(f"count vectors must have length {p.k}")
+    if np.any(m < 0):
+        raise ValueError("counts must be non-negative")
+    c = np.asarray(_as_counts(y.values, p.k))
+    ctot = int(c.sum())
     if ctot == 0:
-        return 0.0
-    am = [a + mi for a, mi in zip(p.alpha, m)]
-    atot = p.theta + sum(m)
-    return float(gammaln(atot) - gammaln(atot + ctot)
-                 + sum(gammaln(ai + ci) - gammaln(ai) for ai, ci in zip(am, c)))
-
-
-def kingman_rates(m, p: WFParams) -> dict:
-    """Death rates of the typed Kingman dual: direction i -> m_i(theta+|m|-1)/2."""
-    m = _as_counts(m, p.k)
-    tot = sum(m)
-    return {i: mi * (p.theta + tot - 1.0) / 2.0 for i, mi in enumerate(m)}
-
-
-def moran_rates(n, p: WFParams) -> dict:
-    """Moran dual rates: ordered pair (i, j) -> n_i (alpha_j + n_j) / 2."""
-    n = _as_counts(n, p.k)
-    out = {}
-    for i, ni in enumerate(n):
-        if ni == 0:
-            continue
-        for j in range(p.k):
-            if j != i:
-                out[(i, j)] = ni * (p.alpha[j] + n[j]) / 2.0
-    return out
-
-
-def kingman_transitions(p: WFParams):
-    """Transition list (next state, rate) for the typed Kingman dual."""
-    def transitions(state):
-        rates = kingman_rates(state, p)
-        out = []
-        for i, r in rates.items():
-            if r > 0.0:
-                nxt = list(state)
-                nxt[i] -= 1
-                out.append((tuple(nxt), r))
-        return out
-    return transitions
-
-
-def moran_transitions(p: WFParams):
-    """Transition list (next state, rate) for the Moran dual."""
-    def transitions(state):
-        out = []
-        for (i, j), r in moran_rates(state, p).items():
-            nxt = list(state)
-            nxt[i] -= 1
-            nxt[j] += 1
-            out.append((tuple(nxt), r))
-        return out
-    return transitions
-
-
-def gillespie_jump_chain(transitions_fn, n0, t: float, rng: np.random.Generator,
-                         max_events: int = 10_000_000) -> tuple:
-    """Exact continuous-time simulation of a jump chain up to time ``t``.
-
-    ``transitions_fn(state)`` must return the list of (next state, rate)
-    pairs out of ``state``.  States with no positive rate are absorbing.
-
-    Raises:
-        SimulationBudgetExceeded: after ``max_events`` jumps.
-    """
-    state = tuple(int(v) for v in n0)
-    clock = 0.0
-    for _ in range(max_events):
-        moves = transitions_fn(state)
-        total = kahan_sum(r for _, r in moves)
-        if total <= 0.0:
-            return state
-        clock += rng.exponential(1.0 / total)
-        if clock > t:
-            return state
-        u = rng.random() * total
-        acc = 0.0
-        for nxt, r in moves:
-            acc += r
-            if u < acc:
-                state = nxt
-                break
-        else:
-            state = moves[-1][0]
-    raise SimulationBudgetExceeded(f"more than {max_events} jump events")
+        return np.zeros(m.shape[:-1]) if m.ndim > 1 else 0.0
+    am = p.alpha_array() + m
+    atot = p.theta + m.sum(axis=-1)
+    out = (gammaln(atot) - gammaln(atot + ctot)
+           + (gammaln(am + c) - gammaln(am)).sum(axis=-1))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +223,12 @@ def _bounded_compositions(total: int, bounds) -> list:
     return out
 
 
-def typed_death_kernel(m, t: float, p: WFParams, tail_eps: float = 0.0) -> dict:
-    """Transition map of the typed Kingman dual from source ``m``.
+def typed_death_kernel(m, t: float, p: WFParams,
+                       tail_eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Transition law of the typed Kingman dual from source ``m``.
 
+    Returns ``(arrivals, probs)``: an ``(L, K)`` int array of the count
+    vectors below ``m`` componentwise and their transition probabilities.
     With ``tail_eps = 0`` every ``n <= m`` componentwise is enumerated and
     the kernel mass is exactly one up to floating point.  A positive
     ``tail_eps`` skips surviving-count levels whose block probability falls
@@ -325,9 +250,7 @@ def typed_death_kernel(m, t: float, p: WFParams, tail_eps: float = 0.0) -> dict:
     for i, mi in enumerate(m):
         loghyp += _log_choose(mi, pts[:, i])
     loghyp -= _log_choose(mtot, ntot)
-    probs = d[ntot] * np.exp(loghyp)
-    return {tuple(int(v) for v in pt): float(pr)
-            for pt, pr in zip(pts, probs) if pr > 0.0}
+    return pts, d[ntot] * np.exp(loghyp)
 
 
 def _start_rows(n0, p: WFParams, size: int | None) -> np.ndarray:
@@ -581,17 +504,12 @@ def emission_log_pmf(x, y: ObservationRecord, p: WFParams) -> np.ndarray:
     return out if out.shape[0] > 1 else np.array([float(out[0])])
 
 
-def _dirichlet_logpdf(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Dirichlet(a) log-density on rows of x, with boundary handling."""
-    const = gammaln(a.sum()) - gammaln(a).sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.where(x > 0, np.log(x), -np.inf)
-        terms = np.where(np.abs(a - 1.0)[None, :] > 0, (a - 1.0)[None, :] * logx, 0.0)
-    return const + terms.sum(axis=1)
-
-
 class WFFamily:
-    """Dirichlet component kernels g(x, n) = Dirichlet(alpha + n)."""
+    """Dirichlet component kernels g(x, n) = Dirichlet(alpha + n).
+
+    The component methods take the ``(M, K)`` support array of a mixture
+    and return one row per support point.
+    """
 
     tag = "wf-dirichlet"
     #: tolerance on simplex membership
@@ -600,36 +518,52 @@ class WFFamily:
     def __init__(self, params: WFParams):
         self.params = params
 
-    def component_mean(self, point: Index, theta=None) -> np.ndarray:
-        a = self.params.alpha_array() + np.asarray(point, dtype=float)
-        return a / a.sum()
+    def _concentrations(self, points) -> np.ndarray:
+        return self.params.alpha_array() + np.asarray(points, dtype=float)
 
-    def component_var(self, point: Index, theta=None) -> np.ndarray:
-        a = self.params.alpha_array() + np.asarray(point, dtype=float)
-        mean = a / a.sum()
-        return mean * (1.0 - mean) / (a.sum() + 1.0)
+    def component_mean(self, points, theta=None) -> np.ndarray:
+        a = self._concentrations(points)
+        return a / a.sum(axis=1, keepdims=True)
 
-    def component_logpdf(self, x, point: Index, theta=None) -> np.ndarray:
-        a = self.params.alpha_array() + np.asarray(point, dtype=float)
-        return _dirichlet_logpdf(np.atleast_2d(np.asarray(x, dtype=float)), a)
+    def component_var(self, points, theta=None) -> np.ndarray:
+        a = self._concentrations(points)
+        total = a.sum(axis=1, keepdims=True)
+        mean = a / total
+        return mean * (1.0 - mean) / (total + 1.0)
 
-    def marginal_component_logpdf(self, grid, point: Index, theta=None,
+    def component_logpdf(self, x, points, theta=None) -> np.ndarray:
+        """Dirichlet log-densities ``(M, G)`` at simplex rows ``x``."""
+        a = self._concentrations(points)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        const = gammaln(a.sum(axis=1)) - gammaln(a).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logx = np.where(x > 0, np.log(x), -np.inf)
+            terms = np.where((a != 1.0)[:, None, :],
+                             (a - 1.0)[:, None, :] * logx[None, :, :], 0.0)
+        return const[:, None] + terms.sum(axis=2)
+
+    def _beta_params(self, points, coord: int) -> tuple[np.ndarray, np.ndarray]:
+        a = self._concentrations(points)
+        return a[:, coord], a.sum(axis=1) - a[:, coord]
+
+    def marginal_component_logpdf(self, grid, points, theta=None,
                                   coord: int = 0) -> np.ndarray:
-        from scipy.stats import beta as beta_dist
-        a = self.params.alpha_array() + np.asarray(point, dtype=float)
-        return beta_dist.logpdf(np.asarray(grid, dtype=float),
-                                a[coord], a.sum() - a[coord])
+        """Beta log-densities ``(M, G)`` of coordinate ``coord`` on ``grid``."""
+        from scipy.special import betaln, xlog1py, xlogy
+        a, b = (v[:, None] for v in self._beta_params(points, coord))
+        x = np.asarray(grid, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
+        return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)
 
-    def marginal_component_cdf(self, x: float, point: Index, theta=None,
-                               coord: int = 0) -> float:
+    def marginal_component_cdf(self, x: float, points, theta=None,
+                               coord: int = 0) -> np.ndarray:
         from scipy.special import betainc
-        a = self.params.alpha_array() + np.asarray(point, dtype=float)
-        return float(betainc(a[coord], a.sum() - a[coord], min(max(x, 0.0), 1.0)))
+        return betainc(*self._beta_params(points, coord), min(max(x, 0.0), 1.0))
 
-    def sample_component(self, point: Index, theta, rng: np.random.Generator,
+    def sample_component(self, point, theta, rng: np.random.Generator,
                          size: int) -> np.ndarray:
-        a = self.params.alpha_array() + np.asarray(point, dtype=float)
-        return rng.dirichlet(a, size)
+        return rng.dirichlet(self._concentrations(point), size)
 
     def check_domain(self, grid: np.ndarray) -> None:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -692,19 +626,20 @@ class WFModel:
     # -- conjugate filtering interface ------------------------------------
 
     def prior_mixture(self) -> DualMixture:
-        zero = (0,) * self.params.k
-        return DualMixture(self.family, (zero,), np.array([1.0]), None)
+        return DualMixture(self.family, np.zeros((1, self.params.k), dtype=np.int64),
+                           np.array([1.0]), None)
 
-    def shift_index(self, y: ObservationRecord, point: Index) -> Index:
-        return update_counts(point, y, self.params)
+    def shift_index(self, y: ObservationRecord, points: np.ndarray) -> np.ndarray:
+        return points + np.asarray(_as_counts(y.values, self.params.k))
 
     def shift_param(self, y: ObservationRecord, theta) -> None:
         return None
 
-    def log_marginal_point(self, point: Index, theta, y: ObservationRecord) -> float:
-        return log_marginal(point, y, self.params)
+    def log_marginal_point(self, points: np.ndarray, theta,
+                           y: ObservationRecord) -> np.ndarray:
+        return log_marginal(points, y, self.params)
 
-    def pd_kernel(self, point: Index, theta, dt: float) -> dict:
+    def pd_kernel(self, point, theta, dt: float) -> tuple[np.ndarray, np.ndarray]:
         return typed_death_kernel(point, dt, self.params, self.kernel_tail_eps)
 
     def theta_flow(self, theta, dt: float) -> None:
@@ -735,25 +670,26 @@ class WFModel:
         return tuple(int(v) for v in rng.multinomial(batch, x))
 
     # -- smoothing closure --------------------------------------------------
+    # Indices are ``(..., K)`` arrays (or tuples); the methods broadcast
+    # over their leading axes.
 
-    def combine_index(self, m: Index, n: Index) -> Index:
-        return tuple(mi + ni for mi, ni in zip(m, n))
+    def combine_index(self, m, n) -> np.ndarray:
+        return np.add(m, n)
 
     def combine_param(self, theta_a, theta_b) -> None:
         return None
 
-    def log_combine_const(self, m: Index, n: Index, theta_a=None, theta_b=None) -> float:
+    def log_combine_const(self, m, n, theta_a=None, theta_b=None):
         """log C with h(x,m) h(x,n) = C h(x, m+n)."""
-        theta = self.params.theta
-        mt, nt = sum(m), sum(n)
-        out = (gammaln(theta + mt) + gammaln(theta + nt)
-               - gammaln(theta) - gammaln(theta + mt + nt))
-        for a, mi, ni in zip(self.params.alpha, m, n):
-            out += gammaln(a) + gammaln(a + mi + ni) - gammaln(a + mi) - gammaln(a + ni)
-        return float(out)
+        theta, alpha = self.params.theta, self.params.alpha_array()
+        m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
+        mt, nt = m.sum(axis=-1), n.sum(axis=-1)
+        return (gammaln(theta + mt) + gammaln(theta + nt)
+                - gammaln(theta) - gammaln(theta + mt + nt)
+                + (gammaln(alpha) + gammaln(alpha + m + n)
+                   - gammaln(alpha + m) - gammaln(alpha + n)).sum(axis=-1))
 
-    def closure_spread(self, m: Index, n: Index, theta_a, theta_b,
-                       grid: np.ndarray) -> float:
+    def closure_spread(self, m, n, theta_a, theta_b, grid: np.ndarray) -> float:
         """Max relative spread of h*h / h(combined) over simplex grid rows."""
         logs = (log_density_ratio(grid, m, self.params)
                 + log_density_ratio(grid, n, self.params)

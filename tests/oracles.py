@@ -16,6 +16,18 @@ from scipy.stats import chisquare, ncx2
 
 
 # ---------------------------------------------------------------------------
+# Mixture and kernel views
+# ---------------------------------------------------------------------------
+
+def kernel_dict(kernel) -> dict:
+    """``{arrival tuple: probability}`` of a ``(arrivals, probs)`` kernel,
+    without its zero entries."""
+    pts, probs = kernel
+    return {tuple(pt): float(pr) for pt, pr in zip(np.asarray(pts).tolist(), probs)
+            if pr > 0.0}
+
+
+# ---------------------------------------------------------------------------
 # Distance helpers
 # ---------------------------------------------------------------------------
 
@@ -109,6 +121,20 @@ def two_sample_chi2_pvalue(a, b, min_expected: float = 5.0) -> float:
 # ---------------------------------------------------------------------------
 # CIR oracles
 # ---------------------------------------------------------------------------
+
+def embedded_up_prob(m: int, alpha: float, beta: float, k: int) -> float:
+    """Up-move probability of the embedded B&D jump chain.
+
+    Uses the simplified parameterization (sigma^2 = 1/2, tau = 1, theta =
+    beta + k after conditioning on a batch of size k):
+    ``p_up = k*(alpha+m) / (k*(alpha+m) + m*(beta+k))``.  From ``m = 0``
+    the chain can only move up, so ``p_up = 1`` by convention.
+    """
+    if m == 0:
+        return 1.0
+    up = k * (alpha + m)
+    return up / (up + m * (beta + k))
+
 
 def gamma_pdf(x, shape, rate):
     x = np.asarray(x, dtype=float)
@@ -308,6 +334,85 @@ def quad_wf_marginal(m, counts, p) -> float:
                                    epsabs=1e-10, epsrel=1e-10)
         return val
     raise NotImplementedError("quadrature oracle only for K = 2 or 3")
+
+
+def kingman_rates(m, p) -> dict:
+    """Death rates of the typed Kingman dual: direction i -> m_i(theta+|m|-1)/2."""
+    m = tuple(int(v) for v in m)
+    tot = sum(m)
+    return {i: mi * (p.theta + tot - 1.0) / 2.0 for i, mi in enumerate(m)}
+
+
+def moran_rates(n, p) -> dict:
+    """Moran dual rates: ordered pair (i, j) -> n_i (alpha_j + n_j) / 2."""
+    n = tuple(int(v) for v in n)
+    out = {}
+    for i, ni in enumerate(n):
+        if ni == 0:
+            continue
+        for j in range(p.k):
+            if j != i:
+                out[(i, j)] = ni * (p.alpha[j] + n[j]) / 2.0
+    return out
+
+
+def kingman_transitions(p):
+    """Transition list (next state, rate) for the typed Kingman dual."""
+    def transitions(state):
+        out = []
+        for i, r in kingman_rates(state, p).items():
+            if r > 0.0:
+                nxt = list(state)
+                nxt[i] -= 1
+                out.append((tuple(nxt), r))
+        return out
+    return transitions
+
+
+def moran_transitions(p):
+    """Transition list (next state, rate) for the Moran dual."""
+    def transitions(state):
+        out = []
+        for (i, j), r in moran_rates(state, p).items():
+            nxt = list(state)
+            nxt[i] -= 1
+            nxt[j] += 1
+            out.append((tuple(nxt), r))
+        return out
+    return transitions
+
+
+def gillespie_jump_chain(transitions_fn, n0, t: float, rng: np.random.Generator,
+                         max_events: int = 10_000_000) -> tuple:
+    """Exact continuous-time simulation of a jump chain up to time ``t``.
+
+    ``transitions_fn(state)`` must return the list of (next state, rate)
+    pairs out of ``state``.  States with no positive rate are absorbing.
+
+    Raises:
+        SimulationBudgetExceeded: after ``max_events`` jumps.
+    """
+    from dualfilter import SimulationBudgetExceeded
+    state = tuple(int(v) for v in n0)
+    clock = 0.0
+    for _ in range(max_events):
+        moves = transitions_fn(state)
+        total = math.fsum(r for _, r in moves)
+        if total <= 0.0:
+            return state
+        clock += rng.exponential(1.0 / total)
+        if clock > t:
+            return state
+        u = rng.random() * total
+        acc = 0.0
+        for nxt, r in moves:
+            acc += r
+            if u < acc:
+                state = nxt
+                break
+        else:
+            state = moves[-1][0]
+    raise SimulationBudgetExceeded(f"more than {max_events} jump events")
 
 
 def typed_kingman_path(m0, t: float, p, rng: np.random.Generator) -> tuple:

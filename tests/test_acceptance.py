@@ -349,7 +349,7 @@ def test_a11_smoothing_consistency():
     trace = exact_filter(records, cfg, model)
     smooth = smoother(records, cfg, model, trace)
     last, filt = smooth[-1].mixture, trace.filtering[-1]
-    assert last.points == filt.points
+    np.testing.assert_array_equal(last.points, filt.points)
     worst = float(np.max(np.abs(np.asarray(last.weights)
                                 - np.asarray(filt.weights))))
     grid = np.linspace(0.1, 10.0, 100)

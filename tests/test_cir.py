@@ -6,14 +6,14 @@ from scipy.stats import binom, nbinom
 
 from dualfilter import InvalidDualParam, ObservationRecord
 from dualfilter.cir import (bd_rates, cir_transition_sample_many,
-                            density_ratio, embedded_up_prob, emission_log_pmf,
-                            gillespie_bd, linear_bd_rates,
-                            linear_bd_sample_many, log_density_ratio,
-                            log_marginal, pure_death_pmf, pure_death_survival,
-                            pure_death_theta, update_conjugate)
+                            density_ratio, emission_log_pmf, gillespie_bd,
+                            linear_bd_rates, linear_bd_sample_many,
+                            log_density_ratio, log_marginal, pure_death_pmf,
+                            pure_death_survival, pure_death_theta,
+                            update_conjugate)
 
-from .oracles import (chi2_pvalue_vs_pmf, quad_cir_marginal, quad_survival,
-                      rk_pure_death_theta, thinning_death_sample,
+from .oracles import (chi2_pvalue_vs_pmf, embedded_up_prob, quad_cir_marginal,
+                      quad_survival, rk_pure_death_theta, thinning_death_sample,
                       tv_int_samples, tv_sample_vs_pmf)
 
 

@@ -116,6 +116,26 @@ def test_run_scenario_row_count_and_schema(tmp_path):
     assert "wall_times_s" in manifest and "seed_table" in manifest
 
 
+def test_manifest_seed_reruns_predictive_cell(tmp_path):
+    import csv
+
+    import dualfilter.experiments as exp
+
+    spec = build_spec("cir_predictive", tiny_config(), seed=5)
+    assert run_scenario(spec, tmp_path) == 0
+    with open(tmp_path / "cir_predictive.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    manifest = json.loads((tmp_path / "cir_predictive_manifest.json").read_text())
+    # cells run replicate-major, then method, then particle count
+    rep, label, n = 1, "bd", spec.particle_counts[1]
+    idx = ((rep * len(spec.methods) + spec.methods.index(label))
+           * len(spec.particle_counts) + 1)
+    ctx = exp._predictive_context(spec, rep)
+    got = exp._predictive_cell(spec, ctx, manifest["seed_table"][str(idx)],
+                               rep, label, n)
+    assert [[exp._fmt(v) for v in row] for row in got] == rows[3 * idx:3 * idx + 3]
+
+
 def test_run_scenario_reruns_byte_identical(tmp_path):
     spec = build_spec("cir_predictive", tiny_config(), seed=5)
     run_scenario(spec, tmp_path / "a")

@@ -7,10 +7,9 @@ from scipy.linalg import expm
 from dualfilter import (DegenerateWeights, DomainError, DualMixture,
                         InvalidKernel, ObservationRecord, ZeroLikelihood,
                         dual_particle_propagate, mixture_marginal_pdf,
-                        mixture_moments, mixture_pdf, normalize, propagate,
-                        prune, systematic_counts, update)
+                        mixture_moments, mixture_pdf, propagate, prune,
+                        systematic_counts, update)
 from dualfilter.cir import CIRFamily, CIRParams
-from dualfilter.mixtures import kahan_sum
 from dualfilter.wf import WFFamily, WFParams
 
 from .oracles import quad_cir_marginal
@@ -22,41 +21,48 @@ def gamma_family(delta=2.0, gamma=1.0, sigma=1.0):
 
 def make_mix(points, weights, theta=1.0, family=None):
     family = family or gamma_family()
-    return DualMixture.from_weights(family, dict(zip(points, weights)), theta)
+    return DualMixture.from_weights(family, points, weights, theta)
 
 
 # ---------------------------------------------------------------------------
-# normalize
+# normalization in from_weights: merging, dropping zeros
 # ---------------------------------------------------------------------------
 
 def test_normalize_symmetric():
-    out = normalize({(0,): 2.0, (1,): 2.0})
-    assert out == {(0,): 0.5, (1,): 0.5}
+    out = make_mix([(0,), (1,)], [2.0, 2.0])
+    assert out.as_dict() == {(0,): 0.5, (1,): 0.5}
 
 
 def test_normalize_drops_zero_weights():
-    out = normalize({(0,): 3.0, (1,): 0.0})
-    assert out == {(0,): 1.0}
+    out = make_mix([(0,), (1,)], [3.0, 0.0])
+    assert out.as_dict() == {(0,): 1.0}
     # a denormal weight that underflows to zero in the division
-    assert normalize({(0,): 4.0, (1,): 5e-324}) == {(0,): 1.0}
+    assert make_mix([(0,), (1,)], [4.0, 5e-324]).as_dict() == {(0,): 1.0}
 
 
 def test_normalize_rejects_all_zero():
     with pytest.raises(DegenerateWeights):
-        normalize({(0,): 0.0, (1,): 0.0})
+        make_mix([(0,), (1,)], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_normalize_rejects_invalid(bad):
     with pytest.raises(DegenerateWeights):
-        normalize({(0,): bad, (1,): 1.0})
+        make_mix([(0,), (1,)], [bad, 1.0])
 
 
 def test_normalize_order_independent():
-    a = normalize({(3,): 0.1, (1,): 0.7, (2,): 0.2})
-    b = normalize({(1,): 0.7, (2,): 0.2, (3,): 0.1})
-    assert list(a) == list(b) == [(1,), (2,), (3,)]
-    assert a == b
+    a = make_mix([(3,), (1,), (2,)], [0.1, 0.7, 0.2])
+    b = make_mix([(1,), (2,), (3,)], [0.7, 0.2, 0.1])
+    assert a.points.tolist() == b.points.tolist() == [[1], [2], [3]]
+    assert a.as_dict() == b.as_dict()
+
+
+def test_from_weights_merges_repeated_rows():
+    out = DualMixture.from_weights(WFFamily(WFParams((1.0, 1.0))),
+                                   [(1, 0), (0, 2), (1, 0)], [1.0, 2.0, 1.0])
+    assert out.points.tolist() == [[0, 2], [1, 0]]
+    np.testing.assert_array_equal(out.weights, [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +71,9 @@ def test_normalize_order_independent():
 
 def test_mixture_weights_sum_to_one():
     mix = make_mix([(0,), (1,), (5,)], [0.2, 0.3, 0.5])
-    assert abs(kahan_sum(mix.weights) - 1.0) <= 1e-12
-    assert mix.points == ((0,), (1,), (5,))
+    assert abs(math.fsum(mix.weights) - 1.0) <= 1e-12
+    assert mix.points.tolist() == [[0], [1], [5]]
+    assert mix.points.dtype == np.int64
 
 
 def test_mixture_rejects_duplicate_points():
@@ -75,10 +82,20 @@ def test_mixture_rejects_duplicate_points():
         DualMixture(fam, ((1,), (1,)), np.array([0.5, 0.5]), 1.0)
 
 
+def test_mixture_rejects_unsorted_or_negative_points():
+    fam = gamma_family()
+    with pytest.raises(ValueError):
+        DualMixture(fam, ((2,), (1,)), np.array([0.5, 0.5]), 1.0)
+    with pytest.raises(ValueError):
+        DualMixture(fam, ((-1,), (1,)), np.array([0.5, 0.5]), 1.0)
+
+
 def test_mixture_weights_immutable():
     mix = make_mix([(0,), (1,)], [0.5, 0.5])
     with pytest.raises(ValueError):
         mix.weights[0] = 0.9
+    with pytest.raises(ValueError):
+        mix.points[0, 0] = 3
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +128,7 @@ def test_prune_geometric_l1_bound():
     eps = 1e-10
     out, removed = prune(mix, eps)
     kept = out.as_dict()
-    l1 = sum(abs(kept.get(pt, 0.0) - w) for pt, w in zip(mix.points, mix.weights))
+    l1 = sum(abs(kept.get(pt, 0.0) - w) for pt, w in mix.as_dict().items())
     assert l1 <= n * eps / (1.0 - 1e-7)
 
 
@@ -133,15 +150,15 @@ def test_prune_rejects_bad_eps():
 
 def test_propagate_identity_kernel():
     mix = make_mix([(0,), (2,), (5,)], [0.2, 0.5, 0.3])
-    out = propagate(mix, lambda pt, th, dt: {pt: 1.0}, None, 0.5)
-    assert out.points == mix.points
+    out = propagate(mix, lambda pt, th, dt: (pt[None, :], [1.0]), None, 0.5)
+    np.testing.assert_array_equal(out.points, mix.points)
     np.testing.assert_allclose(out.weights, mix.weights, atol=1e-15)
 
 
 def test_propagate_absorbing_kernel():
     mix = make_mix([(1,), (4,)], [0.5, 0.5])
-    out = propagate(mix, lambda pt, th, dt: {(0,): 1.0}, None, 0.1)
-    assert out.points == ((0,),)
+    out = propagate(mix, lambda pt, th, dt: ([[0]], [1.0]), None, 0.1)
+    assert out.points.tolist() == [[0]]
     assert out.weights[0] == 1.0
 
 
@@ -157,7 +174,7 @@ def test_propagate_matches_matrix_exponential():
     mix = make_mix([(0,), (1,), (2,)], w)
 
     def kernel(pt, th, _dt):
-        return {(j,): p_mat[pt[0], j] for j in range(3)}
+        return np.arange(3)[:, None], p_mat[pt[0]]
 
     out = propagate(mix, kernel, None, dt)
     want = w @ p_mat
@@ -165,20 +182,21 @@ def test_propagate_matches_matrix_exponential():
     # mass before renormalization is preserved by a stochastic kernel
     raw = {}
     for pt, wi in zip(mix.points, mix.weights):
-        for n, pr in kernel(pt, None, dt).items():
-            raw[n] = raw.get(n, 0.0) + wi * pr
-    assert abs(kahan_sum(raw.values()) - 1.0) <= 1e-8
+        for n, pr in zip(*kernel(pt, None, dt)):
+            raw[n[0]] = raw.get(n[0], 0.0) + wi * pr
+    assert abs(math.fsum(raw.values()) - 1.0) <= 1e-8
 
 
 def test_propagate_rejects_super_stochastic_kernel():
     mix = make_mix([(0,)], [1.0])
     with pytest.raises(InvalidKernel):
-        propagate(mix, lambda pt, th, dt: {(0,): 0.7, (1,): 0.5}, None, 0.1)
+        propagate(mix, lambda pt, th, dt: ([[0], [1]], [0.7, 0.5]), None, 0.1)
 
 
 def test_propagate_evolves_theta():
     mix = make_mix([(0,)], [1.0], theta=2.0)
-    out = propagate(mix, lambda pt, th, dt: {pt: 1.0}, lambda th, dt: th + dt, 0.25)
+    out = propagate(mix, lambda pt, th, dt: (pt[None, :], [1.0]),
+                    lambda th, dt: th + dt, 0.25)
     assert out.theta == 2.25
 
 
@@ -189,11 +207,11 @@ def test_propagate_evolves_theta():
 def _cir_update_ops(params):
     from dualfilter.cir import log_marginal as lm
 
-    def log_marginal(pt, theta, y):
-        return lm(pt[0], theta, y, params)
+    def log_marginal(pts, theta, y):
+        return np.array([lm(int(pt[0]), theta, y, params) for pt in pts])
 
-    def shift(y, pt):
-        return (pt[0] + sum(y.values),)
+    def shift(y, pts):
+        return pts + sum(y.values)
 
     def pshift(y, theta):
         return theta + len(y.values) * params.tau
@@ -206,7 +224,7 @@ def test_update_single_component():
     mix = make_mix([(0,)], [1.0], theta=params.beta, family=CIRFamily(params))
     y = ObservationRecord(0.0, (4,))
     out, logev = update(mix, y, *_cir_update_ops(params))
-    assert out.points == ((4,),)
+    assert out.points.tolist() == [[4]]
     assert out.weights[0] == 1.0
     assert out.theta == params.beta + 1.0
     assert math.isfinite(logev)
@@ -215,8 +233,8 @@ def test_update_single_component():
 def test_update_equal_marginals_keep_symmetry():
     mix = make_mix([(0,), (1,)], [0.5, 0.5])
     y = ObservationRecord(0.0, (1,))
-    out, _ = update(mix, y, lambda pt, th, yy: -1.3,
-                    lambda yy, pt: (pt[0] + 1,), lambda yy, th: th)
+    out, _ = update(mix, y, lambda pts, th, yy: np.full(len(pts), -1.3),
+                    lambda yy, pts: pts + 1, lambda yy, th: th)
     np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=1e-15)
 
 
@@ -245,7 +263,7 @@ def test_update_merge_batches_matches_single_update(cir_params):
     seq, _ = update(mix, ObservationRecord(0.0, (2,)), *ops)
     seq, _ = update(seq, ObservationRecord(0.0, (3,)), *ops)
     merged, _ = update(mix, ObservationRecord(0.0, (2, 3)), *ops)
-    assert seq.points == merged.points
+    np.testing.assert_array_equal(seq.points, merged.points)
     assert seq.theta == merged.theta
     np.testing.assert_allclose(np.asarray(seq.weights),
                                np.asarray(merged.weights), atol=1e-10)
@@ -255,25 +273,25 @@ def test_update_zero_likelihood_raises():
     mix = make_mix([(0,), (1,)], [0.5, 0.5])
     y = ObservationRecord(0.0, (1,))
     with pytest.raises(ZeroLikelihood):
-        update(mix, y, lambda pt, th, yy: -np.inf,
-               lambda yy, pt: pt, lambda yy, th: th)
+        update(mix, y, lambda pts, th, yy: np.full(len(pts), -np.inf),
+               lambda yy, pts: pts, lambda yy, th: th)
 
 
 def test_update_non_finite_marginal_raises():
     mix = make_mix([(0,)], [1.0])
     y = ObservationRecord(0.0, (1,))
     with pytest.raises(ZeroLikelihood):
-        update(mix, y, lambda pt, th, yy: float("nan"),
-               lambda yy, pt: pt, lambda yy, th: th)
+        update(mix, y, lambda pts, th, yy: np.full(len(pts), np.nan),
+               lambda yy, pts: pts, lambda yy, th: th)
 
 
 def test_update_merges_colliding_indices():
     # non-injective shift map: both components land on the same index
     mix = make_mix([(0,), (1,)], [0.25, 0.75])
     y = ObservationRecord(0.0, (1,))
-    out, _ = update(mix, y, lambda pt, th, yy: 0.0,
-                    lambda yy, pt: (7,), lambda yy, th: th)
-    assert out.points == ((7,),)
+    out, _ = update(mix, y, lambda pts, th, yy: np.zeros(len(pts)),
+                    lambda yy, pts: np.full_like(pts, 7), lambda yy, th: th)
+    assert out.points.tolist() == [[7]]
     assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -309,7 +327,7 @@ def test_dual_particle_identity_sampler_l1():
     out = dual_particle_propagate(
         mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 100_000, 0.1, rng)
     got = out.as_dict()
-    l1 = sum(abs(got.get(pt, 0.0) - wi) for pt, wi in zip(mix.points, mix.weights))
+    l1 = sum(abs(got.get(pt, 0.0) - wi) for pt, wi in mix.as_dict().items())
     assert l1 < 0.02
 
 
@@ -321,7 +339,7 @@ def test_dual_particle_bit_reproducible(cir_model):
                                 np.random.default_rng(123))
     b = dual_particle_propagate(mix, sampler, 500, 0.05,
                                 np.random.default_rng(123))
-    assert a.points == b.points
+    assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.weights, b.weights)
 
 
@@ -335,8 +353,7 @@ def test_dual_particle_bd_sampler_matches_gillespie(cir_model):
     rng = np.random.default_rng(8)
     ref = np.array([gillespie_bd(4, 0.05, theta, params, rng)
                     for _ in range(100_000)])
-    got = np.array([pt[0] for pt in out.points for _ in range(1)])
-    emp = {pt[0]: w for pt, w in zip(out.points, out.weights)}
+    emp = dict(zip(out.points[:, 0].tolist(), out.weights))
     n = max(max(emp), ref.max()) + 1
     pa = np.zeros(n)
     for k, v in emp.items():
@@ -351,7 +368,7 @@ def test_dual_particle_systematic_selection(rng):
         mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 2, 0.1, rng,
         select="systematic")
     # stratified selection with equal weights always keeps one copy of each
-    assert out.points == ((0,), (1,))
+    assert out.points.tolist() == [[0], [1]]
     np.testing.assert_allclose(out.weights, [0.5, 0.5])
 
 
@@ -409,7 +426,7 @@ def test_pdf_exponential_at_zero():
 def test_pdf_single_surviving_component():
     fam = gamma_family(delta=3.0)
     target = DualMixture(fam, ((2,),), np.array([1.0]), 1.0)
-    mix = DualMixture.from_weights(fam, {(2,): 1.0, (5,): 0.0}, 1.0)
+    mix = DualMixture.from_weights(fam, [(2,), (5,)], [1.0, 0.0], 1.0)
     grid = np.linspace(0.01, 10, 50)
     np.testing.assert_allclose(mixture_pdf(mix, grid), mixture_pdf(target, grid))
 

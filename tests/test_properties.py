@@ -1,0 +1,124 @@
+"""Property tests of the mixture algebra on random small CIR and WF mixtures.
+
+Each example draws a model (CIR, or WF with K = 3), a mixture with a few
+random support rows and weights, one observation batch and a time step,
+and checks the array-backed recursion against direct per-point sums.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualfilter import (CIRModel, CIRParams, DualMixture, FilterConfig,
+                        ObservationRecord, WFModel, WFParams, exact_filter,
+                        propagate, prune, update)
+from dualfilter.cir import log_marginal as cir_log_marginal
+from dualfilter.wf import log_marginal as wf_log_marginal
+
+CIR = CIRModel(CIRParams(11.0, 1.1, 1.0))
+WF = WFModel(WFParams((1.1, 1.1, 1.1)))
+
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def cases(draw):
+    """(model, mixture, observation batch, time step)."""
+    if draw(st.booleans()):
+        model, theta = CIR, CIR.params.beta + draw(st.floats(0.0, 3.0))
+        row = st.tuples(st.integers(0, 12))
+        batch = st.lists(st.integers(0, 6), max_size=3)
+    else:
+        model, theta = WF, None
+        row = st.tuples(*[st.integers(0, 3)] * 3)
+        batch = st.tuples(*[st.integers(0, 3)] * 3)
+    points = draw(st.lists(row, min_size=1, max_size=6, unique=True))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(points),
+                        max_size=len(points)))
+    mix = DualMixture.from_weights(model.family, points, raw, theta)
+    y = ObservationRecord(0.0, tuple(draw(batch)))
+    return model, mix, y, draw(st.floats(0.01, 1.0))
+
+
+def normalized(acc: dict) -> dict:
+    total = math.fsum(acc.values())
+    return {k: v / total for k, v in acc.items()}
+
+
+def direct_propagate(model, mix, dt) -> dict:
+    acc: dict = {}
+    for pt, w in zip(mix.points, mix.weights):
+        arrivals, probs = model.pd_kernel(pt, mix.theta, dt)
+        for n, pr in zip(np.asarray(arrivals).tolist(), probs):
+            acc[tuple(n)] = acc.get(tuple(n), 0.0) + w * pr
+    return normalized(acc)
+
+
+def direct_update(model, mix, y) -> dict:
+    acc: dict = {}
+    for pt, w in zip(mix.points.tolist(), mix.weights):
+        if model is CIR:
+            logmu = cir_log_marginal(pt[0], mix.theta, y, CIR.params)
+            key = (pt[0] + sum(y.values),)
+        else:
+            logmu = wf_log_marginal(pt, y, WF.params)
+            key = tuple(a + b for a, b in zip(pt, y.values))
+        acc[key] = acc.get(key, 0.0) + w * math.exp(logmu)
+    return normalized(acc)
+
+
+def assert_matches(mix: DualMixture, want: dict) -> None:
+    got = mix.as_dict()
+    assert set(got) == {k for k, v in want.items() if v > 0.0}
+    for key, w in got.items():
+        assert abs(w - want[key]) <= 1e-12
+    assert abs(math.fsum(mix.weights) - 1.0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_propagate_matches_direct_sum(case):
+    model, mix, _, dt = case
+    out = propagate(mix, model.pd_kernel, model.theta_flow, dt)
+    assert_matches(out, direct_propagate(model, mix, dt))
+    # the pure-death dual only moves down: every arrival lies below a source
+    below = (out.points[:, None, :] <= mix.points[None, :, :]).all(axis=2)
+    assert below.any(axis=1).all()
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_update_matches_direct_sum(case):
+    model, mix, y, _ = case
+    out, _ = update(mix, y, model.log_marginal_point, model.shift_index,
+                    model.shift_param)
+    assert_matches(out, direct_update(model, mix, y))
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_prune_at_zero_is_identity(case):
+    _, mix, _, _ = case
+    out, removed = prune(mix, 0.0)
+    assert out is mix
+    assert removed == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.integers(1, 3))
+def test_pruned_at_zero_equals_exact(case, n_times):
+    model, _, y, dt = case
+    records = [ObservationRecord(i * dt, y.values) for i in range(n_times)]
+    exact = exact_filter(records, FilterConfig(model=model.name, method="exact",
+                                               delta_t=dt), model)
+    pruned = exact_filter(records, FilterConfig(model=model.name, method="pruned",
+                                                delta_t=dt, prune_eps=0.0), model)
+    for a, b in zip(exact.predictive + exact.filtering,
+                    pruned.predictive + pruned.filtering):
+        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.weights, b.weights)
+        assert a.theta == b.theta
+    np.testing.assert_array_equal(exact.loglik, pruned.loglik)

@@ -14,6 +14,8 @@ import pytest
 from dualfilter.cir import linear_bd_sample_many, pure_death_survival
 from dualfilter.wf import typed_death_kernel, wf_chain_sample_many
 
+from .oracles import kernel_dict
+
 CIR_POINTS = np.array([[3], [7]])
 WF_POINTS = np.array([[2, 1, 0], [3, 1, 1]])
 COUNTS = np.array([4, 5])
@@ -88,7 +90,7 @@ def test_batched_typed_death_matches_kernel(wf3_model):
     counts, t = np.array([50_000, 50_000]), 0.3
     out = _draw(wf3_model, "pure_death", WF_POINTS, counts, t, 6)
     for src, block in zip(WF_POINTS, _blocks(out, counts)):
-        assert _tv(block, typed_death_kernel(src, t, wf3_model.params)) < 0.02
+        assert _tv(block, kernel_dict(typed_death_kernel(src, t, wf3_model.params))) < 0.02
 
 
 def test_batched_wf_chain_matches_per_source_chain(wf3_model):

@@ -21,7 +21,7 @@ def test_cir_closure_constant_in_x(cir_model):
     spread = cir_model.closure_spread((2,), (3,), 2.1, 3.1, grid)
     assert spread < 1e-9
     assert cir_model.combine_param(2.1, 3.1) == pytest.approx(4.1)
-    assert cir_model.combine_index((2,), (3,)) == (5,)
+    assert cir_model.combine_index((2,), (3,)).tolist() == [5]
 
 
 def test_wf_closure_constant_in_x(wf3_model):
@@ -61,7 +61,7 @@ def test_terminal_smoothing_equals_filtering(cir_model):
     out = smoother(records, cfg, cir_model, trace)
     last = out[-1].mixture
     filt = trace.filtering[-1]
-    assert last.points == filt.points
+    np.testing.assert_array_equal(last.points, filt.points)
     assert last.theta == pytest.approx(filt.theta, rel=1e-12)
     np.testing.assert_allclose(np.asarray(last.weights),
                                np.asarray(filt.weights), atol=1e-12)
@@ -75,7 +75,7 @@ def test_terminal_smoothing_equals_filtering_wf(wf3_model):
     out = smoother(records, cfg, wf3_model, trace)
     last = out[-1].mixture
     filt = trace.filtering[-1]
-    assert last.points == filt.points
+    np.testing.assert_array_equal(last.points, filt.points)
     np.testing.assert_allclose(np.asarray(last.weights),
                                np.asarray(filt.weights), atol=1e-12)
 

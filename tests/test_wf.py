@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 
 from dualfilter import DimensionError, ObservationRecord, WFParams
 from dualfilter.wf import (block_count_probs, density_ratio,
-                           emission_log_pmf, gillespie_jump_chain,
-                           kingman_rates, kingman_transitions, log_marginal,
-                           moran_rates, moran_sample_many, moran_transitions,
+                           emission_log_pmf, log_marginal, moran_sample_many,
                            typed_death_kernel, typed_death_sample_many,
                            update_counts, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
                            wf_transition_sample_many)
 
-from .oracles import (block_count_path, block_count_series_mp, moran_path,
-                      quad_wf_marginal, tv_sample_vs_pmf, tv_tuple_samples,
-                      typed_kingman_path)
+from .oracles import (block_count_path, block_count_series_mp,
+                      gillespie_jump_chain, kernel_dict, kingman_rates,
+                      kingman_transitions, moran_path, moran_rates,
+                      moran_transitions, quad_wf_marginal, tv_sample_vs_pmf,
+                      tv_tuple_samples, typed_kingman_path)
+
+
+def typed_kernel(m, t, p, tail_eps=0.0) -> dict:
+    return kernel_dict(typed_death_kernel(m, t, p, tail_eps))
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +245,25 @@ def test_block_count_zero_start(wf3_params):
 def test_typed_transition_requires_componentwise_order(wf3_params):
     # every reachable type profile lies below its source componentwise
     src = (2, 1, 0)
-    kern = typed_death_kernel(src, 0.5, wf3_params)
+    kern = typed_kernel(src, 0.5, wf3_params)
     assert all(all(n <= m for n, m in zip(pt, src)) for pt in kern)
     assert (1, 2, 0) not in kern
 
 
 def test_typed_transition_one_survivor_symmetry():
     p = WFParams((1.3, 1.3))
-    kern = typed_death_kernel((1, 1), 0.7, p)
+    kern = typed_kernel((1, 1), 0.7, p)
     assert kern[(1, 0)] == pytest.approx(kern[(0, 1)], rel=1e-12)
 
 
 def test_typed_kernel_mass_is_one(wf3_params):
-    kern = typed_death_kernel((2, 1, 3), 0.4, wf3_params)
+    kern = typed_kernel((2, 1, 3), 0.4, wf3_params)
     assert sum(kern.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_typed_kernel_tail_truncation_close(wf3_params):
-    full = typed_death_kernel((4, 3, 2), 1.0, wf3_params)
-    trunc = typed_death_kernel((4, 3, 2), 1.0, wf3_params, tail_eps=1e-12)
+    full = typed_kernel((4, 3, 2), 1.0, wf3_params)
+    trunc = typed_kernel((4, 3, 2), 1.0, wf3_params, tail_eps=1e-12)
     drop = sum(v for k, v in full.items() if k not in trunc)
     assert drop < 10 * 1e-12
     for k, v in trunc.items():
@@ -269,7 +273,7 @@ def test_typed_kernel_tail_truncation_close(wf3_params):
 def test_typed_kernel_matches_typed_gillespie(wf3_params):
     rng = np.random.default_rng(12)
     m0, t = (2, 1, 0), 0.5
-    kern = typed_death_kernel(m0, t, wf3_params)
+    kern = typed_kernel(m0, t, wf3_params)
     n = 100_000
     from collections import Counter
     counts = Counter(typed_kingman_path(m0, t, wf3_params, rng) for _ in range(n))
@@ -280,7 +284,7 @@ def test_typed_kernel_matches_typed_gillespie(wf3_params):
 
 def test_typed_sampler_matches_kernel(wf3_params):
     m0, t = (3, 2, 1), 0.3
-    kern = typed_death_kernel(m0, t, wf3_params)
+    kern = typed_kernel(m0, t, wf3_params)
     draws = typed_death_sample_many(m0, t, wf3_params,
                                     np.random.default_rng(4), 100_000)
     from collections import Counter
@@ -412,7 +416,7 @@ def test_wf_transition_entrance_level_not_sensitive(alpha, t, monkeypatch, caplo
 
 def test_origin_is_absorbing_for_both_duals(wf3_params, rng):
     zero = (0, 0, 0)
-    assert typed_death_kernel(zero, 1.0, wf3_params) == {zero: 1.0}
+    assert typed_kernel(zero, 1.0, wf3_params) == {zero: 1.0}
     assert moran_rates(zero, wf3_params) == {}
     out = moran_sample_many(zero, 5.0, wf3_params, rng, 10)
     assert np.all(out == 0)
@@ -460,13 +464,12 @@ def test_wf_mixture_update_merge_batches(wf3_model):
     from dualfilter.mixtures import DualMixture, update
     model = wf3_model
     mix = DualMixture.from_weights(
-        model.family,
-        {(0, 0, 0): 0.2, (1, 0, 1): 0.5, (2, 2, 0): 0.3}, None)
+        model.family, [(0, 0, 0), (1, 0, 1), (2, 2, 0)], [0.2, 0.5, 0.3], None)
     ops = (model.log_marginal_point, model.shift_index, model.shift_param)
     seq, _ = update(mix, ObservationRecord(0.0, (1, 0, 0)), *ops)
     seq, _ = update(seq, ObservationRecord(0.0, (0, 2, 0)), *ops)
     merged, _ = update(mix, ObservationRecord(0.0, (1, 2, 0)), *ops)
-    assert seq.points == merged.points
+    np.testing.assert_array_equal(seq.points, merged.points)
     np.testing.assert_allclose(np.asarray(seq.weights),
                                np.asarray(merged.weights), atol=1e-10)
 
@@ -474,7 +477,7 @@ def test_wf_mixture_update_merge_batches(wf3_model):
 def test_moran_propagation_conserves_total_support(wf3_model, rng):
     from dualfilter.mixtures import DualMixture, dual_particle_propagate
     mix = DualMixture.from_weights(
-        wf3_model.family, {(2, 1, 1): 0.6, (1, 3, 0): 0.4}, None)
+        wf3_model.family, [(2, 1, 1), (1, 3, 0)], [0.6, 0.4], None)
     out = dual_particle_propagate(mix, wf3_model.dual_sampler("moran"),
                                   500, 0.5, rng)
     assert all(sum(pt) == 4 for pt in out.points)
@@ -483,14 +486,13 @@ def test_moran_propagation_conserves_total_support(wf3_model, rng):
 def test_kingman_propagation_support_is_downward(wf3_model):
     from dualfilter.mixtures import DualMixture, propagate
     src = (3, 1, 2)
-    mix = DualMixture.from_weights(wf3_model.family, {src: 1.0}, None)
+    mix = DualMixture.from_weights(wf3_model.family, [src], [1.0], None)
     out = propagate(mix, wf3_model.pd_kernel, wf3_model.theta_flow, 0.5)
     assert all(all(n <= m for n, m in zip(pt, src)) for pt in out.points)
 
 
 def test_gillespie_jump_chain_budget(wf3_params, rng):
     from dualfilter import SimulationBudgetExceeded
-    from dualfilter.wf import gillespie_jump_chain, moran_transitions
     with pytest.raises(SimulationBudgetExceeded):
         gillespie_jump_chain(moran_transitions(wf3_params), (5, 5, 5), 50.0,
                              rng, max_events=10)
