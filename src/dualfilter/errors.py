@@ -34,7 +34,8 @@ class SimulationBudgetExceeded(DualFilterError):
 
 
 class AlignmentError(DualFilterError):
-    """Raised when two filter traces do not share a common time grid."""
+    """Raised when observation times do not strictly increase, when two filter
+    traces do not share a time grid, or when a trace and its data differ in length."""
 
 
 class UnsupportedModel(DualFilterError):

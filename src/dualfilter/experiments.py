@@ -31,7 +31,7 @@ import sys
 import time as time_mod
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class ExperimentSpec:
     model: str                  # "cir" | "wf"
     params: tuple               # (delta, gamma, sigma, tau) or WF alpha vector
     n_times: int
-    delta_t: float
+    delta_t: float              # spacing of the simulated observation times
     batch_size: int
     methods: tuple
     particle_counts: tuple
@@ -93,7 +93,6 @@ class ExperimentSpec:
     seed: int
     horizon: float | None = None
     forced_last: tuple | None = None
-    resampling: str = "systematic"
 
     def __post_init__(self):
         if self.flavor not in ("predictive", "filtering"):
@@ -105,8 +104,14 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown method label {label!r}")
         if min(self.particle_counts, default=1) < 1 or self.replicates < 1:
             raise ConfigError("particle counts and replicates must be positive")
+        if self.n_times < 0:
+            raise ConfigError("n_times must be non-negative")
+        if not self.delta_t > 0:
+            raise ConfigError("delta_t must be positive")
         if self.flavor == "predictive" and self.horizon is None:
             raise ConfigError("predictive scenarios need a horizon")
+        if self.horizon is not None and not self.horizon > 0:
+            raise ConfigError("horizon must be positive")
 
     def build_model(self, kernel_tail_eps: float = 0.0):
         if self.model == "cir":
@@ -145,9 +150,7 @@ PRESETS: dict = {
         full=dict(replicates=100)),
 }
 
-_SPEC_FIELDS = ("scenario", "flavor", "model", "params", "n_times", "delta_t",
-                "batch_size", "methods", "particle_counts", "replicates",
-                "seed", "horizon", "forced_last", "resampling")
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
 
 
 def build_spec(scenario: str, config: dict | None = None, *, seed: int = 1234,
@@ -239,8 +242,7 @@ def _predictive_context(spec: ExperimentSpec, rep: int) -> dict:
     model = spec.build_model()
     rng = _derive_rng(_entropy(spec.seed, spec.scenario, 0xDA7A, rep))
     _, records = simulate_dataset(spec, rng)
-    cfg = FilterConfig(model=spec.model, method="exact", delta_t=spec.delta_t)
-    trace = run_filter(records, cfg, model)
+    trace = run_filter(records, FilterConfig(method="exact"), model)
     start = trace.filtering[-1]
     ref_pred = propagate(start, model.pd_kernel, model.theta_flow, spec.horizon)
     edges = metric_edges(ref_pred)
@@ -254,8 +256,7 @@ def _filtering_context(spec: ExperimentSpec, rep: int) -> dict:
     ref_model = spec.build_model(kernel_tail_eps=tail)
     rng = _derive_rng(_entropy(spec.seed, spec.scenario, 0xDA7A, rep))
     signal, records = simulate_dataset(spec, rng)
-    ref_cfg = FilterConfig(model=spec.model, method="pruned",
-                           delta_t=spec.delta_t, prune_eps=REFERENCE_PRUNE_EPS)
+    ref_cfg = FilterConfig(method="pruned", prune_eps=REFERENCE_PRUNE_EPS)
     ref_trace = run_filter(records, ref_cfg, ref_model)
     return dict(model=spec.build_model(), records=records, signal=signal,
                 ref_trace=ref_trace)
@@ -271,7 +272,7 @@ def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
     elif method == "dual_particle":
         approx = dual_particle_propagate(
             ctx["start"], model.dual_sampler(dual), n, spec.horizon, rng,
-            select=spec.resampling, theta_evolve=model.theta_evolve_for(dual))
+            theta_evolve=model.theta_evolve_for(dual))
     else:
         particles = sample_mixture(ctx["start"], rng, n)
         particles = model.signal_sample_many(particles, spec.horizon, rng)
@@ -290,9 +291,8 @@ def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
 def _filtering_cell(spec: ExperimentSpec, ctx: dict, seed: int,
                     rep: int, label: str, n: int) -> list[tuple]:
     method, dual = METHOD_TABLE[label]
-    cfg = FilterConfig(
-        model=spec.model, method=method, delta_t=spec.delta_t, seed=seed,
-        n_particles=n, dual_kind=dual or None, resampling=spec.resampling)
+    cfg = FilterConfig(method=method, seed=seed, n_particles=n,
+                       dual_kind=dual or None)
     trace = run_filter(ctx["records"], cfg, ctx["model"])
     metrics = error_metrics(trace, ctx["ref_trace"], signal=ctx["signal"])
     base = (spec.scenario, method, dual, n, rep, "")

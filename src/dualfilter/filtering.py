@@ -1,6 +1,8 @@
 """Filtering, smoothing and error metrics on top of the model primitives.
 
-Four inference procedures share one trace format:
+Four inference procedures share one trace format and one recursion,
+which alternates a Bayes update with a propagation over the gap to the
+next observation time (the times must strictly increase):
 
 * ``exact``: the finite-mixture recursion driven by the model's
   pure-death dual (closed-form transitions, polynomial support growth);
@@ -13,7 +15,8 @@ Four inference procedures share one trace format:
   general baseline (propagate through the signal transition, weight by
   the emission likelihood, resample every step).
 
-A single filter run is sequential; replicate runs are embarrassingly
+The smoother's backward pass is the same recursion run on the reversed
+records.  A single filter run is sequential; replicate runs are embarrassingly
 parallel and are orchestrated by :mod:`dualfilter.experiments`.
 """
 
@@ -47,27 +50,25 @@ __all__ = [
 ]
 
 _METHODS = ("exact", "pruned", "dual_particle", "bootstrap")
-_RESAMPLERS = ("systematic", "multinomial")
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Which inference procedure to run and with what knobs."""
+    """Which inference procedure to run and with what knobs.
 
-    model: str                    # "cir" | "wf"
+    No time step is configured: the filters step by the gaps between the
+    observation times.  Particle methods resample systematically.
+    """
+
     method: str                   # member of _METHODS
-    delta_t: float
     seed: int = 0
     prune_eps: float = 0.0
     n_particles: int | None = None
     dual_kind: str | None = None  # pure_death | bd | moran | wf_chain | wf_diffusion
-    resampling: str = "systematic"
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.delta_t <= 0:
-            raise ValueError("delta_t must be positive")
         if not 0.0 <= self.prune_eps < 1.0:
             raise ValueError("prune_eps must lie in [0, 1)")
         if self.method in ("dual_particle", "bootstrap"):
@@ -75,8 +76,6 @@ class FilterConfig:
                 raise ValueError("particle methods need n_particles >= 1")
         if self.method == "dual_particle" and self.dual_kind is None:
             raise ValueError("dual_particle needs a dual_kind")
-        if self.resampling not in _RESAMPLERS:
-            raise ValueError(f"unknown resampling scheme {self.resampling!r}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,12 @@ def _moments_of(state) -> tuple[np.ndarray, np.ndarray]:
     return mixture_moments(state)
 
 
-def _assemble_trace(times, predictive, filtering, loglik, cfg) -> FilterTrace:
+def _assemble_trace(data, predictive, filtering, loglik, cfg) -> FilterTrace:
     pred = [_moments_of(s) for s in predictive]
     filt = [_moments_of(s) for s in filtering]
     k = pred[0][0].shape[0] if pred else 1  # empty datasets yield empty traces
     return FilterTrace(
-        times=np.asarray(times, dtype=float),
+        times=np.array([y.time for y in data], dtype=float),
         predictive=predictive,
         filtering=filtering,
         pred_mean=np.array([m for m, _ in pred]).reshape(-1, k),
@@ -139,30 +138,63 @@ def _assemble_trace(times, predictive, filtering, loglik, cfg) -> FilterTrace:
     )
 
 
+def _gaps(data: Sequence[ObservationRecord]) -> np.ndarray:
+    """Elapsed times between consecutive observations."""
+    return np.diff(np.array([y.time for y in data], dtype=float))
+
+
+def _recursion(data, gaps: np.ndarray, state, update_step, propagate_step):
+    """The recursion shared by every filter and the smoother's backward pass.
+
+    From ``state``, alternates ``update_step(state, y) -> (posterior,
+    log-evidence increment)`` with ``propagate_step(posterior, gap)`` over
+    the records and the ``len(data) - 1`` gaps between them.  Returns the
+    predictive states, posteriors and increments, one of each per record.
+    """
+    if not np.all(gaps > 0.0):
+        raise AlignmentError("observation times must strictly increase")
+    gaps = gaps.tolist()
+    predictive, filtering, loglik = [], [], []
+    for i, y in enumerate(data):
+        predictive.append(state)
+        posterior, inc = update_step(state, y)
+        filtering.append(posterior)
+        loglik.append(inc)
+        if i < len(gaps):
+            state = propagate_step(posterior, gaps[i])
+    return predictive, filtering, loglik
+
+
+def _mixture_update(model):
+    def update_step(mix, y):
+        return update(mix, y, model.log_marginal_point, model.shift_index,
+                      model.shift_param)
+    return update_step
+
+
+def _exact_step(model, prune_eps: float = 0.0):
+    def propagate_step(mix, gap):
+        mix = propagate(mix, model.pd_kernel, model.theta_flow, gap)
+        if prune_eps > 0.0:
+            mix, _ = prune(mix, prune_eps)
+        return mix
+    return propagate_step
+
+
 def exact_filter(data: Sequence[ObservationRecord], cfg: FilterConfig, model) -> FilterTrace:
     """Exact (or pruned) filtering recursion driven by the pure-death dual.
 
     Initializes at the model prior, then alternates a conjugate Bayes
     update (indices shifted by the observed counts, deterministic parameter
-    by the conjugate map) with a closed-form pure-death propagation.  With
-    ``method="pruned"``, arrival weights below ``prune_eps`` are dropped
-    after each propagation and the rest renormalized.
+    by the conjugate map) with a closed-form pure-death propagation over
+    the gap to the next observation time.  With ``method="pruned"``,
+    arrival weights below ``prune_eps`` are dropped after each propagation
+    and the rest renormalized.
     """
-    times, predictive, filtering, loglik = [], [], [], []
-    mix_pred = model.prior_mixture()
-    for i, y in enumerate(data):
-        times.append(y.time)
-        predictive.append(mix_pred)
-        mix_filt, inc = update(mix_pred, y, model.log_marginal_point,
-                               model.shift_index, model.shift_param)
-        filtering.append(mix_filt)
-        loglik.append(inc)
-        if i + 1 < len(data):
-            mix_pred = propagate(mix_filt, model.pd_kernel, model.theta_flow,
-                                 cfg.delta_t)
-            if cfg.method == "pruned" and cfg.prune_eps > 0.0:
-                mix_pred, _ = prune(mix_pred, cfg.prune_eps)
-    return _assemble_trace(times, predictive, filtering, loglik, cfg)
+    prune_eps = cfg.prune_eps if cfg.method == "pruned" else 0.0
+    return _assemble_trace(data, *_recursion(
+        data, _gaps(data), model.prior_mixture(), _mixture_update(model),
+        _exact_step(model, prune_eps)), cfg)
 
 
 def dual_particle_filter(data: Sequence[ObservationRecord], cfg: FilterConfig,
@@ -170,73 +202,64 @@ def dual_particle_filter(data: Sequence[ObservationRecord], cfg: FilterConfig,
     """Particle filter on the dual space with exact Bayes updates.
 
     Each step updates the current finite mixture exactly, then approximates
-    the propagation by resampling ``n_particles`` dual indices (systematic
-    by default) and pushing them through the chosen dual sampler in one
-    batched call per step.  The whole run is deterministic given the
-    config seed.
+    the propagation over the gap to the next observation time by
+    systematically resampling ``n_particles`` dual indices and pushing them
+    through the chosen dual sampler in one batched call.  The whole run is
+    deterministic given the config seed.
     """
     rng = np.random.default_rng(cfg.seed)
     sampler = model.dual_sampler(cfg.dual_kind)
     theta_evolve = model.theta_evolve_for(cfg.dual_kind)
-    times, predictive, filtering, loglik = [], [], [], []
-    mix_pred = model.prior_mixture()
-    for i, y in enumerate(data):
-        times.append(y.time)
-        predictive.append(mix_pred)
-        mix_filt, inc = update(mix_pred, y, model.log_marginal_point,
-                               model.shift_index, model.shift_param)
-        filtering.append(mix_filt)
-        loglik.append(inc)
-        if i + 1 < len(data):
-            mix_pred = dual_particle_propagate(
-                mix_filt, sampler, cfg.n_particles, cfg.delta_t, rng,
-                select=cfg.resampling, theta_evolve=theta_evolve)
-    return _assemble_trace(times, predictive, filtering, loglik, cfg)
 
+    def propagate_step(mix, gap):
+        return dual_particle_propagate(mix, sampler, cfg.n_particles, gap, rng,
+                                       theta_evolve=theta_evolve)
 
-def _resample_counts(weights: np.ndarray, n: int, rng: np.random.Generator,
-                     scheme: str) -> np.ndarray:
-    if scheme == "systematic":
-        return systematic_counts(weights, n, rng.uniform())
-    return rng.multinomial(n, weights)
+    return _assemble_trace(data, *_recursion(
+        data, _gaps(data), model.prior_mixture(), _mixture_update(model),
+        propagate_step), cfg)
 
 
 def bootstrap_filter(data: Sequence[ObservationRecord], cfg: FilterConfig,
                      model) -> FilterTrace:
     """Signal-space bootstrap particle filter (baseline).
 
-    Particles start from the model prior, are propagated through the exact
-    signal transition sampler, weighted by the emission likelihood and
-    resampled at every step.
+    Particles start from the model prior, are weighted by the emission
+    likelihood, resampled systematically and propagated through the exact
+    signal transition over the gap to the next observation time.
 
     Raises:
         ZeroLikelihood: if every particle has zero emission likelihood.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_particles
-    particles = model.sample_prior(rng, n)
     uniform = np.full(n, 1.0 / n)
-    times, predictive, filtering, loglik = [], [], [], []
-    for i, y in enumerate(data):
-        times.append(y.time)
-        predictive.append(ParticleCloud(particles, uniform))
-        logw = np.asarray(model.emission_log_pmf(particles, y), dtype=float)
+
+    def update_step(cloud, y):
+        logw = np.asarray(model.emission_log_pmf(cloud.particles, y), dtype=float)
         if np.all(np.isneginf(logw)):
             raise ZeroLikelihood("all particle emission likelihoods are zero")
         logz = float(logsumexp(logw))
         w = np.exp(logw - logz)
         w /= w.sum()
-        filtering.append(ParticleCloud(particles, w))
-        loglik.append(logz - math.log(n))
-        if i + 1 < len(data):
-            counts = _resample_counts(w, n, rng, cfg.resampling)
-            particles = np.repeat(particles, counts, axis=0)
-            particles = model.signal_sample_many(particles, cfg.delta_t, rng)
-    return _assemble_trace(times, predictive, filtering, loglik, cfg)
+        return ParticleCloud(cloud.particles, w), logz - math.log(n)
+
+    def propagate_step(cloud, gap):
+        counts = systematic_counts(cloud.weights, n, rng.uniform())
+        particles = np.repeat(cloud.particles, counts, axis=0)
+        return ParticleCloud(model.signal_sample_many(particles, gap, rng), uniform)
+
+    start = ParticleCloud(model.sample_prior(rng, n), uniform)
+    return _assemble_trace(data, *_recursion(
+        data, _gaps(data), start, update_step, propagate_step), cfg)
 
 
 def run_filter(data: Sequence[ObservationRecord], cfg: FilterConfig, model) -> FilterTrace:
-    """Dispatch to the configured inference procedure."""
+    """Dispatch to the configured inference procedure.
+
+    Raises:
+        AlignmentError: if the observation times do not strictly increase.
+    """
     if cfg.method in ("exact", "pruned"):
         return exact_filter(data, cfg, model)
     if cfg.method == "dual_particle":
@@ -268,7 +291,7 @@ def _closure_grid(model) -> np.ndarray:
     return pts
 
 
-def _verify_closure(model, trace: FilterTrace) -> None:
+def _verify_closure(model) -> None:
     """Numerically confirm the product-closure identity before smoothing."""
     grid = _closure_grid(model)
     if model.name == "cir":
@@ -285,40 +308,36 @@ def _verify_closure(model, trace: FilterTrace) -> None:
                 f"product-closure identity fails (relative spread {spread:.2e})")
 
 
-def smoother(data: Sequence[ObservationRecord], cfg: FilterConfig, model,
+def smoother(data: Sequence[ObservationRecord], model,
              trace: FilterTrace) -> list[SmoothingResult]:
     """Marginal smoothing laws from a forward trace and a backward recursion.
 
-    Requires an exact or pruned forward trace (finite mixtures).  The
-    backward pass is the forward recursion run on the reversed data from
-    the model prior: ``B_n`` is the prior mixture and
-    ``B_{i-1} = propagate(update(B_i, y_i))`` with the exact pure-death
-    kernel and parameter flow, so ``B_i`` carries the likelihood of the
-    observations after time ``i``.  Each backward mixture is combined
-    with the filtering mixture at the same time through the model's
-    product closure (index sum, parameter combination and a constant
-    factor), all pairs of support rows at once in log space, yielding one
-    mixture per observation time; at the terminal time the result
-    coincides with the filtering law.
+    Requires an exact or pruned forward trace (finite mixtures) of
+    ``data``.  The backward pass is the forward recursion run on the
+    reversed records and gaps from the model prior: ``B_n`` is the prior
+    mixture and ``B_{i-1} = propagate(update(B_i, y_i))`` over the gap
+    ``t_i - t_{i-1}`` with the exact pure-death kernel and parameter flow,
+    so ``B_i`` carries the likelihood of the observations after time ``i``.
+    Each backward mixture is combined with the filtering mixture at the
+    same time through the model's product closure (index sum, parameter
+    combination and a constant factor), all pairs of support rows at once
+    in log space, yielding one mixture per observation time; at the
+    terminal time the result coincides with the filtering law.
 
     Raises:
         UnsupportedModel: if the trace holds particle clouds or the model's
             closure identity fails its numerical check.
+        AlignmentError: if the trace and data lengths differ or the
+            observation times do not strictly increase.
     """
     if any(not isinstance(s, DualMixture) for s in trace.filtering):
         raise UnsupportedModel("smoothing needs an exact or pruned mixture trace")
     if len(data) != len(trace):
         raise AlignmentError("trace and data lengths differ")
-    if not data:
-        return []
-    _verify_closure(model, trace)
+    _verify_closure(model)
 
-    backward = [model.prior_mixture()]
-    for y in data[:0:-1]:
-        posterior, _ = update(backward[-1], y, model.log_marginal_point,
-                              model.shift_index, model.shift_param)
-        backward.append(propagate(posterior, model.pd_kernel, model.theta_flow,
-                                  cfg.delta_t))
+    backward, _, _ = _recursion(data[::-1], _gaps(data)[::-1], model.prior_mixture(),
+                                _mixture_update(model), _exact_step(model))
     backward.reverse()
 
     out = []

@@ -291,29 +291,24 @@ def dual_particle_propagate(mix: DualMixture,
                             n_particles: int,
                             dt: float,
                             rng: np.random.Generator,
-                            select: str = "multinomial",
                             theta_evolve=None) -> DualMixture:
     """Particle approximation of one propagation step on the dual space.
 
-    Draws ``n_particles`` source indices from the mixture weights
-    (independently for ``select="multinomial"``, stratified with a single
-    uniform offset for ``select="systematic"``), pushes them all through
-    one call ``sampler(points, counts, theta, dt, rng)`` and returns the
-    empirical distribution of the arrival indices.  ``points`` is the
-    ``(M, K)`` int array of the sources drawn at least once and ``counts``
-    their copy numbers; the sampler returns ``counts.sum()`` arrival rows,
-    the copies of each source together and the sources in order.
+    Draws ``n_particles`` source indices from the mixture weights by
+    systematic resampling (:func:`systematic_counts` with one uniform
+    offset from ``rng``), pushes them all through one call
+    ``sampler(points, counts, theta, dt, rng)`` and returns the empirical
+    distribution of the arrival indices.  ``points`` is the ``(M, K)`` int
+    array of the sources drawn at least once and ``counts`` their copy
+    numbers; the sampler returns ``counts.sum()`` arrival rows, the copies
+    of each source together and the sources in order.  The deterministic
+    parameter is advanced by ``theta_evolve`` (kept when ``None``).
 
     The result is bit-reproducible for a given seeded ``rng``.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    if select == "systematic":
-        counts = systematic_counts(mix.weights, n_particles, rng.uniform())
-    elif select == "multinomial":
-        counts = rng.multinomial(n_particles, mix.weights)
-    else:
-        raise ValueError(f"unknown selection scheme {select!r}")
+    counts = systematic_counts(mix.weights, n_particles, rng.uniform())
 
     drawn = counts > 0
     sources = mix.points[drawn]

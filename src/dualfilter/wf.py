@@ -207,22 +207,6 @@ def _log_choose(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
-def _bounded_compositions(total: int, bounds) -> list:
-    """All count vectors below ``bounds`` componentwise with the given total."""
-    out = []
-
-    def rec(prefix, remaining, idx):
-        if idx == len(bounds) - 1:
-            if remaining <= bounds[idx]:
-                out.append(prefix + (remaining,))
-            return
-        for v in range(min(remaining, bounds[idx]) + 1):
-            rec(prefix + (v,), remaining - v, idx + 1)
-
-    rec((), total, 0)
-    return out
-
-
 def typed_death_kernel(m, t: float, p: WFParams,
                        tail_eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Transition law of the typed Kingman dual from source ``m``.
@@ -231,21 +215,20 @@ def typed_death_kernel(m, t: float, p: WFParams,
     vectors below ``m`` componentwise and their transition probabilities.
     With ``tail_eps = 0`` every ``n <= m`` componentwise is enumerated and
     the kernel mass is exactly one up to floating point.  A positive
-    ``tail_eps`` skips surviving-count levels whose block probability falls
-    below it, dropping at most ``(|m|+1)*tail_eps`` mass; this keeps the
-    enumeration tractable when ``|m|`` is large but the horizon long.
+    ``tail_eps`` drops the rows on surviving-count levels whose block
+    probability falls below it, losing at most ``(|m|+1)*tail_eps`` mass;
+    this keeps the propagated support small when ``|m|`` is large but the
+    horizon long.
     """
     m = _as_counts(m, p.k)
     mtot = sum(m)
     d = block_count_probs(mtot, t, p)
-    if tail_eps > 0.0:
-        levels = [v for v in range(mtot + 1) if d[v] > tail_eps]
-        pts = np.array([c for v in levels for c in _bounded_compositions(v, m)],
-                       dtype=np.int64).reshape(-1, p.k)
-    else:
-        grids = np.meshgrid(*[np.arange(mi + 1) for mi in m], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
+    grids = np.meshgrid(*[np.arange(mi + 1) for mi in m], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
     ntot = pts.sum(axis=1)
+    if tail_eps > 0.0:
+        keep = d[ntot] > tail_eps
+        pts, ntot = pts[keep], ntot[keep]
     loghyp = np.zeros(len(pts))
     for i, mi in enumerate(m):
         loghyp += _log_choose(mi, pts[:, i])

@@ -211,7 +211,7 @@ def test_a05_ergodic_negative_binomial():
 
 def test_a06_exact_filter_oracles():
     model = CIRModel(CIR)
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     records = [ObservationRecord(0.0, (4,)), ObservationRecord(0.1, (2,))]
     trace = exact_filter(records, cfg, model)
     want, _, _ = cir_two_step_enumeration(4, 2, 0.1, CIR)
@@ -221,7 +221,7 @@ def test_a06_exact_filter_oracles():
 
     wf_model = WFModel(WF2)
     y0, y1, dt = (3, 1), (1, 1), 0.5
-    wf_cfg = FilterConfig(model="wf", method="exact", delta_t=dt)
+    wf_cfg = FilterConfig(method="exact")
     wf_trace = exact_filter([ObservationRecord(0.0, y0),
                              ObservationRecord(dt, y1)], wf_cfg, wf_model)
     bf = wf_two_step_brute_force(y0, y1, dt, WF2, 100_000,
@@ -327,10 +327,8 @@ def test_a10_pruning_control():
     rng = np.random.default_rng(77)
     counts = rng.poisson(5.0, 50).tolist()
     records = [ObservationRecord(i * 0.1, (c,)) for i, c in enumerate(counts)]
-    exact = run_filter(records, FilterConfig(model="cir", method="exact",
-                                             delta_t=0.1), model)
-    pruned = run_filter(records, FilterConfig(model="cir", method="pruned",
-                                              delta_t=0.1, prune_eps=1e-10), model)
+    exact = run_filter(records, FilterConfig(method="exact"), model)
+    pruned = run_filter(records, FilterConfig(method="pruned", prune_eps=1e-10), model)
     worst = float(np.max(np.abs(exact.filt_mean - pruned.filt_mean)))
     report("A10", worst <= 1e-6,
            f"max |mean difference| over 50 steps {worst:.2e} <= 1e-6")
@@ -343,11 +341,11 @@ def test_a10_pruning_control():
 
 def test_a11_smoothing_consistency():
     model = CIRModel(CIR)
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     records = [ObservationRecord(i * 0.1, (c,)) for i, c in
                enumerate([4, 2, 7, 3, 5])]
     trace = exact_filter(records, cfg, model)
-    smooth = smoother(records, cfg, model, trace)
+    smooth = smoother(records, model, trace)
     last, filt = smooth[-1].mixture, trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
     worst = float(np.max(np.abs(np.asarray(last.weights)
@@ -359,10 +357,10 @@ def test_a11_smoothing_consistency():
     simplex = np.stack([base, (1 - base) / 3, 2 * (1 - base) / 3], axis=1)
     spread_wf = wf_model.closure_spread((2, 0, 1), (1, 1, 0), None, None, simplex)
 
-    wf_cfg = FilterConfig(model="wf", method="exact", delta_t=0.5)
+    wf_cfg = FilterConfig(method="exact")
     wf_records = [ObservationRecord(0.0, (3, 1, 0)), ObservationRecord(0.5, (1, 1, 1))]
     wf_trace = exact_filter(wf_records, wf_cfg, wf_model)
-    wf_smooth = smoother(wf_records, wf_cfg, wf_model, wf_trace)
+    wf_smooth = smoother(wf_records, wf_model, wf_trace)
     worst_wf = float(np.max(np.abs(np.asarray(wf_smooth[-1].mixture.weights)
                                    - np.asarray(wf_trace.filtering[-1].weights))))
     ok = worst <= 1e-12 and worst_wf <= 1e-12 and spread_cir < 1e-9 and spread_wf < 1e-9

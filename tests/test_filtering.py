@@ -29,14 +29,11 @@ def wf_records(count_rows, dt=1.0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FilterConfig(model="cir", method="nope", delta_t=0.1)
+        FilterConfig(method="nope")
     with pytest.raises(ValueError):
-        FilterConfig(model="cir", method="exact", delta_t=-1.0)
+        FilterConfig(method="dual_particle", n_particles=100)  # missing dual_kind
     with pytest.raises(ValueError):
-        FilterConfig(model="cir", method="dual_particle", delta_t=0.1,
-                     n_particles=100)  # missing dual_kind
-    with pytest.raises(ValueError):
-        FilterConfig(model="cir", method="bootstrap", delta_t=0.1)
+        FilterConfig(method="bootstrap")
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +41,7 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_exact_single_time_is_conjugate_update(cir_model):
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(cir_records([4]), cfg, cir_model)
     mix = trace.filtering[0]
     assert mix.points.tolist() == [[4]]
@@ -54,7 +51,7 @@ def test_exact_single_time_is_conjugate_update(cir_model):
 
 
 def test_exact_long_horizon_collapses_to_prior(cir_model):
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(cir_records([4]), cfg, cir_model)
     pred = propagate(trace.filtering[0], cir_model.pd_kernel,
                      cir_model.theta_flow, 1e3)
@@ -63,7 +60,7 @@ def test_exact_long_horizon_collapses_to_prior(cir_model):
 
 
 def test_exact_two_step_matches_path_enumeration(cir_model):
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(cir_records([4, 2]), cfg, cir_model)
     want, want_theta, want_loglik = cir_two_step_enumeration(
         4, 2, 0.1, cir_model.params)
@@ -77,7 +74,7 @@ def test_exact_two_step_matches_path_enumeration(cir_model):
 
 def test_exact_matches_grid_forward_backward(cir_model):
     records = cir_records([4, 2, 7, 3, 5])
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, cir_model)
     grid = cir_grid_forward_backward(records, 0.1, cir_model.params)
     np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"],
@@ -87,7 +84,7 @@ def test_exact_matches_grid_forward_backward(cir_model):
 
 
 def test_exact_batch_order_within_time_is_irrelevant(cir_model):
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     a = exact_filter(cir_records([(2, 3), 1]), cfg, cir_model)
     b = exact_filter(cir_records([(3, 2), 1]), cfg, cir_model)
     np.testing.assert_array_equal(a.filtering[-1].points, b.filtering[-1].points)
@@ -97,7 +94,7 @@ def test_exact_batch_order_within_time_is_irrelevant(cir_model):
 
 def test_exact_support_growth_bound(cir_model):
     counts = [3, 1, 4, 1, 5, 9, 2]
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(cir_records(counts), cfg, cir_model)
     running = 0
     for i, mix in enumerate(trace.filtering):
@@ -107,23 +104,22 @@ def test_exact_support_growth_bound(cir_model):
 
 
 def test_exact_loglik_increments_additive(cir_model):
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(cir_records([4, 2, 7, 3]), cfg, cir_model)
     assert trace.total_loglik == pytest.approx(float(np.sum(trace.loglik)),
                                                abs=1e-10)
 
 
 def test_exact_empty_dataset(cir_model):
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter([], cfg, cir_model)
     assert len(trace) == 0
 
 
 def test_pruned_eps_zero_equals_exact(cir_model):
     records = cir_records([4, 2, 7, 3, 5])
-    exact_cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
-    pruned_cfg = FilterConfig(model="cir", method="pruned", delta_t=0.1,
-                              prune_eps=0.0)
+    exact_cfg = FilterConfig(method="exact")
+    pruned_cfg = FilterConfig(method="pruned", prune_eps=0.0)
     a = exact_filter(records, exact_cfg, cir_model)
     b = exact_filter(records, pruned_cfg, cir_model)
     for ma, mb in zip(a.filtering, b.filtering):
@@ -135,10 +131,8 @@ def test_pruned_eps_zero_equals_exact(cir_model):
 def test_pruned_small_eps_close_to_exact(cir_model, rng):
     counts = rng.poisson(5.0, 30)
     records = cir_records(counts.tolist())
-    a = run_filter(records, FilterConfig(model="cir", method="exact",
-                                         delta_t=0.1), cir_model)
-    b = run_filter(records, FilterConfig(model="cir", method="pruned",
-                                         delta_t=0.1, prune_eps=1e-10), cir_model)
+    a = run_filter(records, FilterConfig(method="exact"), cir_model)
+    b = run_filter(records, FilterConfig(method="pruned", prune_eps=1e-10), cir_model)
     np.testing.assert_allclose(a.filt_mean, b.filt_mean, atol=1e-6)
 
 
@@ -146,7 +140,7 @@ def test_wf_exact_two_step_matches_brute_force(wf2_params):
     from dualfilter import WFModel
     model = WFModel(wf2_params)
     y0, y1, dt = (3, 1), (1, 1), 0.5
-    cfg = FilterConfig(model="wf", method="exact", delta_t=dt)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(wf_records([y0, y1], dt), cfg, model)
     got = trace.filtering[1].as_dict()
     want = wf_two_step_brute_force(y0, y1, dt, wf2_params, 100_000,
@@ -157,13 +151,55 @@ def test_wf_exact_two_step_matches_brute_force(wf2_params):
 
 
 # ---------------------------------------------------------------------------
+# observation times
+# ---------------------------------------------------------------------------
+
+def test_exact_steps_by_the_observation_gap(cir_model):
+    records = [ObservationRecord(0.0, (4,)), ObservationRecord(0.4, (2,))]
+    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
+    want, want_theta, want_loglik = cir_two_step_enumeration(
+        4, 2, 0.4, cir_model.params)
+    got = trace.filtering[1].as_dict()
+    assert set(got) == set(want)
+    for k, v in want.items():
+        assert got[k] == pytest.approx(v, abs=1e-8)
+    assert trace.filtering[1].theta == pytest.approx(want_theta, abs=1e-9)
+    assert trace.total_loglik == pytest.approx(want_loglik, abs=1e-8)
+
+
+def test_longer_gaps_forget_more(cir_model):
+    # over gaps of 5.0 the predictive law relaxes almost to the prior
+    counts = [4, 2, 7, 3, 5]
+    cfg = FilterConfig(method="exact")
+    short = run_filter(cir_records(counts, dt=0.1), cfg, cir_model)
+    long = run_filter(cir_records(counts, dt=5.0), cfg, cir_model)
+    assert not np.allclose(short.filt_mean, long.filt_mean)
+    prior_mean = cir_model.params.alpha / cir_model.params.beta
+    assert np.all(np.abs(long.pred_mean[1:] - prior_mean)
+                  < np.abs(short.pred_mean[1:] - prior_mean))
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.1, 0.1), (0.0, 0.2, 0.1)],
+                         ids=["equal", "decreasing"])
+@pytest.mark.parametrize("cfg", [
+    FilterConfig(method="exact"),
+    FilterConfig(method="pruned", prune_eps=1e-10),
+    FilterConfig(method="dual_particle", n_particles=20, dual_kind="pure_death"),
+    FilterConfig(method="bootstrap", n_particles=20),
+], ids=lambda cfg: cfg.method)
+def test_non_increasing_times_raise(cir_model, cfg, times):
+    records = [ObservationRecord(t, (c,)) for t, c in zip(times, [4, 2, 7])]
+    with pytest.raises(AlignmentError):
+        run_filter(records, cfg, cir_model)
+
+
+# ---------------------------------------------------------------------------
 # dual particle filter
 # ---------------------------------------------------------------------------
 
 def test_dual_particle_deterministic_per_seed(cir_model):
     records = cir_records([4, 2, 7])
-    cfg = FilterConfig(model="cir", method="dual_particle", delta_t=0.1,
-                       n_particles=200, dual_kind="bd", seed=5)
+    cfg = FilterConfig(method="dual_particle", n_particles=200, dual_kind="bd", seed=5)
     a = dual_particle_filter(records, cfg, cir_model)
     b = dual_particle_filter(records, cfg, cir_model)
     np.testing.assert_array_equal(a.filt_mean, b.filt_mean)
@@ -175,9 +211,8 @@ def test_dual_particle_deterministic_per_seed(cir_model):
 def test_dual_particle_pd_one_step_consistency(cir_model):
     # N = 1e5 one-step predictive mean within 3 SE of the exact computation
     records = cir_records([4, 2])
-    exact = exact_filter(records, FilterConfig(model="cir", method="exact",
-                                               delta_t=0.1), cir_model)
-    cfg = FilterConfig(model="cir", method="dual_particle", delta_t=0.1,
+    exact = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    cfg = FilterConfig(method="dual_particle",
                        n_particles=100_000, dual_kind="pure_death", seed=3)
     approx = dual_particle_filter(records, cfg, cir_model)
     # SE of the predictive mean: spread of component means over resampling
@@ -191,14 +226,13 @@ def test_dual_particle_pd_one_step_consistency(cir_model):
 
 def test_dual_particle_pd_mad_decreases_with_n(cir_model):
     records = cir_records([4, 2])
-    exact = exact_filter(records, FilterConfig(model="cir", method="exact",
-                                               delta_t=0.1), cir_model)
+    exact = exact_filter(records, FilterConfig(method="exact"), cir_model)
     target = exact.pred_mean[1, 0]
     mads = []
     for n in (100, 1_000, 10_000, 100_000):
         devs = []
         for seed in range(300 // int(math.log10(n)) or 1):
-            cfg = FilterConfig(model="cir", method="dual_particle", delta_t=0.1,
+            cfg = FilterConfig(method="dual_particle",
                                n_particles=n, dual_kind="pure_death", seed=seed)
             tr = dual_particle_filter(records, cfg, cir_model)
             devs.append(abs(tr.pred_mean[1, 0] - target))
@@ -209,7 +243,7 @@ def test_dual_particle_pd_mad_decreases_with_n(cir_model):
 def test_dual_particle_wf_runs_all_kinds(wf3_model):
     records = wf_records([(3, 1, 1), (1, 2, 2)], dt=0.5)
     for kind in ("pure_death", "moran", "wf_chain", "wf_diffusion"):
-        cfg = FilterConfig(model="wf", method="dual_particle", delta_t=0.5,
+        cfg = FilterConfig(method="dual_particle",
                            n_particles=100, dual_kind=kind, seed=1)
         trace = dual_particle_filter(records, cfg, wf3_model)
         assert len(trace) == 2
@@ -221,8 +255,7 @@ def test_dual_particle_wf_runs_all_kinds(wf3_model):
 # ---------------------------------------------------------------------------
 
 def test_bootstrap_single_particle_trace_well_formed(cir_model):
-    cfg = FilterConfig(model="cir", method="bootstrap", delta_t=0.1,
-                       n_particles=1, seed=2)
+    cfg = FilterConfig(method="bootstrap", n_particles=1, seed=2)
     trace = bootstrap_filter(cir_records([4, 2, 1]), cfg, cir_model)
     assert len(trace) == 3
     assert np.all(np.isfinite(trace.filt_mean))
@@ -230,8 +263,7 @@ def test_bootstrap_single_particle_trace_well_formed(cir_model):
 
 
 def test_bootstrap_deterministic_per_seed(cir_model):
-    cfg = FilterConfig(model="cir", method="bootstrap", delta_t=0.1,
-                       n_particles=64, seed=11)
+    cfg = FilterConfig(method="bootstrap", n_particles=64, seed=11)
     a = bootstrap_filter(cir_records([4, 2]), cfg, cir_model)
     b = bootstrap_filter(cir_records([4, 2]), cfg, cir_model)
     np.testing.assert_array_equal(a.filt_mean, b.filt_mean)
@@ -242,8 +274,7 @@ def test_bootstrap_static_limit_tracks_conjugate_posterior(cir_model):
     # posterior of a fixed-parameter model
     p = cir_model.params
     counts = [5, 4, 6, 5, 5]
-    cfg = FilterConfig(model="cir", method="bootstrap", delta_t=1e-8,
-                       n_particles=30_000, seed=9)
+    cfg = FilterConfig(method="bootstrap", n_particles=30_000, seed=9)
     trace = bootstrap_filter(cir_records(counts, dt=1e-8), cfg, cir_model)
     run = 0
     for i, c in enumerate(counts):
@@ -265,15 +296,13 @@ def test_bootstrap_zero_likelihood_raises():
         def emission_log_pmf(self, x, y):
             return np.full(len(x), -np.inf)
 
-    cfg = FilterConfig(model="cir", method="bootstrap", delta_t=0.1,
-                       n_particles=8, seed=0)
+    cfg = FilterConfig(method="bootstrap", n_particles=8, seed=0)
     with pytest.raises(ZeroLikelihood):
         bootstrap_filter(cir_records([1]), cfg, Degenerate())
 
 
 def test_bootstrap_wf_runs(wf3_model):
-    cfg = FilterConfig(model="wf", method="bootstrap", delta_t=0.5,
-                       n_particles=200, seed=4)
+    cfg = FilterConfig(method="bootstrap", n_particles=200, seed=4)
     trace = bootstrap_filter(wf_records([(3, 1, 1), (0, 2, 3)], 0.5), cfg,
                              wf3_model)
     assert trace.filt_mean.shape == (2, 3)
@@ -286,8 +315,7 @@ def test_bootstrap_wf_runs(wf3_model):
 
 def test_error_metrics_zero_against_self(cir_model):
     records = cir_records([4, 2, 7, 1])
-    trace = exact_filter(records, FilterConfig(model="cir", method="exact",
-                                               delta_t=0.1), cir_model)
+    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
     out = error_metrics(trace, trace, with_l1=True)
     assert out["summary"]["err_mean"] == 0.0
     assert out["summary"]["err_sd"] == 0.0
@@ -296,8 +324,7 @@ def test_error_metrics_zero_against_self(cir_model):
 
 def test_error_metrics_detects_constant_shift(cir_model):
     records = cir_records([4, 2, 7, 1])
-    trace = exact_filter(records, FilterConfig(model="cir", method="exact",
-                                               delta_t=0.1), cir_model)
+    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
     import copy
     shifted = copy.copy(trace)
     shifted.filt_mean = trace.filt_mean + 0.1
@@ -308,8 +335,7 @@ def test_error_metrics_detects_constant_shift(cir_model):
 
 def test_error_metrics_signal_deviation(cir_model):
     records = cir_records([4, 2])
-    trace = exact_filter(records, FilterConfig(model="cir", method="exact",
-                                               delta_t=0.1), cir_model)
+    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
     signal = np.array([[1.0], [2.0]])
     out = error_metrics(trace, trace, signal=signal)
     want = np.abs(trace.filt_mean - signal).mean(axis=1)
@@ -317,10 +343,8 @@ def test_error_metrics_signal_deviation(cir_model):
 
 
 def test_error_metrics_alignment_error(cir_model):
-    a = exact_filter(cir_records([4, 2]), FilterConfig(model="cir",
-                     method="exact", delta_t=0.1), cir_model)
-    b = exact_filter(cir_records([4, 2, 1]), FilterConfig(model="cir",
-                     method="exact", delta_t=0.1), cir_model)
+    a = exact_filter(cir_records([4, 2]), FilterConfig(method="exact"), cir_model)
+    b = exact_filter(cir_records([4, 2, 1]), FilterConfig(method="exact"), cir_model)
     with pytest.raises(AlignmentError):
         error_metrics(a, b)
 
@@ -329,8 +353,7 @@ def test_grid_l1_between_mixture_and_cloud(cir_model, rng):
     # a large iid cloud from the mixture itself has small grid-L1 distance
     from dualfilter.mixtures import sample_mixture
     records = cir_records([4, 2])
-    trace = exact_filter(records, FilterConfig(model="cir", method="exact",
-                                               delta_t=0.1), cir_model)
+    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
     ref = trace.predictive[1]
     edges = metric_edges(ref)
     cloud = ParticleCloud(sample_mixture(ref, rng, 200_000),
@@ -340,8 +363,7 @@ def test_grid_l1_between_mixture_and_cloud(cir_model, rng):
 
 
 def test_density_on_grid_mixture_integrates(cir_model):
-    trace = exact_filter(cir_records([4]), FilterConfig(model="cir",
-                         method="exact", delta_t=0.1), cir_model)
+    trace = exact_filter(cir_records([4]), FilterConfig(method="exact"), cir_model)
     mix = trace.filtering[0]
     edges = metric_edges(mix)
     dens = density_on_grid(mix, edges)

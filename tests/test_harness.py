@@ -205,6 +205,18 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert main(["--scenario", "cir_predictive", "--config", str(bad)]) == 64
 
 
+@pytest.mark.parametrize("config", [
+    {"scenario": "cir_filtering", "delta_t": 0},
+    {"scenario": "cir_predictive", "horizon": -0.1},
+    {"scenario": "cir_filtering", "n_times": -1},
+], ids=["delta_t", "horizon", "n_times"])
+def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, replicates=1, particle_counts=[10])))
+    assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 64
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_runs_tiny_scenario(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "cir_predictive",

@@ -365,8 +365,7 @@ def test_dual_particle_bd_sampler_matches_gillespie(cir_model):
 def test_dual_particle_systematic_selection(rng):
     mix = make_mix([(0,), (1,)], [0.5, 0.5])
     out = dual_particle_propagate(
-        mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 2, 0.1, rng,
-        select="systematic")
+        mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 2, 0.1, rng)
     # stratified selection with equal weights always keeps one copy of each
     assert out.points.tolist() == [[0], [1]]
     np.testing.assert_allclose(out.weights, [0.5, 0.5])

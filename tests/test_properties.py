@@ -1,8 +1,11 @@
-"""Property tests of the mixture algebra on random small CIR and WF mixtures.
+"""Property tests of the mixture algebra and the particle duals.
 
-Each example draws a model (CIR, or WF with K = 3), a mixture with a few
-random support rows and weights, one observation batch and a time step,
-and checks the array-backed recursion against direct per-point sums.
+Each mixture example draws a model (CIR, or WF with K = 3), a mixture with
+a few random support rows and weights, one observation batch and a time
+step, and checks the array-backed recursion against direct per-point sums.
+Each sampler example draws a dual kind, a few random sources with small
+copy counts, a time step and a seed, and checks the support bounds of the
+arrivals.
 """
 
 import math
@@ -112,13 +115,64 @@ def test_prune_at_zero_is_identity(case):
 def test_pruned_at_zero_equals_exact(case, n_times):
     model, _, y, dt = case
     records = [ObservationRecord(i * dt, y.values) for i in range(n_times)]
-    exact = exact_filter(records, FilterConfig(model=model.name, method="exact",
-                                               delta_t=dt), model)
-    pruned = exact_filter(records, FilterConfig(model=model.name, method="pruned",
-                                                delta_t=dt, prune_eps=0.0), model)
+    exact = exact_filter(records, FilterConfig(method="exact"), model)
+    pruned = exact_filter(records, FilterConfig(method="pruned", prune_eps=0.0), model)
     for a, b in zip(exact.predictive + exact.filtering,
                     pruned.predictive + pruned.filtering):
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.theta == b.theta
     np.testing.assert_array_equal(exact.loglik, pruned.loglik)
+
+
+@st.composite
+def sampler_cases(draw, kinds):
+    """(model, kind, sources, counts, theta, dt, seed) for one of ``kinds``."""
+    name, kind = draw(st.sampled_from(kinds))
+    if name == "cir":
+        model, theta = CIR, CIR.params.beta + draw(st.floats(0.0, 3.0))
+        row = st.tuples(st.integers(0, 12))
+    else:
+        model, theta = WF, None
+        row = st.tuples(*[st.integers(0, 4)] * 3)
+    sources = np.array(sorted(draw(st.lists(row, min_size=1, max_size=4, unique=True))))
+    counts = np.array(draw(st.lists(st.integers(1, 5), min_size=len(sources),
+                                    max_size=len(sources))))
+    return (model, kind, sources, counts, theta, draw(st.floats(0.01, 1.0)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def arrivals_and_starts(case):
+    """The sampler's arrival rows and the source row each one started from."""
+    model, kind, sources, counts, theta, dt, seed = case
+    out = model.dual_sampler(kind)(sources, counts, theta, dt,
+                                   np.random.default_rng(seed))
+    return out, np.repeat(sources, counts, axis=0)
+
+
+ALL_KINDS = [("cir", "pure_death"), ("cir", "bd"), ("cir", "bd_gillespie"),
+             ("wf", "pure_death"), ("wf", "moran"), ("wf", "wf_chain"),
+             ("wf", "wf_diffusion")]
+
+
+@PROPERTY_SETTINGS
+@given(sampler_cases(ALL_KINDS))
+def test_sampler_returns_one_int_row_per_particle(case):
+    out, starts = arrivals_and_starts(case)
+    assert out.shape == starts.shape
+    assert np.issubdtype(out.dtype, np.integer)
+    assert np.all(out >= 0)
+
+
+@PROPERTY_SETTINGS
+@given(sampler_cases([("wf", "moran"), ("wf", "wf_chain"), ("wf", "wf_diffusion")]))
+def test_moran_duals_keep_each_total(case):
+    out, starts = arrivals_and_starts(case)
+    np.testing.assert_array_equal(out.sum(axis=1), starts.sum(axis=1))
+
+
+@PROPERTY_SETTINGS
+@given(sampler_cases([("cir", "pure_death"), ("wf", "pure_death")]))
+def test_pure_death_never_exceeds_its_source(case):
+    out, starts = arrivals_and_starts(case)
+    assert np.all(out <= starts)

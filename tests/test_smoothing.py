@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dualfilter import (FilterConfig, ObservationRecord, UnsupportedModel,
-                        exact_filter, mixture_moments, run_filter, smoother)
+from dualfilter import (AlignmentError, FilterConfig, ObservationRecord,
+                        UnsupportedModel, exact_filter, mixture_moments,
+                        run_filter, smoother)
 from dualfilter.filtering import bootstrap_filter
 from dualfilter.mixtures import mixture_pdf
 
@@ -56,9 +57,9 @@ def test_wf_closure_value_identity(wf3_model):
 
 def test_terminal_smoothing_equals_filtering(cir_model):
     records = cir_records([4, 2, 7, 1])
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, cir_model)
-    out = smoother(records, cfg, cir_model, trace)
+    out = smoother(records, cir_model, trace)
     last = out[-1].mixture
     filt = trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
@@ -70,9 +71,9 @@ def test_terminal_smoothing_equals_filtering(cir_model):
 def test_terminal_smoothing_equals_filtering_wf(wf3_model):
     records = [ObservationRecord(0.0, (3, 1, 0)),
                ObservationRecord(0.5, (1, 1, 1))]
-    cfg = FilterConfig(model="wf", method="exact", delta_t=0.5)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, wf3_model)
-    out = smoother(records, cfg, wf3_model, trace)
+    out = smoother(records, wf3_model, trace)
     last = out[-1].mixture
     filt = trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
@@ -82,9 +83,9 @@ def test_terminal_smoothing_equals_filtering_wf(wf3_model):
 
 def test_single_observation_smoothing_is_filtering(cir_model):
     records = cir_records([4])
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, cir_model)
-    out = smoother(records, cfg, cir_model, trace)
+    out = smoother(records, cir_model, trace)
     assert len(out) == 1
     np.testing.assert_allclose(np.asarray(out[0].mixture.weights),
                                np.asarray(trace.filtering[0].weights),
@@ -93,9 +94,9 @@ def test_single_observation_smoothing_is_filtering(cir_model):
 
 def test_smoothing_matches_grid_forward_backward(cir_model):
     records = cir_records([4, 2, 7, 3])
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, cir_model)
-    out = smoother(records, cfg, cir_model, trace)
+    out = smoother(records, cir_model, trace)
     grid = cir_grid_forward_backward(records, 0.1, cir_model.params)
     for i, res in enumerate(out):
         mean, _ = mixture_moments(res.mixture)
@@ -109,30 +110,38 @@ def test_smoothing_moves_toward_future_information(cir_model):
     # a large later observation should pull the time-0 smoothed mean above
     # the filtered mean
     records = cir_records([2, 20])
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, cir_model)
-    out = smoother(records, cfg, cir_model, trace)
+    out = smoother(records, cir_model, trace)
     smooth_mean, _ = mixture_moments(out[0].mixture)
     assert smooth_mean[0] > trace.filt_mean[0, 0]
 
 
 def test_smoother_rejects_particle_trace(cir_model):
     records = cir_records([4, 2])
-    cfg = FilterConfig(model="cir", method="bootstrap", delta_t=0.1,
-                       n_particles=50, seed=1)
+    cfg = FilterConfig(method="bootstrap", n_particles=50, seed=1)
     trace = bootstrap_filter(records, cfg, cir_model)
     with pytest.raises(UnsupportedModel):
-        smoother(records, cfg, cir_model, trace)
+        smoother(records, cir_model, trace)
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.1, 0.1), (0.0, 0.2, 0.1)],
+                         ids=["equal", "decreasing"])
+def test_smoother_rejects_non_increasing_times(cir_model, times):
+    records = cir_records([4, 2, 7])
+    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    bad = [ObservationRecord(t, y.values) for t, y in zip(times, records)]
+    with pytest.raises(AlignmentError):
+        smoother(bad, cir_model, trace)
 
 
 def test_smoother_pruned_trace_close_to_exact(cir_model):
     records = cir_records([4, 2, 7, 3, 5, 1])
-    exact_cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
-    pruned_cfg = FilterConfig(model="cir", method="pruned", delta_t=0.1,
-                              prune_eps=1e-10)
-    a = smoother(records, exact_cfg, cir_model,
+    exact_cfg = FilterConfig(method="exact")
+    pruned_cfg = FilterConfig(method="pruned", prune_eps=1e-10)
+    a = smoother(records, cir_model,
                  run_filter(records, exact_cfg, cir_model))
-    b = smoother(records, pruned_cfg, cir_model,
+    b = smoother(records, cir_model,
                  run_filter(records, pruned_cfg, cir_model))
     for ra, rb in zip(a, b):
         ma, _ = mixture_moments(ra.mixture)
@@ -145,9 +154,9 @@ def test_wf_smoothing_mean_against_monte_carlo(wf3_model):
     # weight = f(y0 | x0) * E[f(y1 | X_dt) | x0], inner expectation by MC
     records = [ObservationRecord(0.0, (3, 1, 0)),
                ObservationRecord(0.4, (0, 2, 2))]
-    cfg = FilterConfig(model="wf", method="exact", delta_t=0.4)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, wf3_model)
-    out = smoother(records, cfg, wf3_model, trace)
+    out = smoother(records, wf3_model, trace)
     smooth_mean, _ = mixture_moments(out[0].mixture)
 
     rng = np.random.default_rng(8)
@@ -170,9 +179,9 @@ def test_smoother_long_series_keeps_weights_positive(cir_model):
     # T=200 exact trace of Poisson(5) counts smooths to the end
     counts = np.random.default_rng(0).poisson(5, 200)
     records = cir_records(counts.tolist())
-    cfg = FilterConfig(model="cir", method="exact", delta_t=0.1)
+    cfg = FilterConfig(method="exact")
     trace = exact_filter(records, cfg, cir_model)
-    out = smoother(records, cfg, cir_model, trace)
+    out = smoother(records, cir_model, trace)
     assert len(out) == 200
     for res in out:
         weights = np.asarray(res.mixture.weights)

@@ -270,6 +270,22 @@ def test_typed_kernel_tail_truncation_close(wf3_params):
         assert v == pytest.approx(full[k], rel=1e-9)
 
 
+@pytest.mark.parametrize("m,t,eps", [((4, 3, 2), 1.0, 1e-12),
+                                     ((6, 0, 5), 0.2, 1e-4),
+                                     ((9, 7, 8), 2.0, 1e-14)])
+def test_typed_kernel_truncation_keeps_whole_levels(wf3_params, m, t, eps):
+    # the truncated kernel is the full kernel restricted to the levels whose
+    # block-count probability exceeds eps
+    full = typed_kernel(m, t, wf3_params)
+    trunc = typed_kernel(m, t, wf3_params, tail_eps=eps)
+    d = block_count_probs(sum(m), t, wf3_params)
+    kept = {k: v for k, v in full.items() if d[sum(k)] > eps}
+    assert len(kept) < len(full)
+    assert trunc.keys() == kept.keys()
+    for k, v in kept.items():
+        assert trunc[k] == pytest.approx(v, rel=1e-15)
+
+
 def test_typed_kernel_matches_typed_gillespie(wf3_params):
     rng = np.random.default_rng(12)
     m0, t = (2, 1, 0), 0.5
