@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, InvalidDualParam, SimulationBudgetExceeded
+from .errors import (ConfigError, DomainError, InvalidDualParam,
+                     SimulationBudgetExceeded)
 from .mixtures import DualMixture, ObservationRecord
 
 __all__ = [
@@ -70,7 +71,7 @@ class CIRParams:
     def __post_init__(self):
         for name in ("delta", "gamma", "sigma", "tau"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigError(f"{name} must be strictly positive")
 
     @property
     def alpha(self) -> float:
@@ -520,7 +521,7 @@ class CIRModel:
             return _BirthDeathSampler(self.params)
         if kind == "bd_gillespie":
             return _GillespieBDSampler(self.params)
-        raise ValueError(f"unknown CIR dual kind {kind!r}")
+        raise ConfigError(f"unknown CIR dual kind {kind!r}")
 
     def theta_evolve_for(self, kind: str):
         if kind == "pure_death":

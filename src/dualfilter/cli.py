@@ -37,7 +37,7 @@ def _parse_args(argv):
     parser.add_argument("--out-dir", default="results",
                         help="output directory (default ./results)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scenario cells (default 1)")
+                        help="worker processes, one replicate each (default 1)")
     parser.add_argument("--full", action="store_true",
                         help="use the full-scale preset instead of desk scale")
     return parser.parse_args(argv)

@@ -35,12 +35,15 @@ class SimulationBudgetExceeded(DualFilterError):
 
 class AlignmentError(DualFilterError):
     """Raised when observation times do not strictly increase, when two filter
-    traces do not share a time grid, or when a trace and its data differ in length."""
+    traces do not share a time grid, or when a trace and its data differ in
+    length or times."""
 
 
 class UnsupportedModel(DualFilterError):
     """Raised when an operation needs model structure the model does not provide."""
 
 
-class ConfigError(DualFilterError):
-    """Raised for invalid experiment configuration (CLI exit code 64)."""
+class ConfigError(DualFilterError, ValueError):
+    """Raised for invalid configuration or input at the package boundary:
+    experiment specs, filter configs, observation records, model parameters
+    and dual kinds (CLI exit code 64)."""

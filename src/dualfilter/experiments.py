@@ -16,10 +16,12 @@ Four benchmark scenarios compare the inference procedures at desk scale:
 
 Every cell (replicate x method x particle count) derives its RNG stream
 from ``(seed, scenario, cell_index, replicate)`` through a SeedSequence,
-so results are byte-identical across re-runs at any thread count; rows are
-flushed in cell order after all cells complete.  The manifest's
-``seed_table`` holds the seed each cell ran with: the ``FilterConfig`` seed
-of a filtering cell, the SeedSequence entropy list of a predictive cell.
+so results are byte-identical across re-runs at any number of worker
+processes.  A worker runs one replicate at a time (its context, then its
+cells); rows are flushed in cell order after all replicates complete.  The
+manifest's ``seed_table`` holds the seed each cell ran with: the
+``FilterConfig`` seed of a filtering cell, the SeedSequence entropy list of
+a predictive cell.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import logging
 import sys
 import time as time_mod
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -299,70 +300,72 @@ def _filtering_cell(spec: ExperimentSpec, ctx: dict, seed: int,
     return [base + (name, value) for name, value in sorted(metrics["summary"].items())]
 
 
+def _replicate(spec: ExperimentSpec, rep: int) -> list[tuple]:
+    """Build replicate ``rep``'s context and run its cells in cell order.
+
+    Returns one ``(idx, rows, wall_s, error)`` tuple per cell.  A failing
+    cell yields a single ``metric="error"`` row and its error message;
+    ``error`` is ``None`` otherwise.
+    """
+    if spec.flavor == "predictive":
+        build_ctx, cell_fn = _predictive_context, _predictive_cell
+    else:
+        build_ctx, cell_fn = _filtering_context, _filtering_cell
+    t0 = time_mod.perf_counter()
+    ctx = build_ctx(spec, rep)
+    logger.info("%s replicate %d context ready (%.2fs)",
+                spec.scenario, rep, time_mod.perf_counter() - t0)
+    per_rep = len(spec.methods) * len(spec.particle_counts)
+    out = []
+    for j, (label, n) in enumerate(
+            (label, n) for label in spec.methods for n in spec.particle_counts):
+        idx = rep * per_rep + j
+        t0 = time_mod.perf_counter()
+        error = None
+        try:
+            rows = cell_fn(spec, ctx, _cell_seed(spec, idx, rep), rep, label, n)
+        except Exception as exc:  # noqa: BLE001 - per-cell failures are recorded
+            method, dual = METHOD_TABLE[label]
+            rows = [(spec.scenario, method, dual, n, rep, "", "error", float("nan"))]
+            error = f"{type(exc).__name__}: {exc}"
+            logger.exception("cell %d (%s N=%d rep=%d) failed", idx, label, n, rep)
+        wall_s = time_mod.perf_counter() - t0
+        logger.info("%s cell %d/%d method=%s N=%d rep=%d done (%.2fs)", spec.scenario,
+                    idx + 1, spec.replicates * per_rep, label, n, rep, wall_s)
+        out.append((idx, rows, wall_s, error))
+    return out
+
+
 def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
     """Run every cell of a scenario and write results.csv plus manifest.json.
 
-    Returns the CLI exit code: 0 on success, 2 if any cell failed (failures
-    are recorded as ``metric="error"`` rows and the run continues).
+    Replicates run through :func:`_replicate`, in this process when
+    ``threads`` is 1 and otherwise in a pool of ``min(threads, replicates)``
+    worker processes.  Returns the CLI exit code: 0 on success, 2 if any
+    cell failed (failures are recorded as ``metric="error"`` rows and the
+    run continues).
     """
     from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    build_ctx = (_predictive_context if spec.flavor == "predictive"
-                 else _filtering_context)
-    contexts = []
-    for rep in range(spec.replicates):
-        t0 = time_mod.perf_counter()
-        contexts.append(build_ctx(spec, rep))
-        logger.info("%s replicate %d context ready (%.2fs)",
-                    spec.scenario, rep, time_mod.perf_counter() - t0)
-
-    cell_fn = (_predictive_cell if spec.flavor == "predictive"
-               else _filtering_cell)
-    cells = [(idx, rep, label, n)
-             for idx, (rep, label, n) in enumerate(
-                 (rep, label, n)
-                 for rep in range(spec.replicates)
-                 for label in spec.methods
-                 for n in spec.particle_counts)]
-    seed_table = {idx: _cell_seed(spec, idx, rep) for idx, rep, _, _ in cells}
-
-    rows: dict[int, list[tuple]] = {}
-    wall: dict[str, float] = {}
-    errors: dict[str, str] = {}
-
-    def work(cell):
-        idx, rep, label, n = cell
-        t0 = time_mod.perf_counter()
-        try:
-            result = cell_fn(spec, contexts[rep], seed_table[idx], rep, label, n)
-        except Exception as exc:  # noqa: BLE001 - per-cell failures are recorded
-            method, dual = METHOD_TABLE[label]
-            result = [(spec.scenario, method, dual, n, rep, "", "error", float("nan"))]
-            errors[str(idx)] = f"{type(exc).__name__}: {exc}"
-            logger.exception("cell %d (%s N=%d rep=%d) failed", idx, label, n, rep)
-        wall[str(idx)] = time_mod.perf_counter() - t0
-        logger.info("%s cell %d/%d method=%s N=%d rep=%d done (%.2fs)",
-                    spec.scenario, idx + 1, len(cells), label, n, rep, wall[str(idx)])
-        return idx, result
-
+    reps = range(spec.replicates)
+    specs = [spec] * spec.replicates
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, result in pool.map(work, cells):
-                rows[idx] = result
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(threads, spec.replicates)) as pool:
+            results = list(pool.map(_replicate, specs, reps))
     else:
-        for cell in cells:
-            idx, result = work(cell)
-            rows[idx] = result
+        results = list(map(_replicate, specs, reps))
+    cells = [cell for rep_cells in results for cell in rep_cells]
+    per_rep = len(spec.methods) * len(spec.particle_counts)
 
     csv_path = out / f"{spec.scenario}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for idx in sorted(rows):
-            for row in rows[idx]:
-                writer.writerow([_fmt(v) for v in row])
+        for _, rows, _, _ in cells:
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
     manifest = {
         "spec": {k: list(v) if isinstance(v, tuple) else v
@@ -374,14 +377,15 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
         "reference": {"prune_eps": REFERENCE_PRUNE_EPS,
                       "kernel_tail_eps": REFERENCE_KERNEL_TAIL}
         if spec.flavor == "filtering" else {"method": "exact"},
-        "seed_table": {str(idx): seed for idx, seed in seed_table.items()},
-        "wall_times_s": wall,
-        "errors": errors,
+        "seed_table": {str(idx): _cell_seed(spec, idx, idx // per_rep)
+                       for idx, _, _, _ in cells},
+        "wall_times_s": {str(idx): wall_s for idx, _, wall_s, _ in cells},
+        "errors": {str(idx): error for idx, _, _, error in cells if error},
     }
     with open(out / f"{spec.scenario}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
-    return 2 if errors else 0
+    return 2 if manifest["errors"] else 0
 
 
 def _fmt(value) -> str:

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import AlignmentError, UnsupportedModel, ZeroLikelihood
+from .errors import AlignmentError, ConfigError, UnsupportedModel, ZeroLikelihood
 from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
                        mixture_marginal_pdf, mixture_moments, mixture_quantile,
                        propagate, prune, systematic_counts, update)
@@ -68,14 +68,14 @@ class FilterConfig:
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if not 0.0 <= self.prune_eps < 1.0:
-            raise ValueError("prune_eps must lie in [0, 1)")
+            raise ConfigError("prune_eps must lie in [0, 1)")
         if self.method in ("dual_particle", "bootstrap"):
             if self.n_particles is None or self.n_particles < 1:
-                raise ValueError("particle methods need n_particles >= 1")
+                raise ConfigError("particle methods need n_particles >= 1")
         if self.method == "dual_particle" and self.dual_kind is None:
-            raise ValueError("dual_particle needs a dual_kind")
+            raise ConfigError("dual_particle needs a dual_kind")
 
 
 @dataclass(frozen=True)
@@ -279,35 +279,6 @@ class SmoothingResult:
     mixture: DualMixture
 
 
-def _closure_grid(model) -> np.ndarray:
-    if model.name == "cir":
-        return np.linspace(0.1, 10.0, 40)
-    k = model.signal_dim
-    base = np.linspace(0.05, 0.95, 12)
-    pts = np.empty((len(base), k))
-    for i, b in enumerate(base):
-        rest = (1.0 - b) / (k - 1)
-        pts[i] = [b] + [rest] * (k - 1)
-    return pts
-
-
-def _verify_closure(model) -> None:
-    """Numerically confirm the product-closure identity before smoothing."""
-    grid = _closure_grid(model)
-    if model.name == "cir":
-        checks = [((2,), (3,), model.theta0 + 1.0, model.theta0 + 2.0)]
-    else:
-        k = model.signal_dim
-        a = tuple([2] + [0] * (k - 1))
-        b = tuple([1] * min(2, k) + [0] * (k - min(2, k)))
-        checks = [(a, b, None, None)]
-    for m, n, ta, tb in checks:
-        spread = model.closure_spread(m, n, ta, tb, grid)
-        if spread > 1e-9:
-            raise UnsupportedModel(
-                f"product-closure identity fails (relative spread {spread:.2e})")
-
-
 def smoother(data: Sequence[ObservationRecord], model,
              trace: FilterTrace) -> list[SmoothingResult]:
     """Marginal smoothing laws from a forward trace and a backward recursion.
@@ -325,16 +296,14 @@ def smoother(data: Sequence[ObservationRecord], model,
     terminal time the result coincides with the filtering law.
 
     Raises:
-        UnsupportedModel: if the trace holds particle clouds or the model's
-            closure identity fails its numerical check.
-        AlignmentError: if the trace and data lengths differ or the
-            observation times do not strictly increase.
+        UnsupportedModel: if the trace holds particle clouds.
+        AlignmentError: if the trace times differ from the record times or
+            the observation times do not strictly increase.
     """
     if any(not isinstance(s, DualMixture) for s in trace.filtering):
         raise UnsupportedModel("smoothing needs an exact or pruned mixture trace")
-    if len(data) != len(trace):
-        raise AlignmentError("trace and data lengths differ")
-    _verify_closure(model)
+    if not np.array_equal(trace.times, [r.time for r in data]):
+        raise AlignmentError("trace times differ from the record times")
 
     backward, _, _ = _recursion(data[::-1], _gaps(data)[::-1], model.prior_mixture(),
                                 _mixture_update(model), _exact_step(model))

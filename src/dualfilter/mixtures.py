@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DegenerateWeights, InvalidKernel, ZeroLikelihood
+from .errors import ConfigError, DegenerateWeights, InvalidKernel, ZeroLikelihood
 
 __all__ = [
     "ObservationRecord",
@@ -76,10 +76,10 @@ class ObservationRecord:
 
     def __post_init__(self):
         if self.time < 0:
-            raise ValueError("observation time must be non-negative")
+            raise ConfigError("observation time must be non-negative")
         values = tuple(int(v) for v in self.values)
         if any(v < 0 for v in values):
-            raise ValueError("emission counts must be non-negative")
+            raise ConfigError("emission counts must be non-negative")
         object.__setattr__(self, "values", values)
 
     @property

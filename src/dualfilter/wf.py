@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionError, DomainError, SimulationBudgetExceeded
+from .errors import (ConfigError, DimensionError, DomainError,
+                     SimulationBudgetExceeded)
 from .mixtures import DualMixture, ObservationRecord
 
 __all__ = [
@@ -78,9 +79,9 @@ class WFParams:
     def __post_init__(self):
         alpha = tuple(float(a) for a in self.alpha)
         if len(alpha) < 2:
-            raise ValueError("need at least two types")
+            raise ConfigError("need at least two types")
         if any(a <= 0 for a in alpha):
-            raise ValueError("all mutation weights must be strictly positive")
+            raise ConfigError("all mutation weights must be strictly positive")
         object.__setattr__(self, "alpha", alpha)
 
     @property
@@ -630,7 +631,7 @@ class WFModel:
 
     def dual_sampler(self, kind: str):
         if kind not in _DUAL_DRAWS:
-            raise ValueError(f"unknown WF dual kind {kind!r}")
+            raise ConfigError(f"unknown WF dual kind {kind!r}")
         return _DualSampler(_DUAL_DRAWS[kind], self.params)
 
     def theta_evolve_for(self, kind: str):

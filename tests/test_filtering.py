@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dualfilter import (AlignmentError, FilterConfig, ObservationRecord,
-                        ParticleCloud, ZeroLikelihood, bootstrap_filter,
+from dualfilter import (AlignmentError, CIRModel, CIRParams, DualFilterError,
+                        FilterConfig, ObservationRecord, ParticleCloud,
+                        WFModel, WFParams, ZeroLikelihood, bootstrap_filter,
                         dual_particle_filter, error_metrics, exact_filter,
                         run_filter)
 from dualfilter.filtering import density_on_grid, grid_l1, metric_edges
@@ -34,6 +35,26 @@ def test_config_validation():
         FilterConfig(method="dual_particle", n_particles=100)  # missing dual_kind
     with pytest.raises(ValueError):
         FilterConfig(method="bootstrap")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FilterConfig(method="nope"),
+    lambda: FilterConfig(method="exact", prune_eps=1.0),
+    lambda: FilterConfig(method="bootstrap"),
+    lambda: FilterConfig(method="dual_particle", n_particles=100),
+    lambda: ObservationRecord(-0.1, (1,)),
+    lambda: ObservationRecord(0.0, (2, -1)),
+    lambda: CIRParams(11.0, 0.0, 1.0),
+    lambda: WFParams((1.1,)),
+    lambda: WFParams((1.1, -1.0)),
+    lambda: CIRModel(CIRParams(11.0, 1.1, 1.0)).dual_sampler("moran"),
+    lambda: WFModel(WFParams((1.1, 1.1, 1.1))).dual_sampler("bd"),
+], ids=["method", "prune_eps", "n_particles", "dual_kind", "record_time",
+        "record_counts", "cir_params", "wf_types", "wf_weights", "cir_kind",
+        "wf_kind"])
+def test_boundary_inputs_raise_package_errors(make):
+    with pytest.raises(DualFilterError):
+        make()
 
 
 # ---------------------------------------------------------------------------

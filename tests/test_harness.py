@@ -152,6 +152,37 @@ def test_run_scenario_thread_count_invariant(tmp_path):
     a = (tmp_path / "t1" / "cir_filtering.csv").read_bytes()
     b = (tmp_path / "t4" / "cir_filtering.csv").read_bytes()
     assert a == b
+    manifests = []
+    for run in ("t1", "t4"):
+        path = tmp_path / run / "cir_filtering_manifest.json"
+        manifest = json.loads(path.read_text())
+        assert len(manifest.pop("wall_times_s")) == spec.replicates * 3 * 2
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+
+
+def test_run_scenario_caps_worker_processes(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    spec = build_spec("cir_predictive", tiny_config(particle_counts=[10]), seed=5)
+    assert run_scenario(spec, tmp_path, threads=1000) == 0
+    assert seen == [2]
 
 
 def test_run_scenario_seed_changes_results(tmp_path):
@@ -163,7 +194,8 @@ def test_run_scenario_seed_changes_results(tmp_path):
     assert a != b
 
 
-def test_run_scenario_records_cell_failures(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_scenario_records_cell_failures(tmp_path, monkeypatch, threads):
     import dualfilter.experiments as exp
 
     original = exp._predictive_cell
@@ -179,7 +211,9 @@ def test_run_scenario_records_cell_failures(tmp_path, monkeypatch):
     spec = build_spec("cir_predictive",
                       {"replicates": 1, "particle_counts": [10],
                        "n_times": 2, "methods": ["exact", "pd"]}, seed=1)
-    assert run_scenario(spec, tmp_path) == 2
+    # with threads=2 the cell fails inside a worker process, which sees the
+    # patched module because the pool forks (the Linux default start method)
+    assert run_scenario(spec, tmp_path, threads=threads) == 2
     text = (tmp_path / "cir_predictive.csv").read_text()
     assert "error,nan" in text
     manifest = json.loads((tmp_path / "cir_predictive_manifest.json").read_text())

@@ -135,6 +135,14 @@ def test_smoother_rejects_non_increasing_times(cir_model, times):
         smoother(bad, cir_model, trace)
 
 
+def test_smoother_rejects_trace_at_other_times(cir_model):
+    # same counts, filtered at gaps of 0.1 but smoothed against gaps of 5.0
+    trace = exact_filter(cir_records([4, 2, 7]), FilterConfig(method="exact"),
+                         cir_model)
+    with pytest.raises(AlignmentError):
+        smoother(cir_records([4, 2, 7], dt=5.0), cir_model, trace)
+
+
 def test_smoother_pruned_trace_close_to_exact(cir_model):
     records = cir_records([4, 2, 7, 3, 5, 1])
     exact_cfg = FilterConfig(method="exact")
