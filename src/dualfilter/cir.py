@@ -308,22 +308,24 @@ def pure_death_survival(t, theta0: float, p: CIRParams):
     return out if out.shape else float(out)
 
 
-def pure_death_pmf(m: int, t: float, theta0: float, p: CIRParams) -> np.ndarray:
-    """Binomial(m, s(t)) transition vector of the pure-death dual over [0, t]."""
-    if m < 0:
+def pure_death_pmf(points, t: float, theta0: float, p: CIRParams):
+    """Binomial(m, s(t)) pure-death laws over [0, t] of the ``(M, 1)`` sources
+    ``m``, as the kernel triple ``(arrivals 0..m, probs, source index)``."""
+    m = np.asarray(points, dtype=np.int64)[:, 0]
+    if np.any(m < 0):
         raise ValueError("m must be non-negative")
     s = pure_death_survival(t, theta0, p)
-    pmf = np.zeros(m + 1)
+    source = np.repeat(np.arange(len(m)), m + 1)
+    top = m[source]
+    n = np.arange(len(source)) - (np.cumsum(m + 1) - (m + 1))[source]
     if s >= 1.0:
-        pmf[m] = 1.0
+        pmf = (n == top).astype(float)
     elif s <= 0.0:
-        pmf[0] = 1.0
+        pmf = (n == 0).astype(float)
     else:
-        n = np.arange(m + 1)
-        logpmf = (gammaln(m + 1) - gammaln(n + 1) - gammaln(m - n + 1)
-                  + n * math.log(s) + (m - n) * math.log1p(-s))
-        pmf = np.exp(logpmf)
-    return pmf
+        pmf = np.exp(gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
+                     + n * math.log(s) + (top - n) * math.log1p(-s))
+    return n[:, None], pmf, source
 
 
 def _transition_constants(t: float, p: CIRParams) -> tuple[float, float]:
@@ -420,10 +422,8 @@ class CIRFamily:
             raise DomainError("the CIR signal is univariate")
         return gammainc(self._shapes(points), theta * max(x, 0.0))
 
-    def sample_component(self, point, theta: float,
-                         rng: np.random.Generator, size: int) -> np.ndarray:
-        a = self.params.alpha + int(point[0])
-        return rng.gamma(a, 1.0 / theta, size)
+    def sample_component(self, points, theta: float, rng: np.random.Generator) -> np.ndarray:
+        return rng.gamma(self._shapes(points), 1.0 / theta)
 
     def check_domain(self, grid: np.ndarray) -> None:
         if np.any(np.asarray(grid) < 0):
@@ -507,9 +507,8 @@ class CIRModel:
                            y: ObservationRecord) -> np.ndarray:
         return log_marginal(points[:, 0], theta, y, self.params)
 
-    def pd_kernel(self, point, theta: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        m = int(point[0])
-        return np.arange(m + 1)[:, None], pure_death_pmf(m, dt, theta, self.params)
+    def pd_kernel(self, points, theta: float, dt: float) -> tuple[np.ndarray, ...]:
+        return pure_death_pmf(points, dt, theta, self.params)
 
     def theta_flow(self, theta: float, dt: float) -> float:
         return pure_death_theta(dt, theta, self.params)

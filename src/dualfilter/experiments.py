@@ -100,6 +100,10 @@ class ExperimentSpec:
             raise ConfigError(f"unknown flavor {self.flavor!r}")
         if self.model not in ("cir", "wf"):
             raise ConfigError(f"unknown model {self.model!r}")
+        try:
+            self.build_model()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {self.model} params {self.params!r}: {exc}") from None
         for label in self.methods:
             if label not in METHOD_TABLE:
                 raise ConfigError(f"unknown method label {label!r}")
@@ -174,10 +178,10 @@ def build_spec(scenario: str, config: dict | None = None, *, seed: int = 1234,
         base["particle_counts"] = tuple(int(v) for v in particles)
     if replicates is not None:
         base["replicates"] = int(replicates)
-    for key in ("params", "methods", "particle_counts", "forced_last"):
-        if base.get(key) is not None:
-            base[key] = tuple(base[key])
     try:
+        for key in ("params", "methods", "particle_counts", "forced_last"):
+            if base.get(key) is not None:
+                base[key] = tuple(base[key])
         return ExperimentSpec(**base)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None

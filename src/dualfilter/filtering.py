@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _METHODS = ("exact", "pruned", "dual_particle", "bootstrap")
+#: number of grid cells on which predictive densities are compared
+METRIC_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class FilterConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if not 0.0 <= self.prune_eps < 1.0:
             raise ConfigError("prune_eps must lie in [0, 1)")
+        if self.prune_eps > 0.0 and self.method != "pruned":
+            raise ConfigError(f"prune_eps > 0 needs method 'pruned', not {self.method!r}")
         if self.method in ("dual_particle", "bootstrap"):
             if self.n_particles is None or self.n_particles < 1:
                 raise ConfigError("particle methods need n_particles >= 1")
@@ -175,9 +179,7 @@ def _mixture_update(model):
 def _exact_step(model, prune_eps: float = 0.0):
     def propagate_step(mix, gap):
         mix = propagate(mix, model.pd_kernel, model.theta_flow, gap)
-        if prune_eps > 0.0:
-            mix, _ = prune(mix, prune_eps)
-        return mix
+        return prune(mix, prune_eps)[0]  # the identity at prune_eps = 0
     return propagate_step
 
 
@@ -191,10 +193,9 @@ def exact_filter(data: Sequence[ObservationRecord], cfg: FilterConfig, model) ->
     arrival weights below ``prune_eps`` are dropped after each propagation
     and the rest renormalized.
     """
-    prune_eps = cfg.prune_eps if cfg.method == "pruned" else 0.0
     return _assemble_trace(data, *_recursion(
         data, _gaps(data), model.prior_mixture(), _mixture_update(model),
-        _exact_step(model, prune_eps)), cfg)
+        _exact_step(model, cfg.prune_eps)), cfg)
 
 
 def dual_particle_filter(data: Sequence[ObservationRecord], cfg: FilterConfig,
@@ -326,17 +327,17 @@ def smoother(data: Sequence[ObservationRecord], model,
 # Error metrics
 # ---------------------------------------------------------------------------
 
-def metric_edges(ref: DualMixture, n_cells: int = 512) -> np.ndarray:
+def metric_edges(ref: DualMixture) -> np.ndarray:
     """Histogram/evaluation cell edges for density comparisons.
 
-    CIR: ``n_cells`` cells from zero to the 0.9995 quantile of the reference
-    predictive.  WF: ``n_cells`` cells on [0, 1] for the first-coordinate
-    marginal.
+    CIR: ``METRIC_CELLS`` cells from zero to the 0.9995 quantile of the
+    reference predictive.  WF: ``METRIC_CELLS`` cells on [0, 1] for the
+    first-coordinate marginal.
     """
     if ref.family.tag == "wf-dirichlet":
-        return np.linspace(0.0, 1.0, n_cells + 1)
+        return np.linspace(0.0, 1.0, METRIC_CELLS + 1)
     hi = mixture_quantile(ref, 0.9995)
-    return np.linspace(0.0, hi, n_cells + 1)
+    return np.linspace(0.0, hi, METRIC_CELLS + 1)
 
 
 def density_on_grid(state, edges: np.ndarray) -> np.ndarray:
@@ -366,7 +367,7 @@ def grid_l1(state, ref: DualMixture, edges: np.ndarray) -> float:
 
 def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
                   signal: np.ndarray | None = None,
-                  with_l1: bool = False, n_cells: int = 512) -> dict:
+                  with_l1: bool = False) -> dict:
     """Per-step and summary errors of one trace against a reference trace.
 
     Per step: absolute error of the filtering mean and standard deviation
@@ -394,7 +395,7 @@ def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
             ref = trace_ref.predictive[i]
             if not isinstance(ref, DualMixture):
                 raise AlignmentError("reference predictive must be a mixture")
-            edges = metric_edges(ref, n_cells)
+            edges = metric_edges(ref)
             l1[i] = grid_l1(trace_a.predictive[i], ref, edges)
         per["l1_pred"] = l1
     half = t // 2

@@ -16,7 +16,8 @@ Representation choices:
   whose dual has no deterministic component);
 * model-specific component kernels (Gamma or Dirichlet densities) live in a
   small "family" object attached to each mixture; see ``cir.CIRFamily`` and
-  ``wf.WFFamily``.  Its methods take the whole support array at once.
+  ``wf.WFFamily``.  Its methods take the whole support array at once, and
+  so do the exact transition kernels (see :func:`propagate`).
 
 Mixtures are built from raw rows and weights by
 :meth:`DualMixture.from_weights`, which merges repeated rows, drops zero
@@ -207,10 +208,11 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
 def propagate(mix: DualMixture, kernel, theta_evolve, dt: float) -> DualMixture:
     """Push a mixture through a dual transition kernel over a time step.
 
-    ``kernel(point, theta, dt)`` is called once per source row and returns
-    ``(arrivals, probs)``: an ``(L, K)`` int array of arrival indices and
-    their (sub-)probabilities.  The per-source arrays, weighted by the
-    source weights, are concatenated and merged by
+    ``kernel(points, theta, dt)`` is called once with the whole ``(M, K)``
+    support and returns ``(arrivals, probs, source)``: an ``(L, K)`` int
+    array of arrival indices, their (sub-)probabilities and the support row
+    each one leaves from, grouped by source in source order.  The arrivals,
+    weighted by their source weights, are merged by
     :meth:`DualMixture.from_weights`, so the output weight at ``n`` is
     ``sum_m w_m * kernel(m)[n]``, renormalized.  The deterministic
     parameter is advanced by ``theta_evolve`` (identity when ``None``).
@@ -220,19 +222,15 @@ def propagate(mix: DualMixture, kernel, theta_evolve, dt: float) -> DualMixture:
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
-    arrivals, weights = [], []
-    for point, w in zip(mix.points, mix.weights):
-        pts, probs = kernel(point, mix.theta, dt)
-        probs = np.asarray(probs, dtype=float)
-        mass = math.fsum(probs)
-        if mass > 1.0 + KERNEL_MASS_TOL:
-            raise InvalidKernel(
-                f"kernel mass {mass:.12f} from {point.tolist()} exceeds one")
-        arrivals.append(np.asarray(pts, dtype=np.int64))
-        weights.append(w * probs)
+    arrivals, probs, source = kernel(mix.points, mix.theta, dt)
+    mass = np.bincount(source, probs, minlength=mix.support_size)
+    heavy = np.flatnonzero(mass > 1.0 + KERNEL_MASS_TOL)
+    if heavy.size:
+        raise InvalidKernel(f"kernel mass {mass[heavy[0]]:.12f} from "
+                            f"{mix.points[heavy[0]].tolist()} exceeds one")
     new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
-    return DualMixture.from_weights(mix.family, np.concatenate(arrivals),
-                                    np.concatenate(weights), new_theta)
+    return DualMixture.from_weights(mix.family, arrivals,
+                                    mix.weights[source] * probs, new_theta)
 
 
 def update(mix: DualMixture,
@@ -386,15 +384,12 @@ def mixture_quantile(mix: DualMixture, q: float, coord: int = 0) -> float:
 
 
 def sample_mixture(mix: DualMixture, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` signal points from a mixture (component-wise batched).
+    """Draw ``size`` signal points from a mixture in one batched draw.
 
     Component counts are multinomial; the returned array keeps components
     grouped, which is immaterial for exchangeable downstream use (particle
     clouds).
     """
     counts = rng.multinomial(size, mix.weights)
-    parts = []
-    for pt, c in zip(mix.points, counts):
-        if c:
-            parts.append(np.asarray(mix.family.sample_component(pt, mix.theta, rng, int(c))))
-    return np.concatenate(parts, axis=0)
+    return mix.family.sample_component(np.repeat(mix.points, counts, axis=0),
+                                       mix.theta, rng)

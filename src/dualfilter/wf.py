@@ -202,39 +202,39 @@ def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
     return _block_count_row(int(m_tot), float(t), p.theta)
 
 
-def _log_choose(n, k):
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+def typed_death_kernel(points, t: float, p: WFParams, tail_eps: float = 0.0):
+    """Transition laws of the typed Kingman dual from the ``(M, K)`` sources.
 
-
-def typed_death_kernel(m, t: float, p: WFParams,
-                       tail_eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Transition law of the typed Kingman dual from source ``m``.
-
-    Returns ``(arrivals, probs)``: an ``(L, K)`` int array of the count
-    vectors below ``m`` componentwise and their transition probabilities.
-    With ``tail_eps = 0`` every ``n <= m`` componentwise is enumerated and
-    the kernel mass is exactly one up to floating point.  A positive
+    Returns ``(arrivals, probs, source)``: for each source ``m`` in turn,
+    the count vectors ``n <= m`` in ``np.meshgrid`` "ij" order, their
+    transition probabilities and the source index.  With ``tail_eps = 0``
+    each source's kernel mass is one up to floating point.  A positive
     ``tail_eps`` drops the rows on surviving-count levels whose block
-    probability falls below it, losing at most ``(|m|+1)*tail_eps`` mass;
-    this keeps the propagated support small when ``|m|`` is large but the
-    horizon long.
+    probability, in their own source's law, falls below it, losing at most
+    ``(|m|+1)*tail_eps`` mass; this keeps the propagated support small when
+    ``|m|`` is large but the horizon long.
     """
-    m = _as_counts(m, p.k)
-    mtot = sum(m)
-    d = block_count_probs(mtot, t, p)
-    grids = np.meshgrid(*[np.arange(mi + 1) for mi in m], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    ntot = pts.sum(axis=1)
+    points = _start_rows(points, p, None)
+    mtot = points.sum(axis=1)
+    # mixed-radix decoding of one index range; span[:, 0] is each box's size
+    span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]
+    source = np.repeat(np.arange(len(points)), span[:, 0])
+    first = np.cumsum(span[:, 0]) - span[:, 0]
+    arrivals = (np.arange(len(source)) - first[source])[:, None] % span[source]
+    arrivals //= (span // (points + 1))[source]
+    ntot = arrivals.sum(axis=1)
+    # block-count laws of the distinct totals, concatenated like the boxes
+    totals, level = np.unique(mtot, return_inverse=True)
+    laws = np.concatenate([block_count_probs(v, t, p) for v in totals.tolist()])
+    d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
     if tail_eps > 0.0:
-        keep = d[ntot] > tail_eps
-        pts, ntot = pts[keep], ntot[keep]
-    loghyp = np.zeros(len(pts))
-    for i, mi in enumerate(m):
-        loghyp += _log_choose(mi, pts[:, i])
-    loghyp -= _log_choose(mtot, ntot)
-    return pts, d[ntot] * np.exp(loghyp)
+        keep = d > tail_eps
+        arrivals, source, ntot, d = arrivals[keep], source[keep], ntot[keep], d[keep]
+    logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
+    loghyp = ((logfact[points][source] - logfact[arrivals]
+               - logfact[points[source] - arrivals]).sum(axis=1)
+              - (logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]))
+    return arrivals, d * np.exp(loghyp), source
 
 
 def _start_rows(n0, p: WFParams, size: int | None) -> np.ndarray:
@@ -545,9 +545,9 @@ class WFFamily:
         from scipy.special import betainc
         return betainc(*self._beta_params(points, coord), min(max(x, 0.0), 1.0))
 
-    def sample_component(self, point, theta, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
-        return rng.dirichlet(self._concentrations(point), size)
+    def sample_component(self, points, theta, rng: np.random.Generator) -> np.ndarray:
+        g = rng.standard_gamma(self._concentrations(points))
+        return g / g.sum(axis=1, keepdims=True)
 
     def check_domain(self, grid: np.ndarray) -> None:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -623,8 +623,8 @@ class WFModel:
                            y: ObservationRecord) -> np.ndarray:
         return log_marginal(points, y, self.params)
 
-    def pd_kernel(self, point, theta, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        return typed_death_kernel(point, dt, self.params, self.kernel_tail_eps)
+    def pd_kernel(self, points, theta, dt: float) -> tuple[np.ndarray, ...]:
+        return typed_death_kernel(points, dt, self.params, self.kernel_tail_eps)
 
     def theta_flow(self, theta, dt: float) -> None:
         return None

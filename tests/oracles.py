@@ -20,9 +20,9 @@ from scipy.stats import chisquare, ncx2
 # ---------------------------------------------------------------------------
 
 def kernel_dict(kernel) -> dict:
-    """``{arrival tuple: probability}`` of a ``(arrivals, probs)`` kernel,
-    without its zero entries."""
-    pts, probs = kernel
+    """``{arrival tuple: probability}`` of one source's ``(arrivals, probs,
+    source)`` kernel triple, without its zero entries."""
+    pts, probs = kernel[:2]
     return {tuple(pt): float(pr) for pt, pr in zip(np.asarray(pts).tolist(), probs)
             if pr > 0.0}
 

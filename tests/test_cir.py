@@ -237,19 +237,19 @@ def test_pure_death_survival_matches_quadrature(cir_params):
 
 
 def test_pure_death_pmf_am_t_zero(cir_params):
-    pmf = pure_death_pmf(4, 0.0, 2.1, cir_params)
+    pmf = pure_death_pmf([[4]], 0.0, 2.1, cir_params)[1]
     np.testing.assert_allclose(pmf, [0, 0, 0, 0, 1.0])
 
 
 def test_pure_death_pmf_normalizes(cir_params):
     for m in (1, 4, 17):
-        pmf = pure_death_pmf(m, 0.2, 2.5, cir_params)
+        pmf = pure_death_pmf([[m]], 0.2, 2.5, cir_params)[1]
         assert abs(pmf.sum() - 1.0) <= 1e-12
 
 
 def test_pure_death_transition_out_of_range(cir_params):
     # the pmf lives on 0..m: no mass above the start or below zero
-    pmf = pure_death_pmf(4, 0.1, 2.1, cir_params)
+    pmf = pure_death_pmf([[4]], 0.1, 2.1, cir_params)[1]
     assert len(pmf) == 5
     assert np.all(pmf >= 0.0)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -264,7 +264,7 @@ def test_pure_death_pmf_matches_thinning_gillespie(cir_params):
         thinning_death_sample(m, t, theta0, p,
                               lambda u, th, pp: pure_death_theta(u, th, pp), rng)
         for _ in range(100_000)])
-    pmf = pure_death_pmf(m, t, theta0, p)
+    pmf = pure_death_pmf([[m]], t, theta0, p)[1]
     assert tv_sample_vs_pmf(samples, pmf) < 0.02
 
 

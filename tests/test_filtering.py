@@ -40,6 +40,7 @@ def test_config_validation():
 @pytest.mark.parametrize("make", [
     lambda: FilterConfig(method="nope"),
     lambda: FilterConfig(method="exact", prune_eps=1.0),
+    lambda: FilterConfig(method="exact", prune_eps=0.05),
     lambda: FilterConfig(method="bootstrap"),
     lambda: FilterConfig(method="dual_particle", n_particles=100),
     lambda: ObservationRecord(-0.1, (1,)),
@@ -49,9 +50,9 @@ def test_config_validation():
     lambda: WFParams((1.1, -1.0)),
     lambda: CIRModel(CIRParams(11.0, 1.1, 1.0)).dual_sampler("moran"),
     lambda: WFModel(WFParams((1.1, 1.1, 1.1))).dual_sampler("bd"),
-], ids=["method", "prune_eps", "n_particles", "dual_kind", "record_time",
-        "record_counts", "cir_params", "wf_types", "wf_weights", "cir_kind",
-        "wf_kind"])
+], ids=["method", "prune_eps", "prune_eps_unpruned", "n_particles", "dual_kind",
+        "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
+        "cir_kind", "wf_kind"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()

@@ -243,7 +243,11 @@ def test_cli_bad_config_file(tmp_path, capsys):
     {"scenario": "cir_filtering", "delta_t": 0},
     {"scenario": "cir_predictive", "horizon": -0.1},
     {"scenario": "cir_filtering", "n_times": -1},
-], ids=["delta_t", "horizon", "n_times"])
+    {"scenario": "cir_predictive", "params": [-1, 1.1, 1, 1]},
+    {"scenario": "cir_predictive", "params": [11, 1.1, 1, 1, 1]},
+    {"scenario": "wf_predictive", "params": 3},
+], ids=["delta_t", "horizon", "n_times", "params_value", "params_arity",
+        "params_scalar"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, replicates=1, particle_counts=[10])))

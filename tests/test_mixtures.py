@@ -148,16 +148,21 @@ def test_prune_rejects_bad_eps():
 # propagate
 # ---------------------------------------------------------------------------
 
+def identity_kernel(pts, th, dt):
+    return pts, np.ones(len(pts)), np.arange(len(pts))
+
+
 def test_propagate_identity_kernel():
     mix = make_mix([(0,), (2,), (5,)], [0.2, 0.5, 0.3])
-    out = propagate(mix, lambda pt, th, dt: (pt[None, :], [1.0]), None, 0.5)
+    out = propagate(mix, identity_kernel, None, 0.5)
     np.testing.assert_array_equal(out.points, mix.points)
     np.testing.assert_allclose(out.weights, mix.weights, atol=1e-15)
 
 
 def test_propagate_absorbing_kernel():
     mix = make_mix([(1,), (4,)], [0.5, 0.5])
-    out = propagate(mix, lambda pt, th, dt: ([[0]], [1.0]), None, 0.1)
+    out = propagate(mix, lambda pts, th, dt: (np.zeros_like(pts), np.ones(len(pts)),
+                                              np.arange(len(pts))), None, 0.1)
     assert out.points.tolist() == [[0]]
     assert out.weights[0] == 1.0
 
@@ -173,30 +178,34 @@ def test_propagate_matches_matrix_exponential():
     w = np.array([0.5, 0.3, 0.2])
     mix = make_mix([(0,), (1,), (2,)], w)
 
-    def kernel(pt, th, _dt):
-        return np.arange(3)[:, None], p_mat[pt[0]]
+    def kernel(pts, th, _dt):
+        return (np.tile(np.arange(3), len(pts))[:, None], p_mat[pts[:, 0]].ravel(),
+                np.repeat(np.arange(len(pts)), 3))
 
     out = propagate(mix, kernel, None, dt)
     want = w @ p_mat
     np.testing.assert_allclose(np.asarray(out.weights), want, atol=1e-8)
     # mass before renormalization is preserved by a stochastic kernel
     raw = {}
-    for pt, wi in zip(mix.points, mix.weights):
-        for n, pr in zip(*kernel(pt, None, dt)):
-            raw[n[0]] = raw.get(n[0], 0.0) + wi * pr
+    for n, pr, src in zip(*kernel(mix.points, None, dt)):
+        raw[n[0]] = raw.get(n[0], 0.0) + mix.weights[src] * pr
     assert abs(math.fsum(raw.values()) - 1.0) <= 1e-8
 
 
 def test_propagate_rejects_super_stochastic_kernel():
     mix = make_mix([(0,)], [1.0])
     with pytest.raises(InvalidKernel):
-        propagate(mix, lambda pt, th, dt: ([[0], [1]], [0.7, 0.5]), None, 0.1)
+        propagate(mix, lambda pts, th, dt: ([[0], [1]], [0.7, 0.5], [0, 0]), None, 0.1)
+    # the error names the source whose mass exceeds one
+    mix = make_mix([(0,), (2,)], [0.5, 0.5])
+    with pytest.raises(InvalidKernel, match=r"from \[2\]"):
+        propagate(mix, lambda pts, th, dt: ([[0], [0], [1]], [1.0, 0.7, 0.5], [0, 1, 1]),
+                  None, 0.1)
 
 
 def test_propagate_evolves_theta():
     mix = make_mix([(0,)], [1.0], theta=2.0)
-    out = propagate(mix, lambda pt, th, dt: (pt[None, :], [1.0]),
-                    lambda th, dt: th + dt, 0.25)
+    out = propagate(mix, identity_kernel, lambda th, dt: th + dt, 0.25)
     assert out.theta == 2.25
 
 

@@ -90,7 +90,8 @@ def test_batched_typed_death_matches_kernel(wf3_model):
     counts, t = np.array([50_000, 50_000]), 0.3
     out = _draw(wf3_model, "pure_death", WF_POINTS, counts, t, 6)
     for src, block in zip(WF_POINTS, _blocks(out, counts)):
-        assert _tv(block, kernel_dict(typed_death_kernel(src, t, wf3_model.params))) < 0.02
+        kern = kernel_dict(typed_death_kernel(src[None], t, wf3_model.params))
+        assert _tv(block, kern) < 0.02
 
 
 def test_batched_wf_chain_matches_per_source_chain(wf3_model):

@@ -22,7 +22,7 @@ from .oracles import (block_count_path, block_count_series_mp,
 
 
 def typed_kernel(m, t, p, tail_eps=0.0) -> dict:
-    return kernel_dict(typed_death_kernel(m, t, p, tail_eps))
+    return kernel_dict(typed_death_kernel([m], t, p, tail_eps))
 
 
 # ---------------------------------------------------------------------------
