@@ -247,12 +247,25 @@ def linear_bd_sample_many(m0, t: float, theta: float, p: CIRParams,
     immigration with uniform arrival times, each immigrant family evolved
     from size one over its residual time.
     """
+    return _linear_bd_draw(m0, t, _linear_bd_step(theta, t, p), rng, size)
+
+
+def _linear_bd_step(theta: float, t: float, p: CIRParams) -> tuple:
+    """Rates and first-stage ``(g, h)`` of the B&D dual over ``t``; they
+    depend on ``(theta, t)`` only, so every source of a step shares them."""
     lam, beta_imm, mu = linear_bd_rates(theta, p)
+    g, h = _survival_pair(lam, mu, t)
+    return lam, beta_imm, mu, float(g), float(h)
+
+
+def _linear_bd_draw(m0, t: float, step: tuple, rng: np.random.Generator,
+                    size: int) -> np.ndarray:
+    """:func:`linear_bd_sample_many` given its :func:`_linear_bd_step`."""
+    lam, beta_imm, mu, g, h = step
     m0 = np.broadcast_to(np.asarray(m0, dtype=np.int64), (size,))
 
-    g, h = _survival_pair(lam, mu, t)
-    surv = rng.binomial(m0, float(g))
-    native = surv + _negbin(rng, surv, np.full(size, float(h)))
+    surv = rng.binomial(m0, g)
+    native = surv + _negbin(rng, surv, np.full(size, h))
 
     if beta_imm <= 0.0:
         return native
@@ -450,16 +463,18 @@ class _PureDeathSampler:
 class _BirthDeathSampler:
     """Two-stage (branching) sampler of the B&D dual at fixed theta.
 
-    The batched call draws each source's copies with :meth:`many`, one
-    source after another, so the random stream is the per-source one.
+    The batched call computes the step's rates and first-stage survival
+    pair once, then draws each source's copies one source after another,
+    so the random stream is the per-source one of :meth:`many`.
     """
 
     def __init__(self, params: CIRParams):
         self.params = params
 
     def __call__(self, points, counts, theta, dt, rng):
-        return np.concatenate([self.many(pt, theta, dt, rng, int(c))
-                               for pt, c in zip(points, counts)])
+        step = _linear_bd_step(theta, dt, self.params)
+        return np.concatenate([_linear_bd_draw(int(pt[0]), dt, step, rng, int(c))
+                               for pt, c in zip(points, counts)])[:, None]
 
     def many(self, point, theta, dt, rng, size):
         return linear_bd_sample_many(int(point[0]), dt, theta, self.params,

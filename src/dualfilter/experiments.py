@@ -39,8 +39,8 @@ import numpy as np
 from . import __version__
 from .cir import CIRModel, CIRParams
 from .errors import ConfigError
-from .filtering import (FilterConfig, ParticleCloud, error_metrics, grid_l1,
-                        metric_edges, run_filter)
+from .filtering import (FilterConfig, ParticleCloud, density_on_grid, error_metrics,
+                        grid_l1, metric_edges, run_filter)
 from .mixtures import (ObservationRecord, dual_particle_propagate,
                        mixture_moments, propagate, sample_mixture)
 from .wf import WFModel, WFParams
@@ -253,6 +253,7 @@ def _predictive_context(spec: ExperimentSpec, rep: int) -> dict:
     edges = metric_edges(ref_pred)
     ref_mean, ref_sd = mixture_moments(ref_pred)
     return dict(model=model, start=start, ref_pred=ref_pred, edges=edges,
+                ref_density=density_on_grid(ref_pred, edges),
                 ref_mean=ref_mean, ref_sd=ref_sd)
 
 
@@ -282,7 +283,7 @@ def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
         particles = sample_mixture(ctx["start"], rng, n)
         particles = model.signal_sample_many(particles, spec.horizon, rng)
         approx = ParticleCloud(particles, np.full(n, 1.0 / n))
-    l1 = grid_l1(approx, ctx["ref_pred"], ctx["edges"])
+    l1 = grid_l1(approx, ctx["ref_density"], ctx["edges"])
     if isinstance(approx, ParticleCloud):
         mean, sd = approx.moments()
     else:

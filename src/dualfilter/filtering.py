@@ -358,11 +358,15 @@ def density_on_grid(state, edges: np.ndarray) -> np.ndarray:
     return dens[idx]
 
 
-def grid_l1(state, ref: DualMixture, edges: np.ndarray) -> float:
-    """L1 distance between first-coordinate densities over the grid."""
+def grid_l1(state, ref_density: np.ndarray, edges: np.ndarray) -> float:
+    """L1 distance between first-coordinate densities over the grid.
+
+    ``ref_density`` is the reference's :func:`density_on_grid` on the same
+    ``edges``, so a caller that scores many states against one reference
+    evaluates the reference once.
+    """
     fa = density_on_grid(state, edges)
-    fr = density_on_grid(ref, edges)
-    return float(np.sum(np.abs(fa - fr) * np.diff(edges)))
+    return float(np.sum(np.abs(fa - ref_density) * np.diff(edges)))
 
 
 def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
@@ -374,7 +378,9 @@ def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
     (averaged over signal coordinates), the absolute deviation of the
     filtering mean from the true ``signal`` when given, and optionally the
     grid-L1 distance between predictive densities.  The summary averages
-    each metric over the second half of the time steps.
+    each metric over the second half of the time steps.  The grid-L1
+    distance at each step scores ``trace_a``'s predictive against the
+    density of ``trace_ref``'s on the :func:`metric_edges` of the latter.
 
     Raises:
         AlignmentError: if the two traces live on different time grids.
@@ -396,7 +402,7 @@ def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
             if not isinstance(ref, DualMixture):
                 raise AlignmentError("reference predictive must be a mixture")
             edges = metric_edges(ref)
-            l1[i] = grid_l1(trace_a.predictive[i], ref, edges)
+            l1[i] = grid_l1(trace_a.predictive[i], density_on_grid(ref, edges), edges)
         per["l1_pred"] = l1
     half = t // 2
     summary = {k: float(v[half:].mean()) for k, v in per.items()}

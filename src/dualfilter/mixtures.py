@@ -20,9 +20,11 @@ Representation choices:
   so do the exact transition kernels (see :func:`propagate`).
 
 Mixtures are built from raw rows and weights by
-:meth:`DualMixture.from_weights`, which merges repeated rows, drops zero
-weights and normalizes, so every accumulation runs in the canonical row
-order and floating-point sums are platform- and run-deterministic.
+:meth:`DualMixture.from_weights`, which sorts the rows with one stable
+``np.lexsort``, merges each run of repeated rows by summing its weights in
+input order, drops zero weights and normalizes.  Every later accumulation
+runs in the canonical row order, so floating-point sums are platform- and
+run-deterministic for a given input.
 
 All mixture values are immutable after construction; the functions here are
 pure and safe to call concurrently as long as each caller owns its RNG.
@@ -145,14 +147,21 @@ class DualMixture:
                      theta: float | None = None) -> "DualMixture":
         """Build a mixture from ``(L, K)`` rows and non-negative raw weights.
 
-        Repeated rows are merged by adding their weights, the total is
-        normalized to one, and rows whose normalized weight is zero are
-        dropped, including denormal weights that underflow in the division.
-        The result does not depend on the order of the input rows.
+        The rows are sorted lexicographically by one stable ``np.lexsort``,
+        and each run of repeated rows is merged by adding its weights in
+        input order.  The total is normalized to one, and rows whose
+        normalized weight is zero are dropped, including denormal weights
+        that underflow in the division.  The output rows do not depend on
+        the order of the input rows, but the merged weights do in the last
+        bit: rows ``[[1], [1], [1], [2]]`` with weights ``[0.1, 0.2, 0.3,
+        0.4]`` give row ``[1]`` the weight ``0.6000000000000001``, and
+        weights ``[0.3, 0.2, 0.1, 0.4]`` give it ``0.6``.
 
         Raises:
             DegenerateWeights: if no weight is strictly positive, or any weight
                 is negative or non-finite.
+            ValueError: if the rows are not ``(L, K)`` with ``K >= 1`` and one
+                weight per row.
         """
         points = np.asarray(points, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
@@ -160,14 +169,20 @@ class DualMixture:
             raise ValueError("need (L, K) points with one weight per row")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise DegenerateWeights("weights must be finite and non-negative")
-        uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-        merged = np.bincount(inverse.ravel(), weights=weights, minlength=len(uniq))
-        total = math.fsum(merged)
-        if total <= 0.0:
+        if not np.any(weights > 0.0):
             raise DegenerateWeights("all weights are zero")
-        merged /= total
+        if points.shape[1] == 0:
+            raise ValueError("support points must be an (M, K) array with K >= 1")
+        order = np.lexsort(points.T[::-1])
+        rows = points[order]
+        starts = np.empty(len(rows), dtype=bool)
+        starts[0] = True
+        np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+        merged = np.bincount(np.cumsum(starts) - 1, weights[order])
+        merged /= math.fsum(merged)
         keep = merged > 0.0
-        return cls(family=family, points=uniq[keep], weights=merged[keep], theta=theta)
+        return cls(family=family, points=rows[starts][keep], weights=merged[keep],
+                   theta=theta)
 
     def as_dict(self) -> dict[tuple, float]:
         return dict(zip(map(tuple, self.points.tolist()), self.weights.tolist()))

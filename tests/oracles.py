@@ -27,6 +27,22 @@ def kernel_dict(kernel) -> dict:
             if pr > 0.0}
 
 
+def from_weights_unique(points, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and weights of a merged mixture by ``np.unique(axis=0)``.
+
+    Repeated rows are merged by ``np.bincount`` over the unique-row index,
+    the total is normalized with ``math.fsum`` and zero weights are
+    dropped, as ``DualMixture.from_weights`` did before its lexsort merge.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
+    merged = np.bincount(inverse.ravel(), weights=np.asarray(weights, dtype=float),
+                         minlength=len(uniq))
+    merged /= math.fsum(merged)
+    keep = merged > 0.0
+    return uniq[keep], merged[keep]
+
+
 # ---------------------------------------------------------------------------
 # Distance helpers
 # ---------------------------------------------------------------------------

@@ -380,8 +380,8 @@ def test_grid_l1_between_mixture_and_cloud(cir_model, rng):
     edges = metric_edges(ref)
     cloud = ParticleCloud(sample_mixture(ref, rng, 200_000),
                           np.full(200_000, 1.0 / 200_000))
-    assert grid_l1(cloud, ref, edges) < 0.05
-    assert grid_l1(ref, ref, edges) == 0.0
+    assert grid_l1(cloud, density_on_grid(ref, edges), edges) < 0.05
+    assert grid_l1(ref, density_on_grid(ref, edges), edges) == 0.0
 
 
 def test_density_on_grid_mixture_integrates(cir_model):

@@ -288,6 +288,22 @@ def test_console_entry_point_help():
     assert "--scenario" in result.stdout
 
 
+@pytest.mark.parametrize("scenario", ["cir_predictive", "wf_predictive"])
+def test_exact_predictive_cells_score_zero(tmp_path, scenario):
+    # every cell scores against the replicate's one reference density; the
+    # exact cell recomputes that density from the same mixture
+    import csv
+    spec = build_spec(scenario, {"replicates": 2, "particle_counts": [10],
+                                 "n_times": 1}, seed=5)
+    assert run_scenario(spec, tmp_path) == 0
+    with open(tmp_path / f"{scenario}.csv") as fh:
+        l1 = [(row["method"], float(row["value"])) for row in csv.DictReader(fh)
+              if row["metric"] == "l1_pred"]
+    assert len(l1) == spec.replicates * len(spec.methods)
+    assert [v for m, v in l1 if m == "exact"] == [0.0] * spec.replicates
+    assert all(v > 0.0 for m, v in l1 if m != "exact")
+
+
 def test_wf_predictive_method_ordering(tmp_path):
     # among the Moran-dual approximations the binned-diffusion sampler
     # converges slowest; the pure-death closed form converges fastest

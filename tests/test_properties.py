@@ -4,22 +4,30 @@ Each mixture example draws a model (CIR, or WF with K = 3), a mixture with
 a few random support rows and weights, one observation batch and a time
 step, and checks the array-backed recursion against direct per-point sums;
 the propagation example also draws the WF kernel's tail threshold.
+Each merge example draws rows of width 1-4, many of them repeated, in
+shuffled order, and checks ``DualMixture.from_weights`` against the
+``np.unique`` merge of ``tests/oracles.py``.
 Each sampler example draws a dual kind, a few random sources with small
 copy counts, a time step and a seed, and checks the support bounds of the
-arrivals.
+arrivals, and that the batched ``bd`` call keeps the per-source stream.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualfilter import (CIRModel, CIRParams, DualMixture, FilterConfig,
                         ObservationRecord, WFModel, WFParams, exact_filter,
                         propagate, prune, update)
+from dualfilter.cir import linear_bd_sample_many
 from dualfilter.cir import log_marginal as cir_log_marginal
+from dualfilter.errors import DegenerateWeights
 from dualfilter.wf import log_marginal as wf_log_marginal
+
+from .oracles import from_weights_unique
 
 CIR = CIRModel(CIRParams(11.0, 1.1, 1.0))
 WF = WFModel(WFParams((1.1, 1.1, 1.1)))
@@ -132,6 +140,38 @@ def test_pruned_at_zero_equals_exact(case, n_times):
 
 
 @st.composite
+def merge_cases(draw):
+    """(rows, weights): up to 8 distinct rows of width 1-4, each repeated up
+    to 5 times, shuffled, with some zero weights."""
+    k = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), min_size=1,
+                             max_size=8, unique=True))
+    rows = draw(st.permutations([r for r in distinct
+                                 for _ in range(draw(st.integers(1, 5)))]))
+    weights = draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=len(rows),
+                            max_size=len(rows)))
+    assume(any(w > 0.0 for w in weights))
+    return np.array(rows, dtype=np.int64), np.array(weights)
+
+
+@PROPERTY_SETTINGS
+@given(merge_cases())
+def test_from_weights_matches_unique_merge(case):
+    rows, weights = case
+    mix = DualMixture.from_weights(None, rows, weights)
+    want_rows, want_weights = from_weights_unique(rows, weights)
+    np.testing.assert_array_equal(mix.points, want_rows)
+    assert np.array_equal(mix.weights, want_weights)
+
+
+def test_from_weights_rejects_empty_rows_and_zero_width():
+    with pytest.raises(DegenerateWeights):
+        DualMixture.from_weights(None, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
+    with pytest.raises(ValueError):
+        DualMixture.from_weights(None, np.zeros((3, 0), dtype=np.int64), np.ones(3))
+
+
+@st.composite
 def sampler_cases(draw, kinds):
     """(model, kind, sources, counts, theta, dt, seed) for one of ``kinds``."""
     name, kind = draw(st.sampled_from(kinds))
@@ -182,3 +222,14 @@ def test_moran_duals_keep_each_total(case):
 def test_pure_death_never_exceeds_its_source(case):
     out, starts = arrivals_and_starts(case)
     assert np.all(out <= starts)
+
+
+@PROPERTY_SETTINGS
+@given(sampler_cases([("cir", "bd")]))
+def test_bd_step_keeps_the_per_source_stream(case):
+    _, _, sources, counts, theta, dt, seed = case
+    out, _ = arrivals_and_starts(case)
+    rng = np.random.default_rng(seed)
+    want = np.concatenate([linear_bd_sample_many(int(m), dt, theta, CIR.params, rng, int(c))
+                           for m, c in zip(sources[:, 0], counts)])
+    np.testing.assert_array_equal(out[:, 0], want)
