@@ -24,8 +24,7 @@ from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
 from .cir import CIRModel, CIRParams
 from .wf import WFModel, WFParams
 from .filtering import (FilterConfig, FilterTrace, ParticleCloud,
-                        SmoothingResult, bootstrap_filter, dual_particle_filter,
-                        error_metrics, exact_filter, run_filter, smoother)
+                        SmoothingResult, error_metrics, run_filter, smoother)
 from .experiments import ExperimentSpec, build_spec, run_scenario, simulate_dataset
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "mixture_marginal_pdf", "sample_mixture", "systematic_counts",
     "CIRParams", "CIRModel", "WFParams", "WFModel",
     "FilterConfig", "FilterTrace", "ParticleCloud", "SmoothingResult",
-    "run_filter", "exact_filter", "dual_particle_filter", "bootstrap_filter",
-    "smoother", "error_metrics",
+    "run_filter", "smoother", "error_metrics",
     "ExperimentSpec", "build_spec", "run_scenario", "simulate_dataset",
 ]

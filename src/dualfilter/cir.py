@@ -70,8 +70,10 @@ class CIRParams:
 
     def __post_init__(self):
         for name in ("delta", "gamma", "sigma", "tau"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and strictly positive, "
+                                  f"not {value!r}")
 
     @property
     def alpha(self) -> float:

@@ -1,8 +1,9 @@
 """Filtering, smoothing and error metrics on top of the model primitives.
 
-Four inference procedures share one trace format and one recursion,
-which alternates a Bayes update with a propagation over the gap to the
-next observation time (the times must strictly increase):
+:func:`run_filter` is the one filter entry point.  ``FilterConfig.method``
+picks one of four inference procedures; all share one trace format and
+one recursion, which alternates a Bayes update with a propagation over
+the gap to the next observation time (the times must strictly increase):
 
 * ``exact``: the finite-mixture recursion driven by the model's
   pure-death dual (closed-form transitions, polynomial support growth);
@@ -23,6 +24,7 @@ parallel and are orchestrated by :mod:`dualfilter.experiments`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,9 +42,6 @@ __all__ = [
     "FilterTrace",
     "SmoothingResult",
     "run_filter",
-    "exact_filter",
-    "dual_particle_filter",
-    "bootstrap_filter",
     "smoother",
     "error_metrics",
     "metric_edges",
@@ -75,11 +74,18 @@ class FilterConfig:
             raise ConfigError("prune_eps must lie in [0, 1)")
         if self.prune_eps > 0.0 and self.method != "pruned":
             raise ConfigError(f"prune_eps > 0 needs method 'pruned', not {self.method!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
+        if self.n_particles is not None and not isinstance(self.n_particles,
+                                                           numbers.Integral):
+            raise ConfigError(f"n_particles must be an integer, not {self.n_particles!r}")
         if self.method in ("dual_particle", "bootstrap"):
             if self.n_particles is None or self.n_particles < 1:
                 raise ConfigError("particle methods need n_particles >= 1")
         if self.method == "dual_particle" and self.dual_kind is None:
             raise ConfigError("dual_particle needs a dual_kind")
+        if self.dual_kind is not None and self.method != "dual_particle":
+            raise ConfigError(f"a dual_kind needs method 'dual_particle', not {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,6 @@ class FilterTrace:
     filt_mean: np.ndarray
     filt_sd: np.ndarray
     loglik: np.ndarray          # per-step log marginal likelihood increments
-    config: FilterConfig | None = None
 
     @property
     def total_loglik(self) -> float:
@@ -125,7 +130,7 @@ def _moments_of(state) -> tuple[np.ndarray, np.ndarray]:
     return mixture_moments(state)
 
 
-def _assemble_trace(data, predictive, filtering, loglik, cfg) -> FilterTrace:
+def _assemble_trace(data, predictive, filtering, loglik) -> FilterTrace:
     pred = [_moments_of(s) for s in predictive]
     filt = [_moments_of(s) for s in filtering]
     k = pred[0][0].shape[0] if pred else 1  # empty datasets yield empty traces
@@ -138,7 +143,6 @@ def _assemble_trace(data, predictive, filtering, loglik, cfg) -> FilterTrace:
         filt_mean=np.array([m for m, _ in filt]).reshape(-1, k),
         filt_sd=np.array([s for _, s in filt]).reshape(-1, k),
         loglik=np.asarray(loglik, dtype=float),
-        config=cfg,
     )
 
 
@@ -169,103 +173,74 @@ def _recursion(data, gaps: np.ndarray, state, update_step, propagate_step):
     return predictive, filtering, loglik
 
 
-def _mixture_update(model):
-    def update_step(mix, y):
+def _steps(cfg: FilterConfig, model, rng: np.random.Generator | None) -> tuple:
+    """``(start, update_step, propagate_step)`` of ``cfg.method`` for :func:`_recursion`.
+
+    ``exact`` and ``pruned`` start at the prior mixture and propagate with
+    the pure-death kernel and parameter flow, dropping arrival weights
+    below ``prune_eps`` (the identity at ``prune_eps = 0``).
+    ``dual_particle`` instead pushes ``n_particles`` systematically
+    resampled dual indices through the ``dual_kind`` sampler.  Both update
+    a mixture exactly.  ``bootstrap`` starts from ``n_particles`` prior
+    draws (the first draw from ``rng``), weights them by the emission
+    likelihood, then resamples and moves them through the exact signal
+    transition.  Only the particle methods draw from ``rng``.
+    """
+    if cfg.method == "bootstrap":
+        n = cfg.n_particles
+        uniform = np.full(n, 1.0 / n)
+
+        def update_cloud(cloud, y):
+            logw = np.asarray(model.emission_log_pmf(cloud.particles, y), dtype=float)
+            if np.all(np.isneginf(logw)):
+                raise ZeroLikelihood("all particle emission likelihoods are zero")
+            logz = float(logsumexp(logw))
+            w = np.exp(logw - logz)
+            w /= w.sum()
+            return ParticleCloud(cloud.particles, w), logz - math.log(n)
+
+        def move_cloud(cloud, gap):
+            counts = systematic_counts(cloud.weights, n, rng.uniform())
+            particles = np.repeat(cloud.particles, counts, axis=0)
+            return ParticleCloud(model.signal_sample_many(particles, gap, rng), uniform)
+
+        return ParticleCloud(model.sample_prior(rng, n), uniform), update_cloud, move_cloud
+
+    def update_mixture(mix, y):
         return update(mix, y, model.log_marginal_point, model.shift_index,
                       model.shift_param)
-    return update_step
 
+    if cfg.method == "dual_particle":
+        sampler = model.dual_sampler(cfg.dual_kind)
+        theta_evolve = model.theta_evolve_for(cfg.dual_kind)
 
-def _exact_step(model, prune_eps: float = 0.0):
-    def propagate_step(mix, gap):
-        mix = propagate(mix, model.pd_kernel, model.theta_flow, gap)
-        return prune(mix, prune_eps)[0]  # the identity at prune_eps = 0
-    return propagate_step
+        def move_mixture(mix, gap):
+            return dual_particle_propagate(mix, sampler, cfg.n_particles, gap, rng,
+                                           theta_evolve=theta_evolve)
+    else:
+        def move_mixture(mix, gap):
+            mix = propagate(mix, model.pd_kernel, model.theta_flow, gap)
+            return prune(mix, cfg.prune_eps)[0]
 
-
-def exact_filter(data: Sequence[ObservationRecord], cfg: FilterConfig, model) -> FilterTrace:
-    """Exact (or pruned) filtering recursion driven by the pure-death dual.
-
-    Initializes at the model prior, then alternates a conjugate Bayes
-    update (indices shifted by the observed counts, deterministic parameter
-    by the conjugate map) with a closed-form pure-death propagation over
-    the gap to the next observation time.  With ``method="pruned"``,
-    arrival weights below ``prune_eps`` are dropped after each propagation
-    and the rest renormalized.
-    """
-    return _assemble_trace(data, *_recursion(
-        data, _gaps(data), model.prior_mixture(), _mixture_update(model),
-        _exact_step(model, cfg.prune_eps)), cfg)
-
-
-def dual_particle_filter(data: Sequence[ObservationRecord], cfg: FilterConfig,
-                         model) -> FilterTrace:
-    """Particle filter on the dual space with exact Bayes updates.
-
-    Each step updates the current finite mixture exactly, then approximates
-    the propagation over the gap to the next observation time by
-    systematically resampling ``n_particles`` dual indices and pushing them
-    through the chosen dual sampler in one batched call.  The whole run is
-    deterministic given the config seed.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    sampler = model.dual_sampler(cfg.dual_kind)
-    theta_evolve = model.theta_evolve_for(cfg.dual_kind)
-
-    def propagate_step(mix, gap):
-        return dual_particle_propagate(mix, sampler, cfg.n_particles, gap, rng,
-                                       theta_evolve=theta_evolve)
-
-    return _assemble_trace(data, *_recursion(
-        data, _gaps(data), model.prior_mixture(), _mixture_update(model),
-        propagate_step), cfg)
-
-
-def bootstrap_filter(data: Sequence[ObservationRecord], cfg: FilterConfig,
-                     model) -> FilterTrace:
-    """Signal-space bootstrap particle filter (baseline).
-
-    Particles start from the model prior, are weighted by the emission
-    likelihood, resampled systematically and propagated through the exact
-    signal transition over the gap to the next observation time.
-
-    Raises:
-        ZeroLikelihood: if every particle has zero emission likelihood.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_particles
-    uniform = np.full(n, 1.0 / n)
-
-    def update_step(cloud, y):
-        logw = np.asarray(model.emission_log_pmf(cloud.particles, y), dtype=float)
-        if np.all(np.isneginf(logw)):
-            raise ZeroLikelihood("all particle emission likelihoods are zero")
-        logz = float(logsumexp(logw))
-        w = np.exp(logw - logz)
-        w /= w.sum()
-        return ParticleCloud(cloud.particles, w), logz - math.log(n)
-
-    def propagate_step(cloud, gap):
-        counts = systematic_counts(cloud.weights, n, rng.uniform())
-        particles = np.repeat(cloud.particles, counts, axis=0)
-        return ParticleCloud(model.signal_sample_many(particles, gap, rng), uniform)
-
-    start = ParticleCloud(model.sample_prior(rng, n), uniform)
-    return _assemble_trace(data, *_recursion(
-        data, _gaps(data), start, update_step, propagate_step), cfg)
+    return model.prior_mixture(), update_mixture, move_mixture
 
 
 def run_filter(data: Sequence[ObservationRecord], cfg: FilterConfig, model) -> FilterTrace:
-    """Dispatch to the configured inference procedure.
+    """Filter ``data`` with the procedure ``cfg.method`` names.
+
+    Every method runs the same recursion from its own start state and
+    steps (see :func:`_steps`); the particle methods draw from one
+    generator seeded with ``cfg.seed``, so a run is deterministic given
+    its config.
 
     Raises:
         AlignmentError: if the observation times do not strictly increase.
+        ZeroLikelihood: if every bootstrap particle has zero emission
+            likelihood.
     """
-    if cfg.method in ("exact", "pruned"):
-        return exact_filter(data, cfg, model)
-    if cfg.method == "dual_particle":
-        return dual_particle_filter(data, cfg, model)
-    return bootstrap_filter(data, cfg, model)
+    start, update_step, propagate_step = _steps(cfg, model, np.random.default_rng(cfg.seed))
+    return _assemble_trace(data, *_recursion(data, _gaps(data), start, update_step,
+                                             propagate_step))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +281,8 @@ def smoother(data: Sequence[ObservationRecord], model,
     if not np.array_equal(trace.times, [r.time for r in data]):
         raise AlignmentError("trace times differ from the record times")
 
-    backward, _, _ = _recursion(data[::-1], _gaps(data)[::-1], model.prior_mixture(),
-                                _mixture_update(model), _exact_step(model))
+    backward, _, _ = _recursion(data[::-1], _gaps(data)[::-1],
+                                *_steps(FilterConfig("exact"), model, None))
     backward.reverse()
 
     out = []
@@ -370,17 +345,13 @@ def grid_l1(state, ref_density: np.ndarray, edges: np.ndarray) -> float:
 
 
 def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
-                  signal: np.ndarray | None = None,
-                  with_l1: bool = False) -> dict:
+                  signal: np.ndarray | None = None) -> dict:
     """Per-step and summary errors of one trace against a reference trace.
 
     Per step: absolute error of the filtering mean and standard deviation
-    (averaged over signal coordinates), the absolute deviation of the
-    filtering mean from the true ``signal`` when given, and optionally the
-    grid-L1 distance between predictive densities.  The summary averages
-    each metric over the second half of the time steps.  The grid-L1
-    distance at each step scores ``trace_a``'s predictive against the
-    density of ``trace_ref``'s on the :func:`metric_edges` of the latter.
+    (averaged over signal coordinates) and the absolute deviation of the
+    filtering mean from the true ``signal`` when given.  The summary
+    averages each metric over the second half of the time steps.
 
     Raises:
         AlignmentError: if the two traces live on different time grids.
@@ -395,15 +366,6 @@ def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
     if signal is not None:
         sig = np.asarray(signal, dtype=float).reshape(t, -1)
         per["err_signal"] = np.abs(trace_a.filt_mean - sig).mean(axis=1)
-    if with_l1:
-        l1 = np.empty(t)
-        for i in range(t):
-            ref = trace_ref.predictive[i]
-            if not isinstance(ref, DualMixture):
-                raise AlignmentError("reference predictive must be a mixture")
-            edges = metric_edges(ref)
-            l1[i] = grid_l1(trace_a.predictive[i], density_on_grid(ref, edges), edges)
-        per["l1_pred"] = l1
     half = t // 2
     summary = {k: float(v[half:].mean()) for k, v in per.items()}
     return {"per_step": per, "summary": summary}

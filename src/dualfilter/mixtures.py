@@ -78,9 +78,15 @@ class ObservationRecord:
     values: tuple
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ConfigError("observation time must be non-negative")
-        values = tuple(int(v) for v in self.values)
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ConfigError(f"observation time must be finite and non-negative, "
+                              f"not {self.time!r}")
+        try:
+            values = tuple(int(v) for v in self.values)
+        except (ValueError, OverflowError):  # NaN and infinite counts
+            values = None
+        if values != tuple(self.values):
+            raise ConfigError(f"emission counts must be integers, not {self.values!r}")
         if any(v < 0 for v in values):
             raise ConfigError("emission counts must be non-negative")
         object.__setattr__(self, "values", values)

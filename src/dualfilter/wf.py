@@ -80,8 +80,9 @@ class WFParams:
         alpha = tuple(float(a) for a in self.alpha)
         if len(alpha) < 2:
             raise ConfigError("need at least two types")
-        if any(a <= 0 for a in alpha):
-            raise ConfigError("all mutation weights must be strictly positive")
+        if not all(math.isfinite(a) and a > 0 for a in alpha):
+            raise ConfigError(f"all mutation weights must be finite and strictly "
+                              f"positive, not {alpha!r}")
         object.__setattr__(self, "alpha", alpha)
 
     @property

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import chisquare, ncx2
 
@@ -150,6 +151,22 @@ def embedded_up_prob(m: int, alpha: float, beta: float, k: int) -> float:
         return 1.0
     up = k * (alpha + m)
     return up / (up + m * (beta + k))
+
+
+def linear_bd_kernel_row(m0: int, t: float, lam: float, beta_imm: float,
+                         mu: float, top: int) -> np.ndarray:
+    """Transition pmf over ``0..top`` of the linear B&D chain from ``m0``.
+
+    Row ``m0`` of ``expm(Q t)`` for the generator truncated to
+    ``{0, ..., top}``: up rate ``lam*k + beta_imm`` (none out of ``top``)
+    and down rate ``mu*k`` from state ``k``.  Paths that reach ``top``
+    cannot climb past it, so ``top`` should sit far above every state the
+    chain plausibly visits.
+    """
+    k = np.arange(top + 1, dtype=float)
+    q = np.diag(lam * k[:-1] + beta_imm, 1) + np.diag(mu * k[1:], -1)
+    q -= np.diag(q.sum(axis=1))
+    return expm(q * t)[m0]
 
 
 def gamma_pdf(x, shape, rate):

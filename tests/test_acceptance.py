@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import binom, nbinom
 
 from dualfilter import (CIRModel, CIRParams, FilterConfig, ObservationRecord,
-                        WFModel, WFParams, exact_filter, run_filter, smoother)
+                        WFModel, WFParams, run_filter, smoother)
 from dualfilter.cir import (cir_transition_sample_many, density_ratio,
                             gillespie_bd, linear_bd_sample_many, log_marginal,
                             pure_death_survival, pure_death_theta,
@@ -213,7 +213,7 @@ def test_a06_exact_filter_oracles():
     model = CIRModel(CIR)
     cfg = FilterConfig(method="exact")
     records = [ObservationRecord(0.0, (4,)), ObservationRecord(0.1, (2,))]
-    trace = exact_filter(records, cfg, model)
+    trace = run_filter(records, cfg, model)
     want, _, _ = cir_two_step_enumeration(4, 2, 0.1, CIR)
     got = trace.filtering[1].as_dict()
     worst = max(abs(got.get(k, 0.0) - v) for k, v in want.items())
@@ -222,8 +222,8 @@ def test_a06_exact_filter_oracles():
     wf_model = WFModel(WF2)
     y0, y1, dt = (3, 1), (1, 1), 0.5
     wf_cfg = FilterConfig(method="exact")
-    wf_trace = exact_filter([ObservationRecord(0.0, y0),
-                             ObservationRecord(dt, y1)], wf_cfg, wf_model)
+    wf_trace = run_filter([ObservationRecord(0.0, y0),
+                          ObservationRecord(dt, y1)], wf_cfg, wf_model)
     bf = wf_two_step_brute_force(y0, y1, dt, WF2, 100_000,
                                  np.random.default_rng(55))
     got_wf = wf_trace.filtering[1].as_dict()
@@ -344,7 +344,7 @@ def test_a11_smoothing_consistency():
     cfg = FilterConfig(method="exact")
     records = [ObservationRecord(i * 0.1, (c,)) for i, c in
                enumerate([4, 2, 7, 3, 5])]
-    trace = exact_filter(records, cfg, model)
+    trace = run_filter(records, cfg, model)
     smooth = smoother(records, model, trace)
     last, filt = smooth[-1].mixture, trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
@@ -359,7 +359,7 @@ def test_a11_smoothing_consistency():
 
     wf_cfg = FilterConfig(method="exact")
     wf_records = [ObservationRecord(0.0, (3, 1, 0)), ObservationRecord(0.5, (1, 1, 1))]
-    wf_trace = exact_filter(wf_records, wf_cfg, wf_model)
+    wf_trace = run_filter(wf_records, wf_cfg, wf_model)
     wf_smooth = smoother(wf_records, wf_model, wf_trace)
     worst_wf = float(np.max(np.abs(np.asarray(wf_smooth[-1].mixture.weights)
                                    - np.asarray(wf_trace.filtering[-1].weights))))

@@ -5,8 +5,7 @@ import pytest
 
 from dualfilter import (AlignmentError, CIRModel, CIRParams, DualFilterError,
                         FilterConfig, ObservationRecord, ParticleCloud,
-                        WFModel, WFParams, ZeroLikelihood, bootstrap_filter,
-                        dual_particle_filter, error_metrics, exact_filter,
+                        WFModel, WFParams, ZeroLikelihood, error_metrics,
                         run_filter)
 from dualfilter.filtering import density_on_grid, grid_l1, metric_edges
 from dualfilter.mixtures import propagate
@@ -50,9 +49,23 @@ def test_config_validation():
     lambda: WFParams((1.1, -1.0)),
     lambda: CIRModel(CIRParams(11.0, 1.1, 1.0)).dual_sampler("moran"),
     lambda: WFModel(WFParams((1.1, 1.1, 1.1))).dual_sampler("bd"),
+    lambda: ObservationRecord(0.0, (2.7,)),
+    lambda: ObservationRecord(0.0, (float("nan"),)),
+    lambda: ObservationRecord(0.0, (float("inf"),)),
+    lambda: ObservationRecord(float("nan"), (1,)),
+    lambda: CIRParams(float("nan"), 1.1, 1.0),
+    lambda: WFParams((float("nan"), 1.0)),
+    lambda: WFParams((float("inf"), 1.0)),
+    lambda: FilterConfig(method="bootstrap", n_particles=2.5),
+    lambda: FilterConfig(method="exact", seed=-1),
+    lambda: FilterConfig(method="exact", seed=1.5),
+    lambda: FilterConfig(method="bootstrap", n_particles=10, dual_kind="bd"),
 ], ids=["method", "prune_eps", "prune_eps_unpruned", "n_particles", "dual_kind",
         "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
-        "cir_kind", "wf_kind"])
+        "cir_kind", "wf_kind", "record_fractional_count", "record_nan_count",
+        "record_inf_count", "record_nan_time", "cir_nan_param", "wf_nan_weight",
+        "wf_inf_weight", "fractional_n_particles", "negative_seed",
+        "fractional_seed", "dual_kind_unused"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()
@@ -64,7 +77,7 @@ def test_boundary_inputs_raise_package_errors(make):
 
 def test_exact_single_time_is_conjugate_update(cir_model):
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(cir_records([4]), cfg, cir_model)
+    trace = run_filter(cir_records([4]), cfg, cir_model)
     mix = trace.filtering[0]
     assert mix.points.tolist() == [[4]]
     assert mix.theta == cir_model.params.beta + 1.0
@@ -74,7 +87,7 @@ def test_exact_single_time_is_conjugate_update(cir_model):
 
 def test_exact_long_horizon_collapses_to_prior(cir_model):
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(cir_records([4]), cfg, cir_model)
+    trace = run_filter(cir_records([4]), cfg, cir_model)
     pred = propagate(trace.filtering[0], cir_model.pd_kernel,
                      cir_model.theta_flow, 1e3)
     assert pred.as_dict().get((0,), 0.0) >= 1.0 - 1e-6
@@ -83,7 +96,7 @@ def test_exact_long_horizon_collapses_to_prior(cir_model):
 
 def test_exact_two_step_matches_path_enumeration(cir_model):
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(cir_records([4, 2]), cfg, cir_model)
+    trace = run_filter(cir_records([4, 2]), cfg, cir_model)
     want, want_theta, want_loglik = cir_two_step_enumeration(
         4, 2, 0.1, cir_model.params)
     got = trace.filtering[1].as_dict()
@@ -97,7 +110,7 @@ def test_exact_two_step_matches_path_enumeration(cir_model):
 def test_exact_matches_grid_forward_backward(cir_model):
     records = cir_records([4, 2, 7, 3, 5])
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, cir_model)
+    trace = run_filter(records, cfg, cir_model)
     grid = cir_grid_forward_backward(records, 0.1, cir_model.params)
     np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"],
                                atol=2e-4)
@@ -107,8 +120,8 @@ def test_exact_matches_grid_forward_backward(cir_model):
 
 def test_exact_batch_order_within_time_is_irrelevant(cir_model):
     cfg = FilterConfig(method="exact")
-    a = exact_filter(cir_records([(2, 3), 1]), cfg, cir_model)
-    b = exact_filter(cir_records([(3, 2), 1]), cfg, cir_model)
+    a = run_filter(cir_records([(2, 3), 1]), cfg, cir_model)
+    b = run_filter(cir_records([(3, 2), 1]), cfg, cir_model)
     np.testing.assert_array_equal(a.filtering[-1].points, b.filtering[-1].points)
     np.testing.assert_array_equal(a.filtering[-1].weights,
                                   b.filtering[-1].weights)
@@ -117,7 +130,7 @@ def test_exact_batch_order_within_time_is_irrelevant(cir_model):
 def test_exact_support_growth_bound(cir_model):
     counts = [3, 1, 4, 1, 5, 9, 2]
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(cir_records(counts), cfg, cir_model)
+    trace = run_filter(cir_records(counts), cfg, cir_model)
     running = 0
     for i, mix in enumerate(trace.filtering):
         running += counts[i]
@@ -127,14 +140,14 @@ def test_exact_support_growth_bound(cir_model):
 
 def test_exact_loglik_increments_additive(cir_model):
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(cir_records([4, 2, 7, 3]), cfg, cir_model)
+    trace = run_filter(cir_records([4, 2, 7, 3]), cfg, cir_model)
     assert trace.total_loglik == pytest.approx(float(np.sum(trace.loglik)),
                                                abs=1e-10)
 
 
 def test_exact_empty_dataset(cir_model):
     cfg = FilterConfig(method="exact")
-    trace = exact_filter([], cfg, cir_model)
+    trace = run_filter([], cfg, cir_model)
     assert len(trace) == 0
 
 
@@ -142,8 +155,8 @@ def test_pruned_eps_zero_equals_exact(cir_model):
     records = cir_records([4, 2, 7, 3, 5])
     exact_cfg = FilterConfig(method="exact")
     pruned_cfg = FilterConfig(method="pruned", prune_eps=0.0)
-    a = exact_filter(records, exact_cfg, cir_model)
-    b = exact_filter(records, pruned_cfg, cir_model)
+    a = run_filter(records, exact_cfg, cir_model)
+    b = run_filter(records, pruned_cfg, cir_model)
     for ma, mb in zip(a.filtering, b.filtering):
         np.testing.assert_array_equal(ma.points, mb.points)
         np.testing.assert_allclose(np.asarray(ma.weights),
@@ -163,7 +176,7 @@ def test_wf_exact_two_step_matches_brute_force(wf2_params):
     model = WFModel(wf2_params)
     y0, y1, dt = (3, 1), (1, 1), 0.5
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(wf_records([y0, y1], dt), cfg, model)
+    trace = run_filter(wf_records([y0, y1], dt), cfg, model)
     got = trace.filtering[1].as_dict()
     want = wf_two_step_brute_force(y0, y1, dt, wf2_params, 100_000,
                                    np.random.default_rng(23))
@@ -222,8 +235,8 @@ def test_non_increasing_times_raise(cir_model, cfg, times):
 def test_dual_particle_deterministic_per_seed(cir_model):
     records = cir_records([4, 2, 7])
     cfg = FilterConfig(method="dual_particle", n_particles=200, dual_kind="bd", seed=5)
-    a = dual_particle_filter(records, cfg, cir_model)
-    b = dual_particle_filter(records, cfg, cir_model)
+    a = run_filter(records, cfg, cir_model)
+    b = run_filter(records, cfg, cir_model)
     np.testing.assert_array_equal(a.filt_mean, b.filt_mean)
     for ma, mb in zip(a.predictive, b.predictive):
         np.testing.assert_array_equal(ma.points, mb.points)
@@ -233,10 +246,10 @@ def test_dual_particle_deterministic_per_seed(cir_model):
 def test_dual_particle_pd_one_step_consistency(cir_model):
     # N = 1e5 one-step predictive mean within 3 SE of the exact computation
     records = cir_records([4, 2])
-    exact = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    exact = run_filter(records, FilterConfig(method="exact"), cir_model)
     cfg = FilterConfig(method="dual_particle",
                        n_particles=100_000, dual_kind="pure_death", seed=3)
-    approx = dual_particle_filter(records, cfg, cir_model)
+    approx = run_filter(records, cfg, cir_model)
     # SE of the predictive mean: spread of component means over resampling
     mix = exact.predictive[1]
     comp_means = cir_model.family.component_mean(mix.points, mix.theta)[:, 0]
@@ -248,7 +261,7 @@ def test_dual_particle_pd_one_step_consistency(cir_model):
 
 def test_dual_particle_pd_mad_decreases_with_n(cir_model):
     records = cir_records([4, 2])
-    exact = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    exact = run_filter(records, FilterConfig(method="exact"), cir_model)
     target = exact.pred_mean[1, 0]
     mads = []
     for n in (100, 1_000, 10_000, 100_000):
@@ -256,7 +269,7 @@ def test_dual_particle_pd_mad_decreases_with_n(cir_model):
         for seed in range(300 // int(math.log10(n)) or 1):
             cfg = FilterConfig(method="dual_particle",
                                n_particles=n, dual_kind="pure_death", seed=seed)
-            tr = dual_particle_filter(records, cfg, cir_model)
+            tr = run_filter(records, cfg, cir_model)
             devs.append(abs(tr.pred_mean[1, 0] - target))
         mads.append(float(np.median(devs)))
     assert all(a > b for a, b in zip(mads, mads[1:]))
@@ -267,7 +280,7 @@ def test_dual_particle_wf_runs_all_kinds(wf3_model):
     for kind in ("pure_death", "moran", "wf_chain", "wf_diffusion"):
         cfg = FilterConfig(method="dual_particle",
                            n_particles=100, dual_kind=kind, seed=1)
-        trace = dual_particle_filter(records, cfg, wf3_model)
+        trace = run_filter(records, cfg, wf3_model)
         assert len(trace) == 2
         assert np.all(np.isfinite(trace.filt_mean))
 
@@ -278,7 +291,7 @@ def test_dual_particle_wf_runs_all_kinds(wf3_model):
 
 def test_bootstrap_single_particle_trace_well_formed(cir_model):
     cfg = FilterConfig(method="bootstrap", n_particles=1, seed=2)
-    trace = bootstrap_filter(cir_records([4, 2, 1]), cfg, cir_model)
+    trace = run_filter(cir_records([4, 2, 1]), cfg, cir_model)
     assert len(trace) == 3
     assert np.all(np.isfinite(trace.filt_mean))
     assert np.all(trace.filt_sd == 0.0)
@@ -286,8 +299,8 @@ def test_bootstrap_single_particle_trace_well_formed(cir_model):
 
 def test_bootstrap_deterministic_per_seed(cir_model):
     cfg = FilterConfig(method="bootstrap", n_particles=64, seed=11)
-    a = bootstrap_filter(cir_records([4, 2]), cfg, cir_model)
-    b = bootstrap_filter(cir_records([4, 2]), cfg, cir_model)
+    a = run_filter(cir_records([4, 2]), cfg, cir_model)
+    b = run_filter(cir_records([4, 2]), cfg, cir_model)
     np.testing.assert_array_equal(a.filt_mean, b.filt_mean)
 
 
@@ -297,7 +310,7 @@ def test_bootstrap_static_limit_tracks_conjugate_posterior(cir_model):
     p = cir_model.params
     counts = [5, 4, 6, 5, 5]
     cfg = FilterConfig(method="bootstrap", n_particles=30_000, seed=9)
-    trace = bootstrap_filter(cir_records(counts, dt=1e-8), cfg, cir_model)
+    trace = run_filter(cir_records(counts, dt=1e-8), cfg, cir_model)
     run = 0
     for i, c in enumerate(counts):
         run += c
@@ -320,13 +333,13 @@ def test_bootstrap_zero_likelihood_raises():
 
     cfg = FilterConfig(method="bootstrap", n_particles=8, seed=0)
     with pytest.raises(ZeroLikelihood):
-        bootstrap_filter(cir_records([1]), cfg, Degenerate())
+        run_filter(cir_records([1]), cfg, Degenerate())
 
 
 def test_bootstrap_wf_runs(wf3_model):
     cfg = FilterConfig(method="bootstrap", n_particles=200, seed=4)
-    trace = bootstrap_filter(wf_records([(3, 1, 1), (0, 2, 3)], 0.5), cfg,
-                             wf3_model)
+    trace = run_filter(wf_records([(3, 1, 1), (0, 2, 3)], 0.5), cfg,
+                       wf3_model)
     assert trace.filt_mean.shape == (2, 3)
     np.testing.assert_allclose(trace.filt_mean.sum(axis=1), 1.0, atol=1e-8)
 
@@ -337,16 +350,15 @@ def test_bootstrap_wf_runs(wf3_model):
 
 def test_error_metrics_zero_against_self(cir_model):
     records = cir_records([4, 2, 7, 1])
-    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
-    out = error_metrics(trace, trace, with_l1=True)
+    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
+    out = error_metrics(trace, trace)
     assert out["summary"]["err_mean"] == 0.0
     assert out["summary"]["err_sd"] == 0.0
-    assert out["summary"]["l1_pred"] == 0.0
 
 
 def test_error_metrics_detects_constant_shift(cir_model):
     records = cir_records([4, 2, 7, 1])
-    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
     import copy
     shifted = copy.copy(trace)
     shifted.filt_mean = trace.filt_mean + 0.1
@@ -357,7 +369,7 @@ def test_error_metrics_detects_constant_shift(cir_model):
 
 def test_error_metrics_signal_deviation(cir_model):
     records = cir_records([4, 2])
-    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
     signal = np.array([[1.0], [2.0]])
     out = error_metrics(trace, trace, signal=signal)
     want = np.abs(trace.filt_mean - signal).mean(axis=1)
@@ -365,8 +377,8 @@ def test_error_metrics_signal_deviation(cir_model):
 
 
 def test_error_metrics_alignment_error(cir_model):
-    a = exact_filter(cir_records([4, 2]), FilterConfig(method="exact"), cir_model)
-    b = exact_filter(cir_records([4, 2, 1]), FilterConfig(method="exact"), cir_model)
+    a = run_filter(cir_records([4, 2]), FilterConfig(method="exact"), cir_model)
+    b = run_filter(cir_records([4, 2, 1]), FilterConfig(method="exact"), cir_model)
     with pytest.raises(AlignmentError):
         error_metrics(a, b)
 
@@ -375,7 +387,7 @@ def test_grid_l1_between_mixture_and_cloud(cir_model, rng):
     # a large iid cloud from the mixture itself has small grid-L1 distance
     from dualfilter.mixtures import sample_mixture
     records = cir_records([4, 2])
-    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
     ref = trace.predictive[1]
     edges = metric_edges(ref)
     cloud = ParticleCloud(sample_mixture(ref, rng, 200_000),
@@ -385,7 +397,7 @@ def test_grid_l1_between_mixture_and_cloud(cir_model, rng):
 
 
 def test_density_on_grid_mixture_integrates(cir_model):
-    trace = exact_filter(cir_records([4]), FilterConfig(method="exact"), cir_model)
+    trace = run_filter(cir_records([4]), FilterConfig(method="exact"), cir_model)
     mix = trace.filtering[0]
     edges = metric_edges(mix)
     dens = density_on_grid(mix, edges)

@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualfilter import (CIRModel, CIRParams, DualMixture, FilterConfig,
-                        ObservationRecord, WFModel, WFParams, exact_filter,
-                        propagate, prune, update)
+                        ObservationRecord, WFModel, WFParams, propagate, prune,
+                        run_filter, update)
 from dualfilter.cir import linear_bd_sample_many
 from dualfilter.cir import log_marginal as cir_log_marginal
 from dualfilter.errors import DegenerateWeights
@@ -129,8 +129,8 @@ def test_prune_at_zero_is_identity(case):
 def test_pruned_at_zero_equals_exact(case, n_times):
     model, _, y, dt = case
     records = [ObservationRecord(i * dt, y.values) for i in range(n_times)]
-    exact = exact_filter(records, FilterConfig(method="exact"), model)
-    pruned = exact_filter(records, FilterConfig(method="pruned", prune_eps=0.0), model)
+    exact = run_filter(records, FilterConfig(method="exact"), model)
+    pruned = run_filter(records, FilterConfig(method="pruned", prune_eps=0.0), model)
     for a, b in zip(exact.predictive + exact.filtering,
                     pruned.predictive + pruned.filtering):
         np.testing.assert_array_equal(a.points, b.points)

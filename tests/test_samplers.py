@@ -11,10 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dualfilter.cir import linear_bd_sample_many, pure_death_survival
+from dualfilter.cir import linear_bd_rates, linear_bd_sample_many, pure_death_survival
 from dualfilter.wf import typed_death_kernel, wf_chain_sample_many
 
-from .oracles import kernel_dict
+from .oracles import kernel_dict, linear_bd_kernel_row, tv_sample_vs_pmf
 
 CIR_POINTS = np.array([[3], [7]])
 WF_POINTS = np.array([[2, 1, 0], [3, 1, 1]])
@@ -92,6 +92,24 @@ def test_batched_typed_death_matches_kernel(wf3_model):
     for src, block in zip(WF_POINTS, _blocks(out, counts)):
         kern = kernel_dict(typed_death_kernel(src[None], t, wf3_model.params))
         assert _tv(block, kern) < 0.02
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3])
+def test_cir_bd_streams_match_exact_kernel(cir_model, t):
+    # both B&D streams against a row of expm(Q t) of the linear B&D generator
+    p, counts = cir_model.params, np.array([50_000, 50_000])
+    theta = p.beta + 1.0
+    rng = np.random.default_rng(11)
+    streams = {
+        "sampler": _draw(cir_model, "bd", CIR_POINTS, counts, t, 10)[:, 0],
+        "many": np.concatenate([linear_bd_sample_many(m, t, theta, p, rng, c)
+                                for (m,), c in zip(CIR_POINTS, counts)]),
+    }
+    rates = linear_bd_rates(theta, p)
+    for name, out in streams.items():
+        for (m,), block in zip(CIR_POINTS, _blocks(out, counts)):
+            row = linear_bd_kernel_row(m, t, *rates, 3 * int(block.max()) + 60)
+            assert tv_sample_vs_pmf(block, row) < 0.02, (name, m)
 
 
 def test_batched_wf_chain_matches_per_source_chain(wf3_model):

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from dualfilter import (AlignmentError, FilterConfig, ObservationRecord,
-                        UnsupportedModel, exact_filter, mixture_moments,
-                        run_filter, smoother)
-from dualfilter.filtering import bootstrap_filter
+                        UnsupportedModel, mixture_moments, run_filter, smoother)
 from dualfilter.mixtures import mixture_pdf
 
 from .oracles import cir_grid_forward_backward
@@ -58,7 +56,7 @@ def test_wf_closure_value_identity(wf3_model):
 def test_terminal_smoothing_equals_filtering(cir_model):
     records = cir_records([4, 2, 7, 1])
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, cir_model)
+    trace = run_filter(records, cfg, cir_model)
     out = smoother(records, cir_model, trace)
     last = out[-1].mixture
     filt = trace.filtering[-1]
@@ -72,7 +70,7 @@ def test_terminal_smoothing_equals_filtering_wf(wf3_model):
     records = [ObservationRecord(0.0, (3, 1, 0)),
                ObservationRecord(0.5, (1, 1, 1))]
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, wf3_model)
+    trace = run_filter(records, cfg, wf3_model)
     out = smoother(records, wf3_model, trace)
     last = out[-1].mixture
     filt = trace.filtering[-1]
@@ -84,7 +82,7 @@ def test_terminal_smoothing_equals_filtering_wf(wf3_model):
 def test_single_observation_smoothing_is_filtering(cir_model):
     records = cir_records([4])
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, cir_model)
+    trace = run_filter(records, cfg, cir_model)
     out = smoother(records, cir_model, trace)
     assert len(out) == 1
     np.testing.assert_allclose(np.asarray(out[0].mixture.weights),
@@ -95,7 +93,7 @@ def test_single_observation_smoothing_is_filtering(cir_model):
 def test_smoothing_matches_grid_forward_backward(cir_model):
     records = cir_records([4, 2, 7, 3])
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, cir_model)
+    trace = run_filter(records, cfg, cir_model)
     out = smoother(records, cir_model, trace)
     grid = cir_grid_forward_backward(records, 0.1, cir_model.params)
     for i, res in enumerate(out):
@@ -111,7 +109,7 @@ def test_smoothing_moves_toward_future_information(cir_model):
     # the filtered mean
     records = cir_records([2, 20])
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, cir_model)
+    trace = run_filter(records, cfg, cir_model)
     out = smoother(records, cir_model, trace)
     smooth_mean, _ = mixture_moments(out[0].mixture)
     assert smooth_mean[0] > trace.filt_mean[0, 0]
@@ -120,7 +118,7 @@ def test_smoothing_moves_toward_future_information(cir_model):
 def test_smoother_rejects_particle_trace(cir_model):
     records = cir_records([4, 2])
     cfg = FilterConfig(method="bootstrap", n_particles=50, seed=1)
-    trace = bootstrap_filter(records, cfg, cir_model)
+    trace = run_filter(records, cfg, cir_model)
     with pytest.raises(UnsupportedModel):
         smoother(records, cir_model, trace)
 
@@ -129,7 +127,7 @@ def test_smoother_rejects_particle_trace(cir_model):
                          ids=["equal", "decreasing"])
 def test_smoother_rejects_non_increasing_times(cir_model, times):
     records = cir_records([4, 2, 7])
-    trace = exact_filter(records, FilterConfig(method="exact"), cir_model)
+    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
     bad = [ObservationRecord(t, y.values) for t, y in zip(times, records)]
     with pytest.raises(AlignmentError):
         smoother(bad, cir_model, trace)
@@ -137,8 +135,8 @@ def test_smoother_rejects_non_increasing_times(cir_model, times):
 
 def test_smoother_rejects_trace_at_other_times(cir_model):
     # same counts, filtered at gaps of 0.1 but smoothed against gaps of 5.0
-    trace = exact_filter(cir_records([4, 2, 7]), FilterConfig(method="exact"),
-                         cir_model)
+    trace = run_filter(cir_records([4, 2, 7]), FilterConfig(method="exact"),
+                       cir_model)
     with pytest.raises(AlignmentError):
         smoother(cir_records([4, 2, 7], dt=5.0), cir_model, trace)
 
@@ -163,7 +161,7 @@ def test_wf_smoothing_mean_against_monte_carlo(wf3_model):
     records = [ObservationRecord(0.0, (3, 1, 0)),
                ObservationRecord(0.4, (0, 2, 2))]
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, wf3_model)
+    trace = run_filter(records, cfg, wf3_model)
     out = smoother(records, wf3_model, trace)
     smooth_mean, _ = mixture_moments(out[0].mixture)
 
@@ -188,7 +186,7 @@ def test_smoother_long_series_keeps_weights_positive(cir_model):
     counts = np.random.default_rng(0).poisson(5, 200)
     records = cir_records(counts.tolist())
     cfg = FilterConfig(method="exact")
-    trace = exact_filter(records, cfg, cir_model)
+    trace = run_filter(records, cfg, cir_model)
     out = smoother(records, cir_model, trace)
     assert len(out) == 200
     for res in out:
