@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .errors import (ConfigError, DomainError, InvalidDualParam,
                      SimulationBudgetExceeded)
@@ -33,7 +33,6 @@ from .mixtures import DualMixture, ObservationRecord
 
 __all__ = [
     "CIRParams",
-    "CIRFamily",
     "CIRModel",
     "log_density_ratio",
     "density_ratio",
@@ -400,51 +399,6 @@ def _gamma_logpdf(x: np.ndarray, a: np.ndarray, rate: float) -> np.ndarray:
     return np.where(x == 0.0, at_zero, body)
 
 
-class CIRFamily:
-    """Gamma component kernels g(x, m, theta) = Gamma(delta/2 + m, theta).
-
-    The component methods take the ``(M, 1)`` support array of a mixture
-    and return one row per support point.
-    """
-
-    tag = "cir-gamma"
-
-    def __init__(self, params: CIRParams):
-        self.params = params
-
-    def _shapes(self, points) -> np.ndarray:
-        return self.params.alpha + np.asarray(points)[:, 0]
-
-    def component_mean(self, points, theta: float) -> np.ndarray:
-        return (self._shapes(points) / theta)[:, None]
-
-    def component_var(self, points, theta: float) -> np.ndarray:
-        return (self._shapes(points) / theta ** 2)[:, None]
-
-    def component_logpdf(self, x, points, theta: float) -> np.ndarray:
-        return _gamma_logpdf(x, self._shapes(points), theta)
-
-    def marginal_component_logpdf(self, grid, points, theta: float,
-                                  coord: int = 0) -> np.ndarray:
-        if coord != 0:
-            raise DomainError("the CIR signal is univariate")
-        return self.component_logpdf(grid, points, theta)
-
-    def marginal_component_cdf(self, x: float, points, theta: float,
-                               coord: int = 0) -> np.ndarray:
-        from scipy.special import gammainc
-        if coord != 0:
-            raise DomainError("the CIR signal is univariate")
-        return gammainc(self._shapes(points), theta * max(x, 0.0))
-
-    def sample_component(self, points, theta: float, rng: np.random.Generator) -> np.ndarray:
-        return rng.gamma(self._shapes(points), 1.0 / theta)
-
-    def check_domain(self, grid: np.ndarray) -> None:
-        if np.any(np.asarray(grid) < 0):
-            raise DomainError("CIR grid points must be non-negative")
-
-
 class _PureDeathSampler:
     """Exact sampler of the pure-death dual (binomial thinning).
 
@@ -498,21 +452,24 @@ class _GillespieBDSampler:
 
 
 class CIRModel:
-    """Bundles the CIR primitives behind the interface the filters consume."""
+    """Bundles the CIR primitives behind the interface the filters consume.
+
+    Its mixtures hold Gamma(delta/2 + m, theta) components; the component
+    methods take the ``(M, 1)`` support array of a mixture and return one
+    row per support point.
+    """
 
     name = "cir"
     signal_dim = 1
 
     def __init__(self, params: CIRParams):
         self.params = params
-        self.family = CIRFamily(params)
-        self.theta0 = params.beta
 
     # -- conjugate filtering interface ------------------------------------
 
     def prior_mixture(self) -> DualMixture:
-        return DualMixture(self.family, np.zeros((1, 1), dtype=np.int64),
-                           np.array([1.0]), self.theta0)
+        return DualMixture(self, np.zeros((1, 1), dtype=np.int64),
+                           np.array([1.0]), self.params.beta)
 
     def shift_index(self, y: ObservationRecord, points: np.ndarray) -> np.ndarray:
         return points + sum(y.values)
@@ -543,6 +500,33 @@ class CIRModel:
         if kind == "pure_death":
             return self.theta_flow
         return None  # B&D dual keeps theta fixed
+
+    # -- mixture components -----------------------------------------------
+
+    def _shapes(self, points) -> np.ndarray:
+        return self.params.alpha + np.asarray(points)[:, 0]
+
+    def component_mean(self, points, theta: float) -> np.ndarray:
+        return (self._shapes(points) / theta)[:, None]
+
+    def component_var(self, points, theta: float) -> np.ndarray:
+        return (self._shapes(points) / theta ** 2)[:, None]
+
+    def component_logpdf(self, x, points, theta: float) -> np.ndarray:
+        return _gamma_logpdf(x, self._shapes(points), theta)
+
+    # the signal is univariate: its first-coordinate marginal is itself
+    marginal_component_logpdf = component_logpdf
+
+    def marginal_component_cdf(self, x: float, points, theta: float) -> np.ndarray:
+        return gammainc(self._shapes(points), theta * max(x, 0.0))
+
+    def sample_component(self, points, theta: float, rng: np.random.Generator) -> np.ndarray:
+        return rng.gamma(self._shapes(points), 1.0 / theta)
+
+    def check_domain(self, grid: np.ndarray) -> None:
+        if np.any(np.asarray(grid) < 0):
+            raise DomainError("CIR grid points must be non-negative")
 
     # -- signal-space interface (bootstrap baseline) -----------------------
 

@@ -29,8 +29,8 @@ def _parse_args(argv):
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file overriding preset fields "
                              "(flags take precedence)")
-    parser.add_argument("--seed", type=int, default=1234,
-                        help="master seed (default 1234)")
+    parser.add_argument("--seed", type=int,
+                        help="master seed (default: the config file's, else 1234)")
     parser.add_argument("--particles", metavar="N1,N2,...",
                         help="comma-separated particle counts")
     parser.add_argument("--replicates", type=int, help="number of replicates")

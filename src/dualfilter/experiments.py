@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import sys
 import time as time_mod
 import zlib
@@ -109,8 +110,10 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown method label {label!r}")
         if min(self.particle_counts, default=1) < 1 or self.replicates < 1:
             raise ConfigError("particle counts and replicates must be positive")
-        if self.n_times < 0:
-            raise ConfigError("n_times must be non-negative")
+        for name in ("n_times", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, not {value!r}")
         if not self.delta_t > 0:
             raise ConfigError("delta_t must be positive")
         if self.flavor == "predictive" and self.horizon is None:
@@ -158,9 +161,12 @@ PRESETS: dict = {
 _SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
 
 
-def build_spec(scenario: str, config: dict | None = None, *, seed: int = 1234,
+def build_spec(scenario: str, config: dict | None = None, *, seed: int | None = None,
                particles=None, replicates=None, full: bool = False) -> ExperimentSpec:
-    """Resolve a preset plus config-file and CLI overrides into a spec."""
+    """Resolve a preset plus config-file and CLI overrides into a spec.
+
+    The keyword overrides take precedence over ``config``; the seed falls
+    back to the config's, then to 1234."""
     if scenario not in PRESETS:
         raise ConfigError(f"unknown scenario {scenario!r}; "
                           f"choose one of {sorted(PRESETS)}")
@@ -169,11 +175,11 @@ def build_spec(scenario: str, config: dict | None = None, *, seed: int = 1234,
     if full:
         base.update(full_overrides)
     base["scenario"] = scenario
-    base["seed"] = seed
     for key, value in (config or {}).items():
         if key not in _SPEC_FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         base[key] = tuple(value) if isinstance(value, list) else value
+    base["seed"] = seed if seed is not None else base.get("seed", 1234)
     if particles is not None:
         base["particle_counts"] = tuple(int(v) for v in particles)
     if replicates is not None:
@@ -221,17 +227,14 @@ def simulate_dataset(spec: ExperimentSpec, rng: np.random.Generator):
     model = spec.build_model()
     records: list[ObservationRecord] = []
     if spec.n_times == 0:
-        k = 1 if spec.model == "cir" else model.signal_dim
-        return np.zeros((0, k)), records
-    x = model.sample_prior(rng, 1)[0]
+        return np.zeros((0, model.signal_dim)), records
+    x = model.sample_prior(rng, 1)  # a batch of one signal point
     path = []
     for i in range(spec.n_times):
         if i > 0:
-            x = model.signal_sample_many(np.atleast_1d(x) if spec.model == "cir"
-                                         else x[None, :], spec.delta_t, rng)[0]
-        path.append(np.atleast_1d(x).astype(float))
-        values = model.sample_emission(float(x) if spec.model == "cir" else x,
-                                       spec.batch_size, rng)
+            x = model.signal_sample_many(x, spec.delta_t, rng)
+        path.append(x.reshape(-1))
+        values = model.sample_emission(x[0], spec.batch_size, rng)
         records.append(ObservationRecord(time=i * spec.delta_t, values=values))
     if spec.forced_last is not None and records:
         last = records[-1]
@@ -297,7 +300,8 @@ def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
 def _filtering_cell(spec: ExperimentSpec, ctx: dict, seed: int,
                     rep: int, label: str, n: int) -> list[tuple]:
     method, dual = METHOD_TABLE[label]
-    cfg = FilterConfig(method=method, seed=seed, n_particles=n,
+    cfg = FilterConfig(method=method, seed=seed,
+                       n_particles=None if method == "exact" else n,
                        dual_kind=dual or None)
     trace = run_filter(ctx["records"], cfg, ctx["model"])
     metrics = error_metrics(trace, ctx["ref_trace"], signal=ctx["signal"])

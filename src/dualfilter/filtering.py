@@ -82,6 +82,8 @@ class FilterConfig:
         if self.method in ("dual_particle", "bootstrap"):
             if self.n_particles is None or self.n_particles < 1:
                 raise ConfigError("particle methods need n_particles >= 1")
+        elif self.n_particles is not None:
+            raise ConfigError(f"n_particles needs a particle method, not {self.method!r}")
         if self.method == "dual_particle" and self.dual_kind is None:
             raise ConfigError("dual_particle needs a dual_kind")
         if self.dual_kind is not None and self.method != "dual_particle":
@@ -292,7 +294,7 @@ def smoother(data: Sequence[ObservationRecord], model,
                 + model.log_combine_const(back_rows, fwd_rows, back.theta, filt.theta))
         points = model.combine_index(back_rows, fwd_rows).reshape(-1, filt.dim)
         mixture = DualMixture.from_weights(
-            filt.family, points, np.exp(logw - logw.max()).ravel(),
+            filt.model, points, np.exp(logw - logw.max()).ravel(),
             model.combine_param(back.theta, filt.theta))
         out.append(SmoothingResult(time=float(time), mixture=mixture))
     return out
@@ -309,7 +311,7 @@ def metric_edges(ref: DualMixture) -> np.ndarray:
     reference predictive.  WF: ``METRIC_CELLS`` cells on [0, 1] for the
     first-coordinate marginal.
     """
-    if ref.family.tag == "wf-dirichlet":
+    if ref.model.name == "wf":
         return np.linspace(0.0, 1.0, METRIC_CELLS + 1)
     hi = mixture_quantile(ref, 0.9995)
     return np.linspace(0.0, hi, METRIC_CELLS + 1)
@@ -323,7 +325,7 @@ def density_on_grid(state, edges: np.ndarray) -> np.ndarray:
     """
     centers = 0.5 * (edges[:-1] + edges[1:])
     if isinstance(state, DualMixture):
-        return mixture_marginal_pdf(state, centers, coord=0)
+        return mixture_marginal_pdf(state, centers)
     x = state.particles if state.particles.ndim == 1 else state.particles[:, 0]
     n = len(x)
     bins = np.linspace(edges[0], edges[-1], max(16, int(math.sqrt(n))) + 1)

@@ -14,10 +14,10 @@ Representation choices:
   duals), with distinct rows in lexicographic order;
 * the deterministic dual parameter is a ``float`` (or ``None`` for models
   whose dual has no deterministic component);
-* model-specific component kernels (Gamma or Dirichlet densities) live in a
-  small "family" object attached to each mixture; see ``cir.CIRFamily`` and
-  ``wf.WFFamily``.  Its methods take the whole support array at once, and
-  so do the exact transition kernels (see :func:`propagate`).
+* each mixture holds the model that built it (``cir.CIRModel`` or
+  ``wf.WFModel``), whose component methods give the model-specific kernels
+  (Gamma or Dirichlet densities).  They take the whole support array at
+  once, and so do the exact transition kernels (see :func:`propagate`).
 
 Mixtures are built from raw rows and weights by
 :meth:`DualMixture.from_weights`, which sorts the rows with one stable
@@ -110,9 +110,8 @@ class DualMixture:
     """Finitely supported mixture over the dual space.
 
     Attributes:
-        family: model family object (see module docstring) exposing the
-            component kernels; its ``tag`` is ``"cir-gamma"`` or
-            ``"wf-dirichlet"``.
+        model: the model that built the mixture (see module docstring),
+            which exposes the component kernels.
         points: read-only int64 array of shape ``(M, K)``, one non-negative
             multi-index per row, rows distinct and in lexicographic order.
         weights: strictly positive weights aligned with ``points``, summing
@@ -121,7 +120,7 @@ class DualMixture:
             (``None`` when the model has no deterministic component).
     """
 
-    family: object
+    model: object
     points: np.ndarray
     weights: np.ndarray
     theta: float | None = None
@@ -149,7 +148,7 @@ class DualMixture:
             object.__setattr__(self, "theta", float(self.theta))
 
     @classmethod
-    def from_weights(cls, family, points, weights,
+    def from_weights(cls, model, points, weights,
                      theta: float | None = None) -> "DualMixture":
         """Build a mixture from ``(L, K)`` rows and non-negative raw weights.
 
@@ -187,7 +186,7 @@ class DualMixture:
         merged = np.bincount(np.cumsum(starts) - 1, weights[order])
         merged /= math.fsum(merged)
         keep = merged > 0.0
-        return cls(family=family, points=rows[starts][keep], weights=merged[keep],
+        return cls(model=model, points=rows[starts][keep], weights=merged[keep],
                    theta=theta)
 
     def as_dict(self) -> dict[tuple, float]:
@@ -222,7 +221,7 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
     if removed > 0.0:
         logger.debug("pruned %d of %d support points, removed mass %.3e",
                      int(np.sum(~keep)), mix.support_size, removed)
-    return (DualMixture.from_weights(mix.family, mix.points[keep],
+    return (DualMixture.from_weights(mix.model, mix.points[keep],
                                      mix.weights[keep], mix.theta), removed)
 
 
@@ -250,7 +249,7 @@ def propagate(mix: DualMixture, kernel, theta_evolve, dt: float) -> DualMixture:
         raise InvalidKernel(f"kernel mass {mass[heavy[0]]:.12f} from "
                             f"{mix.points[heavy[0]].tolist()} exceeds one")
     new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
-    return DualMixture.from_weights(mix.family, arrivals,
+    return DualMixture.from_weights(mix.model, arrivals,
                                     mix.weights[source] * probs, new_theta)
 
 
@@ -284,7 +283,7 @@ def update(mix: DualMixture,
         raise ZeroLikelihood("all components have zero marginal likelihood")
     log_evidence = float(logsumexp(joint))
     new_theta = param_shift(y, mix.theta)
-    return (DualMixture.from_weights(mix.family, index_shift(y, mix.points),
+    return (DualMixture.from_weights(mix.model, index_shift(y, mix.points),
                                      np.exp(joint - log_evidence), new_theta),
             log_evidence)
 
@@ -337,18 +336,18 @@ def dual_particle_propagate(mix: DualMixture,
                          f"expected {(n_particles, mix.dim)}")
     # DualMixture rejects arrivals with a negative coordinate
     new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
-    return DualMixture.from_weights(mix.family, arrivals, np.ones(n_particles), new_theta)
+    return DualMixture.from_weights(mix.model, arrivals, np.ones(n_particles), new_theta)
 
 
 def mixture_moments(mix: DualMixture) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean and standard deviation vectors of a mixture.
 
-    Component moments come from the attached family (Gamma components for
+    Component moments come from the mixture's model (Gamma components for
     the CIR model, Dirichlet components for WF) and are combined exactly:
     ``E[X] = sum w_m mu_m`` and ``E[X^2] = sum w_m (var_m + mu_m^2)``.
     """
-    mu = mix.family.component_mean(mix.points, mix.theta)
-    var = mix.family.component_var(mix.points, mix.theta)
+    mu = mix.model.component_mean(mix.points, mix.theta)
+    var = mix.model.component_var(mix.points, mix.theta)
     mean = mix.weights @ mu
     second = mix.weights @ (var + mu * mu)
     sd = np.sqrt(np.maximum(second - mean * mean, 0.0))
@@ -359,36 +358,35 @@ def mixture_pdf(mix: DualMixture, grid) -> np.ndarray:
     """Pointwise mixture density ``sum_m w_m g(x, m, theta)`` on a grid.
 
     ``grid`` is an array of signal points: non-negative reals for the CIR
-    family, simplex points (rows) for the WF family.
+    model, simplex points (rows) for the WF model.
 
     Raises:
         DomainError: if any grid point lies outside the state space.
     """
     grid = np.asarray(grid, dtype=float)
-    mix.family.check_domain(grid)
-    return mix.weights @ np.exp(mix.family.component_logpdf(grid, mix.points, mix.theta))
+    mix.model.check_domain(grid)
+    return mix.weights @ np.exp(mix.model.component_logpdf(grid, mix.points, mix.theta))
 
 
-def mixture_marginal_pdf(mix: DualMixture, grid, coord: int = 0) -> np.ndarray:
-    """One-coordinate marginal mixture density on a scalar grid.
+def mixture_marginal_pdf(mix: DualMixture, grid) -> np.ndarray:
+    """First-coordinate marginal mixture density on a scalar grid.
 
-    For the WF family this is the Beta-mixture marginal of coordinate
-    ``coord``; for the (univariate) CIR family only ``coord=0`` is defined
-    and the result equals :func:`mixture_pdf`.
+    For the WF model this is the Beta-mixture marginal of the first
+    coordinate; for the univariate CIR model it equals :func:`mixture_pdf`.
     """
     grid = np.asarray(grid, dtype=float)
-    return mix.weights @ np.exp(mix.family.marginal_component_logpdf(
-        grid, mix.points, mix.theta, coord))
+    return mix.weights @ np.exp(mix.model.marginal_component_logpdf(
+        grid, mix.points, mix.theta))
 
 
-def mixture_quantile(mix: DualMixture, q: float, coord: int = 0) -> float:
-    """Quantile of the one-coordinate marginal of a mixture (by bisection)."""
+def mixture_quantile(mix: DualMixture, q: float) -> float:
+    """Quantile of the first-coordinate marginal of a mixture (by bisection)."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
 
     def cdf(x):
-        return math.fsum(mix.weights * mix.family.marginal_component_cdf(
-            x, mix.points, mix.theta, coord))
+        return math.fsum(mix.weights * mix.model.marginal_component_cdf(
+            x, mix.points, mix.theta))
 
     lo, hi = 0.0, 1.0
     while cdf(hi) < q and hi < 1e12:
@@ -412,5 +410,5 @@ def sample_mixture(mix: DualMixture, rng: np.random.Generator, size: int) -> np.
     clouds).
     """
     counts = rng.multinomial(size, mix.weights)
-    return mix.family.sample_component(np.repeat(mix.points, counts, axis=0),
-                                       mix.theta, rng)
+    return mix.model.sample_component(np.repeat(mix.points, counts, axis=0),
+                                      mix.theta, rng)

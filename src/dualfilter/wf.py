@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, betaln, gammaln, xlog1py, xlogy
 
 from .errors import (ConfigError, DimensionError, DomainError,
                      SimulationBudgetExceeded)
@@ -40,7 +40,6 @@ from .mixtures import DualMixture, ObservationRecord
 
 __all__ = [
     "WFParams",
-    "WFFamily",
     "WFModel",
     "log_density_ratio",
     "density_ratio",
@@ -58,17 +57,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: overall multiplier on the generations-per-unit-time of the WF-chain
-#: approximation of the Moran dual.  Matching the chain's one-generation
-#: conditional mean and covariance to the diffusion generator fixes the
-#: mutation probability at theta/(2N) per offspring and one generation at
-#: 1/N time units to leading order; with the finite-population refinement
-#: applied in :func:`wf_chain_sample_many` no further adjustment is needed,
-#: so this constant equals one.  It is locked by the calibration test
-#: against the Gillespie-simulated Moran chain (TV gate at N = 20).
-WF_CHAIN_GENERATIONS_PER_UNIT = 1.0
-
 
 @dataclass(frozen=True)
 class WFParams:
@@ -352,7 +340,7 @@ def wf_chain_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
     for n_tot in np.unique(totals[totals > 0]):
         u = 1.0 - math.sqrt(n_tot / (n_tot + p.theta))
         gens_per_unit = p.theta / (2.0 * u)
-        gens = max(1, int(round(WF_CHAIN_GENERATIONS_PER_UNIT * gens_per_unit * t)))
+        gens = max(1, int(round(gens_per_unit * t)))
         base = u * p.alpha_array() / p.theta
         sel = totals == n_tot
         rows = state[sel]
@@ -489,77 +477,6 @@ def emission_log_pmf(x, y: ObservationRecord, p: WFParams) -> np.ndarray:
     return out if out.shape[0] > 1 else np.array([float(out[0])])
 
 
-class WFFamily:
-    """Dirichlet component kernels g(x, n) = Dirichlet(alpha + n).
-
-    The component methods take the ``(M, K)`` support array of a mixture
-    and return one row per support point.
-    """
-
-    tag = "wf-dirichlet"
-    #: tolerance on simplex membership
-    SIMPLEX_TOL = 1e-10
-
-    def __init__(self, params: WFParams):
-        self.params = params
-
-    def _concentrations(self, points) -> np.ndarray:
-        return self.params.alpha_array() + np.asarray(points, dtype=float)
-
-    def component_mean(self, points, theta=None) -> np.ndarray:
-        a = self._concentrations(points)
-        return a / a.sum(axis=1, keepdims=True)
-
-    def component_var(self, points, theta=None) -> np.ndarray:
-        a = self._concentrations(points)
-        total = a.sum(axis=1, keepdims=True)
-        mean = a / total
-        return mean * (1.0 - mean) / (total + 1.0)
-
-    def component_logpdf(self, x, points, theta=None) -> np.ndarray:
-        """Dirichlet log-densities ``(M, G)`` at simplex rows ``x``."""
-        a = self._concentrations(points)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        const = gammaln(a.sum(axis=1)) - gammaln(a).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logx = np.where(x > 0, np.log(x), -np.inf)
-            terms = np.where((a != 1.0)[:, None, :],
-                             (a - 1.0)[:, None, :] * logx[None, :, :], 0.0)
-        return const[:, None] + terms.sum(axis=2)
-
-    def _beta_params(self, points, coord: int) -> tuple[np.ndarray, np.ndarray]:
-        a = self._concentrations(points)
-        return a[:, coord], a.sum(axis=1) - a[:, coord]
-
-    def marginal_component_logpdf(self, grid, points, theta=None,
-                                  coord: int = 0) -> np.ndarray:
-        """Beta log-densities ``(M, G)`` of coordinate ``coord`` on ``grid``."""
-        from scipy.special import betaln, xlog1py, xlogy
-        a, b = (v[:, None] for v in self._beta_params(points, coord))
-        x = np.asarray(grid, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
-        return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)
-
-    def marginal_component_cdf(self, x: float, points, theta=None,
-                               coord: int = 0) -> np.ndarray:
-        from scipy.special import betainc
-        return betainc(*self._beta_params(points, coord), min(max(x, 0.0), 1.0))
-
-    def sample_component(self, points, theta, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_gamma(self._concentrations(points))
-        return g / g.sum(axis=1, keepdims=True)
-
-    def check_domain(self, grid: np.ndarray) -> None:
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        if grid.shape[1] != self.params.k:
-            raise DomainError(f"simplex points must have length {self.params.k}")
-        if np.any(grid < 0):
-            raise DomainError("simplex coordinates must be non-negative")
-        if np.any(np.abs(grid.sum(axis=1) - 1.0) > self.SIMPLEX_TOL):
-            raise DomainError("simplex coordinates must sum to one")
-
-
 class _DualSampler:
     """One of the WF dual samplers, drawn for a whole filter step at once.
 
@@ -594,14 +511,18 @@ class WFModel:
     ``kernel_tail_eps`` is forwarded to :func:`typed_death_kernel`; leave
     it at zero for exact kernels and set a tiny positive value to truncate
     negligible surviving-count levels in long-horizon pruned runs.
+
+    Its mixtures hold Dirichlet(alpha + n) components; the component
+    methods take the ``(M, K)`` support array of a mixture and return one
+    row per support point.
     """
 
     name = "wf"
+    #: tolerance on simplex membership
+    SIMPLEX_TOL = 1e-10
 
     def __init__(self, params: WFParams, kernel_tail_eps: float = 0.0):
         self.params = params
-        self.family = WFFamily(params)
-        self.theta0 = None
         self.kernel_tail_eps = kernel_tail_eps
 
     @property
@@ -611,7 +532,7 @@ class WFModel:
     # -- conjugate filtering interface ------------------------------------
 
     def prior_mixture(self) -> DualMixture:
-        return DualMixture(self.family, np.zeros((1, self.params.k), dtype=np.int64),
+        return DualMixture(self, np.zeros((1, self.params.k), dtype=np.int64),
                            np.array([1.0]), None)
 
     def shift_index(self, y: ObservationRecord, points: np.ndarray) -> np.ndarray:
@@ -637,6 +558,61 @@ class WFModel:
 
     def theta_evolve_for(self, kind: str):
         return None
+
+    # -- mixture components -----------------------------------------------
+
+    def _concentrations(self, points) -> np.ndarray:
+        return self.params.alpha_array() + np.asarray(points, dtype=float)
+
+    def component_mean(self, points, theta=None) -> np.ndarray:
+        a = self._concentrations(points)
+        return a / a.sum(axis=1, keepdims=True)
+
+    def component_var(self, points, theta=None) -> np.ndarray:
+        a = self._concentrations(points)
+        total = a.sum(axis=1, keepdims=True)
+        mean = a / total
+        return mean * (1.0 - mean) / (total + 1.0)
+
+    def component_logpdf(self, x, points, theta=None) -> np.ndarray:
+        """Dirichlet log-densities ``(M, G)`` at simplex rows ``x``."""
+        a = self._concentrations(points)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        const = gammaln(a.sum(axis=1)) - gammaln(a).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logx = np.where(x > 0, np.log(x), -np.inf)
+            terms = np.where((a != 1.0)[:, None, :],
+                             (a - 1.0)[:, None, :] * logx[None, :, :], 0.0)
+        return const[:, None] + terms.sum(axis=2)
+
+    def _beta_params(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Beta parameters of each component's first-coordinate marginal."""
+        a = self._concentrations(points)
+        return a[:, 0], a.sum(axis=1) - a[:, 0]
+
+    def marginal_component_logpdf(self, grid, points, theta=None) -> np.ndarray:
+        """Beta log-densities ``(M, G)`` of the first coordinate on ``grid``."""
+        a, b = (v[:, None] for v in self._beta_params(points))
+        x = np.asarray(grid, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
+        return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)
+
+    def marginal_component_cdf(self, x: float, points, theta=None) -> np.ndarray:
+        return betainc(*self._beta_params(points), min(max(x, 0.0), 1.0))
+
+    def sample_component(self, points, theta, rng: np.random.Generator) -> np.ndarray:
+        g = rng.standard_gamma(self._concentrations(points))
+        return g / g.sum(axis=1, keepdims=True)
+
+    def check_domain(self, grid: np.ndarray) -> None:
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        if grid.shape[1] != self.params.k:
+            raise DomainError(f"simplex points must have length {self.params.k}")
+        if np.any(grid < 0):
+            raise DomainError("simplex coordinates must be non-negative")
+        if np.any(np.abs(grid.sum(axis=1) - 1.0) > self.SIMPLEX_TOL):
+            raise DomainError("simplex coordinates must sum to one")
 
     # -- signal-space interface (bootstrap baseline) -----------------------
 

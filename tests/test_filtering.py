@@ -60,12 +60,13 @@ def test_config_validation():
     lambda: FilterConfig(method="exact", seed=-1),
     lambda: FilterConfig(method="exact", seed=1.5),
     lambda: FilterConfig(method="bootstrap", n_particles=10, dual_kind="bd"),
+    lambda: FilterConfig(method="exact", n_particles=2),
 ], ids=["method", "prune_eps", "prune_eps_unpruned", "n_particles", "dual_kind",
         "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
         "cir_kind", "wf_kind", "record_fractional_count", "record_nan_count",
         "record_inf_count", "record_nan_time", "cir_nan_param", "wf_nan_weight",
         "wf_inf_weight", "fractional_n_particles", "negative_seed",
-        "fractional_seed", "dual_kind_unused"])
+        "fractional_seed", "dual_kind_unused", "n_particles_unused"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()
@@ -252,7 +253,7 @@ def test_dual_particle_pd_one_step_consistency(cir_model):
     approx = run_filter(records, cfg, cir_model)
     # SE of the predictive mean: spread of component means over resampling
     mix = exact.predictive[1]
-    comp_means = cir_model.family.component_mean(mix.points, mix.theta)[:, 0]
+    comp_means = cir_model.component_mean(mix.points, mix.theta)[:, 0]
     spread = float(np.sqrt(np.sum(mix.weights * comp_means ** 2)
                            - np.sum(mix.weights * comp_means) ** 2))
     se = spread / math.sqrt(cfg.n_particles)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +163,13 @@ def test_run_scenario_thread_count_invariant(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+def test_run_scenario_filtering_with_exact_method(tmp_path):
+    # exact cells run without a particle count
+    spec = build_spec("cir_filtering", tiny_config(replicates=1, particle_counts=[10],
+                                                   methods=["exact", "pd"]), seed=5)
+    assert run_scenario(spec, tmp_path) == 0
+
+
 def test_run_scenario_caps_worker_processes(tmp_path, monkeypatch):
     import concurrent.futures
 
@@ -246,8 +255,11 @@ def test_cli_bad_config_file(tmp_path, capsys):
     {"scenario": "cir_predictive", "params": [-1, 1.1, 1, 1]},
     {"scenario": "cir_predictive", "params": [11, 1.1, 1, 1, 1]},
     {"scenario": "wf_predictive", "params": 3},
+    {"scenario": "cir_filtering", "batch_size": -1},
+    {"scenario": "cir_filtering", "batch_size": 1.5},
+    {"scenario": "cir_filtering", "n_times": 2.5},
 ], ids=["delta_t", "horizon", "n_times", "params_value", "params_arity",
-        "params_scalar"])
+        "params_scalar", "batch_size", "batch_size_fractional", "n_times_fractional"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, replicates=1, particle_counts=[10])))
@@ -281,9 +293,25 @@ def test_cli_flags_override_config(tmp_path):
     assert len(lines) - 1 == 1 * 1 * 1 * 3  # one method, one N, one replicate
 
 
+def test_cli_seed_flag_overrides_config_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "cir_predictive", "seed": 3,
+                               "replicates": 1, "n_times": 2,
+                               "particle_counts": [10], "methods": ["pd"]}))
+    for flags, want in ((["--seed", "7"], 7), ([], 3)):
+        out = tmp_path / f"out{want}"
+        assert main(["--config", str(cfg), "--out-dir", str(out)] + flags) == 0
+        manifest = json.loads((out / "cir_predictive_manifest.json").read_text())
+        assert manifest["spec"]["seed"] == want
+
+
 def test_console_entry_point_help():
+    # the subprocess imports the package from the source tree, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "dualfilter.cli", "--help"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0
     assert "--scenario" in result.stdout
 

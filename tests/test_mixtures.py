@@ -9,19 +9,19 @@ from dualfilter import (DegenerateWeights, DomainError, DualMixture,
                         dual_particle_propagate, mixture_marginal_pdf,
                         mixture_moments, mixture_pdf, propagate, prune,
                         systematic_counts, update)
-from dualfilter.cir import CIRFamily, CIRParams
-from dualfilter.wf import WFFamily, WFParams
+from dualfilter.cir import CIRModel, CIRParams
+from dualfilter.wf import WFModel, WFParams
 
 from .oracles import quad_cir_marginal
 
 
-def gamma_family(delta=2.0, gamma=1.0, sigma=1.0):
-    return CIRFamily(CIRParams(delta, gamma, sigma))
+def gamma_model(delta=2.0, gamma=1.0, sigma=1.0):
+    return CIRModel(CIRParams(delta, gamma, sigma))
 
 
-def make_mix(points, weights, theta=1.0, family=None):
-    family = family or gamma_family()
-    return DualMixture.from_weights(family, points, weights, theta)
+def make_mix(points, weights, theta=1.0, model=None):
+    model = model or gamma_model()
+    return DualMixture.from_weights(model, points, weights, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_normalize_order_independent():
 
 
 def test_from_weights_merges_repeated_rows():
-    out = DualMixture.from_weights(WFFamily(WFParams((1.0, 1.0))),
+    out = DualMixture.from_weights(WFModel(WFParams((1.0, 1.0))),
                                    [(1, 0), (0, 2), (1, 0)], [1.0, 2.0, 1.0])
     assert out.points.tolist() == [[0, 2], [1, 0]]
     np.testing.assert_array_equal(out.weights, [0.5, 0.5])
@@ -77,17 +77,17 @@ def test_mixture_weights_sum_to_one():
 
 
 def test_mixture_rejects_duplicate_points():
-    fam = gamma_family()
+    model = gamma_model()
     with pytest.raises(ValueError):
-        DualMixture(fam, ((1,), (1,)), np.array([0.5, 0.5]), 1.0)
+        DualMixture(model, ((1,), (1,)), np.array([0.5, 0.5]), 1.0)
 
 
 def test_mixture_rejects_unsorted_or_negative_points():
-    fam = gamma_family()
+    model = gamma_model()
     with pytest.raises(ValueError):
-        DualMixture(fam, ((2,), (1,)), np.array([0.5, 0.5]), 1.0)
+        DualMixture(model, ((2,), (1,)), np.array([0.5, 0.5]), 1.0)
     with pytest.raises(ValueError):
-        DualMixture(fam, ((-1,), (1,)), np.array([0.5, 0.5]), 1.0)
+        DualMixture(model, ((-1,), (1,)), np.array([0.5, 0.5]), 1.0)
 
 
 def test_mixture_weights_immutable():
@@ -230,7 +230,7 @@ def _cir_update_ops(params):
 
 def test_update_single_component():
     params = CIRParams(11.0, 1.1, 1.0)
-    mix = make_mix([(0,)], [1.0], theta=params.beta, family=CIRFamily(params))
+    mix = make_mix([(0,)], [1.0], theta=params.beta, model=CIRModel(params))
     y = ObservationRecord(0.0, (4,))
     out, logev = update(mix, y, *_cir_update_ops(params))
     assert out.points.tolist() == [[4]]
@@ -249,9 +249,9 @@ def test_update_equal_marginals_keep_symmetry():
 
 def test_update_cir_weights_match_quadrature(cir_params):
     params = cir_params
-    fam = CIRFamily(params)
+    model = CIRModel(params)
     theta = params.beta + 1.0
-    mix = make_mix([(2,), (5,)], [0.4, 0.6], theta=theta, family=fam)
+    mix = make_mix([(2,), (5,)], [0.4, 0.6], theta=theta, model=model)
     y = ObservationRecord(0.0, (3, 1))
     out, _ = update(mix, y, *_cir_update_ops(params))
     mu2 = quad_cir_marginal(2, theta, [3, 1], params)
@@ -263,11 +263,11 @@ def test_update_cir_weights_match_quadrature(cir_params):
 
 def test_update_merge_batches_matches_single_update(cir_params):
     params = cir_params
-    fam = CIRFamily(params)
+    model = CIRModel(params)
     rng = np.random.default_rng(5)
     pts = [(i,) for i in range(6)]
     w = rng.dirichlet(np.ones(6))
-    mix = make_mix(pts, w, theta=params.beta + 2.0, family=fam)
+    mix = make_mix(pts, w, theta=params.beta + 2.0, model=model)
     ops = _cir_update_ops(params)
     seq, _ = update(mix, ObservationRecord(0.0, (2,)), *ops)
     seq, _ = update(seq, ObservationRecord(0.0, (3,)), *ops)
@@ -342,7 +342,7 @@ def test_dual_particle_identity_sampler_l1():
 
 def test_dual_particle_bit_reproducible(cir_model):
     mix = make_mix([(2,), (4,)], [0.5, 0.5], theta=cir_model.params.beta + 1.0,
-                   family=cir_model.family)
+                   model=cir_model)
     sampler = cir_model.dual_sampler("bd")
     a = dual_particle_propagate(mix, sampler, 500, 0.05,
                                 np.random.default_rng(123))
@@ -356,7 +356,7 @@ def test_dual_particle_bd_sampler_matches_gillespie(cir_model):
     from dualfilter.cir import gillespie_bd
     params = cir_model.params
     theta = params.beta + 1.0
-    mix = DualMixture(cir_model.family, ((4,),), np.array([1.0]), theta)
+    mix = DualMixture(cir_model, ((4,),), np.array([1.0]), theta)
     out = dual_particle_propagate(mix, cir_model.dual_sampler("bd"),
                                   100_000, 0.05, np.random.default_rng(7))
     rng = np.random.default_rng(8)
@@ -395,24 +395,24 @@ def test_dual_particle_rejects_bad_sampler_output(sampler):
 # ---------------------------------------------------------------------------
 
 def test_moments_single_gamma_component():
-    fam = gamma_family(delta=4.0)  # shape 2
-    mix = DualMixture(fam, ((1,),), np.array([1.0]), 1.5)  # Ga(3, 1.5)
+    model = gamma_model(delta=4.0)  # shape 2
+    mix = DualMixture(model, ((1,),), np.array([1.0]), 1.5)  # Ga(3, 1.5)
     mean, sd = mixture_moments(mix)
     assert mean[0] == pytest.approx(3.0 / 1.5)
     assert sd[0] == pytest.approx(math.sqrt(3.0) / 1.5)
 
 
 def test_moments_single_dirichlet_component():
-    fam = WFFamily(WFParams((1.0, 1.0)))
-    mix = DualMixture(fam, ((0, 0),), np.array([1.0]), None)
+    model = WFModel(WFParams((1.0, 1.0)))
+    mix = DualMixture(model, ((0, 0),), np.array([1.0]), None)
     mean, sd = mixture_moments(mix)
     np.testing.assert_allclose(mean, [0.5, 0.5])
     assert sd[0] == pytest.approx(math.sqrt(0.25 / 3.0))
 
 
 def test_moments_two_component_gamma_vs_monte_carlo():
-    fam = gamma_family(delta=5.0)
-    mix = DualMixture(fam, ((0,), (4,)), np.array([0.3, 0.7]), 2.0)
+    model = gamma_model(delta=5.0)
+    mix = DualMixture(model, ((0,), (4,)), np.array([0.3, 0.7]), 2.0)
     mean, sd = mixture_moments(mix)
     rng = np.random.default_rng(77)
     n = 10_000_000
@@ -426,21 +426,21 @@ def test_moments_two_component_gamma_vs_monte_carlo():
 
 
 def test_pdf_exponential_at_zero():
-    fam = gamma_family(delta=2.0)  # shape 1 at m=0
-    mix = DualMixture(fam, ((0,),), np.array([1.0]), 1.0)
+    model = gamma_model(delta=2.0)  # shape 1 at m=0
+    mix = DualMixture(model, ((0,),), np.array([1.0]), 1.0)
     assert mixture_pdf(mix, np.array([0.0]))[0] == pytest.approx(1.0)
 
 
 def test_pdf_single_surviving_component():
-    fam = gamma_family(delta=3.0)
-    target = DualMixture(fam, ((2,),), np.array([1.0]), 1.0)
-    mix = DualMixture.from_weights(fam, [(2,), (5,)], [1.0, 0.0], 1.0)
+    model = gamma_model(delta=3.0)
+    target = DualMixture(model, ((2,),), np.array([1.0]), 1.0)
+    mix = DualMixture.from_weights(model, [(2,), (5,)], [1.0, 0.0], 1.0)
     grid = np.linspace(0.01, 10, 50)
     np.testing.assert_allclose(mixture_pdf(mix, grid), mixture_pdf(target, grid))
 
 
 def test_pdf_integrates_to_one(cir_model):
-    mix = DualMixture(cir_model.family, ((0,), (3,), (7,)),
+    mix = DualMixture(cir_model, ((0,), (3,), (7,)),
                       np.array([0.2, 0.5, 0.3]), cir_model.params.beta + 2.0)
     grid = np.linspace(0.0, 40.0, 20_001)
     total = np.trapezoid(mixture_pdf(mix, grid), grid)
@@ -454,16 +454,16 @@ def test_pdf_domain_error(cir_model):
 
 
 def test_wf_marginal_pdf_integrates_to_one():
-    fam = WFFamily(WFParams((1.1, 1.1, 1.1)))
-    mix = DualMixture(fam, ((0, 0, 0), (2, 1, 0)), np.array([0.4, 0.6]), None)
+    model = WFModel(WFParams((1.1, 1.1, 1.1)))
+    mix = DualMixture(model, ((0, 0, 0), (2, 1, 0)), np.array([0.4, 0.6]), None)
     grid = np.linspace(1e-6, 1.0 - 1e-6, 20_001)
-    total = np.trapezoid(mixture_marginal_pdf(mix, grid, coord=0), grid)
+    total = np.trapezoid(mixture_marginal_pdf(mix, grid), grid)
     assert abs(total - 1.0) < 1e-3
 
 
 def test_wf_pdf_checks_simplex():
-    fam = WFFamily(WFParams((1.0, 1.0)))
-    mix = DualMixture(fam, ((0, 0),), np.array([1.0]), None)
+    model = WFModel(WFParams((1.0, 1.0)))
+    mix = DualMixture(model, ((0, 0),), np.array([1.0]), None)
     with pytest.raises(DomainError):
         mixture_pdf(mix, np.array([[0.5, 0.6]]))
 

@@ -50,7 +50,7 @@ def cases(draw):
     points = draw(st.lists(row, min_size=1, max_size=6, unique=True))
     raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(points),
                         max_size=len(points)))
-    mix = DualMixture.from_weights(model.family, points, raw, theta)
+    mix = DualMixture.from_weights(model, points, raw, theta)
     y = ObservationRecord(0.0, tuple(draw(batch)))
     return model, mix, y, draw(st.floats(0.01, 1.0))
 

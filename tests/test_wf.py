@@ -473,14 +473,14 @@ def test_wf_duality_spot(wf3_params):
 
 
 # ---------------------------------------------------------------------------
-# mixture-level invariants specific to the WF family
+# mixture-level invariants specific to the WF model
 # ---------------------------------------------------------------------------
 
 def test_wf_mixture_update_merge_batches(wf3_model):
     from dualfilter.mixtures import DualMixture, update
     model = wf3_model
     mix = DualMixture.from_weights(
-        model.family, [(0, 0, 0), (1, 0, 1), (2, 2, 0)], [0.2, 0.5, 0.3], None)
+        model, [(0, 0, 0), (1, 0, 1), (2, 2, 0)], [0.2, 0.5, 0.3], None)
     ops = (model.log_marginal_point, model.shift_index, model.shift_param)
     seq, _ = update(mix, ObservationRecord(0.0, (1, 0, 0)), *ops)
     seq, _ = update(seq, ObservationRecord(0.0, (0, 2, 0)), *ops)
@@ -493,7 +493,7 @@ def test_wf_mixture_update_merge_batches(wf3_model):
 def test_moran_propagation_conserves_total_support(wf3_model, rng):
     from dualfilter.mixtures import DualMixture, dual_particle_propagate
     mix = DualMixture.from_weights(
-        wf3_model.family, [(2, 1, 1), (1, 3, 0)], [0.6, 0.4], None)
+        wf3_model, [(2, 1, 1), (1, 3, 0)], [0.6, 0.4], None)
     out = dual_particle_propagate(mix, wf3_model.dual_sampler("moran"),
                                   500, 0.5, rng)
     assert all(sum(pt) == 4 for pt in out.points)
@@ -502,7 +502,7 @@ def test_moran_propagation_conserves_total_support(wf3_model, rng):
 def test_kingman_propagation_support_is_downward(wf3_model):
     from dualfilter.mixtures import DualMixture, propagate
     src = (3, 1, 2)
-    mix = DualMixture.from_weights(wf3_model.family, [src], [1.0], None)
+    mix = DualMixture.from_weights(wf3_model, [src], [1.0], None)
     out = propagate(mix, wf3_model.pd_kernel, wf3_model.theta_flow, 0.5)
     assert all(all(n <= m for n, m in zip(pt, src)) for pt in out.points)
 
