@@ -108,12 +108,14 @@ class ExperimentSpec:
         for label in self.methods:
             if label not in METHOD_TABLE:
                 raise ConfigError(f"unknown method label {label!r}")
-        if min(self.particle_counts, default=1) < 1 or self.replicates < 1:
-            raise ConfigError("particle counts and replicates must be positive")
-        for name in ("n_times", "batch_size"):
+        for name, low in (("n_times", 0), ("batch_size", 0), ("replicates", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, not {value!r}")
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, not {value!r}")
+        if not all(isinstance(v, numbers.Integral) and v >= 1
+                   for v in self.particle_counts):
+            raise ConfigError(f"particle counts must be positive integers, "
+                              f"not {self.particle_counts!r}")
         if not self.delta_t > 0:
             raise ConfigError("delta_t must be positive")
         if self.flavor == "predictive" and self.horizon is None:

@@ -14,10 +14,12 @@ Two dual processes drive propagation:
   chain of the total count times a multivariate hypergeometric type
   profile, giving closed-form (finite) transitions;
 * a Moran chain that replaces a type-``i`` individual with a type-``j``
-  one at rate ``n_i (alpha_j + n_j) / 2``, conserving ``|n|``; it has no
-  closed-form transitions and is simulated by a Gillespie loop or
-  approximated by a discrete Wright-Fisher chain or by a binned draw from
-  the diffusion transition itself.
+  one at rate ``n_i (alpha_j + n_j) / 2``, conserving ``|n|``.  It is
+  drawn exactly from its genealogy: the lines of descent of its
+  individuals follow the typed Kingman dual, and the individuals without
+  a surviving ancestor fill in as a Polya urn (Griffiths, 1980; Tavare,
+  1984).  A discrete Wright-Fisher chain and a binned draw from the
+  diffusion transition itself approximate it.
 
 The block-counting chain is pure death with a lower bidiagonal generator,
 so its transition law is computed exactly and deterministically as a row
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaln, gammaln, xlog1py, xlogy
 
-from .errors import (ConfigError, DimensionError, DomainError,
-                     SimulationBudgetExceeded)
+from .errors import ConfigError, DimensionError, DomainError
 from .mixtures import DualMixture, ObservationRecord
 
 __all__ = [
@@ -238,6 +239,12 @@ def _start_rows(n0, p: WFParams, size: int | None) -> np.ndarray:
     return rows
 
 
+def _dirichlet_rows(concentrations, rng: np.random.Generator) -> np.ndarray:
+    """One Dirichlet draw per row of ``concentrations``, from one gamma draw."""
+    g = rng.standard_gamma(concentrations)
+    return g / g.sum(axis=1, keepdims=True)
+
+
 def typed_death_sample_many(m, t: float, p: WFParams, rng: np.random.Generator,
                             size: int | None = None) -> np.ndarray:
     """Exact draws of the typed Kingman dual at time ``t`` (vectorized).
@@ -270,48 +277,21 @@ def typed_death_sample_many(m, t: float, p: WFParams, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def moran_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
-                      size: int | None = None, max_rounds: int = 2_000_000) -> np.ndarray:
-    """Gillespie simulation of the Moran dual, vectorized across paths.
+                      size: int | None = None) -> np.ndarray:
+    """Exact draws of the Moran dual at time ``t`` from its genealogy.
 
-    Paths start at ``n0``, one source repeated ``size`` times or one row
-    per path; each round draws one holding time and one replacement event
-    for every still-active path.  ``|n|`` is conserved.
+    Traced back over ``t``, the lines of descent of the ``N = |n0|``
+    individuals follow the typed Kingman dual, so the surviving ancestors
+    and their types ``c`` are one :func:`typed_death_sample_many` draw.
+    The other ``N - |c|`` individuals descend from mutations and fill in
+    as a Polya urn: ``c + Multinomial(N - |c|, Dirichlet(alpha + c))``.
+    ``n0`` is one source repeated ``size`` times or one row per path;
+    ``|n|`` is conserved.
     """
-    alpha = p.alpha_array()
-    k = p.k
-    state = _start_rows(n0, p, size)
-    t_rem = np.full(len(state), float(t))
-    active = np.arange(len(state))
-    offdiag = ~np.eye(k, dtype=bool)
-    for _ in range(max_rounds):
-        if active.size == 0:
-            return state
-        s = state[active].astype(float)
-        rates = s[:, :, None] * (alpha[None, None, :] + s[:, None, :]) / 2.0
-        rates *= offdiag[None, :, :]
-        flat = rates.reshape(len(active), k * k)
-        total = flat.sum(axis=1)
-        movable = total > 0.0
-        if not np.any(movable):
-            return state
-        active = active[movable]
-        flat = flat[movable]
-        total = total[movable]
-        dt = rng.exponential(1.0 / total)
-        alive = dt <= t_rem[active]
-        t_rem[active] -= dt
-        active = active[alive]
-        if active.size == 0:
-            return state
-        flat = flat[alive]
-        total = total[alive]
-        u = rng.random(active.size) * total
-        idx = (np.cumsum(flat, axis=1) < u[:, None]).sum(axis=1)
-        idx = np.minimum(idx, k * k - 1)
-        i, j = idx // k, idx % k
-        state[active, i] -= 1
-        state[active, j] += 1
-    raise SimulationBudgetExceeded(f"more than {max_rounds} Moran rounds")
+    rows = _start_rows(n0, p, size)
+    c = typed_death_sample_many(rows, t, p, rng)
+    refill = rows.sum(axis=1) - c.sum(axis=1)
+    return c + rng.multinomial(refill, _dirichlet_rows(p.alpha_array() + c, rng))
 
 
 def wf_chain_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
@@ -330,10 +310,11 @@ def wf_chain_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
     * ``G = max(1, round(theta/(2u) * t))`` generations, which restores the
       exact per-unit-time drift ``(alpha_i - theta x_i)/2``.
 
-    The calibration test locks this choice against the Gillespie-simulated
-    Moran chain.  ``n0`` is one source repeated ``size`` times or one row
-    per path; ``u`` and ``G`` depend on ``N``, so the generations run once
-    for all the rows of each distinct total, in increasing order of ``N``.
+    The calibration test locks this choice against the exact Moran dual,
+    :func:`moran_sample_many`.  ``n0`` is one source repeated ``size``
+    times or one row per path; ``u`` and ``G`` depend on ``N``, so the
+    generations run once for all the rows of each distinct total, in
+    increasing order of ``N``.
     """
     state = _start_rows(n0, p, size)
     totals = state.sum(axis=1)
@@ -428,8 +409,7 @@ def wf_transition_sample_many(x, t: float, p: WFParams,
         sel = totals == v
         if v > 0:
             l[sel] = rng.multinomial(int(v), x[sel])
-    g = rng.standard_gamma(p.alpha_array()[None, :] + l)
-    return g / g.sum(axis=1, keepdims=True)
+    return _dirichlet_rows(p.alpha_array()[None, :] + l, rng)
 
 
 def _bin_largest_remainder(xs: np.ndarray, n_tot: np.ndarray) -> np.ndarray:
@@ -495,8 +475,8 @@ class _DualSampler:
         return self.draw(np.repeat(points, counts, axis=0), dt, self.params, rng)
 
 
-#: dual kind -> batched sampler: exact typed death, or the Moran dual by
-#: Gillespie simulation, WF chain or binned diffusion
+#: dual kind -> batched sampler: exact typed death, the exact Moran dual,
+#: or its WF-chain and binned-diffusion approximations
 _DUAL_DRAWS = {
     "pure_death": typed_death_sample_many,
     "moran": moran_sample_many,
@@ -602,8 +582,7 @@ class WFModel:
         return betainc(*self._beta_params(points), min(max(x, 0.0), 1.0))
 
     def sample_component(self, points, theta, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_gamma(self._concentrations(points))
-        return g / g.sum(axis=1, keepdims=True)
+        return _dirichlet_rows(self._concentrations(points), rng)
 
     def check_domain(self, grid: np.ndarray) -> None:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))

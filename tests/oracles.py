@@ -7,6 +7,7 @@ and never calls the closed forms or fast samplers under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -536,6 +537,36 @@ def block_count_series_mp(m: int, t: float, theta: float, dps: int = 80) -> np.n
                              * mpmath.rf(m + theta, k)))
             out[n] = float(total)
     return out
+
+
+def moran_law(n0, t: float, p) -> dict:
+    """Moran dual law at time ``t`` from its genealogy, ``{state: probability}``.
+
+    The ``N = |n0|`` lines of descent leave ``A`` ancestors with the
+    block-counting law of :func:`block_count_series_mp`; their types ``c``
+    are multivariate hypergeometric from ``n0``, and the other ``N - A``
+    individuals a Dirichlet-multinomial refill with weights ``alpha + c``:
+    ``sum_a P(A=a) Hyp(c; n0, a) DM(n - c; N - a, alpha + c)``.
+    """
+    n0 = tuple(int(v) for v in n0)
+    big_n = sum(n0)
+    block = block_count_series_mp(big_n, t, p.theta)
+    law: dict = {}
+    for c in itertools.product(*(range(v + 1) for v in n0)):
+        ancestors, conc = sum(c), [a + ci for a, ci in zip(p.alpha, c)]
+        free = big_n - ancestors
+        hyp = (math.prod(math.comb(v, ci) for v, ci in zip(n0, c))
+               / math.comb(big_n, ancestors))
+        for r in itertools.product(range(free + 1), repeat=p.k):
+            if sum(r) != free:
+                continue
+            log_dm = (math.lgamma(free + 1) + math.lgamma(sum(conc))
+                      - math.lgamma(free + sum(conc))
+                      + math.fsum(math.lgamma(ri + a) - math.lgamma(a)
+                                  - math.lgamma(ri + 1) for ri, a in zip(r, conc)))
+            state = tuple(ci + ri for ci, ri in zip(c, r))
+            law[state] = law.get(state, 0.0) + block[ancestors] * hyp * math.exp(log_dm)
+    return law
 
 
 def wf_two_step_brute_force(y0, y1, dt: float, p, n_paths: int,

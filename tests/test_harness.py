@@ -48,6 +48,14 @@ def test_build_spec_rejects_unknown_key():
         build_spec("cir_predictive", {"bogus": 1})
 
 
+@pytest.mark.parametrize("config", [{"particle_counts": [10.5]},
+                                    {"replicates": 2.5}],
+                         ids=["particle_counts", "replicates"])
+def test_build_spec_rejects_fractional_counts(config):
+    with pytest.raises(ConfigError):
+        build_spec("cir_filtering", config)
+
+
 def test_presets_pin_benchmark_parameterizations():
     assert PRESETS["cir_predictive"]["params"] == (11.0, 1.1, 1.0, 1.0)
     assert PRESETS["cir_predictive"]["horizon"] == 0.05

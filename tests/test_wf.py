@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from dualfilter import DimensionError, ObservationRecord, WFParams
 from dualfilter.wf import (block_count_probs, density_ratio,
@@ -16,7 +18,7 @@ from dualfilter.wf import (block_count_probs, density_ratio,
 
 from .oracles import (block_count_path, block_count_series_mp,
                       gillespie_jump_chain, kernel_dict, kingman_rates,
-                      kingman_transitions, moran_path, moran_rates,
+                      kingman_transitions, moran_law, moran_path, moran_rates,
                       moran_transitions, quad_wf_marginal, tv_sample_vs_pmf,
                       tv_tuple_samples, typed_kingman_path)
 
@@ -337,6 +339,41 @@ def test_moran_vectorized_matches_scalar_oracle(wf3_params):
 def test_moran_empty_configuration_is_fixed(wf3_params, rng):
     out = moran_sample_many((0, 0, 0), 1.0, wf3_params, rng, 100)
     assert np.all(out == 0)
+
+
+def moran_generator_row(n0, t, p) -> dict:
+    """Row ``n0`` of ``expm(Q t)`` for the Moran generator on ``|n| = |n0|``."""
+    states = [s for s in itertools.product(range(sum(n0) + 1), repeat=p.k)
+              if sum(s) == sum(n0)]
+    index = {s: i for i, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for s in states:
+        for nxt, rate in moran_transitions(p)(s):
+            q[index[s], index[nxt]] += rate
+    q[np.diag_indices_from(q)] = -q.sum(axis=1)
+    return dict(zip(states, expm(q * t)[index[tuple(n0)]]))
+
+
+@pytest.mark.parametrize("alpha, n0, t", [((1.1, 1.9), (3, 2), 0.3),
+                                          ((1.1, 1.1, 1.1), (4, 2, 0), 0.5),
+                                          ((1.1, 1.1, 1.1), (6, 0, 0), 0.05),
+                                          ((0.5, 1.0, 2.0, 3.0), (2, 1, 1, 0), 1.0)],
+                         ids=["k2", "k3", "k3-short", "k4"])
+def test_moran_law_matches_generator_exponential(alpha, n0, t):
+    p = WFParams(alpha)
+    law, want = moran_law(n0, t, p), moran_generator_row(n0, t, p)
+    assert set(law) == set(want)
+    assert max(abs(law[s] - v) for s, v in want.items()) <= 1e-12
+
+
+def test_moran_matches_genealogy_law(wf3_params):
+    # a refill that ignores the ancestors' types sits at TV ~0.16 here
+    n0, t = (4, 2, 0), 0.5
+    law = moran_law(n0, t, wf3_params)
+    index = {s: i for i, s in enumerate(law)}
+    out = moran_sample_many(n0, t, wf3_params, np.random.default_rng(41), 100_000)
+    codes = np.array([index.get(tuple(r), len(law)) for r in out.tolist()])
+    assert tv_sample_vs_pmf(codes, np.array(list(law.values()))) < 0.02
 
 
 def test_wf_chain_conserves_total(wf3_params, rng):
