@@ -43,8 +43,6 @@ __all__ = [
     "WFParams",
     "WFModel",
     "log_density_ratio",
-    "density_ratio",
-    "update_counts",
     "log_marginal",
     "block_count_probs",
     "typed_death_kernel",
@@ -112,19 +110,6 @@ def log_density_ratio(x, n, p: WFParams):
         terms = np.where(narr > 0, narr * logx, 0.0)
     out = const + terms.sum(axis=1)
     return out if out.shape[0] > 1 else float(out[0])
-
-
-def density_ratio(x, n, p: WFParams):
-    """Linear-scale version of :func:`log_density_ratio` (bounded on the simplex)."""
-    out = np.exp(log_density_ratio(x, n, p))
-    return out if np.ndim(out) else float(out)
-
-
-def update_counts(m, y: ObservationRecord, p: WFParams) -> tuple:
-    """Conjugate Dirichlet-categorical update: add the batch count vector."""
-    m = _as_counts(m, p.k)
-    c = _as_counts(y.values, p.k)
-    return tuple(mi + ci for mi, ci in zip(m, c))
 
 
 def log_marginal(m, y: ObservationRecord, p: WFParams):

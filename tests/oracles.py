@@ -2,7 +2,12 @@
 
 Everything here is deliberately implemented from first principles (plain
 Python loops, adaptive quadrature, grid integration, scipy distributions)
-and never calls the closed forms or fast samplers under test.
+and never calls the closed forms or fast samplers under test.  Two kinds
+of helper are exceptions: the test-only conveniences ``cir_density_ratio``,
+``update_conjugate``, ``wf_density_ratio`` and ``update_counts``, built on
+the package's own log forms and count checks, and
+``linear_bd_draw_reference``, a frozen copy of the ``bd`` draw that fixes
+its random stream.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ from scipy import integrate
 from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import chisquare, ncx2
+
+from dualfilter.cir import log_density_ratio as cir_log_density_ratio
+from dualfilter.wf import _as_counts
+from dualfilter.wf import log_density_ratio as wf_log_density_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +177,104 @@ def linear_bd_kernel_row(m0: int, t: float, lam: float, beta_imm: float,
     q = np.diag(lam * k[:-1] + beta_imm, 1) + np.diag(mu * k[1:], -1)
     q -= np.diag(q.sum(axis=1))
     return expm(q * t)[m0]
+
+
+def cir_density_ratio(x, m: int, theta: float, p):
+    """Linear-scale version of ``cir.log_density_ratio``.
+
+    Raises:
+        OverflowError: when the value exceeds the double range; callers must
+            switch to the log version (always needed for large ``m``,
+            typically m > 100).
+    """
+    logv = cir_log_density_ratio(x, m, theta, p)
+    if np.any(np.asarray(logv) > 709.0):
+        raise OverflowError("density ratio exceeds float range; use log_density_ratio")
+    out = np.exp(logv)
+    return out if np.ndim(out) else float(out)
+
+
+def update_conjugate(m: int, theta: float, y, p) -> tuple[int, float]:
+    """Conjugate Gamma-Poisson update for a batch of k Poisson counts.
+
+    Returns ``(m + sum(y), theta + k*tau)``.
+    """
+    counts = y.values
+    return m + sum(counts), theta + len(counts) * p.tau
+
+
+#: relative tolerance of the critical birth/death rate tie in the B&D draw
+_RATE_TIE_RTOL = 1e-12
+
+
+def _survival_pair_reference(lam: float, mu: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """(g, h) of the two-stage linear-B&D transition over elapsed time t.
+
+    ``h = (lam-mu) / (lam*exp((lam-mu)*t) - mu)`` and ``g = h*exp((lam-mu)*t)``,
+    with the analytic limit ``h = 1/(1+lam*t)`` at the critical tie
+    ``lam == mu``.  Branches keep every exponential argument non-positive so
+    large ``t`` cannot overflow.
+    """
+    t = np.asarray(t, dtype=float)
+    d = lam - mu
+    if abs(d) < _RATE_TIE_RTOL * max(lam, mu, 1e-300):
+        h = 1.0 / (1.0 + lam * t)
+        return h, h
+    if d < 0.0:
+        edt = np.exp(d * t)
+        h = d / (lam * edt - mu)
+        g = h * edt
+    else:
+        emdt = np.exp(-d * t)
+        h = d * emdt / (lam - mu * emdt)
+        g = d / (lam - mu * emdt)
+    return np.clip(g, 0.0, 1.0), np.clip(h, 0.0, 1.0)
+
+
+def _negbin_reference(rng: np.random.Generator, n: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """NegativeBinomial(n, h) failure counts with the NBin(0, .) = 0 convention."""
+    out = np.zeros(n.shape, dtype=np.int64)
+    mask = (n > 0) & (h < 1.0)
+    if np.any(mask):
+        out[mask] = rng.negative_binomial(n[mask], np.asarray(h)[mask] if np.ndim(h) else h)
+    return out
+
+
+def linear_bd_draw_reference(m0, t: float, theta: float, p,
+                             rng: np.random.Generator, size: int) -> np.ndarray:
+    """The two-stage B&D draw of ``linear_bd_sample_many`` as first written,
+    with array arguments in every ``Generator`` call.
+
+    It fixes the random stream of the ``bd`` dual: the package's draw must
+    return the same values from the same generator state.
+    """
+    diff = max(theta - p.beta, 0.0)
+    lam = 2.0 * p.sigma ** 2 * diff
+    beta_imm = p.sigma ** 2 * p.delta * diff
+    mu = 2.0 * p.sigma ** 2 * theta
+    g, h = (float(v) for v in _survival_pair_reference(lam, mu, t))
+    m0 = np.broadcast_to(np.asarray(m0, dtype=np.int64), (size,))
+
+    surv = rng.binomial(m0, g)
+    native = surv + _negbin_reference(rng, surv, np.full(size, h))
+
+    if beta_imm <= 0.0:
+        return native
+
+    n_imm = rng.poisson(beta_imm * t, size)
+    total = int(n_imm.sum())
+    if total == 0:
+        return native
+    path = np.repeat(np.arange(size), n_imm)
+    residual = t - rng.uniform(0.0, t, total)
+    gi, hi = _survival_pair_reference(lam, mu, residual)
+    alive = rng.random(total) < gi
+    fam = np.zeros(total, dtype=np.int64)
+    if np.any(alive):
+        ones = np.ones(int(alive.sum()), dtype=np.int64)
+        fam[alive] = 1 + _negbin_reference(rng, ones, np.asarray(hi)[alive])
+    immigrants = np.bincount(path, weights=fam, minlength=size).astype(np.int64)
+    return native + immigrants
 
 
 def gamma_pdf(x, shape, rate):
@@ -339,6 +446,19 @@ def cir_two_step_enumeration(y0: int, y1: int, dt: float, p):
 # ---------------------------------------------------------------------------
 # WF oracles
 # ---------------------------------------------------------------------------
+
+def wf_density_ratio(x, n, p):
+    """Linear-scale version of ``wf.log_density_ratio`` (bounded on the simplex)."""
+    out = np.exp(wf_log_density_ratio(x, n, p))
+    return out if np.ndim(out) else float(out)
+
+
+def update_counts(m, y, p) -> tuple:
+    """Conjugate Dirichlet-categorical update: add the batch count vector."""
+    m = _as_counts(m, p.k)
+    c = _as_counts(y.values, p.k)
+    return tuple(mi + ci for mi, ci in zip(m, c))
+
 
 def quad_wf_marginal(m, counts, p) -> float:
     """Quadrature of the Dirichlet-categorical marginal (K = 2 or 3).

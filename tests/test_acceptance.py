@@ -14,18 +14,17 @@ from scipy.stats import binom, nbinom
 
 from dualfilter import (CIRModel, CIRParams, FilterConfig, ObservationRecord,
                         WFModel, WFParams, run_filter, smoother)
-from dualfilter.cir import (cir_transition_sample_many, density_ratio,
-                            gillespie_bd, linear_bd_sample_many, log_marginal,
-                            pure_death_survival, pure_death_theta,
-                            update_conjugate)
+from dualfilter.cir import (cir_transition_sample_many, gillespie_bd,
+                            linear_bd_sample_many, log_marginal,
+                            pure_death_survival, pure_death_theta)
 from dualfilter.experiments import build_spec, run_scenario
-from dualfilter.wf import (density_ratio as wf_density_ratio,
-                           log_marginal as wf_log_marginal, moran_sample_many,
-                           update_counts, wf_transition_sample_many)
+from dualfilter.wf import (log_marginal as wf_log_marginal, moran_sample_many,
+                           wf_transition_sample_many)
 
 from .oracles import (chi2_pvalue_vs_pmf, cir_two_step_enumeration,
-                      tv_int_samples, tv_sample_vs_pmf,
-                      wf_two_step_brute_force)
+                      tv_int_samples, tv_sample_vs_pmf, update_conjugate,
+                      update_counts, wf_density_ratio, wf_two_step_brute_force)
+from .oracles import cir_density_ratio as density_ratio
 
 CIR = CIRParams(delta=11.0, gamma=1.1, sigma=1.0, tau=1.0)
 WF3 = WFParams((1.1, 1.1, 1.1))

@@ -6,15 +6,15 @@ from scipy.stats import binom, nbinom
 
 from dualfilter import InvalidDualParam, ObservationRecord
 from dualfilter.cir import (bd_rates, cir_transition_sample_many,
-                            density_ratio, emission_log_pmf, gillespie_bd,
-                            linear_bd_rates, linear_bd_sample_many,
-                            log_density_ratio, log_marginal, pure_death_pmf,
-                            pure_death_survival, pure_death_theta,
-                            update_conjugate)
+                            emission_log_pmf, gillespie_bd, linear_bd_rates,
+                            linear_bd_sample_many, log_density_ratio,
+                            log_marginal, pure_death_pmf, pure_death_survival,
+                            pure_death_theta)
 
 from .oracles import (chi2_pvalue_vs_pmf, embedded_up_prob, quad_cir_marginal,
                       quad_survival, rk_pure_death_theta, thinning_death_sample,
-                      tv_int_samples, tv_sample_vs_pmf)
+                      tv_int_samples, tv_sample_vs_pmf, update_conjugate)
+from .oracles import cir_density_ratio as density_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,17 @@ def test_linear_bd_rates_decomposition(cir_params):
         lam_m, mu_m = bd_rates(m, theta, p)
         assert lam * m + beta_imm == pytest.approx(lam_m, rel=1e-12)
         assert mu * m == pytest.approx(mu_m, rel=1e-12)
+
+
+def test_linear_bd_birth_rate_never_exceeds_death_rate():
+    # fl(theta - beta) <= theta, so the B&D transition needs no lam > mu case
+    from dualfilter.cir import CIRParams
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        p = CIRParams(*rng.uniform(0.01, 20.0, 3))
+        theta = p.beta * (1.0 + 10.0 ** rng.uniform(-16.0, 16.0))
+        lam, _, mu = linear_bd_rates(theta, p)
+        assert lam <= mu
 
 
 def test_linear_bd_pure_death_reduction_is_binomial(cir_params):

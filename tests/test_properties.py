@@ -9,25 +9,25 @@ shuffled order, and checks ``DualMixture.from_weights`` against the
 ``np.unique`` merge of ``tests/oracles.py``.
 Each sampler example draws a dual kind, a few random sources with small
 copy counts, a time step and a seed, and checks the support bounds of the
-arrivals, and that the batched ``bd`` call keeps the per-source stream.
+arrivals, and that the batched ``bd`` call draws what the reference draw
+of ``tests/oracles.py`` draws source by source from the same seed.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualfilter import (CIRModel, CIRParams, DualMixture, FilterConfig,
                         ObservationRecord, WFModel, WFParams, propagate, prune,
                         run_filter, update)
-from dualfilter.cir import linear_bd_sample_many
 from dualfilter.cir import log_marginal as cir_log_marginal
 from dualfilter.errors import DegenerateWeights
 from dualfilter.wf import log_marginal as wf_log_marginal
 
-from .oracles import from_weights_unique
+from .oracles import from_weights_unique, linear_bd_draw_reference
 
 CIR = CIRModel(CIRParams(11.0, 1.1, 1.0))
 WF = WFModel(WFParams((1.1, 1.1, 1.1)))
@@ -224,12 +224,21 @@ def test_pure_death_never_exceeds_its_source(case):
     assert np.all(out <= starts)
 
 
+def _bd_case(sources, counts, excess, dt, seed):
+    return (CIR, "bd", np.array(sources)[:, None], np.array(counts),
+            CIR.params.beta + excess, dt, seed)
+
+
 @PROPERTY_SETTINGS
 @given(sampler_cases([("cir", "bd")]))
+@example(_bd_case([2, 9], [3, 5], 0.0, 0.5, 1))        # theta == beta: no immigration
+@example(_bd_case([0, 4], [5, 2], 1.0, 0.2, 2))        # a source with m0 = 0
+@example(_bd_case([0, 6], [3, 100_000], 0.5, 0.3, 3))  # a source with 100k copies
 def test_bd_step_keeps_the_per_source_stream(case):
     _, _, sources, counts, theta, dt, seed = case
     out, _ = arrivals_and_starts(case)
     rng = np.random.default_rng(seed)
-    want = np.concatenate([linear_bd_sample_many(int(m), dt, theta, CIR.params, rng, int(c))
+    want = np.concatenate([linear_bd_draw_reference(int(m), dt, theta, CIR.params,
+                                                    rng, int(c))
                            for m, c in zip(sources[:, 0], counts)])
     np.testing.assert_array_equal(out[:, 0], want)

@@ -14,7 +14,8 @@ import pytest
 from dualfilter.cir import linear_bd_rates, linear_bd_sample_many, pure_death_survival
 from dualfilter.wf import typed_death_kernel, wf_chain_sample_many
 
-from .oracles import kernel_dict, linear_bd_kernel_row, tv_sample_vs_pmf
+from .oracles import (kernel_dict, linear_bd_draw_reference, linear_bd_kernel_row,
+                      tv_sample_vs_pmf)
 
 CIR_POINTS = np.array([[3], [7]])
 WF_POINTS = np.array([[2, 1, 0], [3, 1, 1]])
@@ -67,12 +68,17 @@ def test_cir_pure_death_batch_equals_per_source_draws(cir_model):
 
 
 def test_cir_bd_batch_equals_per_source_draws(cir_model):
-    theta, dt = cir_model.params.beta + 1.0, 0.3
+    p = cir_model.params
+    theta, dt = p.beta + 1.0, 0.3
     rng = np.random.default_rng(5)
-    ref = np.concatenate([linear_bd_sample_many(m, dt, theta, cir_model.params, rng, c)
+    ref = np.concatenate([linear_bd_draw_reference(m, dt, theta, p, rng, c)
                           for (m,), c in zip(CIR_POINTS, COUNTS)])
     out = _draw(cir_model, "bd", CIR_POINTS, COUNTS, dt, 5)
     np.testing.assert_array_equal(out[:, 0], ref)
+    rng = np.random.default_rng(5)
+    many = np.concatenate([linear_bd_sample_many(m, dt, theta, p, rng, c)
+                           for (m,), c in zip(CIR_POINTS, COUNTS)])
+    np.testing.assert_array_equal(many, ref)
 
 
 def _tv(rows, pmf: dict) -> float:

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dualfilter import DimensionError, ObservationRecord, WFParams
-from dualfilter.wf import (block_count_probs, density_ratio,
-                           emission_log_pmf, log_marginal, moran_sample_many,
-                           typed_death_kernel, typed_death_sample_many,
-                           update_counts, wf_chain_sample_many,
+from dualfilter.wf import (block_count_probs, emission_log_pmf, log_marginal,
+                           moran_sample_many, typed_death_kernel,
+                           typed_death_sample_many, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
                            wf_transition_sample_many)
 
@@ -20,7 +19,8 @@ from .oracles import (block_count_path, block_count_series_mp,
                       gillespie_jump_chain, kernel_dict, kingman_rates,
                       kingman_transitions, moran_law, moran_path, moran_rates,
                       moran_transitions, quad_wf_marginal, tv_sample_vs_pmf,
-                      tv_tuple_samples, typed_kingman_path)
+                      tv_tuple_samples, typed_kingman_path, update_counts)
+from .oracles import wf_density_ratio as density_ratio
 
 
 def typed_kernel(m, t, p, tail_eps=0.0) -> dict:
