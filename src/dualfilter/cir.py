@@ -42,7 +42,6 @@ from .mixtures import DualMixture, ObservationRecord
 __all__ = [
     "CIRParams",
     "CIRModel",
-    "log_density_ratio",
     "log_marginal",
     "bd_rates",
     "gillespie_bd",
@@ -87,25 +86,6 @@ class CIRParams:
     @property
     def beta(self) -> float:
         return self.gamma / self.sigma ** 2
-
-
-def log_density_ratio(x, m: int, theta: float, p: CIRParams):
-    """Log of the Gamma(delta/2+m, theta) density over the reversible density.
-
-    Multiplying the reversible Gamma(delta/2, beta) density by
-    ``exp(log_density_ratio)`` yields the conjugate-family member
-    Gamma(delta/2+m, theta); at ``m=0, theta=beta`` the ratio is one.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    x = np.asarray(x, dtype=float)
-    a = p.alpha
-    const = (gammaln(a) - gammaln(a + m)
-             - a * math.log(p.beta) + (a + m) * math.log(theta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xterm = np.where(m == 0, 0.0, m * np.log(x))
-    out = const + xterm - (theta - p.beta) * x
-    return out if out.shape else float(out)
 
 
 def log_marginal(m, theta: float, y: ObservationRecord, p: CIRParams):
@@ -379,20 +359,17 @@ def _gamma_logpdf(x: np.ndarray, a: np.ndarray, rate: float) -> np.ndarray:
 
 
 class _PureDeathSampler:
-    """Exact sampler of the pure-death dual (binomial thinning).
-
-    Every CIR dual sampler is called once per filter step as
-    ``sampler(points, counts, theta, dt, rng)`` with ``(M, 1)`` source
-    points and their copy counts; it returns ``counts.sum()`` rows of
-    shape ``(., 1)``, the copies of each source together, in source order.
-    """
+    """Exact sampler of the pure-death dual (binomial thinning), which moves
+    ``theta`` along its flow; the B&D samplers keep it.  Every dual sampler
+    follows :func:`~dualfilter.mixtures.dual_particle_propagate`'s protocol."""
 
     def __init__(self, params: CIRParams):
         self.params = params
 
     def __call__(self, points, counts, theta, dt, rng):
         s = pure_death_survival(dt, theta, self.params)
-        return rng.binomial(np.repeat(points[:, 0], counts), s)[:, None]
+        return (rng.binomial(np.repeat(points[:, 0], counts), s)[:, None],
+                pure_death_theta(dt, theta, self.params))
 
 
 class _BirthDeathSampler:
@@ -411,10 +388,12 @@ class _BirthDeathSampler:
 
     def __call__(self, points, counts, theta, dt, rng):
         step = _linear_bd_step(theta, dt, self.params)
-        return np.concatenate([_linear_bd_draw(m, dt, step, rng, c)
-                               for m, c in zip(points[:, 0].tolist(),
-                                               np.asarray(counts).tolist())])[:, None]
+        draws = [_linear_bd_draw(m, dt, step, rng, c)
+                 for m, c in zip(points[:, 0].tolist(), np.asarray(counts).tolist())]
+        return np.concatenate(draws)[:, None], theta
 
+    # perfbench/test_smoke.py needs this until the benchmark revision (ROADMAP
+    # item 5); it returns bare rows, and nothing in src/ calls it.
     def many(self, point, theta, dt, rng, size):
         return linear_bd_sample_many(int(point[0]), dt, theta, self.params,
                                      rng, size)[:, None]
@@ -431,7 +410,7 @@ class _GillespieBDSampler:
         starts = np.repeat(points[:, 0], counts)
         return np.array([gillespie_bd(int(m), dt, theta, self.params, rng,
                                       self.max_events) for m in starts],
-                        dtype=np.int64)[:, None]
+                        dtype=np.int64)[:, None], theta
 
 
 class CIRModel:
@@ -478,11 +457,6 @@ class CIRModel:
         if kind == "bd_gillespie":
             return _GillespieBDSampler(self.params)
         raise ConfigError(f"unknown CIR dual kind {kind!r}")
-
-    def theta_evolve_for(self, kind: str):
-        if kind == "pure_death":
-            return self.theta_flow
-        return None  # B&D dual keeps theta fixed
 
     # -- mixture components -----------------------------------------------
 
@@ -544,13 +518,3 @@ class CIRModel:
                 - a * math.log(self.params.beta)
                 + (a + mi) * math.log(theta_a) + (a + ni) * math.log(theta_b)
                 - (a + mi + ni) * math.log(theta_a + theta_b - self.params.beta))
-
-    def closure_spread(self, m, n, theta_a: float, theta_b: float,
-                       grid: np.ndarray) -> float:
-        """Max relative spread of h*h / h(combined) over a grid (should be ~0)."""
-        logs = (log_density_ratio(grid, int(m[0]), theta_a, self.params)
-                + log_density_ratio(grid, int(n[0]), theta_b, self.params)
-                - log_density_ratio(grid, int(self.combine_index(m, n)[0]),
-                                    self.combine_param(theta_a, theta_b), self.params))
-        vals = np.exp(logs - np.max(logs))
-        return float((vals.max() - vals.min()) / vals.max())

@@ -254,7 +254,7 @@ def _predictive_context(spec: ExperimentSpec, rep: int) -> dict:
     _, records = simulate_dataset(spec, rng)
     trace = run_filter(records, FilterConfig(method="exact"), model)
     start = trace.filtering[-1]
-    ref_pred = propagate(start, model.pd_kernel, model.theta_flow, spec.horizon)
+    ref_pred = propagate(start, spec.horizon)
     edges = metric_edges(ref_pred)
     ref_mean, ref_sd = mixture_moments(ref_pred)
     return dict(model=model, start=start, ref_pred=ref_pred, edges=edges,
@@ -281,9 +281,8 @@ def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
     if method == "exact":
         approx = ctx["ref_pred"]
     elif method == "dual_particle":
-        approx = dual_particle_propagate(
-            ctx["start"], model.dual_sampler(dual), n, spec.horizon, rng,
-            theta_evolve=model.theta_evolve_for(dual))
+        approx = dual_particle_propagate(ctx["start"], model.dual_sampler(dual), n,
+                                         spec.horizon, rng)
     else:
         particles = sample_mixture(ctx["start"], rng, n)
         particles = model.signal_sample_many(particles, spec.horizon, rng)

@@ -208,23 +208,16 @@ def _steps(cfg: FilterConfig, model, rng: np.random.Generator | None) -> tuple:
 
         return ParticleCloud(model.sample_prior(rng, n), uniform), update_cloud, move_cloud
 
-    def update_mixture(mix, y):
-        return update(mix, y, model.log_marginal_point, model.shift_index,
-                      model.shift_param)
-
     if cfg.method == "dual_particle":
         sampler = model.dual_sampler(cfg.dual_kind)
-        theta_evolve = model.theta_evolve_for(cfg.dual_kind)
 
         def move_mixture(mix, gap):
-            return dual_particle_propagate(mix, sampler, cfg.n_particles, gap, rng,
-                                           theta_evolve=theta_evolve)
+            return dual_particle_propagate(mix, sampler, cfg.n_particles, gap, rng)
     else:
         def move_mixture(mix, gap):
-            mix = propagate(mix, model.pd_kernel, model.theta_flow, gap)
-            return prune(mix, cfg.prune_eps)[0]
+            return prune(propagate(mix, gap), cfg.prune_eps)[0]
 
-    return model.prior_mixture(), update_mixture, move_mixture
+    return model.prior_mixture(), update, move_mixture
 
 
 def run_filter(data: Sequence[ObservationRecord], cfg: FilterConfig, model) -> FilterTrace:
@@ -261,10 +254,11 @@ def smoother(data: Sequence[ObservationRecord], model,
              trace: FilterTrace) -> list[SmoothingResult]:
     """Marginal smoothing laws from a forward trace and a backward recursion.
 
-    Requires an exact or pruned forward trace (finite mixtures) of
-    ``data``.  The backward pass is the forward recursion run on the
-    reversed records and gaps from the model prior: ``B_n`` is the prior
-    mixture and ``B_{i-1} = propagate(update(B_i, y_i))`` over the gap
+    Takes any forward trace of ``data`` whose laws are mixtures (``exact``,
+    ``pruned`` or ``dual_particle``); the backward pass is always exact.
+    It is the forward recursion run on the reversed records and gaps from
+    the model prior: ``B_n`` is the prior mixture and
+    ``B_{i-1} = propagate(update(B_i, y_i))`` over the gap
     ``t_i - t_{i-1}`` with the exact pure-death kernel and parameter flow,
     so ``B_i`` carries the likelihood of the observations after time ``i``.
     Each backward mixture is combined with the filtering mixture at the
@@ -279,7 +273,7 @@ def smoother(data: Sequence[ObservationRecord], model,
             the observation times do not strictly increase.
     """
     if any(not isinstance(s, DualMixture) for s in trace.filtering):
-        raise UnsupportedModel("smoothing needs an exact or pruned mixture trace")
+        raise UnsupportedModel("smoothing needs a mixture trace, not particle clouds")
     if not np.array_equal(trace.times, [r.time for r in data]):
         raise AlignmentError("trace times differ from the record times")
 

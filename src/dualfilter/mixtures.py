@@ -15,9 +15,9 @@ Representation choices:
 * the deterministic dual parameter is a ``float`` (or ``None`` for models
   whose dual has no deterministic component);
 * each mixture holds the model that built it (``cir.CIRModel`` or
-  ``wf.WFModel``), whose component methods give the model-specific kernels
-  (Gamma or Dirichlet densities).  They take the whole support array at
-  once, and so do the exact transition kernels (see :func:`propagate`).
+  ``wf.WFModel``), from which :func:`update`, :func:`propagate` and the
+  moment and density functions read the model-specific pieces (Gamma or
+  Dirichlet components), each taking the whole support array at once.
 
 Mixtures are built from raw rows and weights by
 :meth:`DualMixture.from_weights`, which sorts the rows with one stable
@@ -35,7 +35,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -111,7 +110,7 @@ class DualMixture:
 
     Attributes:
         model: the model that built the mixture (see module docstring),
-            which exposes the component kernels.
+            which gives its components, Bayes update and exact transition.
         points: read-only int64 array of shape ``(M, K)``, one non-negative
             multi-index per row, rows distinct and in lexicographic order.
         weights: strictly positive weights aligned with ``points``, summing
@@ -225,48 +224,42 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
                                      mix.weights[keep], mix.theta), removed)
 
 
-def propagate(mix: DualMixture, kernel, theta_evolve, dt: float) -> DualMixture:
-    """Push a mixture through a dual transition kernel over a time step.
+def propagate(mix: DualMixture, dt: float) -> DualMixture:
+    """Push a mixture through its model's pure-death dual over a time step.
 
-    ``kernel(points, theta, dt)`` is called once with the whole ``(M, K)``
-    support and returns ``(arrivals, probs, source)``: an ``(L, K)`` int
-    array of arrival indices, their (sub-)probabilities and the support row
-    each one leaves from, grouped by source in source order.  The arrivals,
-    weighted by their source weights, are merged by
+    ``mix.model.pd_kernel(points, theta, dt)`` is called once with the
+    whole ``(M, K)`` support and returns ``(arrivals, probs, source)``: an
+    ``(L, K)`` int array of arrival indices, their (sub-)probabilities and
+    the support row each one leaves from, grouped by source in source
+    order.  The arrivals, weighted by their source weights, are merged by
     :meth:`DualMixture.from_weights`, so the output weight at ``n`` is
     ``sum_m w_m * kernel(m)[n]``, renormalized.  The deterministic
-    parameter is advanced by ``theta_evolve`` (identity when ``None``).
+    parameter moves by ``mix.model.theta_flow(theta, dt)``.
 
     Raises:
         InvalidKernel: if any source kernel carries mass above ``1 + 1e-8``.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
-    arrivals, probs, source = kernel(mix.points, mix.theta, dt)
+    arrivals, probs, source = mix.model.pd_kernel(mix.points, mix.theta, dt)
     mass = np.bincount(source, probs, minlength=mix.support_size)
     heavy = np.flatnonzero(mass > 1.0 + KERNEL_MASS_TOL)
     if heavy.size:
         raise InvalidKernel(f"kernel mass {mass[heavy[0]]:.12f} from "
                             f"{mix.points[heavy[0]].tolist()} exceeds one")
-    new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
-    return DualMixture.from_weights(mix.model, arrivals,
-                                    mix.weights[source] * probs, new_theta)
+    return DualMixture.from_weights(mix.model, arrivals, mix.weights[source] * probs,
+                                    mix.model.theta_flow(mix.theta, dt))
 
 
-def update(mix: DualMixture,
-           y,
-           log_marginal: Callable[[np.ndarray, float | None, object], np.ndarray],
-           index_shift: Callable[[object, np.ndarray], np.ndarray],
-           param_shift: Callable[[object, float | None], float | None],
-           ) -> tuple[DualMixture, float]:
+def update(mix: DualMixture, y) -> tuple[DualMixture, float]:
     """Bayes-update a mixture with one observation batch.
 
-    ``log_marginal(points, theta, y)`` returns the ``(M,)`` log marginal
-    likelihoods of the support rows and ``index_shift(y, points)`` their
-    ``(M, K)`` shifted rows.  New weights are proportional to
-    ``w_m * exp(log_marginal[m])``, normalized via log-sum-exp; rows that
-    the shift sends to the same index are merged, and ``theta`` is moved
-    by ``param_shift``.
+    ``mix.model.log_marginal_point(points, theta, y)`` gives the ``(M,)``
+    log marginal likelihoods of the support rows and
+    ``mix.model.shift_index(y, points)`` their ``(M, K)`` shifted rows.
+    New weights are proportional to ``w_m * exp(log_marginal[m])``,
+    normalized via log-sum-exp; rows that the shift sends to the same
+    index are merged, and ``theta`` moves by ``mix.model.shift_param``.
 
     Returns the posterior mixture and the log marginal likelihood of ``y``
     under the prior mixture (the filter's log-evidence increment).
@@ -275,16 +268,17 @@ def update(mix: DualMixture,
         ZeroLikelihood: if every component has zero likelihood, or any
             marginal is NaN/+inf.
     """
-    logmu = np.asarray(log_marginal(mix.points, mix.theta, y), dtype=float)
+    model = mix.model
+    logmu = np.asarray(model.log_marginal_point(mix.points, mix.theta, y), dtype=float)
     if np.any(np.isnan(logmu)) or np.any(np.isposinf(logmu)):
         raise ZeroLikelihood("marginal likelihood returned a non-finite value")
     joint = np.log(mix.weights) + logmu
     if np.all(np.isneginf(joint)):
         raise ZeroLikelihood("all components have zero marginal likelihood")
     log_evidence = float(logsumexp(joint))
-    new_theta = param_shift(y, mix.theta)
-    return (DualMixture.from_weights(mix.model, index_shift(y, mix.points),
-                                     np.exp(joint - log_evidence), new_theta),
+    return (DualMixture.from_weights(model, model.shift_index(y, mix.points),
+                                     np.exp(joint - log_evidence),
+                                     model.shift_param(y, mix.theta)),
             log_evidence)
 
 
@@ -308,35 +302,36 @@ def dual_particle_propagate(mix: DualMixture,
                             sampler,
                             n_particles: int,
                             dt: float,
-                            rng: np.random.Generator,
-                            theta_evolve=None) -> DualMixture:
+                            rng: np.random.Generator) -> DualMixture:
     """Particle approximation of one propagation step on the dual space.
 
     Draws ``n_particles`` source indices from the mixture weights by
     systematic resampling (:func:`systematic_counts` with one uniform
-    offset from ``rng``), pushes them all through one call
-    ``sampler(points, counts, theta, dt, rng)`` and returns the empirical
-    distribution of the arrival indices.  ``points`` is the ``(M, K)`` int
-    array of the sources drawn at least once and ``counts`` their copy
-    numbers; the sampler returns ``counts.sum()`` arrival rows, the copies
-    of each source together and the sources in order.  The deterministic
-    parameter is advanced by ``theta_evolve`` (kept when ``None``).
+    offset from ``rng``) and moves them with one call of ``sampler``.
+    Every dual sampler follows this protocol::
 
-    The result is bit-reproducible for a given seeded ``rng``.
+        sampler(points, counts, theta, dt, rng) -> (rows, theta_t)
+
+    ``points`` are the ``(M, K)`` sources drawn at least once and
+    ``counts`` their copy numbers; ``rows`` are the ``counts.sum()``
+    arrivals, each source's copies together, in source order, and
+    ``theta_t`` the deterministic parameter at ``dt``: the pair is the
+    dual state ``(M_t, Theta_t)`` the particles move to.  The result is the
+    empirical law of ``rows`` at ``theta_t``, bit-reproducible for a given
+    seeded ``rng``.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
     counts = systematic_counts(mix.weights, n_particles, rng.uniform())
 
     drawn = counts > 0
-    sources = mix.points[drawn]
-    arrivals = np.asarray(sampler(sources, counts[drawn], mix.theta, dt, rng))
+    rows, theta = sampler(mix.points[drawn], counts[drawn], mix.theta, dt, rng)
+    arrivals = np.asarray(rows)
     if arrivals.shape != (n_particles, mix.dim):
         raise ValueError(f"sampler returned shape {arrivals.shape}, "
                          f"expected {(n_particles, mix.dim)}")
     # DualMixture rejects arrivals with a negative coordinate
-    new_theta = theta_evolve(mix.theta, dt) if theta_evolve is not None else mix.theta
-    return DualMixture.from_weights(mix.model, arrivals, np.ones(n_particles), new_theta)
+    return DualMixture.from_weights(mix.model, arrivals, np.ones(n_particles), theta)
 
 
 def mixture_moments(mix: DualMixture) -> tuple[np.ndarray, np.ndarray]:

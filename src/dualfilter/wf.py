@@ -42,7 +42,6 @@ from .mixtures import DualMixture, ObservationRecord
 __all__ = [
     "WFParams",
     "WFModel",
-    "log_density_ratio",
     "log_marginal",
     "block_count_probs",
     "typed_death_kernel",
@@ -91,25 +90,6 @@ def _as_counts(n, k: int) -> tuple:
     if any(v < 0 for v in n):
         raise ValueError("counts must be non-negative")
     return n
-
-
-def log_density_ratio(x, n, p: WFParams):
-    """Log of the Dirichlet(alpha+n) density over the Dirichlet(alpha) density.
-
-    Returns ``-inf`` where some ``x_i`` is zero with ``n_i > 0``; the ratio
-    is identically one at ``n = 0``.
-    """
-    n = _as_counts(n, p.k)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    ntot = sum(n)
-    const = (gammaln(p.theta + ntot) - gammaln(p.theta)
-             + sum(gammaln(a) - gammaln(a + ni) for a, ni in zip(p.alpha, n)))
-    narr = np.asarray(n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.where(x > 0, np.log(x), -np.inf)
-        terms = np.where(narr > 0, narr * logx, 0.0)
-    out = const + terms.sum(axis=1)
-    return out if out.shape[0] > 1 else float(out[0])
 
 
 def log_marginal(m, y: ObservationRecord, p: WFParams):
@@ -445,11 +425,11 @@ def emission_log_pmf(x, y: ObservationRecord, p: WFParams) -> np.ndarray:
 class _DualSampler:
     """One of the WF dual samplers, drawn for a whole filter step at once.
 
-    Called as ``sampler(points, counts, theta, dt, rng)`` with ``(M, K)``
-    source points and their copy counts, it returns ``counts.sum()`` rows,
-    the copies of each source together, in source order, from one call of
-    the batched ``draw(rows, dt, params, rng)``.  ``theta`` is unused: the
-    WF duals have no deterministic component.
+    It follows the sampler protocol stated in
+    :func:`~dualfilter.mixtures.dual_particle_propagate`, on ``(M, K)``
+    source points, with one call of the batched ``draw(rows, dt, params,
+    rng)``.  The WF duals have no deterministic component, so ``theta``
+    (``None``) comes back unchanged.
     """
 
     def __init__(self, draw, params: WFParams):
@@ -457,7 +437,7 @@ class _DualSampler:
         self.params = params
 
     def __call__(self, points, counts, theta, dt, rng):
-        return self.draw(np.repeat(points, counts, axis=0), dt, self.params, rng)
+        return self.draw(np.repeat(points, counts, axis=0), dt, self.params, rng), theta
 
 
 #: dual kind -> batched sampler: exact typed death, the exact Moran dual,
@@ -520,9 +500,6 @@ class WFModel:
         if kind not in _DUAL_DRAWS:
             raise ConfigError(f"unknown WF dual kind {kind!r}")
         return _DualSampler(_DUAL_DRAWS[kind], self.params)
-
-    def theta_evolve_for(self, kind: str):
-        return None
 
     # -- mixture components -----------------------------------------------
 
@@ -613,12 +590,3 @@ class WFModel:
                 - gammaln(theta) - gammaln(theta + mt + nt)
                 + (gammaln(alpha) + gammaln(alpha + m + n)
                    - gammaln(alpha + m) - gammaln(alpha + n)).sum(axis=-1))
-
-    def closure_spread(self, m, n, theta_a, theta_b, grid: np.ndarray) -> float:
-        """Max relative spread of h*h / h(combined) over simplex grid rows."""
-        logs = (log_density_ratio(grid, m, self.params)
-                + log_density_ratio(grid, n, self.params)
-                - log_density_ratio(grid, self.combine_index(m, n), self.params))
-        logs = np.atleast_1d(logs)
-        vals = np.exp(logs - np.max(logs))
-        return float((vals.max() - vals.min()) / vals.max())

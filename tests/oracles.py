@@ -3,11 +3,12 @@
 Everything here is deliberately implemented from first principles (plain
 Python loops, adaptive quadrature, grid integration, scipy distributions)
 and never calls the closed forms or fast samplers under test.  Two kinds
-of helper are exceptions: the test-only conveniences ``cir_density_ratio``,
-``update_conjugate``, ``wf_density_ratio`` and ``update_counts``, built on
-the package's own log forms and count checks, and
-``linear_bd_draw_reference``, a frozen copy of the ``bd`` draw that fixes
-its random stream.
+of helper are exceptions: the test-only conveniences
+``cir_log_density_ratio``, ``cir_density_ratio``, ``update_conjugate``,
+``wf_log_density_ratio``, ``wf_density_ratio``, ``update_counts`` and
+``closure_spread``, built on the package's count checks and smoothing
+closure, and ``linear_bd_draw_reference``, a frozen copy of the ``bd``
+draw that fixes its random stream.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import chisquare, ncx2
 
-from dualfilter.cir import log_density_ratio as cir_log_density_ratio
 from dualfilter.wf import _as_counts
-from dualfilter.wf import log_density_ratio as wf_log_density_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +178,27 @@ def linear_bd_kernel_row(m0: int, t: float, lam: float, beta_imm: float,
     return expm(q * t)[m0]
 
 
+def cir_log_density_ratio(x, m: int, theta: float, p):
+    """Log of the Gamma(delta/2+m, theta) density over the reversible density.
+
+    Multiplying the reversible Gamma(delta/2, beta) density by
+    ``exp(cir_log_density_ratio)`` yields the conjugate-family member
+    Gamma(delta/2+m, theta); at ``m=0, theta=beta`` the ratio is one.
+    """
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    x = np.asarray(x, dtype=float)
+    a = p.alpha
+    const = (gammaln(a) - gammaln(a + m)
+             - a * math.log(p.beta) + (a + m) * math.log(theta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xterm = np.where(m == 0, 0.0, m * np.log(x))
+    out = const + xterm - (theta - p.beta) * x
+    return out if out.shape else float(out)
+
+
 def cir_density_ratio(x, m: int, theta: float, p):
-    """Linear-scale version of ``cir.log_density_ratio``.
+    """Linear-scale version of :func:`cir_log_density_ratio`.
 
     Raises:
         OverflowError: when the value exceeds the double range; callers must
@@ -189,7 +207,7 @@ def cir_density_ratio(x, m: int, theta: float, p):
     """
     logv = cir_log_density_ratio(x, m, theta, p)
     if np.any(np.asarray(logv) > 709.0):
-        raise OverflowError("density ratio exceeds float range; use log_density_ratio")
+        raise OverflowError("density ratio exceeds float range; use cir_log_density_ratio")
     out = np.exp(logv)
     return out if np.ndim(out) else float(out)
 
@@ -447,8 +465,27 @@ def cir_two_step_enumeration(y0: int, y1: int, dt: float, p):
 # WF oracles
 # ---------------------------------------------------------------------------
 
+def wf_log_density_ratio(x, n, p):
+    """Log of the Dirichlet(alpha+n) density over the Dirichlet(alpha) density.
+
+    Returns ``-inf`` where some ``x_i`` is zero with ``n_i > 0``; the ratio
+    is identically one at ``n = 0``.
+    """
+    n = _as_counts(n, p.k)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ntot = sum(n)
+    const = (gammaln(p.theta + ntot) - gammaln(p.theta)
+             + sum(gammaln(a) - gammaln(a + ni) for a, ni in zip(p.alpha, n)))
+    narr = np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logx = np.where(x > 0, np.log(x), -np.inf)
+        terms = np.where(narr > 0, narr * logx, 0.0)
+    out = const + terms.sum(axis=1)
+    return out if out.shape[0] > 1 else float(out[0])
+
+
 def wf_density_ratio(x, n, p):
-    """Linear-scale version of ``wf.log_density_ratio`` (bounded on the simplex)."""
+    """Linear-scale version of :func:`wf_log_density_ratio` (bounded on the simplex)."""
     out = np.exp(wf_log_density_ratio(x, n, p))
     return out if np.ndim(out) else float(out)
 
@@ -708,3 +745,26 @@ def wf_two_step_brute_force(y0, y1, dt: float, p, n_paths: int,
         raw[key] = raw.get(key, 0.0) + (cnt / n_paths) * mu
     z = sum(raw.values())
     return {k: v / z for k, v in raw.items()}
+
+
+# ---------------------------------------------------------------------------
+# Product closure of the mixture kernels
+# ---------------------------------------------------------------------------
+
+def closure_spread(model, m, n, theta_a, theta_b, grid) -> float:
+    """Max relative spread of ``h(x,m,theta_a) h(x,n,theta_b) / h(x, m+n,
+    combined theta)`` over a grid of signal points (should be ~0).
+
+    ``h`` is the model's density ratio, :func:`cir_log_density_ratio` on a
+    CIR grid or :func:`wf_log_density_ratio` on simplex grid rows.
+    """
+    if model.name == "cir":
+        def log_h(idx, theta):
+            return cir_log_density_ratio(grid, int(idx[0]), theta, model.params)
+    else:
+        def log_h(idx, theta):
+            return np.atleast_1d(wf_log_density_ratio(grid, idx, model.params))
+    logs = (log_h(m, theta_a) + log_h(n, theta_b)
+            - log_h(model.combine_index(m, n), model.combine_param(theta_a, theta_b)))
+    vals = np.exp(logs - np.max(logs))
+    return float((vals.max() - vals.min()) / vals.max())

@@ -21,7 +21,7 @@ from dualfilter.experiments import build_spec, run_scenario
 from dualfilter.wf import (log_marginal as wf_log_marginal, moran_sample_many,
                            wf_transition_sample_many)
 
-from .oracles import (chi2_pvalue_vs_pmf, cir_two_step_enumeration,
+from .oracles import (chi2_pvalue_vs_pmf, cir_two_step_enumeration, closure_spread,
                       tv_int_samples, tv_sample_vs_pmf, update_conjugate,
                       update_counts, wf_density_ratio, wf_two_step_brute_force)
 from .oracles import cir_density_ratio as density_ratio
@@ -350,11 +350,11 @@ def test_a11_smoothing_consistency():
     worst = float(np.max(np.abs(np.asarray(last.weights)
                                 - np.asarray(filt.weights))))
     grid = np.linspace(0.1, 10.0, 100)
-    spread_cir = model.closure_spread((2,), (3,), 2.1, 3.1, grid)
+    spread_cir = closure_spread(model, (2,), (3,), 2.1, 3.1, grid)
     wf_model = WFModel(WF3)
     base = np.linspace(0.05, 0.9, 15)
     simplex = np.stack([base, (1 - base) / 3, 2 * (1 - base) / 3], axis=1)
-    spread_wf = wf_model.closure_spread((2, 0, 1), (1, 1, 0), None, None, simplex)
+    spread_wf = closure_spread(wf_model, (2, 0, 1), (1, 1, 0), None, None, simplex)
 
     wf_cfg = FilterConfig(method="exact")
     wf_records = [ObservationRecord(0.0, (3, 1, 0)), ObservationRecord(0.5, (1, 1, 1))]

@@ -89,8 +89,7 @@ def test_exact_single_time_is_conjugate_update(cir_model):
 def test_exact_long_horizon_collapses_to_prior(cir_model):
     cfg = FilterConfig(method="exact")
     trace = run_filter(cir_records([4]), cfg, cir_model)
-    pred = propagate(trace.filtering[0], cir_model.pd_kernel,
-                     cir_model.theta_flow, 1e3)
+    pred = propagate(trace.filtering[0], 1e3)
     assert pred.as_dict().get((0,), 0.0) >= 1.0 - 1e-6
     assert pred.theta == pytest.approx(cir_model.params.beta, rel=1e-12)
 

@@ -19,6 +19,18 @@ def gamma_model(delta=2.0, gamma=1.0, sigma=1.0):
     return CIRModel(CIRParams(delta, gamma, sigma))
 
 
+class StubModel:
+    """A model whose update and propagation pieces are the given functions."""
+
+    def __init__(self, kernel=None, theta_flow=lambda th, dt: th, log_marginal=None,
+                 shift_index=None, shift_param=lambda y, th: th):
+        self.pd_kernel = kernel
+        self.theta_flow = theta_flow
+        self.log_marginal_point = log_marginal
+        self.shift_index = shift_index
+        self.shift_param = shift_param
+
+
 def make_mix(points, weights, theta=1.0, model=None):
     model = model or gamma_model()
     return DualMixture.from_weights(model, points, weights, theta)
@@ -153,16 +165,18 @@ def identity_kernel(pts, th, dt):
 
 
 def test_propagate_identity_kernel():
-    mix = make_mix([(0,), (2,), (5,)], [0.2, 0.5, 0.3])
-    out = propagate(mix, identity_kernel, None, 0.5)
+    mix = make_mix([(0,), (2,), (5,)], [0.2, 0.5, 0.3],
+                   model=StubModel(kernel=identity_kernel))
+    out = propagate(mix, 0.5)
     np.testing.assert_array_equal(out.points, mix.points)
     np.testing.assert_allclose(out.weights, mix.weights, atol=1e-15)
 
 
 def test_propagate_absorbing_kernel():
-    mix = make_mix([(1,), (4,)], [0.5, 0.5])
-    out = propagate(mix, lambda pts, th, dt: (np.zeros_like(pts), np.ones(len(pts)),
-                                              np.arange(len(pts))), None, 0.1)
+    mix = make_mix([(1,), (4,)], [0.5, 0.5], model=StubModel(
+        kernel=lambda pts, th, dt: (np.zeros_like(pts), np.ones(len(pts)),
+                                    np.arange(len(pts)))))
+    out = propagate(mix, 0.1)
     assert out.points.tolist() == [[0]]
     assert out.weights[0] == 1.0
 
@@ -176,13 +190,13 @@ def test_propagate_matches_matrix_exponential():
     dt = 0.1
     p_mat = expm(q * dt)
     w = np.array([0.5, 0.3, 0.2])
-    mix = make_mix([(0,), (1,), (2,)], w)
 
     def kernel(pts, th, _dt):
         return (np.tile(np.arange(3), len(pts))[:, None], p_mat[pts[:, 0]].ravel(),
                 np.repeat(np.arange(len(pts)), 3))
 
-    out = propagate(mix, kernel, None, dt)
+    mix = make_mix([(0,), (1,), (2,)], w, model=StubModel(kernel=kernel))
+    out = propagate(mix, dt)
     want = w @ p_mat
     np.testing.assert_allclose(np.asarray(out.weights), want, atol=1e-8)
     # mass before renormalization is preserved by a stochastic kernel
@@ -193,19 +207,21 @@ def test_propagate_matches_matrix_exponential():
 
 
 def test_propagate_rejects_super_stochastic_kernel():
-    mix = make_mix([(0,)], [1.0])
+    mix = make_mix([(0,)], [1.0], model=StubModel(
+        kernel=lambda pts, th, dt: ([[0], [1]], [0.7, 0.5], [0, 0])))
     with pytest.raises(InvalidKernel):
-        propagate(mix, lambda pts, th, dt: ([[0], [1]], [0.7, 0.5], [0, 0]), None, 0.1)
+        propagate(mix, 0.1)
     # the error names the source whose mass exceeds one
-    mix = make_mix([(0,), (2,)], [0.5, 0.5])
+    mix = make_mix([(0,), (2,)], [0.5, 0.5], model=StubModel(
+        kernel=lambda pts, th, dt: ([[0], [0], [1]], [1.0, 0.7, 0.5], [0, 1, 1])))
     with pytest.raises(InvalidKernel, match=r"from \[2\]"):
-        propagate(mix, lambda pts, th, dt: ([[0], [0], [1]], [1.0, 0.7, 0.5], [0, 1, 1]),
-                  None, 0.1)
+        propagate(mix, 0.1)
 
 
 def test_propagate_evolves_theta():
-    mix = make_mix([(0,)], [1.0], theta=2.0)
-    out = propagate(mix, identity_kernel, lambda th, dt: th + dt, 0.25)
+    mix = make_mix([(0,)], [1.0], theta=2.0, model=StubModel(
+        kernel=identity_kernel, theta_flow=lambda th, dt: th + dt))
+    out = propagate(mix, 0.25)
     assert out.theta == 2.25
 
 
@@ -213,7 +229,7 @@ def test_propagate_evolves_theta():
 # update
 # ---------------------------------------------------------------------------
 
-def _cir_update_ops(params):
+def _cir_update_model(params):
     from dualfilter.cir import log_marginal as lm
 
     def log_marginal(pts, theta, y):
@@ -225,14 +241,14 @@ def _cir_update_ops(params):
     def pshift(y, theta):
         return theta + len(y.values) * params.tau
 
-    return log_marginal, shift, pshift
+    return StubModel(log_marginal=log_marginal, shift_index=shift, shift_param=pshift)
 
 
 def test_update_single_component():
     params = CIRParams(11.0, 1.1, 1.0)
-    mix = make_mix([(0,)], [1.0], theta=params.beta, model=CIRModel(params))
+    mix = make_mix([(0,)], [1.0], theta=params.beta, model=_cir_update_model(params))
     y = ObservationRecord(0.0, (4,))
-    out, logev = update(mix, y, *_cir_update_ops(params))
+    out, logev = update(mix, y)
     assert out.points.tolist() == [[4]]
     assert out.weights[0] == 1.0
     assert out.theta == params.beta + 1.0
@@ -240,20 +256,21 @@ def test_update_single_component():
 
 
 def test_update_equal_marginals_keep_symmetry():
-    mix = make_mix([(0,), (1,)], [0.5, 0.5])
+    mix = make_mix([(0,), (1,)], [0.5, 0.5], model=StubModel(
+        log_marginal=lambda pts, th, yy: np.full(len(pts), -1.3),
+        shift_index=lambda yy, pts: pts + 1))
     y = ObservationRecord(0.0, (1,))
-    out, _ = update(mix, y, lambda pts, th, yy: np.full(len(pts), -1.3),
-                    lambda yy, pts: pts + 1, lambda yy, th: th)
+    out, _ = update(mix, y)
     np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=1e-15)
 
 
 def test_update_cir_weights_match_quadrature(cir_params):
     params = cir_params
-    model = CIRModel(params)
+    model = _cir_update_model(params)
     theta = params.beta + 1.0
     mix = make_mix([(2,), (5,)], [0.4, 0.6], theta=theta, model=model)
     y = ObservationRecord(0.0, (3, 1))
-    out, _ = update(mix, y, *_cir_update_ops(params))
+    out, _ = update(mix, y)
     mu2 = quad_cir_marginal(2, theta, [3, 1], params)
     mu5 = quad_cir_marginal(5, theta, [3, 1], params)
     want = np.array([0.4 * mu2, 0.6 * mu5])
@@ -263,15 +280,14 @@ def test_update_cir_weights_match_quadrature(cir_params):
 
 def test_update_merge_batches_matches_single_update(cir_params):
     params = cir_params
-    model = CIRModel(params)
+    model = _cir_update_model(params)
     rng = np.random.default_rng(5)
     pts = [(i,) for i in range(6)]
     w = rng.dirichlet(np.ones(6))
     mix = make_mix(pts, w, theta=params.beta + 2.0, model=model)
-    ops = _cir_update_ops(params)
-    seq, _ = update(mix, ObservationRecord(0.0, (2,)), *ops)
-    seq, _ = update(seq, ObservationRecord(0.0, (3,)), *ops)
-    merged, _ = update(mix, ObservationRecord(0.0, (2, 3)), *ops)
+    seq, _ = update(mix, ObservationRecord(0.0, (2,)))
+    seq, _ = update(seq, ObservationRecord(0.0, (3,)))
+    merged, _ = update(mix, ObservationRecord(0.0, (2, 3)))
     np.testing.assert_array_equal(seq.points, merged.points)
     assert seq.theta == merged.theta
     np.testing.assert_allclose(np.asarray(seq.weights),
@@ -279,27 +295,30 @@ def test_update_merge_batches_matches_single_update(cir_params):
 
 
 def test_update_zero_likelihood_raises():
-    mix = make_mix([(0,), (1,)], [0.5, 0.5])
+    mix = make_mix([(0,), (1,)], [0.5, 0.5], model=StubModel(
+        log_marginal=lambda pts, th, yy: np.full(len(pts), -np.inf),
+        shift_index=lambda yy, pts: pts))
     y = ObservationRecord(0.0, (1,))
     with pytest.raises(ZeroLikelihood):
-        update(mix, y, lambda pts, th, yy: np.full(len(pts), -np.inf),
-               lambda yy, pts: pts, lambda yy, th: th)
+        update(mix, y)
 
 
 def test_update_non_finite_marginal_raises():
-    mix = make_mix([(0,)], [1.0])
+    mix = make_mix([(0,)], [1.0], model=StubModel(
+        log_marginal=lambda pts, th, yy: np.full(len(pts), np.nan),
+        shift_index=lambda yy, pts: pts))
     y = ObservationRecord(0.0, (1,))
     with pytest.raises(ZeroLikelihood):
-        update(mix, y, lambda pts, th, yy: np.full(len(pts), np.nan),
-               lambda yy, pts: pts, lambda yy, th: th)
+        update(mix, y)
 
 
 def test_update_merges_colliding_indices():
     # non-injective shift map: both components land on the same index
-    mix = make_mix([(0,), (1,)], [0.25, 0.75])
+    mix = make_mix([(0,), (1,)], [0.25, 0.75], model=StubModel(
+        log_marginal=lambda pts, th, yy: np.zeros(len(pts)),
+        shift_index=lambda yy, pts: np.full_like(pts, 7)))
     y = ObservationRecord(0.0, (1,))
-    out, _ = update(mix, y, lambda pts, th, yy: np.zeros(len(pts)),
-                    lambda yy, pts: np.full_like(pts, 7), lambda yy, th: th)
+    out, _ = update(mix, y)
     assert out.points.tolist() == [[7]]
     assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -323,7 +342,7 @@ def test_systematic_counts_near_proportional():
 def test_dual_particle_single_particle_point_mass(rng):
     mix = make_mix([(0,), (3,)], [0.5, 0.5])
     out = dual_particle_propagate(
-        mix, lambda pts, c, th, dt, r: np.repeat(pts + 1, c, axis=0), 1, 0.1, rng)
+        mix, lambda pts, c, th, dt, r: (np.repeat(pts + 1, c, axis=0), th), 1, 0.1, rng)
     assert out.support_size == 1
     assert out.weights[0] == 1.0
 
@@ -334,7 +353,7 @@ def test_dual_particle_identity_sampler_l1():
     w = np.random.default_rng(0).dirichlet(np.ones(8))
     mix = make_mix(pts, w)
     out = dual_particle_propagate(
-        mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 100_000, 0.1, rng)
+        mix, lambda pts, c, th, dt, r: (np.repeat(pts, c, axis=0), th), 100_000, 0.1, rng)
     got = out.as_dict()
     l1 = sum(abs(got.get(pt, 0.0) - wi) for pt, wi in mix.as_dict().items())
     assert l1 < 0.02
@@ -374,15 +393,15 @@ def test_dual_particle_bd_sampler_matches_gillespie(cir_model):
 def test_dual_particle_systematic_selection(rng):
     mix = make_mix([(0,), (1,)], [0.5, 0.5])
     out = dual_particle_propagate(
-        mix, lambda pts, c, th, dt, r: np.repeat(pts, c, axis=0), 2, 0.1, rng)
+        mix, lambda pts, c, th, dt, r: (np.repeat(pts, c, axis=0), th), 2, 0.1, rng)
     # stratified selection with equal weights always keeps one copy of each
     assert out.points.tolist() == [[0], [1]]
     np.testing.assert_allclose(out.weights, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("sampler", [
-    lambda pts, c, th, dt, r: np.repeat(pts - 1, c, axis=0),  # negative arrival
-    lambda pts, c, th, dt, r: pts,                            # one row per source
+    lambda pts, c, th, dt, r: (np.repeat(pts - 1, c, axis=0), th),  # negative arrival
+    lambda pts, c, th, dt, r: (pts, th),                            # one row per source
 ])
 def test_dual_particle_rejects_bad_sampler_output(sampler):
     mix = make_mix([(0,), (1,)], [0.5, 0.5])

@@ -9,10 +9,12 @@ shuffled order, and checks ``DualMixture.from_weights`` against the
 ``np.unique`` merge of ``tests/oracles.py``.
 Each sampler example draws a dual kind, a few random sources with small
 copy counts, a time step and a seed, and checks the support bounds of the
-arrivals, and that the batched ``bd`` call draws what the reference draw
-of ``tests/oracles.py`` draws source by source from the same seed.
+arrivals, the theta the sampler moves to, and that the batched ``bd`` call
+draws what the reference draw of ``tests/oracles.py`` draws source by
+source from the same seed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from dualfilter import (CIRModel, CIRParams, DualMixture, FilterConfig,
                         ObservationRecord, WFModel, WFParams, propagate, prune,
                         run_filter, update)
 from dualfilter.cir import log_marginal as cir_log_marginal
+from dualfilter.cir import pure_death_theta
 from dualfilter.errors import DegenerateWeights
 from dualfilter.wf import log_marginal as wf_log_marginal
 
@@ -99,7 +102,8 @@ def test_propagate_matches_direct_sum(case, tail_eps):
         # pins the tail filter to each source's own row
         assume(tail_eps == 0.0 or len(np.unique(mix.points.sum(axis=1))) > 1)
         model = WFModel(WF.params, kernel_tail_eps=tail_eps)
-    out = propagate(mix, model.pd_kernel, model.theta_flow, dt)
+        mix = dataclasses.replace(mix, model=model)
+    out = propagate(mix, dt)
     assert_matches(out, direct_propagate(model, mix, dt))
     # the pure-death dual only moves down: every arrival lies below a source
     below = (out.points[:, None, :] <= mix.points[None, :, :]).all(axis=2)
@@ -110,8 +114,7 @@ def test_propagate_matches_direct_sum(case, tail_eps):
 @given(cases())
 def test_update_matches_direct_sum(case):
     model, mix, y, _ = case
-    out, _ = update(mix, y, model.log_marginal_point, model.shift_index,
-                    model.shift_param)
+    out, _ = update(mix, y)
     assert_matches(out, direct_update(model, mix, y))
 
 
@@ -189,11 +192,12 @@ def sampler_cases(draw, kinds):
 
 
 def arrivals_and_starts(case):
-    """The sampler's arrival rows and the source row each one started from."""
+    """The sampler's arrival rows, the source row each one started from and
+    the sampler's new theta."""
     model, kind, sources, counts, theta, dt, seed = case
-    out = model.dual_sampler(kind)(sources, counts, theta, dt,
-                                   np.random.default_rng(seed))
-    return out, np.repeat(sources, counts, axis=0)
+    out, theta_t = model.dual_sampler(kind)(sources, counts, theta, dt,
+                                            np.random.default_rng(seed))
+    return out, np.repeat(sources, counts, axis=0), theta_t
 
 
 ALL_KINDS = [("cir", "pure_death"), ("cir", "bd"), ("cir", "bd_gillespie"),
@@ -204,23 +208,27 @@ ALL_KINDS = [("cir", "pure_death"), ("cir", "bd"), ("cir", "bd_gillespie"),
 @PROPERTY_SETTINGS
 @given(sampler_cases(ALL_KINDS))
 def test_sampler_returns_one_int_row_per_particle(case):
-    out, starts = arrivals_and_starts(case)
+    model, kind, _, _, theta, dt, _ = case
+    out, starts, theta_t = arrivals_and_starts(case)
     assert out.shape == starts.shape
     assert np.issubdtype(out.dtype, np.integer)
     assert np.all(out >= 0)
+    assert theta_t == (None if model is WF
+                       else pure_death_theta(dt, theta, CIR.params) if kind == "pure_death"
+                       else theta)
 
 
 @PROPERTY_SETTINGS
 @given(sampler_cases([("wf", "moran"), ("wf", "wf_chain"), ("wf", "wf_diffusion")]))
 def test_moran_duals_keep_each_total(case):
-    out, starts = arrivals_and_starts(case)
+    out, starts, _ = arrivals_and_starts(case)
     np.testing.assert_array_equal(out.sum(axis=1), starts.sum(axis=1))
 
 
 @PROPERTY_SETTINGS
 @given(sampler_cases([("cir", "pure_death"), ("wf", "pure_death")]))
 def test_pure_death_never_exceeds_its_source(case):
-    out, starts = arrivals_and_starts(case)
+    out, starts, _ = arrivals_and_starts(case)
     assert np.all(out <= starts)
 
 
@@ -236,7 +244,7 @@ def _bd_case(sources, counts, excess, dt, seed):
 @example(_bd_case([0, 6], [3, 100_000], 0.5, 0.3, 3))  # a source with 100k copies
 def test_bd_step_keeps_the_per_source_stream(case):
     _, _, sources, counts, theta, dt, seed = case
-    out, _ = arrivals_and_starts(case)
+    out, _, _ = arrivals_and_starts(case)
     rng = np.random.default_rng(seed)
     want = np.concatenate([linear_bd_draw_reference(int(m), dt, theta, CIR.params,
                                                     rng, int(c))

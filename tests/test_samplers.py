@@ -1,9 +1,9 @@
-"""Batched dual samplers: ``sampler(points, counts, theta, dt, rng)``.
+"""Batched dual samplers, each drawing a whole filter step in one call.
 
-Every sampler draws a whole filter step in one call and returns
-``counts.sum()`` arrival rows, the copies of each source together and the
-sources in order.  Source sets mix two different totals, as predictive
-start mixtures do.
+The sampler protocol is stated in
+:func:`dualfilter.mixtures.dual_particle_propagate`; these tests check the
+arrival rows it returns.  Source sets mix two different totals, as
+predictive start mixtures do.
 """
 
 from collections import Counter
@@ -29,7 +29,7 @@ KINDS = [("cir", "pure_death"), ("cir", "bd"), ("cir", "bd_gillespie"),
 def _draw(model, kind, points, counts, dt, seed):
     theta = model.params.beta + 1.0 if model.name == "cir" else None
     return model.dual_sampler(kind)(points, counts, theta, dt,
-                                    np.random.default_rng(seed))
+                                    np.random.default_rng(seed))[0]
 
 
 @pytest.fixture

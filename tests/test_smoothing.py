@@ -7,7 +7,8 @@ from dualfilter import (AlignmentError, FilterConfig, ObservationRecord,
                         UnsupportedModel, mixture_moments, run_filter, smoother)
 from dualfilter.mixtures import mixture_pdf
 
-from .oracles import cir_grid_forward_backward
+from .oracles import (cir_grid_forward_backward, cir_log_density_ratio, closure_spread,
+                      wf_log_density_ratio)
 
 
 def cir_records(counts, dt=0.1):
@@ -17,7 +18,7 @@ def cir_records(counts, dt=0.1):
 def test_cir_closure_constant_in_x(cir_model):
     # h(x,2,2.1) h(x,3,3.1) / h(x,5,4.1) is constant over a wide grid
     grid = np.linspace(0.1, 10.0, 100)
-    spread = cir_model.closure_spread((2,), (3,), 2.1, 3.1, grid)
+    spread = closure_spread(cir_model, (2,), (3,), 2.1, 3.1, grid)
     assert spread < 1e-9
     assert cir_model.combine_param(2.1, 3.1) == pytest.approx(4.1)
     assert cir_model.combine_index((2,), (3,)).tolist() == [5]
@@ -26,30 +27,28 @@ def test_cir_closure_constant_in_x(cir_model):
 def test_wf_closure_constant_in_x(wf3_model):
     base = np.linspace(0.05, 0.9, 15)
     grid = np.stack([base, (1 - base) / 3, 2 * (1 - base) / 3], axis=1)
-    spread = wf3_model.closure_spread((2, 0, 1), (1, 1, 0), None, None, grid)
+    spread = closure_spread(wf3_model, (2, 0, 1), (1, 1, 0), None, None, grid)
     assert spread < 1e-9
 
 
 def test_cir_closure_value_identity(cir_model):
     # numeric check of h*h = C*h(combined) at scattered points
-    from dualfilter.cir import log_density_ratio
     p = cir_model.params
     for x in (0.3, 1.7, 6.0):
-        lhs = (log_density_ratio(x, 2, 2.1, p)
-               + log_density_ratio(x, 3, 3.1, p))
+        lhs = (cir_log_density_ratio(x, 2, 2.1, p)
+               + cir_log_density_ratio(x, 3, 3.1, p))
         rhs = (cir_model.log_combine_const((2,), (3,), 2.1, 3.1)
-               + log_density_ratio(x, 5, 4.1, p))
+               + cir_log_density_ratio(x, 5, 4.1, p))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_wf_closure_value_identity(wf3_model):
-    from dualfilter.wf import log_density_ratio
     p = wf3_model.params
     x = np.array([0.2, 0.5, 0.3])
     m, n = (2, 0, 1), (1, 1, 0)
-    lhs = log_density_ratio(x, m, p) + log_density_ratio(x, n, p)
+    lhs = wf_log_density_ratio(x, m, p) + wf_log_density_ratio(x, n, p)
     rhs = (wf3_model.log_combine_const(m, n)
-           + log_density_ratio(x, (3, 1, 1), p))
+           + wf_log_density_ratio(x, (3, 1, 1), p))
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -153,6 +152,29 @@ def test_smoother_pruned_trace_close_to_exact(cir_model):
         ma, _ = mixture_moments(ra.mixture)
         mb, _ = mixture_moments(rb.mixture)
         assert ma[0] == pytest.approx(mb[0], abs=1e-6)
+
+
+@pytest.mark.parametrize("name,kind", [("cir", "pure_death"), ("cir", "bd"),
+                                       ("wf", "moran")])
+def test_terminal_smoothing_of_dual_particle_trace_is_filtering(cir_model, wf3_model,
+                                                                name, kind):
+    # a dual_particle forward trace gets the exact backward pass, whose last
+    # mixture is the prior, so the last smoothed law is the filtering law
+    if name == "cir":
+        model, records = cir_model, cir_records([4, 2, 7, 3, 5])
+    else:
+        model = wf3_model
+        records = [ObservationRecord(0.0, (3, 1, 0)), ObservationRecord(0.5, (1, 1, 1)),
+                   ObservationRecord(1.0, (0, 2, 1))]
+    cfg = FilterConfig(method="dual_particle", n_particles=200, dual_kind=kind, seed=3)
+    trace = run_filter(records, cfg, model)
+    last, filt = smoother(records, model, trace)[-1].mixture, trace.filtering[-1]
+    np.testing.assert_array_equal(last.points, filt.points)
+    np.testing.assert_allclose(last.weights, filt.weights, rtol=0.0, atol=1e-12)
+    if filt.theta is None:
+        assert last.theta is None
+    else:
+        assert abs(last.theta - filt.theta) <= 1e-12
 
 
 def test_wf_smoothing_mean_against_monte_carlo(wf3_model):

@@ -518,10 +518,9 @@ def test_wf_mixture_update_merge_batches(wf3_model):
     model = wf3_model
     mix = DualMixture.from_weights(
         model, [(0, 0, 0), (1, 0, 1), (2, 2, 0)], [0.2, 0.5, 0.3], None)
-    ops = (model.log_marginal_point, model.shift_index, model.shift_param)
-    seq, _ = update(mix, ObservationRecord(0.0, (1, 0, 0)), *ops)
-    seq, _ = update(seq, ObservationRecord(0.0, (0, 2, 0)), *ops)
-    merged, _ = update(mix, ObservationRecord(0.0, (1, 2, 0)), *ops)
+    seq, _ = update(mix, ObservationRecord(0.0, (1, 0, 0)))
+    seq, _ = update(seq, ObservationRecord(0.0, (0, 2, 0)))
+    merged, _ = update(mix, ObservationRecord(0.0, (1, 2, 0)))
     np.testing.assert_array_equal(seq.points, merged.points)
     np.testing.assert_allclose(np.asarray(seq.weights),
                                np.asarray(merged.weights), atol=1e-10)
@@ -540,7 +539,7 @@ def test_kingman_propagation_support_is_downward(wf3_model):
     from dualfilter.mixtures import DualMixture, propagate
     src = (3, 1, 2)
     mix = DualMixture.from_weights(wf3_model, [src], [1.0], None)
-    out = propagate(mix, wf3_model.pd_kernel, wf3_model.theta_flow, 0.5)
+    out = propagate(mix, 0.5)
     assert all(all(n <= m for n, m in zip(pt, src)) for pt in out.points)
 
 
