@@ -110,20 +110,14 @@ def log_marginal(m, theta: float, y: ObservationRecord, p: CIRParams):
 
 
 def bd_rates(m: int, theta: float, p: CIRParams) -> tuple[float, float]:
-    """Birth and death rates of the B&D dual at state ``m``.
-
-    ``lambda_m = 2*sigma^2*(delta/2 + m)*(theta - beta)`` and
-    ``mu_m = 2*sigma^2*theta*m``.
+    """Birth and death rates ``(lam*m + beta_imm, mu*m)`` of the B&D dual at
+    state ``m``, from :func:`linear_bd_rates`.
 
     Raises:
         InvalidDualParam: if ``theta < beta`` (negative birth rate).
     """
-    if theta < p.beta * (1.0 - 1e-12):
-        raise InvalidDualParam(f"theta={theta} below gamma/sigma^2={p.beta}")
-    diff = max(theta - p.beta, 0.0)
-    lam = 2.0 * p.sigma ** 2 * (p.alpha + m) * diff
-    mu = 2.0 * p.sigma ** 2 * theta * m
-    return lam, mu
+    lam, beta_imm, mu = linear_bd_rates(theta, p)
+    return lam * m + beta_imm, mu * m
 
 
 def gillespie_bd(m0: int, t: float, theta: float, p: CIRParams,
@@ -186,31 +180,33 @@ def _survival_pair(lam: float, mu: float, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def linear_bd_sample_many(m0, t: float, theta: float, p: CIRParams,
-                          rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` independent draws of the B&D dual at time ``t`` from ``m0``.
+                          rng: np.random.Generator, size) -> np.ndarray:
+    """Independent draws of the B&D dual at time ``t``, source by source.
 
-    Two-stage construction: descendants of the ``m0`` initial individuals
-    (binomial number of surviving families, each adding a negative-binomial
-    offspring count) plus descendants of Poisson immigration with uniform
-    arrival times, each immigrant family evolved from size one over its
-    residual time.  The ``bd`` sampler makes these draws for each of its
-    sources in turn; with a few copies per source, most of them take
-    scalar arguments (see :func:`_linear_bd_draw`).
+    ``m0`` and ``size`` are one source and its number of copies, or
+    aligned arrays of sources and copy numbers; the draws come back in
+    source order, each source's copies together.  Two-stage construction:
+    descendants of the ``m0`` initial individuals (binomial number of
+    surviving families, each adding a negative-binomial offspring count)
+    plus descendants of Poisson immigration with uniform arrival times,
+    each immigrant family evolved from size one over its residual time.
+    The rates and the first-stage survival pair depend on ``(theta, t)``
+    only, so every source shares them; each source is then drawn in turn
+    by :func:`_linear_bd_draw`, which fixes the random stream.
     """
-    return _linear_bd_draw(m0, t, _linear_bd_step(theta, t, p), rng, size)
-
-
-def _linear_bd_step(theta: float, t: float, p: CIRParams) -> tuple:
-    """Rates and first-stage ``(g, h)`` of the B&D dual over ``t``; they
-    depend on ``(theta, t)`` only, so every source of a step shares them."""
     lam, beta_imm, mu = linear_bd_rates(theta, p)
     g, h = _survival_pair(lam, mu, t)
-    return lam, beta_imm, mu, float(g), float(h)
+    step = lam, beta_imm, mu, float(g), float(h)
+    return np.concatenate([
+        _linear_bd_draw(m, t, step, rng, c)
+        for m, c in zip(np.atleast_1d(m0).tolist(), np.atleast_1d(size).tolist(),
+                        strict=True)])
 
 
-def _linear_bd_draw(m0, t: float, step: tuple, rng: np.random.Generator,
+def _linear_bd_draw(m0: int, t: float, step: tuple, rng: np.random.Generator,
                     size: int) -> np.ndarray:
-    """:func:`linear_bd_sample_many` given its :func:`_linear_bd_step`.
+    """``size`` draws from the one source ``m0``, given the shared rates and
+    survival pair ``step`` of :func:`linear_bd_sample_many`.
 
     The native stage draws with scalar arguments: the survivors as one
     ``binomial(m0, g, size)`` call, then each surviving family's offspring
@@ -255,7 +251,7 @@ def pure_death_theta(t, theta0: float, p: CIRParams):
     Starts at ``theta0`` and relaxes monotonically to ``beta``.
     """
     if theta0 <= 0:
-        raise ValueError("theta0 must be positive")
+        raise ConfigError("theta0 must be positive")
     t = np.asarray(t, dtype=float)
     beta = p.beta
     denom = theta0 - (theta0 - beta) * np.exp(-2.0 * p.gamma * t)
@@ -273,7 +269,7 @@ def pure_death_survival(t, theta0: float, p: CIRParams):
     ``s(t) = beta*exp(-2*gamma*t) / D(t)``.
     """
     if theta0 <= 0:
-        raise ValueError("theta0 must be positive")
+        raise ConfigError("theta0 must be positive")
     t = np.asarray(t, dtype=float)
     beta = p.beta
     e = np.exp(-2.0 * p.gamma * t)
@@ -286,7 +282,7 @@ def pure_death_pmf(points, t: float, theta0: float, p: CIRParams):
     ``m``, as the kernel triple ``(arrivals 0..m, probs, source index)``."""
     m = np.asarray(points, dtype=np.int64)[:, 0]
     if np.any(m < 0):
-        raise ValueError("m must be non-negative")
+        raise ConfigError("m must be non-negative")
     s = pure_death_survival(t, theta0, p)
     source = np.repeat(np.arange(len(m)), m + 1)
     top = m[source]
@@ -318,7 +314,7 @@ def cir_transition_sample_many(x, t: float, p: CIRParams,
                                rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Exact draws of ``X_t | X_0 = x`` via the Gamma-Poisson expansion."""
     if t <= 0:
-        raise ValueError("time step must be positive")
+        raise ConfigError("time step must be positive")
     x = np.asarray(x, dtype=float)
     if size is None:
         size = x.shape[0] if x.ndim else 1
@@ -373,44 +369,32 @@ class _PureDeathSampler:
 
 
 class _BirthDeathSampler:
-    """Two-stage (branching) sampler of the B&D dual at fixed theta.
-
-    The batched call computes the step's rates and first-stage survival
-    pair once, then draws each source's copies one source after another,
-    so the random stream is the per-source one of :meth:`many`.  The
-    per-source draw passes scalars to ``Generator`` wherever it draws for
-    a few copies at a time (see :func:`_linear_bd_draw`); with array
-    arguments, numpy's checks would cost most of a ``cir_filtering`` run.
-    """
+    """Two-stage (branching) sampler of the B&D dual at fixed theta: one
+    :func:`linear_bd_sample_many` call over the step's sources."""
 
     def __init__(self, params: CIRParams):
         self.params = params
 
     def __call__(self, points, counts, theta, dt, rng):
-        step = _linear_bd_step(theta, dt, self.params)
-        draws = [_linear_bd_draw(m, dt, step, rng, c)
-                 for m, c in zip(points[:, 0].tolist(), np.asarray(counts).tolist())]
-        return np.concatenate(draws)[:, None], theta
+        return linear_bd_sample_many(points[:, 0], dt, theta, self.params, rng,
+                                     counts)[:, None], theta
 
     # perfbench/test_smoke.py needs this until the benchmark revision (ROADMAP
     # item 5); it returns bare rows, and nothing in src/ calls it.
     def many(self, point, theta, dt, rng, size):
-        return linear_bd_sample_many(int(point[0]), dt, theta, self.params,
-                                     rng, size)[:, None]
+        return linear_bd_sample_many(point[0], dt, theta, self.params, rng, size)[:, None]
 
 
 class _GillespieBDSampler:
     """Event-driven sampler of the B&D dual (reference implementation)."""
 
-    def __init__(self, params: CIRParams, max_events: int = 10_000_000):
+    def __init__(self, params: CIRParams):
         self.params = params
-        self.max_events = max_events
 
     def __call__(self, points, counts, theta, dt, rng):
         starts = np.repeat(points[:, 0], counts)
-        return np.array([gillespie_bd(int(m), dt, theta, self.params, rng,
-                                      self.max_events) for m in starts],
-                        dtype=np.int64)[:, None], theta
+        return np.array([gillespie_bd(int(m), dt, theta, self.params, rng)
+                         for m in starts], dtype=np.int64)[:, None], theta
 
 
 class CIRModel:
@@ -502,10 +486,7 @@ class CIRModel:
 
     # -- smoothing closure --------------------------------------------------
     # Indices are ``(..., 1)`` arrays (or tuples); the methods broadcast
-    # over their leading axes.
-
-    def combine_index(self, m, n) -> np.ndarray:
-        return np.add(m, n)
+    # over their leading axes.  The combined index is always ``m + n``.
 
     def combine_param(self, theta_a: float, theta_b: float) -> float:
         return theta_a + theta_b - self.params.beta

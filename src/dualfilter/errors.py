@@ -45,5 +45,6 @@ class UnsupportedModel(DualFilterError):
 
 class ConfigError(DualFilterError, ValueError):
     """Raised for invalid configuration or input at the package boundary:
-    experiment specs, filter configs, observation records, model parameters
-    and dual kinds (CLI exit code 64)."""
+    experiment specs, filter configs, observation records, model parameters,
+    dual kinds, and out-of-range arguments of the public kernels, samplers
+    and mixture functions (CLI exit code 64)."""

@@ -42,8 +42,8 @@ from .cir import CIRModel, CIRParams
 from .errors import ConfigError
 from .filtering import (FilterConfig, ParticleCloud, density_on_grid, error_metrics,
                         grid_l1, metric_edges, run_filter)
-from .mixtures import (ObservationRecord, dual_particle_propagate,
-                       mixture_moments, propagate, sample_mixture)
+from .mixtures import (ObservationRecord, dual_particle_propagate, propagate,
+                       sample_mixture)
 from .wf import WFModel, WFParams
 
 __all__ = [
@@ -256,7 +256,7 @@ def _predictive_context(spec: ExperimentSpec, rep: int) -> dict:
     start = trace.filtering[-1]
     ref_pred = propagate(start, spec.horizon)
     edges = metric_edges(ref_pred)
-    ref_mean, ref_sd = mixture_moments(ref_pred)
+    ref_mean, ref_sd = ref_pred.moments()
     return dict(model=model, start=start, ref_pred=ref_pred, edges=edges,
                 ref_density=density_on_grid(ref_pred, edges),
                 ref_mean=ref_mean, ref_sd=ref_sd)
@@ -288,10 +288,7 @@ def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
         particles = model.signal_sample_many(particles, spec.horizon, rng)
         approx = ParticleCloud(particles, np.full(n, 1.0 / n))
     l1 = grid_l1(approx, ctx["ref_density"], ctx["edges"])
-    if isinstance(approx, ParticleCloud):
-        mean, sd = approx.moments()
-    else:
-        mean, sd = mixture_moments(approx)
+    mean, sd = approx.moments()
     base = (spec.scenario, method, dual, n, rep, "")
     return [base + ("l1_pred", l1),
             base + ("err_mean", float(np.abs(mean - ctx["ref_mean"]).mean())),

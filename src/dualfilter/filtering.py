@@ -33,7 +33,7 @@ from scipy.special import logsumexp
 
 from .errors import AlignmentError, ConfigError, UnsupportedModel, ZeroLikelihood
 from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
-                       mixture_marginal_pdf, mixture_moments, mixture_quantile,
+                       mixture_marginal_pdf, mixture_quantile,
                        propagate, prune, systematic_counts, update)
 
 __all__ = [
@@ -126,15 +126,9 @@ class FilterTrace:
         return len(self.times)
 
 
-def _moments_of(state) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(state, ParticleCloud):
-        return state.moments()
-    return mixture_moments(state)
-
-
 def _assemble_trace(data, predictive, filtering, loglik) -> FilterTrace:
-    pred = [_moments_of(s) for s in predictive]
-    filt = [_moments_of(s) for s in filtering]
+    pred = [s.moments() for s in predictive]
+    filt = [s.moments() for s in filtering]
     k = pred[0][0].shape[0] if pred else 1  # empty datasets yield empty traces
     return FilterTrace(
         times=np.array([y.time for y in data], dtype=float),
@@ -262,10 +256,12 @@ def smoother(data: Sequence[ObservationRecord], model,
     ``t_i - t_{i-1}`` with the exact pure-death kernel and parameter flow,
     so ``B_i`` carries the likelihood of the observations after time ``i``.
     Each backward mixture is combined with the filtering mixture at the
-    same time through the model's product closure (index sum, parameter
-    combination and a constant factor), all pairs of support rows at once
-    in log space, yielding one mixture per observation time; at the
-    terminal time the result coincides with the filtering law.
+    same time through the product closure of the mixture kernels, all
+    pairs of support rows at once in log space: the index rows add, and
+    the model's ``combine_param`` and ``log_combine_const`` give the
+    combined parameter and the constant factor.  This yields one mixture
+    per observation time; at the terminal time the result coincides with
+    the filtering law.
 
     Raises:
         UnsupportedModel: if the trace holds particle clouds.
@@ -286,7 +282,7 @@ def smoother(data: Sequence[ObservationRecord], model,
         fwd_rows, back_rows = filt.points[None, :, :], back.points[:, None, :]
         logw = (np.log(back.weights)[:, None] + np.log(filt.weights)[None, :]
                 + model.log_combine_const(back_rows, fwd_rows, back.theta, filt.theta))
-        points = model.combine_index(back_rows, fwd_rows).reshape(-1, filt.dim)
+        points = (back_rows + fwd_rows).reshape(-1, filt.dim)
         mixture = DualMixture.from_weights(
             filt.model, points, np.exp(logw - logw.max()).ravel(),
             model.combine_param(back.theta, filt.theta))

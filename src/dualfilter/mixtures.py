@@ -90,10 +90,6 @@ class ObservationRecord:
             raise ConfigError("emission counts must be non-negative")
         object.__setattr__(self, "values", values)
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.values)
-
 
 def _strictly_increasing_rows(points: np.ndarray) -> bool:
     """True if consecutive rows increase strictly in lexicographic order."""
@@ -127,14 +123,14 @@ class DualMixture:
     def __post_init__(self):
         points = np.array(self.points, dtype=np.int64)
         if points.ndim != 2 or points.shape[1] == 0:
-            raise ValueError("support points must be an (M, K) array with K >= 1")
+            raise ConfigError("support points must be an (M, K) array with K >= 1")
         if np.any(points < 0):
-            raise ValueError("negative coordinate in a support point")
+            raise ConfigError("negative coordinate in a support point")
         if not _strictly_increasing_rows(points):
-            raise ValueError("support points must be distinct and sorted")
+            raise ConfigError("support points must be distinct and sorted")
         w = np.array(self.weights, dtype=float)
         if w.shape != (len(points),):
-            raise ValueError("weights must align with support points")
+            raise ConfigError("weights must align with support points")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise DegenerateWeights("weights must be finite and strictly positive")
         if abs(math.fsum(w) - 1.0) > WEIGHT_SUM_TOL:
@@ -164,19 +160,19 @@ class DualMixture:
         Raises:
             DegenerateWeights: if no weight is strictly positive, or any weight
                 is negative or non-finite.
-            ValueError: if the rows are not ``(L, K)`` with ``K >= 1`` and one
+            ConfigError: if the rows are not ``(L, K)`` with ``K >= 1`` and one
                 weight per row.
         """
         points = np.asarray(points, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
         if points.ndim != 2 or weights.shape != (len(points),):
-            raise ValueError("need (L, K) points with one weight per row")
+            raise ConfigError("need (L, K) points with one weight per row")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise DegenerateWeights("weights must be finite and non-negative")
         if not np.any(weights > 0.0):
             raise DegenerateWeights("all weights are zero")
         if points.shape[1] == 0:
-            raise ValueError("support points must be an (M, K) array with K >= 1")
+            raise ConfigError("support points must be an (M, K) array with K >= 1")
         order = np.lexsort(points.T[::-1])
         rows = points[order]
         starts = np.empty(len(rows), dtype=bool)
@@ -199,6 +195,10 @@ class DualMixture:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact mean and standard deviation vectors (:func:`mixture_moments`)."""
+        return mixture_moments(self)
+
 
 def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
     """Drop support points with (normalized) weight below ``eps``.
@@ -210,7 +210,7 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
         DegenerateWeights: if the threshold removes the entire support.
     """
     if not 0.0 <= eps < 1.0:
-        raise ValueError("prune threshold must lie in [0, 1)")
+        raise ConfigError("prune threshold must lie in [0, 1)")
     if eps == 0.0:
         return mix, 0.0
     keep = mix.weights >= eps
@@ -240,7 +240,7 @@ def propagate(mix: DualMixture, dt: float) -> DualMixture:
         InvalidKernel: if any source kernel carries mass above ``1 + 1e-8``.
     """
     if dt <= 0:
-        raise ValueError("time step must be positive")
+        raise ConfigError("time step must be positive")
     arrivals, probs, source = mix.model.pd_kernel(mix.points, mix.theta, dt)
     mass = np.bincount(source, probs, minlength=mix.support_size)
     heavy = np.flatnonzero(mass > 1.0 + KERNEL_MASS_TOL)
@@ -290,7 +290,7 @@ def systematic_counts(weights: np.ndarray, n: int, offset: float) -> np.ndarray:
     ``floor(n*w)`` or ``ceil(n*w)`` copies.
     """
     if not 0.0 <= offset < 1.0:
-        raise ValueError("offset must lie in [0, 1)")
+        raise ConfigError("offset must lie in [0, 1)")
     positions = (np.arange(n) + offset) / n
     cum = np.cumsum(weights)
     cum[-1] = max(cum[-1], 1.0)  # guard against fp undershoot
@@ -321,7 +321,7 @@ def dual_particle_propagate(mix: DualMixture,
     seeded ``rng``.
     """
     if n_particles < 1:
-        raise ValueError("need at least one particle")
+        raise ConfigError("need at least one particle")
     counts = systematic_counts(mix.weights, n_particles, rng.uniform())
 
     drawn = counts > 0
@@ -377,7 +377,7 @@ def mixture_marginal_pdf(mix: DualMixture, grid) -> np.ndarray:
 def mixture_quantile(mix: DualMixture, q: float) -> float:
     """Quantile of the first-coordinate marginal of a mixture (by bisection)."""
     if not 0.0 < q < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
+        raise ConfigError("quantile level must lie in (0, 1)")
 
     def cdf(x):
         return math.fsum(mix.weights * mix.model.marginal_component_cdf(

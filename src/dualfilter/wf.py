@@ -88,7 +88,7 @@ def _as_counts(n, k: int) -> tuple:
     if len(n) != k:
         raise DimensionError(f"count vector has length {len(n)}, expected {k}")
     if any(v < 0 for v in n):
-        raise ValueError("counts must be non-negative")
+        raise ConfigError("counts must be non-negative")
     return n
 
 
@@ -104,7 +104,7 @@ def log_marginal(m, y: ObservationRecord, p: WFParams):
     if m.shape[-1:] != (p.k,):
         raise DimensionError(f"count vectors must have length {p.k}")
     if np.any(m < 0):
-        raise ValueError("counts must be non-negative")
+        raise ConfigError("counts must be non-negative")
     c = np.asarray(_as_counts(y.values, p.k))
     ctot = int(c.sum())
     if ctot == 0:
@@ -149,11 +149,11 @@ def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
     ``(m_tot, t, theta)``.
     """
     if m_tot < 0:
-        raise ValueError("m_tot must be non-negative")
+        raise ConfigError("m_tot must be non-negative")
     if m_tot == 0:
         return np.ones(1)
     if t <= 0:
-        raise ValueError("time must be positive")
+        raise ConfigError("time must be positive")
     return _block_count_row(int(m_tot), float(t), p.theta)
 
 
@@ -198,7 +198,7 @@ def _start_rows(n0, p: WFParams, size: int | None) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != p.k:
         raise DimensionError(f"start rows must have {p.k} columns")
     if np.any(rows < 0):
-        raise ValueError("counts must be non-negative")
+        raise ConfigError("counts must be non-negative")
     if size is not None and rows.shape[0] == 1:
         rows = np.repeat(rows, size, axis=0)
     return rows
@@ -359,7 +359,7 @@ def wf_transition_sample_many(x, t: float, p: WFParams,
     ``x`` may be a single simplex point or one row per path.
     """
     if t <= 0:
-        raise ValueError("time step must be positive")
+        raise ConfigError("time step must be positive")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if size is None:
         size = x.shape[0]
@@ -573,10 +573,7 @@ class WFModel:
 
     # -- smoothing closure --------------------------------------------------
     # Indices are ``(..., K)`` arrays (or tuples); the methods broadcast
-    # over their leading axes.
-
-    def combine_index(self, m, n) -> np.ndarray:
-        return np.add(m, n)
+    # over their leading axes.  The combined index is always ``m + n``.
 
     def combine_param(self, theta_a, theta_b) -> None:
         return None

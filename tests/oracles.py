@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import eval_jacobi, gammaln, roots_jacobi
 from scipy.stats import chisquare, ncx2
 
 from dualfilter.wf import _as_counts
@@ -747,6 +747,58 @@ def wf_two_step_brute_force(y0, y1, dt: float, p, n_paths: int,
     return {k: v / z for k, v in raw.items()}
 
 
+def wf_spectral_forward_backward(records, alpha, n_nodes: int = 400) -> dict:
+    """Forward-backward pass of the two-type WF HMM from the spectral
+    expansion of the WF transition density, independent of the dual.
+
+    ``records`` hold count pairs ``(c1, c2)`` of type-1 and type-2 draws,
+    ``alpha = (a1, a2)``.  The transition density of the first coordinate
+    is the Beta(a1, a2) density at ``y`` times
+    ``sum_n exp(-n(n+theta-1)t/2) Q_n(x) Q_n(y)``, where ``Q_n`` is the
+    Jacobi polynomial ``P_n^(a2-1, a1-1)(2x-1)`` normalized in
+    ``L2(Beta(a1, a2))`` (Griffiths, 1979).  Every law is kept as its
+    density against Beta(a1, a2) on ``n_nodes`` Gauss-Jacobi nodes.  Those
+    densities are polynomials of degree at most the total count, so with
+    one mode per degree and enough nodes every integral is exact up to
+    rounding.  Returns per-step filtering and smoothing means of the first
+    coordinate and the log-evidence increments of the ordered sample
+    (``log E[x^c1 (1-x)^c2]``, no multinomial coefficient).
+    """
+    a1, a2 = (float(a) for a in alpha)
+    counts = np.array([r.values for r in records], dtype=float)
+    n_modes = int(counts.sum()) + 1
+    if n_nodes < n_modes:
+        raise ValueError("need at least one node per mode")
+    u, w = roots_jacobi(n_nodes, a2 - 1.0, a1 - 1.0)
+    x, q = 0.5 * (u + 1.0), w / w.sum()  # Beta(a1, a2) quadrature
+    modes = np.arange(n_modes)
+    basis = eval_jacobi(modes[:, None], a2 - 1.0, a1 - 1.0, u[None, :])
+    basis /= np.sqrt(basis ** 2 @ q)[:, None]
+    rates = modes * (modes + a1 + a2 - 1.0) / 2.0
+
+    def move(g, gap):
+        return (np.exp(-rates * gap) * (basis @ (q * g))) @ basis
+
+    likes = [x ** c1 * (1.0 - x) ** c2 for c1, c2 in counts]
+    gaps = np.diff([r.time for r in records])
+    filt, loglik = [], []
+    g = np.ones_like(x)
+    for i, like in enumerate(likes):
+        joint = g * like
+        z = float(q @ joint)
+        loglik.append(math.log(z))
+        filt.append(joint / z)
+        if i < len(gaps):
+            g = move(filt[-1], gaps[i])
+    back = [np.ones_like(x)]
+    for i in range(len(likes) - 2, -1, -1):
+        back.insert(0, move(likes[i + 1] * back[0], gaps[i]))
+    smooth = [f * b / (q @ (f * b)) for f, b in zip(filt, back)]
+    return {"filt_mean": np.array([q @ (f * x) for f in filt]),
+            "smooth_mean": np.array([q @ (s * x) for s in smooth]),
+            "loglik": np.array(loglik)}
+
+
 # ---------------------------------------------------------------------------
 # Product closure of the mixture kernels
 # ---------------------------------------------------------------------------
@@ -765,6 +817,6 @@ def closure_spread(model, m, n, theta_a, theta_b, grid) -> float:
         def log_h(idx, theta):
             return np.atleast_1d(wf_log_density_ratio(grid, idx, model.params))
     logs = (log_h(m, theta_a) + log_h(n, theta_b)
-            - log_h(model.combine_index(m, n), model.combine_param(theta_a, theta_b)))
+            - log_h(np.add(m, n), model.combine_param(theta_a, theta_b)))
     vals = np.exp(logs - np.max(logs))
     return float((vals.max() - vals.min()) / vals.max())

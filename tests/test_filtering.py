@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ from dualfilter import (AlignmentError, CIRModel, CIRParams, DualFilterError,
                         FilterConfig, ObservationRecord, ParticleCloud,
                         WFModel, WFParams, ZeroLikelihood, error_metrics,
                         run_filter)
+from dualfilter import cir, wf
+from dualfilter.experiments import build_spec, simulate_dataset
 from dualfilter.filtering import density_on_grid, grid_l1, metric_edges
-from dualfilter.mixtures import propagate
+from dualfilter.mixtures import (DualMixture, dual_particle_propagate, mixture_quantile,
+                                 propagate, prune, systematic_counts)
 
 from .oracles import (cir_grid_forward_backward, cir_two_step_enumeration,
                       wf_two_step_brute_force)
@@ -21,6 +25,11 @@ def cir_records(counts, dt=0.1):
 
 def wf_records(count_rows, dt=1.0):
     return [ObservationRecord(i * dt, tuple(c)) for i, c in enumerate(count_rows)]
+
+
+CIR = CIRParams(11.0, 1.1, 1.0)
+CIR_MODEL = CIRModel(CIR)
+WF2 = WFParams((1.1, 1.1))
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +70,41 @@ def test_config_validation():
     lambda: FilterConfig(method="exact", seed=1.5),
     lambda: FilterConfig(method="bootstrap", n_particles=10, dual_kind="bd"),
     lambda: FilterConfig(method="exact", n_particles=2),
+    lambda: cir.pure_death_theta(0.1, 0.0, CIR),
+    lambda: cir.pure_death_survival(0.1, -1.0, CIR),
+    lambda: cir.pure_death_pmf(np.array([[-1]]), 0.1, 2.0, CIR),
+    lambda: cir.cir_transition_sample_many(1.0, 0.0, CIR, np.random.default_rng(0)),
+    lambda: DualMixture(CIR_MODEL, np.array([0, 1]), [0.5, 0.5]),
+    lambda: DualMixture(CIR_MODEL, [[-1]], [1.0]),
+    lambda: DualMixture(CIR_MODEL, [[2], [1]], [0.5, 0.5]),
+    lambda: DualMixture(CIR_MODEL, [[0]], [0.5, 0.5]),
+    lambda: DualMixture.from_weights(CIR_MODEL, [[0], [1]], [1.0]),
+    lambda: DualMixture.from_weights(CIR_MODEL, np.zeros((1, 0)), [1.0]),
+    lambda: prune(CIR_MODEL.prior_mixture(), 1.0),
+    lambda: propagate(CIR_MODEL.prior_mixture(), 0.0),
+    lambda: systematic_counts(np.array([0.5, 0.5]), 4, 1.0),
+    lambda: dual_particle_propagate(CIR_MODEL.prior_mixture(),
+                                    CIR_MODEL.dual_sampler("pure_death"), 0, 0.1,
+                                    np.random.default_rng(0)),
+    lambda: mixture_quantile(CIR_MODEL.prior_mixture(), 1.0),
+    lambda: wf._as_counts((1, -1), 2),
+    lambda: wf.log_marginal(np.array([[-1, 2]]), ObservationRecord(0.0, (1, 1)), WF2),
+    lambda: wf._start_rows([[-1, 2]], WF2, None),
+    lambda: wf.block_count_probs(-1, 0.1, WF2),
+    lambda: wf.block_count_probs(3, 0.0, WF2),
+    lambda: wf.wf_transition_sample_many([0.5, 0.5], 0.0, WF2, np.random.default_rng(0)),
 ], ids=["method", "prune_eps", "prune_eps_unpruned", "n_particles", "dual_kind",
         "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
         "cir_kind", "wf_kind", "record_fractional_count", "record_nan_count",
         "record_inf_count", "record_nan_time", "cir_nan_param", "wf_nan_weight",
         "wf_inf_weight", "fractional_n_particles", "negative_seed",
-        "fractional_seed", "dual_kind_unused", "n_particles_unused"])
+        "fractional_seed", "dual_kind_unused", "n_particles_unused",
+        "pd_theta_rate", "pd_survival_rate", "pd_pmf_source", "cir_transition_time",
+        "mixture_shape", "mixture_negative", "mixture_unsorted", "mixture_weights",
+        "from_weights_shape", "from_weights_empty_rows", "prune_eps_range",
+        "propagate_time", "systematic_offset", "no_particles", "quantile_level",
+        "wf_counts", "wf_log_marginal_counts", "wf_start_rows", "block_count_total",
+        "block_count_time", "wf_transition_time"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()
@@ -403,3 +441,44 @@ def test_density_on_grid_mixture_integrates(cir_model):
     dens = density_on_grid(mix, edges)
     mass = float(np.sum(dens * np.diff(edges)))
     assert mass == pytest.approx(1.0, abs=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# Particle log-evidence against the exact evidence
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _evidence_case(scenario: str):
+    """Model, data and exact log-evidence of a short dataset: CIR(11, 1.1, 1)
+    at 10 times spaced 0.1, or the 3-type WF at 5 times spaced 0.5 with 10
+    draws each."""
+    overrides = ({"n_times": 10} if scenario == "cir_filtering"
+                 else {"n_times": 5, "delta_t": 0.5, "batch_size": 10})
+    spec = build_spec(scenario, overrides)
+    _, data = simulate_dataset(spec, np.random.default_rng(1))
+    model = spec.build_model()
+    return model, data, run_filter(data, FilterConfig("exact"), model).total_loglik
+
+
+@pytest.mark.parametrize("scenario,method,kind,n,gated", [
+    ("cir_filtering", "bootstrap", None, 100, True),
+    ("cir_filtering", "dual_particle", "pure_death", 50, True),
+    ("cir_filtering", "dual_particle", "bd", 50, True),
+    ("wf_filtering", "dual_particle", "pure_death", 50, True),
+    ("wf_filtering", "dual_particle", "moran", 50, True),
+    ("wf_filtering", "dual_particle", "wf_chain", 50, False),
+    ("wf_filtering", "dual_particle", "wf_diffusion", 50, False),
+])
+def test_particle_evidence_is_unbiased(scenario, method, kind, n, gated):
+    # exp(loglik) of a particle filter whose moves follow the exact law is
+    # an unbiased estimate of the evidence; the WF-chain and binned-diffusion
+    # duals approximate the Moran dual, so their bias is only reported
+    model, data, exact = _evidence_case(scenario)
+    ratio = np.array([math.exp(run_filter(data, FilterConfig(
+        method, seed=seed, n_particles=n, dual_kind=kind), model).total_loglik - exact)
+        for seed in range(400)])
+    mean, se = ratio.mean(), ratio.std(ddof=1) / math.sqrt(len(ratio))
+    print(f"{scenario} {kind or method} N={n}: mean exp(ll - ll_exact) "
+          f"{mean:.4f} +- {se:.4f}")
+    if gated:
+        assert abs(mean - 1.0) < 4.0 * se

@@ -492,8 +492,7 @@ def test_wf_pdf_checks_simplex():
 # ---------------------------------------------------------------------------
 
 def test_observation_record_validation():
-    rec = ObservationRecord(0.5, (1, 0, 3))
-    assert rec.batch_size == 3
+    ObservationRecord(0.5, (1, 0, 3))
     with pytest.raises(ValueError):
         ObservationRecord(-0.1, (1,))
     with pytest.raises(ValueError):

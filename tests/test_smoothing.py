@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dualfilter import (AlignmentError, FilterConfig, ObservationRecord,
-                        UnsupportedModel, mixture_moments, run_filter, smoother)
+                        UnsupportedModel, WFModel, WFParams, mixture_moments,
+                        run_filter, smoother)
 from dualfilter.mixtures import mixture_pdf
 
 from .oracles import (cir_grid_forward_backward, cir_log_density_ratio, closure_spread,
-                      wf_log_density_ratio)
+                      wf_log_density_ratio, wf_spectral_forward_backward)
 
 
 def cir_records(counts, dt=0.1):
@@ -21,7 +22,6 @@ def test_cir_closure_constant_in_x(cir_model):
     spread = closure_spread(cir_model, (2,), (3,), 2.1, 3.1, grid)
     assert spread < 1e-9
     assert cir_model.combine_param(2.1, 3.1) == pytest.approx(4.1)
-    assert cir_model.combine_index((2,), (3,)).tolist() == [5]
 
 
 def test_wf_closure_constant_in_x(wf3_model):
@@ -101,6 +101,28 @@ def test_smoothing_matches_grid_forward_backward(cir_model):
     # pointwise density agreement at the first time
     dens = mixture_pdf(out[0].mixture, grid["grid"])
     np.testing.assert_allclose(dens, grid["smooth"][0], atol=2e-3)
+
+
+@pytest.mark.parametrize("gap", [1.0, 0.1, 0.05])
+@pytest.mark.parametrize("alpha", [(1.1, 1.1), (3.0, 1.5), (0.7, 2.0), (1.1, 0.7, 2.0)])
+def test_wf_exact_filter_and_smoother_match_spectral_oracle(alpha, gap):
+    # 5 records of 6-20 draws; the K = 3 model sees (c1, 0, 0) only, so its
+    # first coordinate is the two-type model (a1, a2 + a3) seeing (c1, 0)
+    rng = np.random.default_rng(7)
+    records = []
+    for i in range(5):
+        n = int(rng.integers(6, 21))
+        c1 = int(rng.binomial(n, 0.35))
+        records.append(ObservationRecord(i * gap, (c1, n - c1) if len(alpha) == 2
+                                         else (c1, 0, 0)))
+    model = WFModel(WFParams(alpha))
+    trace = run_filter(records, FilterConfig("exact"), model)
+    smooth = [mixture_moments(res.mixture)[0][0] for res in smoother(records, model, trace)]
+    pairs = [ObservationRecord(r.time, (r.values[0], sum(r.values[1:]))) for r in records]
+    want = wf_spectral_forward_backward(pairs, (alpha[0], sum(alpha[1:])))
+    np.testing.assert_allclose(trace.filt_mean[:, 0], want["filt_mean"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(trace.loglik, want["loglik"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(smooth, want["smooth_mean"], rtol=0, atol=1e-10)
 
 
 def test_smoothing_moves_toward_future_information(cir_model):
