@@ -18,13 +18,14 @@ Two dual processes drive propagation:
   loop or by a two-stage branching construction (binomial survivors plus
   negative-binomial offspring, Poisson immigration).
 
-The branching sampler draws source by source, which fixes its random
-stream, and passes scalar arguments to ``Generator`` where a source has
-few copies.  A ``cir_filtering`` step has tens of sources of about 4
-copies each, and numpy checks the array arguments of a ``Generator``
-call at a fixed cost: about 47 us for ``negative_binomial`` whatever the
-length, against 1.7 us for a scalar call (numpy 2.4, 2-vCPU VM).  The
-values drawn are the same either way.
+The signal draw takes one start value per path.  The branching sampler
+takes aligned sources and copy counts and draws source by source, which
+fixes its random stream, and passes scalar arguments to ``Generator``
+where a source has few copies.  A ``cir_filtering`` step has tens of
+sources of about 4 copies each, and numpy checks the array arguments of
+a ``Generator`` call at a fixed cost: about 47 us for
+``negative_binomial`` whatever the length, against 1.7 us for a scalar
+call (numpy 2.4, 2-vCPU VM).  The values drawn are the same either way.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ __all__ = [
     "cir_transition_sample_many",
     "emission_log_pmf",
 ]
-
-#: relative tolerance for detecting the critical birth/death rate tie
-RATE_TIE_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CIRParams:
@@ -160,20 +157,16 @@ def linear_bd_rates(theta: float, p: CIRParams) -> tuple[float, float, float]:
     return lam, beta_imm, mu
 
 
-def _survival_pair(lam: float, mu: float, t) -> tuple[np.ndarray, np.ndarray]:
+def _survival_pair(lam: float, mu: float, d: float, t) -> tuple[np.ndarray, np.ndarray]:
     """(g, h) of the two-stage linear-B&D transition over elapsed time t.
 
-    ``h = (lam-mu) / (lam*exp((lam-mu)*t) - mu)`` and ``g = h*exp((lam-mu)*t)``,
-    with the analytic limit ``h = 1/(1+lam*t)`` at the critical tie
-    ``lam == mu``.  :func:`linear_bd_rates` gives ``lam <= mu`` in floating
-    point (``theta - beta <= theta``), so the exponent is never positive and
-    large ``t`` cannot overflow.
+    ``h = d / (lam*exp(d*t) - mu)`` and ``g = h*exp(d*t)`` with
+    ``d = lam - mu``, which :func:`linear_bd_sample_many` passes in closed
+    form, ``-2*gamma``: it never vanishes, and subtracting the rates would
+    cancel once ``theta`` dwarfs ``beta``.  The exponent is never positive,
+    so large ``t`` cannot overflow.
     """
     t = np.asarray(t, dtype=float)
-    d = lam - mu
-    if abs(d) < RATE_TIE_RTOL * max(lam, mu, 1e-300):
-        h = 1.0 / (1.0 + lam * t)
-        return h, h
     edt = np.exp(d * t)
     h = d / (lam * edt - mu)
     return np.clip(h * edt, 0.0, 1.0), np.clip(h, 0.0, 1.0)
@@ -185,18 +178,24 @@ def linear_bd_sample_many(m0, t: float, theta: float, p: CIRParams,
 
     ``m0`` and ``size`` are one source and its number of copies, or
     aligned arrays of sources and copy numbers; the draws come back in
-    source order, each source's copies together.  Two-stage construction:
-    descendants of the ``m0`` initial individuals (binomial number of
-    surviving families, each adding a negative-binomial offspring count)
-    plus descendants of Poisson immigration with uniform arrival times,
-    each immigrant family evolved from size one over its residual time.
-    The rates and the first-stage survival pair depend on ``(theta, t)``
-    only, so every source shares them; each source is then drawn in turn
-    by :func:`_linear_bd_draw`, which fixes the random stream.
+    source order, each source's copies together.  Unlike the other draws,
+    which take one start per path, this is the sampler protocol's
+    ``(points, counts)`` form: the ``bd`` random stream is drawn per
+    source, so the draw needs the sources.
+
+    Two-stage construction: descendants of the ``m0`` initial individuals
+    (binomial number of surviving families, each adding a
+    negative-binomial offspring count) plus descendants of Poisson
+    immigration with uniform arrival times, each immigrant family evolved
+    from size one over its residual time.  The rates and the first-stage
+    survival pair depend on ``(theta, t)`` only, so every source shares
+    them; each source is then drawn in turn by :func:`_linear_bd_draw`,
+    which fixes the random stream.
     """
     lam, beta_imm, mu = linear_bd_rates(theta, p)
-    g, h = _survival_pair(lam, mu, t)
-    step = lam, beta_imm, mu, float(g), float(h)
+    d = -2.0 * p.gamma
+    g, h = _survival_pair(lam, mu, d, t)
+    step = lam, beta_imm, mu, d, float(g), float(h)
     return np.concatenate([
         _linear_bd_draw(m, t, step, rng, c)
         for m, c in zip(np.atleast_1d(m0).tolist(), np.atleast_1d(size).tolist(),
@@ -216,7 +215,7 @@ def _linear_bd_draw(m0: int, t: float, step: tuple, rng: np.random.Generator,
     (see the module docstring).  The immigrant stage has tens of families
     per source, and keeps its one array call.
     """
-    lam, beta_imm, mu, g, h = step
+    lam, beta_imm, mu, d, g, h = step
     native = rng.binomial(m0, g, size)
     if h < 1.0:
         for i, s in enumerate(native.tolist()):
@@ -232,7 +231,7 @@ def _linear_bd_draw(m0: int, t: float, step: tuple, rng: np.random.Generator,
         return native
     path = np.repeat(np.arange(size), n_imm)
     residual = t - rng.uniform(0.0, t, total)
-    gi, hi = _survival_pair(lam, mu, residual)
+    gi, hi = _survival_pair(lam, mu, d, residual)
     alive = rng.random(total) < gi
     fam = alive.astype(np.int64)
     grow = alive & (hi < 1.0)
@@ -311,15 +310,13 @@ def _transition_constants(t: float, p: CIRParams) -> tuple[float, float]:
 
 
 def cir_transition_sample_many(x, t: float, p: CIRParams,
-                               rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Exact draws of ``X_t | X_0 = x`` via the Gamma-Poisson expansion."""
+                               rng: np.random.Generator) -> np.ndarray:
+    """Exact draws of ``X_t | X_0 = x`` via the Gamma-Poisson expansion,
+    one per value of ``x`` (a scalar is one path)."""
     if t <= 0:
         raise ConfigError("time step must be positive")
-    x = np.asarray(x, dtype=float)
-    if size is None:
-        size = x.shape[0] if x.ndim else 1
     c, r = _transition_constants(t, p)
-    j = rng.poisson(np.broadcast_to(x * c, (size,)))
+    j = rng.poisson(np.atleast_1d(x) * c)
     return rng.gamma(p.alpha + j, 1.0 / r)
 
 

@@ -131,8 +131,7 @@ class ExperimentSpec:
 
 PRESETS: dict = {
     "cir_predictive": dict(
-        # 30 history observations reach the filter's equilibrium support,
-        # history long enough for the filter support to equilibrate
+        # 30 history observations reach the filter's equilibrium support
         flavor="predictive", model="cir", params=(11.0, 1.1, 1.0, 1.0),
         n_times=30, delta_t=0.1, batch_size=1, horizon=0.05,
         forced_last=(4,), methods=("exact", "pd", "bd", "bootstrap"),
@@ -183,13 +182,10 @@ def build_spec(scenario: str, config: dict | None = None, *, seed: int | None = 
         base[key] = tuple(value) if isinstance(value, list) else value
     base["seed"] = seed if seed is not None else base.get("seed", 1234)
     if particles is not None:
-        base["particle_counts"] = tuple(int(v) for v in particles)
+        base["particle_counts"] = tuple(particles)
     if replicates is not None:
-        base["replicates"] = int(replicates)
+        base["replicates"] = replicates
     try:
-        for key in ("params", "methods", "particle_counts", "forced_last"):
-            if base.get(key) is not None:
-                base[key] = tuple(base[key])
         return ExperimentSpec(**base)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None

@@ -24,6 +24,9 @@ Two dual processes drive propagation:
 The block-counting chain is pure death with a lower bidiagonal generator,
 so its transition law is computed exactly and deterministically as a row
 of the generator's matrix exponential.
+
+Every ``*_sample_many`` draw takes one start row per path, an ``(N, K)``
+array (a single ``(K,)`` row is one path), and returns one draw per row.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def typed_death_kernel(points, t: float, p: WFParams, tail_eps: float = 0.0):
     ``(|m|+1)*tail_eps`` mass; this keeps the propagated support small when
     ``|m|`` is large but the horizon long.
     """
-    points = _start_rows(points, p, None)
+    points = _start_rows(points, p)
     mtot = points.sum(axis=1)
     # mixed-radix decoding of one index range; span[:, 0] is each box's size
     span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]
@@ -192,15 +195,13 @@ def typed_death_kernel(points, t: float, p: WFParams, tail_eps: float = 0.0):
     return arrivals, d * np.exp(loghyp), source
 
 
-def _start_rows(n0, p: WFParams, size: int | None) -> np.ndarray:
-    """Stacked ``(N, K)`` start rows: one row per path, or ``n0`` repeated."""
+def _start_rows(n0, p: WFParams) -> np.ndarray:
+    """The ``(N, K)`` start rows, one per path; a single ``(K,)`` row is one path."""
     rows = np.array(n0, dtype=np.int64, ndmin=2)
-    if rows.ndim != 2 or rows.shape[1] != p.k:
+    if rows.shape[1:] != (p.k,):
         raise DimensionError(f"start rows must have {p.k} columns")
     if np.any(rows < 0):
         raise ConfigError("counts must be non-negative")
-    if size is not None and rows.shape[0] == 1:
-        rows = np.repeat(rows, size, axis=0)
     return rows
 
 
@@ -210,17 +211,16 @@ def _dirichlet_rows(concentrations, rng: np.random.Generator) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
-def typed_death_sample_many(m, t: float, p: WFParams, rng: np.random.Generator,
-                            size: int | None = None) -> np.ndarray:
-    """Exact draws of the typed Kingman dual at time ``t`` (vectorized).
+def typed_death_sample_many(m, t: float, p: WFParams,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Exact draws of the typed Kingman dual at time ``t``, one per row of ``m``.
 
-    ``m`` is one source (repeated ``size`` times) or one row per path.  Two
-    stages: the surviving block count from its closed-form law, one draw
-    per distinct ``|m|``, then a multivariate hypergeometric type profile,
-    drawn coordinate by coordinate as a hypergeometric of each type against
-    the types after it.
+    Two stages: the surviving block count from its closed-form law, one
+    draw per distinct ``|m|``, then a multivariate hypergeometric type
+    profile, drawn coordinate by coordinate as a hypergeometric of each
+    type against the types after it.
     """
-    m = _start_rows(m, p, size)
+    m = _start_rows(m, p)
     mtot = m.sum(axis=1)
     need = np.empty_like(mtot)
     for v in np.unique(mtot):
@@ -241,8 +241,8 @@ def typed_death_sample_many(m, t: float, p: WFParams, rng: np.random.Generator,
 # Moran dual and its approximations
 # ---------------------------------------------------------------------------
 
-def moran_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
-                      size: int | None = None) -> np.ndarray:
+def moran_sample_many(n0, t: float, p: WFParams,
+                      rng: np.random.Generator) -> np.ndarray:
     """Exact draws of the Moran dual at time ``t`` from its genealogy.
 
     Traced back over ``t``, the lines of descent of the ``N = |n0|``
@@ -250,17 +250,16 @@ def moran_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
     and their types ``c`` are one :func:`typed_death_sample_many` draw.
     The other ``N - |c|`` individuals descend from mutations and fill in
     as a Polya urn: ``c + Multinomial(N - |c|, Dirichlet(alpha + c))``.
-    ``n0`` is one source repeated ``size`` times or one row per path;
-    ``|n|`` is conserved.
+    One draw per row of ``n0``; each row's ``|n|`` is conserved.
     """
-    rows = _start_rows(n0, p, size)
+    rows = _start_rows(n0, p)
     c = typed_death_sample_many(rows, t, p, rng)
     refill = rows.sum(axis=1) - c.sum(axis=1)
     return c + rng.multinomial(refill, _dirichlet_rows(p.alpha_array() + c, rng))
 
 
-def wf_chain_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
-                         size: int | None = None) -> np.ndarray:
+def wf_chain_sample_many(n0, t: float, p: WFParams,
+                         rng: np.random.Generator) -> np.ndarray:
     """Discrete Wright-Fisher chain approximation of the Moran dual.
 
     Runs non-overlapping generations of multinomial resampling with
@@ -276,12 +275,11 @@ def wf_chain_sample_many(n0, t: float, p: WFParams, rng: np.random.Generator,
       exact per-unit-time drift ``(alpha_i - theta x_i)/2``.
 
     The calibration test locks this choice against the exact Moran dual,
-    :func:`moran_sample_many`.  ``n0`` is one source repeated ``size``
-    times or one row per path; ``u`` and ``G`` depend on ``N``, so the
-    generations run once for all the rows of each distinct total, in
-    increasing order of ``N``.
+    :func:`moran_sample_many`.  One draw per row of ``n0``; ``u`` and ``G``
+    depend on ``N``, so the generations run once for all the rows of each
+    distinct total, in increasing order of ``N``.
     """
-    state = _start_rows(n0, p, size)
+    state = _start_rows(n0, p)
     totals = state.sum(axis=1)
     for n_tot in np.unique(totals[totals > 0]):
         u = 1.0 - math.sqrt(n_tot / (n_tot + p.theta))
@@ -349,27 +347,22 @@ def _entrance_block_pmf(t: float, p: WFParams) -> np.ndarray:
 
 
 def wf_transition_sample_many(x, t: float, p: WFParams,
-                              rng: np.random.Generator,
-                              size: int | None = None) -> np.ndarray:
+                              rng: np.random.Generator) -> np.ndarray:
     """Draws from the WF diffusion transition via its mixture series.
 
-    For each path: draw the surviving lineage count from the block-count
-    law started at the entrance truncation level, thin it into type counts
+    For each row of ``x`` (a single simplex point is one row): draw the
+    surviving lineage count from the block-count law started at the
+    entrance truncation level, thin it into type counts
     ``l ~ Multinomial(m_tot, x)``, and draw ``x' ~ Dirichlet(alpha + l)``.
-    ``x`` may be a single simplex point or one row per path.
     """
     if t <= 0:
         raise ConfigError("time step must be positive")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if size is None:
-        size = x.shape[0]
-    if x.shape[0] == 1:
-        x = np.broadcast_to(x, (size, p.k))
-    if x.shape != (size, p.k):
-        raise DimensionError(f"expected x of shape ({size}, {p.k})")
+    if x.shape[1:] != (p.k,):
+        raise DimensionError(f"simplex rows must have {p.k} columns")
     pmf = _entrance_block_pmf(t, p)
-    totals = rng.choice(len(pmf), p=pmf, size=size)
-    l = np.zeros((size, p.k), dtype=np.int64)
+    totals = rng.choice(len(pmf), p=pmf, size=len(x))
+    l = np.zeros(x.shape, dtype=np.int64)
     for v in np.unique(totals):
         sel = totals == v
         if v > 0:
@@ -389,16 +382,14 @@ def _bin_largest_remainder(xs: np.ndarray, n_tot: np.ndarray) -> np.ndarray:
 
 
 def wf_diffusion_binned_sample_many(n0, t: float, p: WFParams,
-                                    rng: np.random.Generator,
-                                    size: int | None = None) -> np.ndarray:
+                                    rng: np.random.Generator) -> np.ndarray:
     """Binned WF-diffusion approximation of the Moran dual.
 
-    Rescales each start row (``n0`` repeated ``size`` times, or one row per
-    path) to a simplex point, draws the diffusion transition, and bins back
-    to counts with a largest-remainder correction so each row's total
-    ``|n0|`` is always preserved.
+    Rescales each row of ``n0`` to a simplex point, draws the diffusion
+    transition, and bins back to counts with a largest-remainder correction
+    so each row's total is always preserved.
     """
-    state = _start_rows(n0, p, size)
+    state = _start_rows(n0, p)
     totals = state.sum(axis=1)
     moving = totals > 0
     if np.any(moving):
@@ -418,8 +409,7 @@ def emission_log_pmf(x, y: ObservationRecord, p: WFParams) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         logx = np.where(x > 0, np.log(x), -np.inf)
         terms = np.where(c[None, :] > 0, c[None, :] * logx, 0.0)
-    out = terms.sum(axis=1)
-    return out if out.shape[0] > 1 else np.array([float(out[0])])
+    return terms.sum(axis=1)
 
 
 class _DualSampler:

@@ -92,7 +92,7 @@ def test_a02_cir_duality_identity():
     for xi, x in enumerate((0.5, 5.0)):
         for ti, t in enumerate((0.05, 0.5)):
             rng = np.random.default_rng(1000 + 10 * xi + ti)
-            xs = cir_transition_sample_many(x, t, CIR, rng, n)
+            xs = cir_transition_sample_many(np.full(n, x), t, CIR, rng)
             for thi, theta in enumerate((CIR.beta, CIR.beta + 1.0)):
                 for m in range(9):
                     lhs = density_ratio(xs, m, theta, CIR)
@@ -142,11 +142,11 @@ def test_a03_wf_duality_identity():
         for si, start in enumerate(starts):
             for ti, t in enumerate((0.1, 1.0)):
                 rng = np.random.default_rng(2000 + 100 * p.k + 10 * si + ti)
-                xs = wf_transition_sample_many(x, t, p, rng, n)
+                xs = wf_transition_sample_many(np.repeat(x[None], n, axis=0), t, p, rng)
                 lhs = wf_density_ratio(xs, start, p)
                 lhs_m = lhs.mean()
                 lhs_se = lhs.std() / math.sqrt(n)
-                ms = moran_sample_many(start, t, p, rng, n)
+                ms = moran_sample_many(np.repeat([start], n, axis=0), t, p, rng)
                 uniq, inv = np.unique(ms, axis=0, return_inverse=True)
                 hv = np.array([wf_density_ratio(x[None, :], tuple(r), p)
                                for r in uniq])
@@ -303,7 +303,8 @@ def test_a09_moran_ergodic_propagation():
     target = WF3.alpha[0] / WF3.theta
     devs, ses = [], []
     for i, t in enumerate((1.0, 5.0, 20.0)):
-        ms = moran_sample_many(m, t, WF3, np.random.default_rng(500 + i), 100_000)
+        ms = moran_sample_many(np.repeat([m], 100_000, axis=0), t, WF3,
+                               np.random.default_rng(500 + i))
         vals = (WF3.alpha[0] + ms[:, 0]) / (WF3.theta + mtot)
         devs.append(abs(float(vals.mean()) - target))
         ses.append(float(vals.std()) / math.sqrt(len(vals)))

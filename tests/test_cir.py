@@ -196,6 +196,27 @@ def test_linear_bd_birth_rate_never_exceeds_death_rate():
         assert lam <= mu
 
 
+@pytest.mark.parametrize("ratio", [1e11, 1e13, 1e16])
+def test_bd_survival_pair_exact_when_theta_dwarfs_beta(cir_params, ratio):
+    # lam - mu = -2*gamma whatever theta, so no rate-tie limit applies: the
+    # draw's (g, h) must match the closed form evaluated at 60 digits
+    import mpmath
+
+    from dualfilter.cir import _survival_pair
+    p = cir_params
+    theta = ratio * p.beta
+    lam, _, mu = linear_bd_rates(theta, p)
+    with mpmath.workdps(60):
+        s2 = mpmath.mpf(p.sigma) ** 2
+        lam_x = 2 * s2 * (mpmath.mpf(theta) - mpmath.mpf(p.gamma) / s2)
+        mu_x = 2 * s2 * mpmath.mpf(theta)
+        for t in (1e-3, 0.1, 1.0):
+            e = mpmath.exp((lam_x - mu_x) * t)
+            h = (lam_x - mu_x) / (lam_x * e - mu_x)
+            got = _survival_pair(lam, mu, -2.0 * p.gamma, t)
+            np.testing.assert_allclose(got, [float(h * e), float(h)], rtol=1e-12)
+
+
 def test_linear_bd_pure_death_reduction_is_binomial(cir_params):
     # theta = beta: no births, no immigration; exact binomial thinning law
     p = cir_params
@@ -286,7 +307,7 @@ def test_pure_death_pmf_matches_thinning_gillespie(cir_params):
 def test_cir_transition_from_zero_is_gamma(cir_params, rng):
     p = cir_params
     t = 0.2
-    xs = cir_transition_sample_many(0.0, t, p, rng, 200_000)
+    xs = cir_transition_sample_many(np.full(200_000, 0.0), t, p, rng)
     r = p.beta / (1.0 - math.exp(-2.0 * p.gamma * t))
     want_mean = p.alpha / r
     assert abs(xs.mean() - want_mean) < 3 * xs.std() / math.sqrt(len(xs))
@@ -296,7 +317,7 @@ def test_cir_transition_from_zero_is_gamma(cir_params, rng):
 
 def test_cir_transition_stationary_at_large_t(cir_params, rng):
     p = cir_params
-    xs = cir_transition_sample_many(9.0, 20.0, p, rng, 200_000)
+    xs = cir_transition_sample_many(np.full(200_000, 9.0), 20.0, p, rng)
     want = p.delta * p.sigma ** 2 / (2.0 * p.gamma)
     assert abs(xs.mean() - want) < 3 * xs.std() / math.sqrt(len(xs))
 
@@ -304,7 +325,8 @@ def test_cir_transition_stationary_at_large_t(cir_params, rng):
 def test_cir_transition_mean_identity(cir_params):
     p = cir_params
     x0, t = 5.0, 0.1
-    xs = cir_transition_sample_many(x0, t, p, np.random.default_rng(17), 1_000_000)
+    xs = cir_transition_sample_many(np.full(1_000_000, x0), t, p,
+                                    np.random.default_rng(17))
     want = x0 * math.exp(-2 * p.gamma * t) + \
         (p.delta * p.sigma ** 2 / (2 * p.gamma)) * (1 - math.exp(-2 * p.gamma * t))
     assert abs(xs.mean() - want) < 3 * xs.std() / math.sqrt(len(xs))
@@ -312,7 +334,7 @@ def test_cir_transition_mean_identity(cir_params):
 
 def test_cir_transition_scalar_wrapper(cir_params, rng):
     # one draw from one scalar state is a single non-negative value
-    out = cir_transition_sample_many(2.0, 0.5, cir_params, rng, 1)
+    out = cir_transition_sample_many(2.0, 0.5, cir_params, rng)
     assert out.shape == (1,)
     assert out[0] >= 0.0
 
@@ -345,7 +367,7 @@ def test_duality_identity_spot(cir_params):
     p = cir_params
     m, x, t, theta = 3, 0.5, 0.5, p.beta + 1.0
     rng = np.random.default_rng(5)
-    xs = cir_transition_sample_many(x, t, p, rng, 100_000)
+    xs = cir_transition_sample_many(np.full(100_000, x), t, p, rng)
     lhs = density_ratio(xs, m, theta, p)
     lhs_mean, lhs_se = lhs.mean(), lhs.std() / math.sqrt(len(lhs))
 

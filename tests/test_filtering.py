@@ -89,7 +89,7 @@ def test_config_validation():
     lambda: mixture_quantile(CIR_MODEL.prior_mixture(), 1.0),
     lambda: wf._as_counts((1, -1), 2),
     lambda: wf.log_marginal(np.array([[-1, 2]]), ObservationRecord(0.0, (1, 1)), WF2),
-    lambda: wf._start_rows([[-1, 2]], WF2, None),
+    lambda: wf._start_rows([[-1, 2]], WF2),
     lambda: wf.block_count_probs(-1, 0.1, WF2),
     lambda: wf.block_count_probs(3, 0.0, WF2),
     lambda: wf.wf_transition_sample_many([0.5, 0.5], 0.0, WF2, np.random.default_rng(0)),

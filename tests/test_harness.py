@@ -48,12 +48,15 @@ def test_build_spec_rejects_unknown_key():
         build_spec("cir_predictive", {"bogus": 1})
 
 
-@pytest.mark.parametrize("config", [{"particle_counts": [10.5]},
-                                    {"replicates": 2.5}],
-                         ids=["particle_counts", "replicates"])
-def test_build_spec_rejects_fractional_counts(config):
+@pytest.mark.parametrize("config, overrides", [({"particle_counts": [10.5]}, {}),
+                                               ({"replicates": 2.5}, {}),
+                                               (None, {"particles": [10.5]}),
+                                               (None, {"replicates": 2.5})],
+                         ids=["particle_counts", "replicates", "particles_keyword",
+                              "replicates_keyword"])
+def test_build_spec_rejects_fractional_counts(config, overrides):
     with pytest.raises(ConfigError):
-        build_spec("cir_filtering", config)
+        build_spec("cir_filtering", config, **overrides)
 
 
 def test_presets_pin_benchmark_parameterizations():

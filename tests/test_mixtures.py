@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import beta, dirichlet
 
 from dualfilter import (DegenerateWeights, DomainError, DualMixture,
                         InvalidKernel, ObservationRecord, ZeroLikelihood,
@@ -10,6 +11,7 @@ from dualfilter import (DegenerateWeights, DomainError, DualMixture,
                         mixture_moments, mixture_pdf, propagate, prune,
                         systematic_counts, update)
 from dualfilter.cir import CIRModel, CIRParams
+from dualfilter.mixtures import mixture_quantile
 from dualfilter.wf import WFModel, WFParams
 
 from .oracles import quad_cir_marginal
@@ -485,6 +487,36 @@ def test_wf_pdf_checks_simplex():
     mix = DualMixture(model, ((0, 0),), np.array([1.0]), None)
     with pytest.raises(DomainError):
         mixture_pdf(mix, np.array([[0.5, 0.6]]))
+
+
+def test_wf_pdf_k2_is_the_beta_mixture():
+    alpha = (1.1, 1.9)
+    points, weights = ((0, 3), (2, 1), (4, 0)), np.array([0.2, 0.5, 0.3])
+    mix = DualMixture(WFModel(WFParams(alpha)), points, weights, None)
+    x = np.linspace(0.01, 0.99, 41)
+    want = sum(w * beta.pdf(x, alpha[0] + n1, alpha[1] + n2)
+               for w, (n1, n2) in zip(weights, points))
+    np.testing.assert_allclose(mixture_pdf(mix, np.column_stack([x, 1.0 - x])), want,
+                               rtol=1e-12)
+
+
+def test_wf_pdf_k3_component_is_the_dirichlet_density():
+    alpha, n = (1.1, 0.7, 2.0), (2, 0, 3)
+    mix = DualMixture(WFModel(WFParams(alpha)), (n,), np.array([1.0]), None)
+    xs = np.random.default_rng(7).dirichlet((1.0, 1.0, 1.0), 20)
+    want = [dirichlet.pdf(x, np.add(alpha, n)) for x in xs]
+    np.testing.assert_allclose(mixture_pdf(mix, xs), want, rtol=1e-12)
+
+
+def test_wf_quantile_inverts_the_beta_mixture_cdf():
+    alpha = (1.1, 1.1, 1.1)
+    points, weights = ((0, 0, 0), (2, 1, 0), (3, 0, 4)), np.array([0.4, 0.35, 0.25])
+    mix = DualMixture(WFModel(WFParams(alpha)), points, weights, None)
+    a = np.add(alpha, points)
+    for q in (0.05, 0.25, 0.5, 0.9, 0.99):
+        x = mixture_quantile(mix, q)
+        assert weights @ beta.cdf(x, a[:, 0], a.sum(axis=1) - a[:, 0]) == \
+            pytest.approx(q, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

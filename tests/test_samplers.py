@@ -123,6 +123,7 @@ def test_batched_wf_chain_matches_per_source_chain(wf3_model):
     out = _draw(wf3_model, "wf_chain", WF_POINTS, counts, t, 7)
     rng = np.random.default_rng(8)
     for src, c, block in zip(WF_POINTS, counts, _blocks(out, counts)):
-        ref = wf_chain_sample_many(src, t, wf3_model.params, rng, int(c))
+        ref = wf_chain_sample_many(np.repeat(src[None], c, axis=0), t,
+                                   wf3_model.params, rng)
         emp = Counter(map(tuple, ref.tolist()))
         assert _tv(block, {k: v / c for k, v in emp.items()}) < 0.02

@@ -27,6 +27,11 @@ def typed_kernel(m, t, p, tail_eps=0.0) -> dict:
     return kernel_dict(typed_death_kernel([m], t, p, tail_eps))
 
 
+def stacked(row, n: int) -> np.ndarray:
+    """``n`` copies of one start row, one per path."""
+    return np.repeat(np.atleast_2d(row), n, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # density ratio and conjugate updates
 # ---------------------------------------------------------------------------
@@ -303,8 +308,8 @@ def test_typed_kernel_matches_typed_gillespie(wf3_params):
 def test_typed_sampler_matches_kernel(wf3_params):
     m0, t = (3, 2, 1), 0.3
     kern = typed_kernel(m0, t, wf3_params)
-    draws = typed_death_sample_many(m0, t, wf3_params,
-                                    np.random.default_rng(4), 100_000)
+    draws = typed_death_sample_many(stacked(m0, 100_000), t, wf3_params,
+                                    np.random.default_rng(4))
     from collections import Counter
     counts = Counter(map(tuple, draws.tolist()))
     tv = 0.5 * sum(abs(counts.get(k, 0) / len(draws) - v) for k, v in kern.items())
@@ -324,20 +329,20 @@ def test_kingman_paths_monotone(wf3_params, rng):
 # ---------------------------------------------------------------------------
 
 def test_moran_conserves_total(wf3_params, rng):
-    out = moran_sample_many((4, 2, 0), 1.0, wf3_params, rng, 2_000)
+    out = moran_sample_many(stacked((4, 2, 0), 2_000), 1.0, wf3_params, rng)
     assert np.all(out.sum(axis=1) == 6)
 
 
 def test_moran_vectorized_matches_scalar_oracle(wf3_params):
     n0, t = (2, 1, 0), 0.5
-    fast = moran_sample_many(n0, t, wf3_params, np.random.default_rng(3), 30_000)
+    fast = moran_sample_many(stacked(n0, 30_000), t, wf3_params, np.random.default_rng(3))
     rng = np.random.default_rng(4)
     slow = np.array([moran_path(n0, t, wf3_params, rng) for _ in range(30_000)])
     assert tv_tuple_samples(fast, slow) < 0.03
 
 
 def test_moran_empty_configuration_is_fixed(wf3_params, rng):
-    out = moran_sample_many((0, 0, 0), 1.0, wf3_params, rng, 100)
+    out = moran_sample_many(stacked((0, 0, 0), 100), 1.0, wf3_params, rng)
     assert np.all(out == 0)
 
 
@@ -371,40 +376,43 @@ def test_moran_matches_genealogy_law(wf3_params):
     n0, t = (4, 2, 0), 0.5
     law = moran_law(n0, t, wf3_params)
     index = {s: i for i, s in enumerate(law)}
-    out = moran_sample_many(n0, t, wf3_params, np.random.default_rng(41), 100_000)
+    out = moran_sample_many(stacked(n0, 100_000), t, wf3_params,
+                            np.random.default_rng(41))
     codes = np.array([index.get(tuple(r), len(law)) for r in out.tolist()])
     assert tv_sample_vs_pmf(codes, np.array(list(law.values()))) < 0.02
 
 
 def test_wf_chain_conserves_total(wf3_params, rng):
-    out = wf_chain_sample_many((10, 5, 5), 1.0, wf3_params, rng, 1_000)
+    out = wf_chain_sample_many(stacked((10, 5, 5), 1_000), 1.0, wf3_params, rng)
     assert np.all(out.sum(axis=1) == 20)
 
 
 def test_wf_chain_applies_at_least_one_generation(wf3_params):
     # t small enough that round(N*t) = 0 still runs one generation
-    out = wf_chain_sample_many((5, 0, 0), 1e-4, wf3_params,
-                               np.random.default_rng(0), 4_000)
+    out = wf_chain_sample_many(stacked((5, 0, 0), 4_000), 1e-4, wf3_params,
+                               np.random.default_rng(0))
     assert np.any(out != np.array([5, 0, 0]))
 
 
 def test_wf_chain_calibration_against_moran(wf3_params):
     # one-time calibration gate: TV <= 0.05 at N = 20, t = 1
     n0, t = (10, 5, 5), 1.0
-    moran = moran_sample_many(n0, t, wf3_params, np.random.default_rng(31), 100_000)
-    chain = wf_chain_sample_many(n0, t, wf3_params, np.random.default_rng(32), 100_000)
+    rows = stacked(n0, 100_000)
+    moran = moran_sample_many(rows, t, wf3_params, np.random.default_rng(31))
+    chain = wf_chain_sample_many(rows, t, wf3_params, np.random.default_rng(32))
     assert tv_tuple_samples(moran, chain) <= 0.05
 
 
 def test_wf_diffusion_binned_preserves_total(wf3_params, rng):
-    out = wf_diffusion_binned_sample_many((4, 0, 9), 0.1, wf3_params, rng, 2_000)
+    out = wf_diffusion_binned_sample_many(stacked((4, 0, 9), 2_000), 0.1, wf3_params,
+                                          rng)
     assert np.all(out.sum(axis=1) == 13)
 
 
 def test_wf_diffusion_binned_stationary_mean(wf3_params):
     p = wf3_params
-    out = wf_diffusion_binned_sample_many((8, 2, 2), 20.0, p,
-                                          np.random.default_rng(6), 100_000)
+    out = wf_diffusion_binned_sample_many(stacked((8, 2, 2), 100_000), 20.0, p,
+                                          np.random.default_rng(6))
     x1 = out[:, 0] / 12.0
     se = x1.std() / math.sqrt(len(x1))
     # binning adds a discretization wobble on top of the MC error
@@ -416,16 +424,16 @@ def test_wf_diffusion_binned_stationary_mean(wf3_params):
 # ---------------------------------------------------------------------------
 
 def test_wf_transition_stays_on_simplex(wf3_params, rng):
-    xs = wf_transition_sample_many(np.array([0.2, 0.5, 0.3]), 0.5,
-                                   wf3_params, rng, 5_000)
+    xs = wf_transition_sample_many(stacked([0.2, 0.5, 0.3], 5_000), 0.5,
+                                   wf3_params, rng)
     assert np.all(xs >= 0.0)
     np.testing.assert_allclose(xs.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_wf_transition_stationary_at_large_t(wf3_params):
     p = wf3_params
-    xs = wf_transition_sample_many(np.array([0.9, 0.05, 0.05]), 30.0, p,
-                                   np.random.default_rng(13), 200_000)
+    xs = wf_transition_sample_many(stacked([0.9, 0.05, 0.05], 200_000), 30.0, p,
+                                   np.random.default_rng(13))
     se = xs[:, 0].std() / math.sqrt(len(xs))
     assert abs(xs[:, 0].mean() - p.alpha[0] / p.theta) < 3 * se
 
@@ -435,7 +443,8 @@ def test_wf_transition_mean_identity(wf3_params):
     p = wf3_params
     x = np.array([0.5, 0.2, 0.3])
     t = 0.3
-    xs = wf_transition_sample_many(x, t, p, np.random.default_rng(14), 1_000_000)
+    xs = wf_transition_sample_many(stacked(x, 1_000_000), t, p,
+                                   np.random.default_rng(14))
     want = x[0] * math.exp(-p.theta * t / 2) + \
         (p.alpha[0] / p.theta) * (1 - math.exp(-p.theta * t / 2))
     se = xs[:, 0].std() / math.sqrt(len(xs))
@@ -445,7 +454,7 @@ def test_wf_transition_mean_identity(wf3_params):
 def test_wf_transition_scalar_wrapper(wf3_params, rng):
     # one draw from one simplex point is a single simplex row
     out = wf_transition_sample_many(np.array([0.3, 0.3, 0.4]), 0.2, wf3_params,
-                                    rng, 1)
+                                    rng)
     assert out.shape == (1, 3)
     assert abs(out.sum() - 1.0) < 1e-10
 
@@ -457,8 +466,8 @@ def test_wf_transition_entrance_level_not_sensitive(alpha, t, monkeypatch, caplo
     monkeypatch.setattr(wf, "_SENSITIVITY_CHECKED", set())
     p = WFParams(alpha)
     with caplog.at_level(logging.WARNING, logger="dualfilter.wf"):
-        wf_transition_sample_many(np.full(p.k, 1.0 / p.k), t, p,
-                                  np.random.default_rng(0), 10)
+        wf_transition_sample_many(stacked(np.full(p.k, 1.0 / p.k), 10), t, p,
+                                  np.random.default_rng(0))
     assert not any("entrance truncation level" in r.getMessage()
                    for r in caplog.records)
 
@@ -471,7 +480,7 @@ def test_origin_is_absorbing_for_both_duals(wf3_params, rng):
     zero = (0, 0, 0)
     assert typed_kernel(zero, 1.0, wf3_params) == {zero: 1.0}
     assert moran_rates(zero, wf3_params) == {}
-    out = moran_sample_many(zero, 5.0, wf3_params, rng, 10)
+    out = moran_sample_many(stacked(zero, 10), 5.0, wf3_params, rng)
     assert np.all(out == 0)
 
 
@@ -498,10 +507,10 @@ def test_wf_duality_spot(wf3_params):
     n, t = (2, 1, 0), 0.5
     x = np.array([0.5, 0.2, 0.3])
     rng = np.random.default_rng(15)
-    xs = wf_transition_sample_many(x, t, p, rng, 100_000)
+    xs = wf_transition_sample_many(stacked(x, 100_000), t, p, rng)
     lhs = density_ratio(xs, n, p)
     lhs_mean, lhs_se = lhs.mean(), lhs.std() / math.sqrt(len(lhs))
-    ms = moran_sample_many(n, t, p, rng, 100_000)
+    ms = moran_sample_many(stacked(n, 100_000), t, p, rng)
     uniq, inv = np.unique(ms, axis=0, return_inverse=True)
     hvals = np.array([density_ratio(x[None, :], tuple(r), p) for r in uniq])
     rhs = hvals[inv]
