@@ -14,18 +14,23 @@ Two dual processes drive propagation:
   admits a closed-form binomial transition;
 * a birth-and-death chain with birth rate
   ``2*sigma^2*(delta/2 + m)*(theta - gamma/sigma^2)`` and death rate
-  ``2*sigma^2*theta*m`` at fixed ``theta``, simulated either by a Gillespie
-  loop or by a two-stage branching construction (binomial survivors plus
-  negative-binomial offspring, Poisson immigration).
+  ``2*sigma^2*theta*m`` at fixed ``theta``, drawn by a two-stage branching
+  construction (binomial survivors plus negative-binomial offspring,
+  Poisson immigration) or by an event-driven (Gillespie) reference loop.
 
-The signal draw takes one start value per path.  The branching sampler
-takes aligned sources and copy counts and draws source by source, which
-fixes its random stream, and passes scalar arguments to ``Generator``
-where a source has few copies.  A ``cir_filtering`` step has tens of
-sources of about 4 copies each, and numpy checks the array arguments of
-a ``Generator`` call at a fixed cost: about 47 us for
-``negative_binomial`` whatever the length, against 1.7 us for a scalar
-call (numpy 2.4, 2-vCPU VM).  The values drawn are the same either way.
+``CIRModel.dual_sampler(kind)`` binds one draw of ``_DUAL_DRAWS`` to the
+shared :class:`~dualfilter.mixtures.DualSampler`: ``pure_death``
+(binomial thinning, ``theta`` moved along its flow), ``bd`` (one
+branching draw over the step's sources) or ``bd_gillespie`` (one
+event-driven path per copy).  The signal draw takes one start value per
+path.  The branching draw takes aligned sources and copy counts and
+draws source by source, which fixes its random stream, and passes scalar
+arguments to ``Generator`` where a source has few copies.  A
+``cir_filtering`` step has tens of sources of about 4 copies each, and
+numpy checks the array arguments of a ``Generator`` call at a fixed
+cost: about 47 us for ``negative_binomial`` whatever the length, against
+1.7 us for a scalar call (numpy 2.4, 2-vCPU VM).  The values drawn are
+the same either way.
 """
 
 from __future__ import annotations
@@ -38,13 +43,12 @@ from scipy.special import gammainc, gammaln
 
 from .errors import (ConfigError, DomainError, InvalidDualParam,
                      SimulationBudgetExceeded)
-from .mixtures import DualMixture, ObservationRecord
+from .mixtures import DualMixture, DualSampler, ObservationRecord, check_time_step
 
 __all__ = [
     "CIRParams",
     "CIRModel",
     "log_marginal",
-    "bd_rates",
     "gillespie_bd",
     "linear_bd_rates",
     "linear_bd_sample_many",
@@ -106,38 +110,30 @@ def log_marginal(m, theta: float, y: ObservationRecord, p: CIRParams):
     return out if out.ndim else float(out)
 
 
-def bd_rates(m: int, theta: float, p: CIRParams) -> tuple[float, float]:
-    """Birth and death rates ``(lam*m + beta_imm, mu*m)`` of the B&D dual at
-    state ``m``, from :func:`linear_bd_rates`.
-
-    Raises:
-        InvalidDualParam: if ``theta < beta`` (negative birth rate).
-    """
-    lam, beta_imm, mu = linear_bd_rates(theta, p)
-    return lam * m + beta_imm, mu * m
-
-
 def gillespie_bd(m0: int, t: float, theta: float, p: CIRParams,
                  rng: np.random.Generator, max_events: int = 10_000_000) -> int:
     """Exact event-driven simulation of the B&D dual up to time ``t``.
 
     Alternates exponential holding times (rate ``lambda_m + mu_m``) with
-    up-moves of probability ``lambda_m / (lambda_m + mu_m)``.
+    up-moves of probability ``lambda_m / (lambda_m + mu_m)``, where
+    ``lambda_m = lam*m + beta_imm`` and ``mu_m = mu*m`` (:func:`linear_bd_rates`).
 
     Raises:
+        InvalidDualParam: if ``theta < beta`` (negative birth rate).
         SimulationBudgetExceeded: after ``max_events`` jumps.
     """
+    lam, beta_imm, mu = linear_bd_rates(theta, p)
     m = int(m0)
     clock = 0.0
     for _ in range(max_events):
-        lam, mu = bd_rates(m, theta, p)
-        total = lam + mu
+        up = lam * m + beta_imm
+        total = up + mu * m
         if total <= 0.0:
             return m
         clock += rng.exponential(1.0 / total)
         if clock > t:
             return m
-        m += 1 if rng.random() < lam / total else -1
+        m += 1 if rng.random() < up / total else -1
     raise SimulationBudgetExceeded(f"more than {max_events} B&D events")
 
 
@@ -148,7 +144,7 @@ def linear_bd_rates(theta: float, p: CIRParams) -> tuple[float, float, float]:
     ``mu_m = mu*m`` with ``lam = 2*sigma^2*(theta-beta)``,
     ``beta_imm = sigma^2*delta*(theta-beta)`` and ``mu = 2*sigma^2*theta``.
     """
-    if theta < p.beta * (1.0 - 1e-12):
+    if not theta >= p.beta * (1.0 - 1e-12):
         raise InvalidDualParam(f"theta={theta} below gamma/sigma^2={p.beta}")
     diff = max(theta - p.beta, 0.0)
     lam = 2.0 * p.sigma ** 2 * diff
@@ -192,6 +188,7 @@ def linear_bd_sample_many(m0, t: float, theta: float, p: CIRParams,
     them; each source is then drawn in turn by :func:`_linear_bd_draw`,
     which fixes the random stream.
     """
+    check_time_step(t)
     lam, beta_imm, mu = linear_bd_rates(theta, p)
     d = -2.0 * p.gamma
     g, h = _survival_pair(lam, mu, d, t)
@@ -249,8 +246,8 @@ def pure_death_theta(t, theta0: float, p: CIRParams):
     ``Theta_t = beta*theta0 / (theta0 - (theta0-beta)*exp(-2*gamma*t))``.
     Starts at ``theta0`` and relaxes monotonically to ``beta``.
     """
-    if theta0 <= 0:
-        raise ConfigError("theta0 must be positive")
+    if not theta0 > 0:
+        raise ConfigError(f"theta0 must be positive, not {theta0!r}")
     t = np.asarray(t, dtype=float)
     beta = p.beta
     denom = theta0 - (theta0 - beta) * np.exp(-2.0 * p.gamma * t)
@@ -267,8 +264,8 @@ def pure_death_survival(t, theta0: float, p: CIRParams):
     ``D(t) = theta0 - (theta0-beta)*exp(-2*gamma*t)``, hence
     ``s(t) = beta*exp(-2*gamma*t) / D(t)``.
     """
-    if theta0 <= 0:
-        raise ConfigError("theta0 must be positive")
+    if not theta0 > 0:
+        raise ConfigError(f"theta0 must be positive, not {theta0!r}")
     t = np.asarray(t, dtype=float)
     beta = p.beta
     e = np.exp(-2.0 * p.gamma * t)
@@ -280,6 +277,8 @@ def pure_death_pmf(points, t: float, theta0: float, p: CIRParams):
     """Binomial(m, s(t)) pure-death laws over [0, t] of the ``(M, 1)`` sources
     ``m``, as the kernel triple ``(arrivals 0..m, probs, source index)``."""
     m = np.asarray(points, dtype=np.int64)[:, 0]
+    if not t >= 0:
+        raise ConfigError(f"time must be non-negative, not {t!r}")
     if np.any(m < 0):
         raise ConfigError("m must be non-negative")
     s = pure_death_survival(t, theta0, p)
@@ -313,8 +312,7 @@ def cir_transition_sample_many(x, t: float, p: CIRParams,
                                rng: np.random.Generator) -> np.ndarray:
     """Exact draws of ``X_t | X_0 = x`` via the Gamma-Poisson expansion,
     one per value of ``x`` (a scalar is one path)."""
-    if t <= 0:
-        raise ConfigError("time step must be positive")
+    check_time_step(t)
     c, r = _transition_constants(t, p)
     j = rng.poisson(np.atleast_1d(x) * c)
     return rng.gamma(p.alpha + j, 1.0 / r)
@@ -351,47 +349,35 @@ def _gamma_logpdf(x: np.ndarray, a: np.ndarray, rate: float) -> np.ndarray:
     return np.where(x == 0.0, at_zero, body)
 
 
-class _PureDeathSampler:
-    """Exact sampler of the pure-death dual (binomial thinning), which moves
-    ``theta`` along its flow; the B&D samplers keep it.  Every dual sampler
-    follows :func:`~dualfilter.mixtures.dual_particle_propagate`'s protocol."""
-
-    def __init__(self, params: CIRParams):
-        self.params = params
-
-    def __call__(self, points, counts, theta, dt, rng):
-        s = pure_death_survival(dt, theta, self.params)
-        return (rng.binomial(np.repeat(points[:, 0], counts), s)[:, None],
-                pure_death_theta(dt, theta, self.params))
+def _pure_death_draw(points, counts, theta, dt, p, rng):
+    s = pure_death_survival(dt, theta, p)
+    return (rng.binomial(np.repeat(points[:, 0], counts), s)[:, None],
+            pure_death_theta(dt, theta, p))
 
 
-class _BirthDeathSampler:
-    """Two-stage (branching) sampler of the B&D dual at fixed theta: one
-    :func:`linear_bd_sample_many` call over the step's sources."""
+def _bd_draw(points, counts, theta, dt, p, rng):
+    return linear_bd_sample_many(points[:, 0], dt, theta, p, rng, counts)[:, None], theta
 
-    def __init__(self, params: CIRParams):
-        self.params = params
 
-    def __call__(self, points, counts, theta, dt, rng):
-        return linear_bd_sample_many(points[:, 0], dt, theta, self.params, rng,
-                                     counts)[:, None], theta
+def _bd_gillespie_draw(points, counts, theta, dt, p, rng):
+    return np.array([gillespie_bd(m, dt, theta, p, rng)
+                     for m in np.repeat(points[:, 0], counts).tolist()],
+                    dtype=np.int64)[:, None], theta
 
-    # perfbench/test_smoke.py needs this until the benchmark revision (ROADMAP
-    # item 5); it returns bare rows, and nothing in src/ calls it.
+
+#: dual kind -> draw in the sampler protocol (see the module docstring)
+_DUAL_DRAWS = {
+    "pure_death": _pure_death_draw,
+    "bd": _bd_draw,
+    "bd_gillespie": _bd_gillespie_draw,
+}
+
+
+class _BirthDeathSampler(DualSampler):
+    # perfbench/test_smoke.py needs ``many`` until the benchmark revision
+    # (ROADMAP item 2); it returns bare rows, and nothing in src/ calls it.
     def many(self, point, theta, dt, rng, size):
         return linear_bd_sample_many(point[0], dt, theta, self.params, rng, size)[:, None]
-
-
-class _GillespieBDSampler:
-    """Event-driven sampler of the B&D dual (reference implementation)."""
-
-    def __init__(self, params: CIRParams):
-        self.params = params
-
-    def __call__(self, points, counts, theta, dt, rng):
-        starts = np.repeat(points[:, 0], counts)
-        return np.array([gillespie_bd(int(m), dt, theta, self.params, rng)
-                         for m in starts], dtype=np.int64)[:, None], theta
 
 
 class CIRModel:
@@ -431,13 +417,10 @@ class CIRModel:
         return pure_death_theta(dt, theta, self.params)
 
     def dual_sampler(self, kind: str):
-        if kind == "pure_death":
-            return _PureDeathSampler(self.params)
-        if kind == "bd":
-            return _BirthDeathSampler(self.params)
-        if kind == "bd_gillespie":
-            return _GillespieBDSampler(self.params)
-        raise ConfigError(f"unknown CIR dual kind {kind!r}")
+        if kind not in _DUAL_DRAWS:
+            raise ConfigError(f"unknown CIR dual kind {kind!r}")
+        sampler = _BirthDeathSampler if kind == "bd" else DualSampler
+        return sampler(_DUAL_DRAWS[kind], self.params)
 
     # -- mixture components -----------------------------------------------
 

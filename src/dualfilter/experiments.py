@@ -105,23 +105,29 @@ class ExperimentSpec:
             self.build_model()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {self.model} params {self.params!r}: {exc}") from None
-        for label in self.methods:
-            if label not in METHOD_TABLE:
-                raise ConfigError(f"unknown method label {label!r}")
-        for name, low in (("n_times", 0), ("batch_size", 0), ("replicates", 1)):
+        if not self.methods or not set(self.methods) <= METHOD_TABLE.keys():
+            raise ConfigError(f"methods must be known labels, not {self.methods!r}")
+        for name, low in (("n_times", 0), ("batch_size", 0), ("replicates", 1),
+                          ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, not {value!r}")
-        if not all(isinstance(v, numbers.Integral) and v >= 1
-                   for v in self.particle_counts):
+        if not self.particle_counts or not all(isinstance(v, numbers.Integral) and v >= 1
+                                               for v in self.particle_counts):
             raise ConfigError(f"particle counts must be positive integers, "
                               f"not {self.particle_counts!r}")
-        if not self.delta_t > 0:
-            raise ConfigError("delta_t must be positive")
+        if not (np.isfinite(self.delta_t) and self.delta_t > 0):
+            raise ConfigError(f"delta_t must be finite and positive, not {self.delta_t!r}")
         if self.flavor == "predictive" and self.horizon is None:
             raise ConfigError("predictive scenarios need a horizon")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ConfigError("horizon must be positive")
+        if self.horizon is not None and not (np.isfinite(self.horizon)
+                                             and self.horizon > 0):
+            raise ConfigError(f"horizon must be finite and positive, not {self.horizon!r}")
+        if self.forced_last is not None:
+            last = ObservationRecord(0.0, self.forced_last).values
+            if self.model == "wf" and len(last) != len(self.params):
+                raise ConfigError(f"forced_last must have {len(self.params)} counts, "
+                                  f"not {len(last)}")
 
     def build_model(self, kernel_tail_eps: float = 0.0):
         if self.model == "cir":

@@ -65,7 +65,8 @@ class FilterConfig:
     seed: int = 0
     prune_eps: float = 0.0
     n_particles: int | None = None
-    dual_kind: str | None = None  # pure_death | bd | moran | wf_chain | wf_diffusion
+    # CIR: pure_death | bd | bd_gillespie; WF: pure_death | moran | wf_chain | wf_diffusion
+    dual_kind: str | None = None
 
     def __post_init__(self):
         if self.method not in _METHODS:

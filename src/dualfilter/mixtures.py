@@ -64,6 +64,12 @@ WEIGHT_SUM_TOL = 1e-12
 KERNEL_MASS_TOL = 1e-8
 
 
+def check_time_step(t) -> None:
+    """Raise ``ConfigError`` unless ``t`` is a finite positive time step."""
+    if not (math.isfinite(t) and t > 0):
+        raise ConfigError(f"time step must be finite and positive, not {t!r}")
+
+
 @dataclass(frozen=True)
 class ObservationRecord:
     """A time-stamped batch of emissions.
@@ -239,8 +245,7 @@ def propagate(mix: DualMixture, dt: float) -> DualMixture:
     Raises:
         InvalidKernel: if any source kernel carries mass above ``1 + 1e-8``.
     """
-    if dt <= 0:
-        raise ConfigError("time step must be positive")
+    check_time_step(dt)
     arrivals, probs, source = mix.model.pd_kernel(mix.points, mix.theta, dt)
     mass = np.bincount(source, probs, minlength=mix.support_size)
     heavy = np.flatnonzero(mass > 1.0 + KERNEL_MASS_TOL)
@@ -322,6 +327,7 @@ def dual_particle_propagate(mix: DualMixture,
     """
     if n_particles < 1:
         raise ConfigError("need at least one particle")
+    check_time_step(dt)
     counts = systematic_counts(mix.weights, n_particles, rng.uniform())
 
     drawn = counts > 0
@@ -332,6 +338,19 @@ def dual_particle_propagate(mix: DualMixture,
                          f"expected {(n_particles, mix.dim)}")
     # DualMixture rejects arrivals with a negative coordinate
     return DualMixture.from_weights(mix.model, arrivals, np.ones(n_particles), theta)
+
+
+@dataclass(frozen=True)
+class DualSampler:
+    """A sampler of :func:`dual_particle_propagate`'s protocol: one entry
+    ``draw(points, counts, theta, dt, params, rng) -> (rows, theta_t)`` of a
+    model's ``_DUAL_DRAWS`` table, bound to the model's ``params``."""
+
+    draw: object
+    params: object
+
+    def __call__(self, points, counts, theta, dt, rng):
+        return self.draw(points, counts, theta, dt, self.params, rng)
 
 
 def mixture_moments(mix: DualMixture) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import betainc, betaln, gammaln, xlog1py, xlogy
 
 from .errors import ConfigError, DimensionError, DomainError
-from .mixtures import DualMixture, ObservationRecord
+from .mixtures import DualMixture, DualSampler, ObservationRecord, check_time_step
 
 __all__ = [
     "WFParams",
@@ -153,10 +153,9 @@ def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
     """
     if m_tot < 0:
         raise ConfigError("m_tot must be non-negative")
+    check_time_step(t)
     if m_tot == 0:
         return np.ones(1)
-    if t <= 0:
-        raise ConfigError("time must be positive")
     return _block_count_row(int(m_tot), float(t), p.theta)
 
 
@@ -279,6 +278,7 @@ def wf_chain_sample_many(n0, t: float, p: WFParams,
     depend on ``N``, so the generations run once for all the rows of each
     distinct total, in increasing order of ``N``.
     """
+    check_time_step(t)
     state = _start_rows(n0, p)
     totals = state.sum(axis=1)
     for n_tot in np.unique(totals[totals > 0]):
@@ -355,8 +355,7 @@ def wf_transition_sample_many(x, t: float, p: WFParams,
     entrance truncation level, thin it into type counts
     ``l ~ Multinomial(m_tot, x)``, and draw ``x' ~ Dirichlet(alpha + l)``.
     """
-    if t <= 0:
-        raise ConfigError("time step must be positive")
+    check_time_step(t)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1:] != (p.k,):
         raise DimensionError(f"simplex rows must have {p.k} columns")
@@ -412,31 +411,21 @@ def emission_log_pmf(x, y: ObservationRecord, p: WFParams) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-class _DualSampler:
-    """One of the WF dual samplers, drawn for a whole filter step at once.
-
-    It follows the sampler protocol stated in
-    :func:`~dualfilter.mixtures.dual_particle_propagate`, on ``(M, K)``
-    source points, with one call of the batched ``draw(rows, dt, params,
-    rng)``.  The WF duals have no deterministic component, so ``theta``
-    (``None``) comes back unchanged.
-    """
-
-    def __init__(self, draw, params: WFParams):
-        self.draw = draw
-        self.params = params
-
-    def __call__(self, points, counts, theta, dt, rng):
-        return self.draw(np.repeat(points, counts, axis=0), dt, self.params, rng), theta
+def _per_path(draw):
+    """``draw(rows, dt, params, rng)`` in the sampler protocol, on each source
+    repeated by its copy count; ``theta`` (``None`` on WF) comes back unchanged."""
+    def protocol_draw(points, counts, theta, dt, p, rng):
+        return draw(np.repeat(points, counts, axis=0), dt, p, rng), theta
+    return protocol_draw
 
 
-#: dual kind -> batched sampler: exact typed death, the exact Moran dual,
-#: or its WF-chain and binned-diffusion approximations
+#: dual kind -> draw in the sampler protocol: exact typed death, the exact
+#: Moran dual, or its WF-chain and binned-diffusion approximations
 _DUAL_DRAWS = {
-    "pure_death": typed_death_sample_many,
-    "moran": moran_sample_many,
-    "wf_chain": wf_chain_sample_many,
-    "wf_diffusion": wf_diffusion_binned_sample_many,
+    "pure_death": _per_path(typed_death_sample_many),
+    "moran": _per_path(moran_sample_many),
+    "wf_chain": _per_path(wf_chain_sample_many),
+    "wf_diffusion": _per_path(wf_diffusion_binned_sample_many),
 }
 
 
@@ -489,7 +478,7 @@ class WFModel:
     def dual_sampler(self, kind: str):
         if kind not in _DUAL_DRAWS:
             raise ConfigError(f"unknown WF dual kind {kind!r}")
-        return _DualSampler(_DUAL_DRAWS[kind], self.params)
+        return DualSampler(_DUAL_DRAWS[kind], self.params)
 
     # -- mixture components -----------------------------------------------
 

@@ -5,10 +5,10 @@ import pytest
 from scipy.stats import binom, nbinom
 
 from dualfilter import InvalidDualParam, ObservationRecord
-from dualfilter.cir import (bd_rates, cir_transition_sample_many,
-                            emission_log_pmf, gillespie_bd, linear_bd_rates,
-                            linear_bd_sample_many, log_marginal, pure_death_pmf,
-                            pure_death_survival, pure_death_theta)
+from dualfilter.cir import (cir_transition_sample_many, emission_log_pmf,
+                            gillespie_bd, linear_bd_rates, linear_bd_sample_many,
+                            log_marginal, pure_death_pmf, pure_death_survival,
+                            pure_death_theta)
 
 from .oracles import (chi2_pvalue_vs_pmf, embedded_up_prob, quad_cir_marginal,
                       quad_survival, rk_pure_death_theta, thinning_death_sample,
@@ -108,21 +108,21 @@ def test_log_marginal_matches_quadrature(cir_params):
 # ---------------------------------------------------------------------------
 
 def test_bd_rates_direct_values(cir_params):
-    lam, mu = bd_rates(3, 2.1, cir_params)
-    assert lam == pytest.approx(17.0)
-    assert mu == pytest.approx(12.6)
+    lam, beta_imm, mu = linear_bd_rates(2.1, cir_params)
+    assert lam * 3 + beta_imm == pytest.approx(17.0)
+    assert mu * 3 == pytest.approx(12.6)
 
 
 def test_bd_rates_degenerate_cases(cir_params):
-    lam, _ = bd_rates(5, cir_params.beta, cir_params)
-    assert lam == 0.0
-    _, mu = bd_rates(0, 2.0, cir_params)
-    assert mu == 0.0
+    lam, beta_imm, _ = linear_bd_rates(cir_params.beta, cir_params)
+    assert lam * 5 + beta_imm == 0.0
+    _, _, mu = linear_bd_rates(2.0, cir_params)
+    assert mu * 0 == 0.0
 
 
 def test_bd_rates_rejects_small_theta(cir_params):
     with pytest.raises(InvalidDualParam):
-        bd_rates(1, 0.5 * cir_params.beta, cir_params)
+        linear_bd_rates(0.5 * cir_params.beta, cir_params)
 
 
 def test_bd_total_rate_identity():
@@ -135,10 +135,10 @@ def test_bd_total_rate_identity():
         from dualfilter.cir import CIRParams
         p = CIRParams(delta, gamma, sigma)
         theta = p.beta + rng.uniform(0, 5)
-        m = rng.integers(0, 50)
-        lam, mu = bd_rates(int(m), theta, p)
+        m = int(rng.integers(0, 50))
+        lam, beta_imm, mu = linear_bd_rates(theta, p)
         rhs = 2 * gamma * m + sigma ** 2 * (delta + 4 * m) * (theta - p.beta)
-        assert lam + mu == pytest.approx(rhs, rel=1e-10)
+        assert lam * m + beta_imm + mu * m == pytest.approx(rhs, rel=1e-10)
 
 
 def test_embedded_up_prob_values():
@@ -180,9 +180,11 @@ def test_linear_bd_rates_decomposition(cir_params):
     theta = p.beta + 1.5
     lam, beta_imm, mu = linear_bd_rates(theta, p)
     for m in range(6):
-        lam_m, mu_m = bd_rates(m, theta, p)
-        assert lam * m + beta_imm == pytest.approx(lam_m, rel=1e-12)
-        assert mu * m == pytest.approx(mu_m, rel=1e-12)
+        # the paper's B&D dual rates at state m
+        birth = 2 * p.sigma ** 2 * (p.delta / 2 + m) * (theta - p.gamma / p.sigma ** 2)
+        death = 2 * p.sigma ** 2 * theta * m
+        assert lam * m + beta_imm == pytest.approx(birth, rel=1e-12)
+        assert mu * m == pytest.approx(death, rel=1e-12)
 
 
 def test_linear_bd_birth_rate_never_exceeds_death_rate():
@@ -357,6 +359,12 @@ def test_emission_log_pmf_boundary(cir_params):
     assert emission_log_pmf(np.array([0.0]), y, cir_params)[0] == -np.inf
     y0 = ObservationRecord(0.0, (0, 0))
     assert emission_log_pmf(np.array([0.0]), y0, cir_params)[0] == 0.0
+
+
+def test_emission_log_pmf_empty_batch(cir_params):
+    got = emission_log_pmf(np.array([0.0, 0.5, 3.0]), ObservationRecord(0.0, ()),
+                           cir_params)
+    np.testing.assert_array_equal(got, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ def wf_records(count_rows, dt=1.0):
 CIR = CIRParams(11.0, 1.1, 1.0)
 CIR_MODEL = CIRModel(CIR)
 WF2 = WFParams((1.1, 1.1))
+NAN, INF = float("nan"), float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,28 @@ def test_config_validation():
     lambda: wf.block_count_probs(-1, 0.1, WF2),
     lambda: wf.block_count_probs(3, 0.0, WF2),
     lambda: wf.wf_transition_sample_many([0.5, 0.5], 0.0, WF2, np.random.default_rng(0)),
+    lambda: DualMixture(CIR_MODEL, [[0], [1]], [0.0, 1.0]),
+    lambda: DualMixture(CIR_MODEL, [[0], [1]], [-0.1, 1.1]),
+    lambda: DualMixture(CIR_MODEL, [[0], [1]], [NAN, 1.0]),
+    lambda: DualMixture(CIR_MODEL, [[0], [1]], [0.4, 0.5]),
+    lambda: wf.block_count_probs(5, NAN, WF2),
+    lambda: wf.block_count_probs(3, INF, WF2),
+    lambda: wf.block_count_probs(0, -1.0, WF2),
+    lambda: wf.typed_death_kernel([[1, 2]], NAN, WF2),
+    lambda: cir.pure_death_pmf([[3]], NAN, 2.0, CIR),
+    lambda: cir.pure_death_theta(0.1, NAN, CIR),
+    lambda: cir.pure_death_survival(0.1, NAN, CIR),
+    lambda: cir.cir_transition_sample_many(1.0, NAN, CIR, np.random.default_rng(0)),
+    lambda: cir.linear_bd_sample_many(3, NAN, 2.0, CIR, np.random.default_rng(0), 4),
+    lambda: cir.linear_bd_sample_many(3, 0.1, NAN, CIR, np.random.default_rng(0), 4),
+    lambda: wf.wf_transition_sample_many([0.5, 0.5], NAN, WF2, np.random.default_rng(0)),
+    lambda: wf.wf_transition_sample_many([0.5, 0.5], INF, WF2, np.random.default_rng(0)),
+    lambda: wf.moran_sample_many([[1, 2]], NAN, WF2, np.random.default_rng(0)),
+    lambda: wf.wf_chain_sample_many([[1, 2]], NAN, WF2, np.random.default_rng(0)),
+    lambda: propagate(CIR_MODEL.prior_mixture(), NAN),
+    lambda: dual_particle_propagate(CIR_MODEL.prior_mixture(),
+                                    CIR_MODEL.dual_sampler("bd_gillespie"), 4, NAN,
+                                    np.random.default_rng(0)),
 ], ids=["method", "prune_eps", "prune_eps_unpruned", "n_particles", "dual_kind",
         "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
         "cir_kind", "wf_kind", "record_fractional_count", "record_nan_count",
@@ -104,7 +127,13 @@ def test_config_validation():
         "from_weights_shape", "from_weights_empty_rows", "prune_eps_range",
         "propagate_time", "systematic_offset", "no_particles", "quantile_level",
         "wf_counts", "wf_log_marginal_counts", "wf_start_rows", "block_count_total",
-        "block_count_time", "wf_transition_time"])
+        "block_count_time", "wf_transition_time", "mixture_zero_weight",
+        "mixture_negative_weight", "mixture_nan_weight", "mixture_weight_sum",
+        "block_count_nan_time", "block_count_inf_time", "block_count_empty_time",
+        "typed_kernel_nan_time", "pd_pmf_nan_time", "pd_theta_nan_rate",
+        "pd_survival_nan_rate", "cir_transition_nan_time", "bd_nan_time", "bd_nan_theta",
+        "wf_transition_nan_time", "wf_transition_inf_time", "moran_nan_time",
+        "wf_chain_nan_time", "propagate_nan_time", "particle_nan_time"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()

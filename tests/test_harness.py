@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -57,6 +58,38 @@ def test_build_spec_rejects_unknown_key():
 def test_build_spec_rejects_fractional_counts(config, overrides):
     with pytest.raises(ConfigError):
         build_spec("cir_filtering", config, **overrides)
+
+
+@pytest.mark.parametrize("scenario, config", [
+    ("wf_predictive", {"forced_last": [1, 2]}),
+    ("wf_predictive", {"forced_last": [4, 0, -9, 2]}),
+    ("cir_predictive", {"forced_last": [-1]}),
+    ("cir_predictive", {"forced_last": [2.5]}),
+    ("wf_predictive", {"horizon": math.inf}),
+    ("cir_predictive", {"horizon": math.nan}),
+    ("cir_filtering", {"delta_t": math.inf}),
+    ("cir_filtering", {"delta_t": math.nan}),
+    ("cir_filtering", {"particle_counts": []}),
+    ("cir_filtering", {"methods": []}),
+    ("cir_filtering", {"flavor": "smoothing"}),
+    ("cir_filtering", {"model": "ou"}),
+    ("cir_filtering", {"methods": ["pd", "nope"]}),
+    ("cir_predictive", {"horizon": None}),
+    ("cir_filtering", {"delta_t": "0.1"}),
+    ("cir_predictive", {"seed": -1}),
+    ("cir_predictive", {"seed": 2.5}),
+], ids=["forced_last_length", "forced_last_negative", "forced_last_cir_negative",
+        "forced_last_fractional", "horizon_inf", "horizon_nan", "delta_t_inf",
+        "delta_t_nan", "no_particle_counts", "no_methods", "flavor", "model",
+        "method_label", "predictive_without_horizon", "delta_t_type",
+        "negative_seed", "fractional_seed"])
+def test_build_spec_rejects_bad_values(scenario, config):
+    with pytest.raises(ConfigError):
+        build_spec(scenario, config)
+
+
+def test_build_spec_accepts_no_forced_last():
+    assert build_spec("wf_predictive", {"forced_last": None}).forced_last is None
 
 
 def test_presets_pin_benchmark_parameterizations():
@@ -269,12 +302,31 @@ def test_cli_bad_config_file(tmp_path, capsys):
     {"scenario": "cir_filtering", "batch_size": -1},
     {"scenario": "cir_filtering", "batch_size": 1.5},
     {"scenario": "cir_filtering", "n_times": 2.5},
+    {"scenario": "wf_predictive", "forced_last": [1, 2]},
 ], ids=["delta_t", "horizon", "n_times", "params_value", "params_arity",
-        "params_scalar", "batch_size", "batch_size_fractional", "n_times_fractional"])
+        "params_scalar", "batch_size", "batch_size_fractional", "n_times_fractional",
+        "forced_last_length"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, replicates=1, particle_counts=[10])))
     assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 64
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--particles", ","], ["--threads", "0"],
+                                   ["--seed", "-1"]],
+                         ids=["no_particles", "no_threads", "negative_seed"])
+def test_cli_bad_flag_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["--scenario", "cir_filtering", "--out-dir", str(out)] + flags) == 64
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_config_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(["cir_predictive"]))
+    assert main(["--scenario", "cir_predictive", "--config", str(path)]) == 64
     assert "config error" in capsys.readouterr().err
 
 

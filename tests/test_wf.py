@@ -245,6 +245,22 @@ def test_block_count_zero_start(wf3_params):
     np.testing.assert_allclose(block_count_probs(0, 1.0, wf3_params), [1.0])
 
 
+@pytest.mark.parametrize("level", [50, 500])
+def test_entrance_descent_time_at_theta_one(level):
+    # theta = 1 takes the trigamma branch; the general (digamma) branch
+    # must meet it from either side
+    from dualfilter.wf import _entrance_descent_time
+    theta = WFParams((0.4, 0.6)).theta
+    assert theta == 1.0
+    got = _entrance_descent_time(level, theta)
+    k = np.arange(level + 1, 10 ** 6, dtype=float)
+    # sum_{k>level} 2/(k(k+theta-1)), with the tail sum_{k>=N} 2/k^2 ~ 2/(N-1/2)
+    direct = math.fsum(2.0 / (k * (k + theta - 1.0))) + 2.0 / (10 ** 6 - 0.5)
+    assert got == pytest.approx(direct, rel=1e-12)
+    for near in (theta - 1e-6, theta + 1e-6):
+        assert _entrance_descent_time(level, near) == pytest.approx(got, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # typed death transitions
 # ---------------------------------------------------------------------------
