@@ -1,7 +1,8 @@
 """Command-line front end for the experiment scenarios.
 
 Exit codes: 0 on success, 2 if any scenario cell failed, 64 on a
-configuration error (unknown scenario, bad config file or flag values).
+configuration error (unknown scenario, bad config file or flag values, no
+observation times).
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ def main(argv=None) -> int:
         spec = build_spec(scenario, config, seed=args.seed,
                           particles=particles, replicates=args.replicates,
                           full=args.full)
+        return run_scenario(spec, args.out_dir, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run_scenario(spec, args.out_dir, threads=args.threads)
 
 
 if __name__ == "__main__":

@@ -352,9 +352,12 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
     ``threads`` is 1 and otherwise in a pool of ``min(threads, replicates)``
     worker processes.  Returns the CLI exit code: 0 on success, 2 if any
     cell failed (failures are recorded as ``metric="error"`` rows and the
-    run continues).
+    run continues).  A spec without observation times raises
+    :class:`ConfigError` before anything is written.
     """
     from pathlib import Path
+    if spec.n_times < 1:
+        raise ConfigError(f"{spec.scenario} needs n_times >= 1, got {spec.n_times}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -512,12 +512,19 @@ class WFModel:
         return a[:, 0], a.sum(axis=1) - a[:, 0]
 
     def marginal_component_logpdf(self, grid, points, theta=None) -> np.ndarray:
-        """Beta log-densities ``(M, G)`` of the first coordinate on ``grid``."""
-        a, b = (v[:, None] for v in self._beta_params(points))
+        """Beta log-densities ``(M, G)`` of the first coordinate on ``grid``.
+
+        Many rows share their float ``(a, b)`` pair, so each distinct pair
+        is evaluated once and gathered back to the rows; the result equals
+        the per-row evaluation bit for bit.
+        """
+        pairs, inverse = np.unique(np.stack(self._beta_params(points), axis=1),
+                                   axis=0, return_inverse=True)
+        a, b = pairs[:, :1], pairs[:, 1:]
         x = np.asarray(grid, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
-        return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)
+        return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)[inverse.ravel()]
 
     def marginal_component_cdf(self, x: float, points, theta=None) -> np.ndarray:
         return betainc(*self._beta_params(points), min(max(x, 0.0), 1.0))

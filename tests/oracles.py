@@ -7,8 +7,10 @@ of helper are exceptions: the test-only conveniences
 ``cir_log_density_ratio``, ``cir_density_ratio``, ``update_conjugate``,
 ``wf_log_density_ratio``, ``wf_density_ratio``, ``update_counts`` and
 ``closure_spread``, built on the package's count checks and smoothing
-closure, and ``linear_bd_draw_reference``, a frozen copy of the ``bd``
-draw that fixes its random stream.
+closure, ``linear_bd_draw_reference``, a frozen copy of the ``bd``
+draw that fixes its random stream, and ``beta_marginal_logpdf_rows``, the
+per-row Beta marginal formula that the package's deduplicated evaluation
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.linalg import expm
-from scipy.special import eval_jacobi, gammaln, roots_jacobi
+from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi, xlog1py, xlogy
 from scipy.stats import chisquare, ncx2
 
 from dualfilter.wf import _as_counts
@@ -482,6 +484,19 @@ def wf_log_density_ratio(x, n, p):
         terms = np.where(narr > 0, narr * logx, 0.0)
     out = const + terms.sum(axis=1)
     return out if out.shape[0] > 1 else float(out[0])
+
+
+def beta_marginal_logpdf_rows(grid, points, alpha) -> np.ndarray:
+    """Beta log-densities ``(M, G)`` of the first coordinate, one row per
+    dual point: Beta(alpha_1 + n_1, sum(alpha + n) - alpha_1 - n_1) on
+    ``grid``, ``-inf`` off ``[0, 1]``."""
+    conc = np.asarray(alpha, dtype=float) + np.asarray(points, dtype=float)
+    a = conc[:, :1]
+    b = conc.sum(axis=1)[:, None] - a
+    x = np.asarray(grid, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
+    return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)
 
 
 def wf_density_ratio(x, n, p):

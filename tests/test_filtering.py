@@ -14,8 +14,8 @@ from dualfilter.filtering import density_on_grid, grid_l1, metric_edges
 from dualfilter.mixtures import (DualMixture, dual_particle_propagate, mixture_quantile,
                                  propagate, prune, systematic_counts)
 
-from .oracles import (cir_grid_forward_backward, cir_two_step_enumeration,
-                      wf_two_step_brute_force)
+from .oracles import (beta_marginal_logpdf_rows, cir_grid_forward_backward,
+                      cir_two_step_enumeration, wf_two_step_brute_force)
 
 
 def cir_records(counts, dt=0.1):
@@ -461,6 +461,28 @@ def test_grid_l1_between_mixture_and_cloud(cir_model, rng):
                           np.full(200_000, 1.0 / 200_000))
     assert grid_l1(cloud, density_on_grid(ref, edges), edges) < 0.05
     assert grid_l1(ref, density_on_grid(ref, edges), edges) == 0.0
+
+
+def test_grid_l1_wf_mixture_against_itself(wf3_model):
+    # many rows share their first-coordinate Beta marginal
+    records = wf_records([(3, 1, 1), (1, 2, 2)], dt=0.5)
+    trace = run_filter(records, FilterConfig(method="exact"), wf3_model)
+    ref = propagate(trace.filtering[-1], 0.1)
+    pairs = np.stack(wf3_model._beta_params(ref.points), axis=1)
+    assert len(np.unique(pairs, axis=0)) < len(ref.points)
+    edges = metric_edges(ref)
+    assert grid_l1(ref, density_on_grid(ref, edges), edges) == 0.0
+
+
+def test_density_on_grid_desk_wf_reference_matches_per_row_formula():
+    from dualfilter.experiments import _predictive_context
+    spec = build_spec("wf_predictive", None, seed=1234)
+    ctx = _predictive_context(spec, 0)
+    ref, edges = ctx["ref_pred"], ctx["edges"]
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    rows = beta_marginal_logpdf_rows(centers, ref.points, ref.model.params.alpha)
+    assert np.array_equal(ref.model.marginal_component_logpdf(centers, ref.points), rows)
+    assert np.array_equal(density_on_grid(ref, edges), ref.weights @ np.exp(rows))
 
 
 def test_density_on_grid_mixture_integrates(cir_model):

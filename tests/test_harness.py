@@ -303,14 +303,19 @@ def test_cli_bad_config_file(tmp_path, capsys):
     {"scenario": "cir_filtering", "batch_size": 1.5},
     {"scenario": "cir_filtering", "n_times": 2.5},
     {"scenario": "wf_predictive", "forced_last": [1, 2]},
+    # build_spec accepts n_times = 0 (simulate_dataset handles it); a run does not
+    {"scenario": "cir_predictive", "n_times": 0},
+    {"scenario": "wf_filtering", "n_times": 0},
 ], ids=["delta_t", "horizon", "n_times", "params_value", "params_arity",
         "params_scalar", "batch_size", "batch_size_fractional", "n_times_fractional",
-        "forced_last_length"])
+        "forced_last_length", "no_times_predictive", "no_times_filtering"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, replicates=1, particle_counts=[10])))
-    assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 64
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out-dir", str(out)]) == 64
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--particles", ","], ["--threads", "0"],

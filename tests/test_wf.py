@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dualfilter import DimensionError, ObservationRecord, WFParams
+from dualfilter import DimensionError, ObservationRecord, WFModel, WFParams
 from dualfilter.wf import (block_count_probs, emission_log_pmf, log_marginal,
                            moran_sample_many, typed_death_kernel,
                            typed_death_sample_many, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
                            wf_transition_sample_many)
 
-from .oracles import (block_count_path, block_count_series_mp,
-                      gillespie_jump_chain, kernel_dict, kingman_rates,
-                      kingman_transitions, moran_law, moran_path, moran_rates,
+from .oracles import (beta_marginal_logpdf_rows, block_count_path,
+                      block_count_series_mp, gillespie_jump_chain, kernel_dict,
+                      kingman_rates, kingman_transitions, moran_law, moran_path, moran_rates,
                       moran_transitions, quad_wf_marginal, tv_sample_vs_pmf,
                       tv_tuple_samples, typed_kingman_path, update_counts)
 from .oracles import wf_density_ratio as density_ratio
@@ -243,6 +243,26 @@ def test_block_count_row_properties(m, log_t, alpha):
 
 def test_block_count_zero_start(wf3_params):
     np.testing.assert_allclose(block_count_probs(0, 1.0, wf3_params), [1.0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alpha=st.sampled_from([(3.0,) * 4, (1.1,) * 3]), data=st.data())
+def test_marginal_logpdf_matches_per_row_formula(alpha, data):
+    # a few base rows, repeated and with their other coordinates permuted:
+    # many rows share (n_1, |n|), and with fractional alpha their float b
+    # may still differ in the last bit
+    k = len(alpha)
+    row = st.lists(st.integers(0, 40), min_size=k, max_size=k)
+    pool = data.draw(st.lists(row, min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                         st.permutations(range(1, k))),
+                               min_size=1, max_size=80))
+    points = np.array([[pool[i][0]] + [pool[i][j] for j in perm] for i, perm in picks],
+                      dtype=np.int64)
+    grid = np.concatenate([[-0.1, 0.0, 1.0, 1.1], np.linspace(0.0, 1.0, 33)])
+    got = WFModel(WFParams(alpha)).marginal_component_logpdf(grid, points)
+    assert got.shape == (len(points), len(grid))
+    assert np.array_equal(got, beta_marginal_logpdf_rows(grid, points, alpha))
 
 
 @pytest.mark.parametrize("level", [50, 500])
