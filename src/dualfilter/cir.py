@@ -400,11 +400,8 @@ class CIRModel:
         return DualMixture(self, np.zeros((1, 1), dtype=np.int64),
                            np.array([1.0]), self.params.beta)
 
-    def shift_index(self, y: ObservationRecord, points: np.ndarray) -> np.ndarray:
-        return points + sum(y.values)
-
-    def shift_param(self, y: ObservationRecord, theta: float) -> float:
-        return theta + len(y.values) * self.params.tau
+    def shift(self, y: ObservationRecord, points: np.ndarray, theta: float) -> tuple:
+        return points + sum(y.values), theta + len(y.values) * self.params.tau
 
     def log_marginal_point(self, points: np.ndarray, theta: float,
                            y: ObservationRecord) -> np.ndarray:
@@ -427,13 +424,13 @@ class CIRModel:
     def _shapes(self, points) -> np.ndarray:
         return self.params.alpha + np.asarray(points)[:, 0]
 
-    def component_mean(self, points, theta: float) -> np.ndarray:
-        return (self._shapes(points) / theta)[:, None]
-
-    def component_var(self, points, theta: float) -> np.ndarray:
-        return (self._shapes(points) / theta ** 2)[:, None]
+    def component_moments(self, points, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        shapes = self._shapes(points)
+        return (shapes / theta)[:, None], (shapes / theta ** 2)[:, None]
 
     def component_logpdf(self, x, points, theta: float) -> np.ndarray:
+        if np.any(np.asarray(x) < 0):
+            raise DomainError("CIR grid points must be non-negative")
         return _gamma_logpdf(x, self._shapes(points), theta)
 
     # the signal is univariate: its first-coordinate marginal is itself
@@ -444,10 +441,6 @@ class CIRModel:
 
     def sample_component(self, points, theta: float, rng: np.random.Generator) -> np.ndarray:
         return rng.gamma(self._shapes(points), 1.0 / theta)
-
-    def check_domain(self, grid: np.ndarray) -> None:
-        if np.any(np.asarray(grid) < 0):
-            raise DomainError("CIR grid points must be non-negative")
 
     # -- signal-space interface (bootstrap baseline) -----------------------
 
@@ -465,17 +458,15 @@ class CIRModel:
         return tuple(int(v) for v in rng.poisson(self.params.tau * x, batch))
 
     # -- smoothing closure --------------------------------------------------
-    # Indices are ``(..., 1)`` arrays (or tuples); the methods broadcast
+    # Indices are ``(..., 1)`` arrays (or tuples); ``combine`` broadcasts
     # over their leading axes.  The combined index is always ``m + n``.
 
-    def combine_param(self, theta_a: float, theta_b: float) -> float:
-        return theta_a + theta_b - self.params.beta
-
-    def log_combine_const(self, m, n, theta_a: float, theta_b: float):
-        """log C with h(x,m,ta) h(x,n,tb) = C h(x, m+n, ta+tb-beta)."""
+    def combine(self, m, n, theta_a: float, theta_b: float):
+        """(log C, theta) with h(x,m,ta) h(x,n,tb) = C h(x, m+n, theta = ta+tb-beta)."""
         a = self.params.alpha
+        theta = theta_a + theta_b - self.params.beta
         mi, ni = np.asarray(m)[..., 0], np.asarray(n)[..., 0]
         return (gammaln(a) - gammaln(a + mi) - gammaln(a + ni) + gammaln(a + mi + ni)
                 - a * math.log(self.params.beta)
                 + (a + mi) * math.log(theta_a) + (a + ni) * math.log(theta_b)
-                - (a + mi + ni) * math.log(theta_a + theta_b - self.params.beta))
+                - (a + mi + ni) * math.log(theta)), theta

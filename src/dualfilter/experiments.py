@@ -102,11 +102,14 @@ class ExperimentSpec:
         if self.model not in ("cir", "wf"):
             raise ConfigError(f"unknown model {self.model!r}")
         try:
-            self.build_model()
+            model = self.build_model()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {self.model} params {self.params!r}: {exc}") from None
         if not self.methods or not set(self.methods) <= METHOD_TABLE.keys():
             raise ConfigError(f"methods must be known labels, not {self.methods!r}")
+        for _, dual in map(METHOD_TABLE.get, self.methods):
+            if dual:  # ConfigError for a dual this model does not have
+                model.dual_sampler(dual)
         for name, low in (("n_times", 0), ("batch_size", 0), ("replicates", 1),
                           ("seed", 0)):
             value = getattr(self, name)
@@ -173,7 +176,8 @@ def build_spec(scenario: str, config: dict | None = None, *, seed: int | None = 
     """Resolve a preset plus config-file and CLI overrides into a spec.
 
     The keyword overrides take precedence over ``config``; the seed falls
-    back to the config's, then to 1234."""
+    back to the config's, then to 1234.  ``scenario``, ``flavor`` and
+    ``model`` come from the preset: a config that sets them is rejected."""
     if scenario not in PRESETS:
         raise ConfigError(f"unknown scenario {scenario!r}; "
                           f"choose one of {sorted(PRESETS)}")
@@ -183,8 +187,8 @@ def build_spec(scenario: str, config: dict | None = None, *, seed: int | None = 
         base.update(full_overrides)
     base["scenario"] = scenario
     for key, value in (config or {}).items():
-        if key not in _SPEC_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
+        if key not in _SPEC_FIELDS or key in ("scenario", "flavor", "model"):
+            raise ConfigError(f"config key {key!r} is unknown or fixed by the preset")
         base[key] = tuple(value) if isinstance(value, list) else value
     base["seed"] = seed if seed is not None else base.get("seed", 1234)
     if particles is not None:

@@ -259,8 +259,8 @@ def smoother(data: Sequence[ObservationRecord], model,
     Each backward mixture is combined with the filtering mixture at the
     same time through the product closure of the mixture kernels, all
     pairs of support rows at once in log space: the index rows add, and
-    the model's ``combine_param`` and ``log_combine_const`` give the
-    combined parameter and the constant factor.  This yields one mixture
+    ``model.combine(m, n, theta_back, theta_filt)`` gives the log constant
+    factor of each pair and the combined parameter.  This yields one mixture
     per observation time; at the terminal time the result coincides with
     the filtering law.
 
@@ -281,12 +281,11 @@ def smoother(data: Sequence[ObservationRecord], model,
     out = []
     for time, filt, back in zip(trace.times, trace.filtering, backward):
         fwd_rows, back_rows = filt.points[None, :, :], back.points[:, None, :]
-        logw = (np.log(back.weights)[:, None] + np.log(filt.weights)[None, :]
-                + model.log_combine_const(back_rows, fwd_rows, back.theta, filt.theta))
+        log_c, theta = model.combine(back_rows, fwd_rows, back.theta, filt.theta)
+        logw = np.log(back.weights)[:, None] + np.log(filt.weights)[None, :] + log_c
         points = (back_rows + fwd_rows).reshape(-1, filt.dim)
-        mixture = DualMixture.from_weights(
-            filt.model, points, np.exp(logw - logw.max()).ravel(),
-            model.combine_param(back.theta, filt.theta))
+        mixture = DualMixture.from_weights(filt.model, points,
+                                           np.exp(logw - logw.max()).ravel(), theta)
         out.append(SmoothingResult(time=float(time), mixture=mixture))
     return out
 

@@ -14,10 +14,26 @@ Representation choices:
   duals), with distinct rows in lexicographic order;
 * the deterministic dual parameter is a ``float`` (or ``None`` for models
   whose dual has no deterministic component);
-* each mixture holds the model that built it (``cir.CIRModel`` or
-  ``wf.WFModel``), from which :func:`update`, :func:`propagate` and the
-  moment and density functions read the model-specific pieces (Gamma or
-  Dirichlet components), each taking the whole support array at once.
+* each mixture holds the model that built it (``cir.CIRModel`` with Gamma
+  components or ``wf.WFModel`` with Dirichlet ones).
+
+The model protocol is the members each operation reads from that model,
+each taking the whole ``(M, K)`` support array at once:
+
+* start: ``prior_mixture()``, read by the filters and the smoother;
+* update: ``log_marginal_point(points, theta, y)`` and
+  ``shift(y, points, theta) -> (points, theta)``;
+* propagation: ``pd_kernel(points, theta, dt) -> (arrivals, probs,
+  source)`` and ``theta_flow(theta, dt)``; particles: ``dual_sampler(kind)``;
+* moments: ``component_moments(points, theta) -> (mean, var)``;
+* densities: ``component_logpdf(x, points, theta)``, which raises
+  ``DomainError`` off the state space, and
+  ``marginal_component_logpdf(grid, points, theta)``; the quantile:
+  ``marginal_component_cdf(x, points, theta)``;
+* draws: ``sample_component(points, theta, rng)``;
+* smoothing: ``combine(m, n, theta_a, theta_b) -> (log_c, theta)``;
+* bootstrap and simulation: ``sample_prior``, ``signal_sample_many``,
+  ``emission_log_pmf`` and ``sample_emission``.
 
 Mixtures are built from raw rows and weights by
 :meth:`DualMixture.from_weights`, which sorts the rows with one stable
@@ -260,11 +276,11 @@ def update(mix: DualMixture, y) -> tuple[DualMixture, float]:
     """Bayes-update a mixture with one observation batch.
 
     ``mix.model.log_marginal_point(points, theta, y)`` gives the ``(M,)``
-    log marginal likelihoods of the support rows and
-    ``mix.model.shift_index(y, points)`` their ``(M, K)`` shifted rows.
-    New weights are proportional to ``w_m * exp(log_marginal[m])``,
-    normalized via log-sum-exp; rows that the shift sends to the same
-    index are merged, and ``theta`` moves by ``mix.model.shift_param``.
+    log marginal likelihoods of the support rows, and
+    ``mix.model.shift(y, points, theta)`` their ``(M, K)`` shifted rows and
+    the shifted ``theta``.  New weights are proportional to
+    ``w_m * exp(log_marginal[m])``, normalized via log-sum-exp; rows that
+    the shift sends to the same index are merged.
 
     Returns the posterior mixture and the log marginal likelihood of ``y``
     under the prior mixture (the filter's log-evidence increment).
@@ -281,9 +297,8 @@ def update(mix: DualMixture, y) -> tuple[DualMixture, float]:
     if np.all(np.isneginf(joint)):
         raise ZeroLikelihood("all components have zero marginal likelihood")
     log_evidence = float(logsumexp(joint))
-    return (DualMixture.from_weights(model, model.shift_index(y, mix.points),
-                                     np.exp(joint - log_evidence),
-                                     model.shift_param(y, mix.theta)),
+    points, theta = model.shift(y, mix.points, mix.theta)
+    return (DualMixture.from_weights(model, points, np.exp(joint - log_evidence), theta),
             log_evidence)
 
 
@@ -360,8 +375,7 @@ def mixture_moments(mix: DualMixture) -> tuple[np.ndarray, np.ndarray]:
     the CIR model, Dirichlet components for WF) and are combined exactly:
     ``E[X] = sum w_m mu_m`` and ``E[X^2] = sum w_m (var_m + mu_m^2)``.
     """
-    mu = mix.model.component_mean(mix.points, mix.theta)
-    var = mix.model.component_var(mix.points, mix.theta)
+    mu, var = mix.model.component_moments(mix.points, mix.theta)
     mean = mix.weights @ mu
     second = mix.weights @ (var + mu * mu)
     sd = np.sqrt(np.maximum(second - mean * mean, 0.0))
@@ -378,7 +392,6 @@ def mixture_pdf(mix: DualMixture, grid) -> np.ndarray:
         DomainError: if any grid point lies outside the state space.
     """
     grid = np.asarray(grid, dtype=float)
-    mix.model.check_domain(grid)
     return mix.weights @ np.exp(mix.model.component_logpdf(grid, mix.points, mix.theta))
 
 
@@ -386,7 +399,8 @@ def mixture_marginal_pdf(mix: DualMixture, grid) -> np.ndarray:
     """First-coordinate marginal mixture density on a scalar grid.
 
     For the WF model this is the Beta-mixture marginal of the first
-    coordinate; for the univariate CIR model it equals :func:`mixture_pdf`.
+    coordinate, zero off ``[0, 1]``; for the univariate CIR model it equals
+    :func:`mixture_pdf`, and so raises ``DomainError`` at a negative point.
     """
     grid = np.asarray(grid, dtype=float)
     return mix.weights @ np.exp(mix.model.marginal_component_logpdf(

@@ -459,11 +459,8 @@ class WFModel:
         return DualMixture(self, np.zeros((1, self.params.k), dtype=np.int64),
                            np.array([1.0]), None)
 
-    def shift_index(self, y: ObservationRecord, points: np.ndarray) -> np.ndarray:
-        return points + np.asarray(_as_counts(y.values, self.params.k))
-
-    def shift_param(self, y: ObservationRecord, theta) -> None:
-        return None
+    def shift(self, y: ObservationRecord, points: np.ndarray, theta) -> tuple:
+        return points + np.asarray(_as_counts(y.values, self.params.k)), None
 
     def log_marginal_point(self, points: np.ndarray, theta,
                            y: ObservationRecord) -> np.ndarray:
@@ -485,20 +482,22 @@ class WFModel:
     def _concentrations(self, points) -> np.ndarray:
         return self.params.alpha_array() + np.asarray(points, dtype=float)
 
-    def component_mean(self, points, theta=None) -> np.ndarray:
-        a = self._concentrations(points)
-        return a / a.sum(axis=1, keepdims=True)
-
-    def component_var(self, points, theta=None) -> np.ndarray:
+    def component_moments(self, points, theta=None) -> tuple[np.ndarray, np.ndarray]:
         a = self._concentrations(points)
         total = a.sum(axis=1, keepdims=True)
         mean = a / total
-        return mean * (1.0 - mean) / (total + 1.0)
+        return mean, mean * (1.0 - mean) / (total + 1.0)
 
     def component_logpdf(self, x, points, theta=None) -> np.ndarray:
-        """Dirichlet log-densities ``(M, G)`` at simplex rows ``x``."""
-        a = self._concentrations(points)
+        """Dirichlet log-densities ``(M, G)`` at simplex rows ``x``, else DomainError."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.params.k:
+            raise DomainError(f"simplex points must have length {self.params.k}")
+        if np.any(x < 0):
+            raise DomainError("simplex coordinates must be non-negative")
+        if np.any(np.abs(x.sum(axis=1) - 1.0) > self.SIMPLEX_TOL):
+            raise DomainError("simplex coordinates must sum to one")
+        a = self._concentrations(points)
         const = gammaln(a.sum(axis=1)) - gammaln(a).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             logx = np.where(x > 0, np.log(x), -np.inf)
@@ -532,15 +531,6 @@ class WFModel:
     def sample_component(self, points, theta, rng: np.random.Generator) -> np.ndarray:
         return _dirichlet_rows(self._concentrations(points), rng)
 
-    def check_domain(self, grid: np.ndarray) -> None:
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        if grid.shape[1] != self.params.k:
-            raise DomainError(f"simplex points must have length {self.params.k}")
-        if np.any(grid < 0):
-            raise DomainError("simplex coordinates must be non-negative")
-        if np.any(np.abs(grid.sum(axis=1) - 1.0) > self.SIMPLEX_TOL):
-            raise DomainError("simplex coordinates must sum to one")
-
     # -- signal-space interface (bootstrap baseline) -----------------------
 
     def sample_prior(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -558,18 +548,15 @@ class WFModel:
         return tuple(int(v) for v in rng.multinomial(batch, x))
 
     # -- smoothing closure --------------------------------------------------
-    # Indices are ``(..., K)`` arrays (or tuples); the methods broadcast
+    # Indices are ``(..., K)`` arrays (or tuples); ``combine`` broadcasts
     # over their leading axes.  The combined index is always ``m + n``.
 
-    def combine_param(self, theta_a, theta_b) -> None:
-        return None
-
-    def log_combine_const(self, m, n, theta_a=None, theta_b=None):
-        """log C with h(x,m) h(x,n) = C h(x, m+n)."""
+    def combine(self, m, n, theta_a=None, theta_b=None):
+        """(log C, None) with h(x,m) h(x,n) = C h(x, m+n)."""
         theta, alpha = self.params.theta, self.params.alpha_array()
         m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
         mt, nt = m.sum(axis=-1), n.sum(axis=-1)
         return (gammaln(theta + mt) + gammaln(theta + nt)
                 - gammaln(theta) - gammaln(theta + mt + nt)
                 + (gammaln(alpha) + gammaln(alpha + m + n)
-                   - gammaln(alpha + m) - gammaln(alpha + n)).sum(axis=-1))
+                   - gammaln(alpha + m) - gammaln(alpha + n)).sum(axis=-1)), None

@@ -15,6 +15,7 @@ must match bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -114,36 +115,6 @@ def chi2_pvalue_vs_pmf(samples, pmf, min_expected: float = 5.0) -> float:
     exp_arr = np.asarray(exp_bins)
     exp_arr *= np.sum(obs_bins) / exp_arr.sum()
     return float(chisquare(np.asarray(obs_bins), exp_arr).pvalue)
-
-
-def two_sample_chi2_pvalue(a, b, min_expected: float = 5.0) -> float:
-    """Two-sample chi-square homogeneity test for integer samples."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    n = int(max(a.max(), b.max())) + 1
-    ca = np.bincount(a, minlength=n).astype(float)
-    cb = np.bincount(b, minlength=n).astype(float)
-    keep = (ca + cb) > 0
-    ca, cb = ca[keep], cb[keep]
-    # merge sparse cells
-    oa, ob = [ca[0]], [cb[0]]
-    for x, y in zip(ca[1:], cb[1:]):
-        if oa[-1] + ob[-1] < 2 * min_expected:
-            oa[-1] += x
-            ob[-1] += y
-        else:
-            oa.append(x)
-            ob.append(y)
-    oa = np.asarray(oa)
-    ob = np.asarray(ob)
-    tot = oa + ob
-    na, nb = oa.sum(), ob.sum()
-    ea = tot * na / (na + nb)
-    eb = tot * nb / (na + nb)
-    stat = float((((oa - ea) ** 2) / ea).sum() + (((ob - eb) ** 2) / eb).sum())
-    from scipy.stats import chi2
-    dof = len(oa) - 1
-    return float(chi2.sf(stat, dof)) if dof > 0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +347,15 @@ def cir_transition_matrix(grid: np.ndarray, t: float, p) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _cir_grid_transition(n_grid: int, hi: float, dt: float, p) -> np.ndarray:
+    """:func:`cir_transition_matrix` on the forward-backward grid, built once
+    per key (a 2400-point build takes seconds) and returned read-only."""
+    trans = cir_transition_matrix(np.linspace(1e-9, hi, n_grid), dt, p)
+    trans.setflags(write=False)
+    return trans
+
+
 def cir_grid_forward_backward(records, dt: float, p, n_grid: int = 2400,
                               hi: float | None = None):
     """Grid-based forward-backward pass for the CIR HMM.
@@ -391,7 +371,7 @@ def cir_grid_forward_backward(records, dt: float, p, n_grid: int = 2400,
     grid = np.linspace(1e-9, hi, n_grid)
     w = np.gradient(grid)
     prior = gamma_pdf(grid, p.alpha, p.beta)
-    trans = cir_transition_matrix(grid, dt, p)
+    trans = _cir_grid_transition(n_grid, hi, dt, p)
 
     filt, pred, loglik = [], [], []
     cur_pred = prior
@@ -832,6 +812,6 @@ def closure_spread(model, m, n, theta_a, theta_b, grid) -> float:
         def log_h(idx, theta):
             return np.atleast_1d(wf_log_density_ratio(grid, idx, model.params))
     logs = (log_h(m, theta_a) + log_h(n, theta_b)
-            - log_h(np.add(m, n), model.combine_param(theta_a, theta_b)))
+            - log_h(np.add(m, n), model.combine(m, n, theta_a, theta_b)[1]))
     vals = np.exp(logs - np.max(logs))
     return float((vals.max() - vals.min()) / vals.max())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom, nbinom
+from scipy.stats import binom
 
 from dualfilter import InvalidDualParam, ObservationRecord
 from dualfilter.cir import (cir_transition_sample_many, emission_log_pmf,
@@ -233,16 +233,6 @@ def test_linear_bd_pure_death_reduction_is_binomial(cir_params):
 def test_linear_bd_zero_start_no_immigration(cir_params, rng):
     out = linear_bd_sample_many(0, 1.0, cir_params.beta, cir_params, rng, 1_000)
     assert np.all(out == 0)
-
-
-def test_linear_bd_ergodic_negative_binomial(cir_params):
-    # long-run law NBin(alpha, beta/(beta+k)) for theta = beta + k, k = 1
-    p = cir_params
-    samples = linear_bd_sample_many(3, 50.0, p.beta + 1.0, p,
-                                    np.random.default_rng(9), 100_000)
-    n = samples.max() + 1
-    ref = nbinom.pmf(np.arange(n), p.alpha, p.beta / (p.beta + 1.0))
-    assert tv_sample_vs_pmf(samples, ref) < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_dual_particle_pd_one_step_consistency(cir_model):
     approx = run_filter(records, cfg, cir_model)
     # SE of the predictive mean: spread of component means over resampling
     mix = exact.predictive[1]
-    comp_means = cir_model.component_mean(mix.points, mix.theta)[:, 0]
+    comp_means = cir_model.component_moments(mix.points, mix.theta)[0][:, 0]
     spread = float(np.sqrt(np.sum(mix.weights * comp_means ** 2)
                            - np.sum(mix.weights * comp_means) ** 2))
     se = spread / math.sqrt(cfg.n_particles)

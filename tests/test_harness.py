@@ -78,11 +78,19 @@ def test_build_spec_rejects_fractional_counts(config, overrides):
     ("cir_filtering", {"delta_t": "0.1"}),
     ("cir_predictive", {"seed": -1}),
     ("cir_predictive", {"seed": 2.5}),
+    # scenario, flavor and model are the preset's
+    ("wf_filtering", {"model": "cir"}),
+    ("cir_predictive", {"flavor": "filtering"}),
+    ("cir_filtering", {"scenario": "wf_filtering"}),
+    # a label whose dual the model does not have
+    ("cir_filtering", {"methods": ["pd", "moran"]}),
+    ("wf_filtering", {"methods": ["bd"]}),
 ], ids=["forced_last_length", "forced_last_negative", "forced_last_cir_negative",
         "forced_last_fractional", "horizon_inf", "horizon_nan", "delta_t_inf",
         "delta_t_nan", "no_particle_counts", "no_methods", "flavor", "model",
         "method_label", "predictive_without_horizon", "delta_t_type",
-        "negative_seed", "fractional_seed"])
+        "negative_seed", "fractional_seed", "preset_model", "preset_flavor",
+        "preset_scenario", "moran_on_cir", "bd_on_wf"])
 def test_build_spec_rejects_bad_values(scenario, config):
     with pytest.raises(ConfigError):
         build_spec(scenario, config)
@@ -306,9 +314,12 @@ def test_cli_bad_config_file(tmp_path, capsys):
     # build_spec accepts n_times = 0 (simulate_dataset handles it); a run does not
     {"scenario": "cir_predictive", "n_times": 0},
     {"scenario": "wf_filtering", "n_times": 0},
+    {"scenario": "cir_filtering", "methods": ["pd", "moran"]},
+    {"scenario": "wf_filtering", "model": "cir"},
 ], ids=["delta_t", "horizon", "n_times", "params_value", "params_arity",
         "params_scalar", "batch_size", "batch_size_fractional", "n_times_fractional",
-        "forced_last_length", "no_times_predictive", "no_times_filtering"])
+        "forced_last_length", "no_times_predictive", "no_times_filtering",
+        "moran_on_cir", "preset_model"])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, replicates=1, particle_counts=[10])))

@@ -25,12 +25,11 @@ class StubModel:
     """A model whose update and propagation pieces are the given functions."""
 
     def __init__(self, kernel=None, theta_flow=lambda th, dt: th, log_marginal=None,
-                 shift_index=None, shift_param=lambda y, th: th):
+                 shift=None):
         self.pd_kernel = kernel
         self.theta_flow = theta_flow
         self.log_marginal_point = log_marginal
-        self.shift_index = shift_index
-        self.shift_param = shift_param
+        self.shift = shift
 
 
 def make_mix(points, weights, theta=1.0, model=None):
@@ -237,13 +236,10 @@ def _cir_update_model(params):
     def log_marginal(pts, theta, y):
         return np.array([lm(int(pt[0]), theta, y, params) for pt in pts])
 
-    def shift(y, pts):
-        return pts + sum(y.values)
+    def shift(y, pts, theta):
+        return pts + sum(y.values), theta + len(y.values) * params.tau
 
-    def pshift(y, theta):
-        return theta + len(y.values) * params.tau
-
-    return StubModel(log_marginal=log_marginal, shift_index=shift, shift_param=pshift)
+    return StubModel(log_marginal=log_marginal, shift=shift)
 
 
 def test_update_single_component():
@@ -260,7 +256,7 @@ def test_update_single_component():
 def test_update_equal_marginals_keep_symmetry():
     mix = make_mix([(0,), (1,)], [0.5, 0.5], model=StubModel(
         log_marginal=lambda pts, th, yy: np.full(len(pts), -1.3),
-        shift_index=lambda yy, pts: pts + 1))
+        shift=lambda yy, pts, th: (pts + 1, th)))
     y = ObservationRecord(0.0, (1,))
     out, _ = update(mix, y)
     np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=1e-15)
@@ -299,7 +295,7 @@ def test_update_merge_batches_matches_single_update(cir_params):
 def test_update_zero_likelihood_raises():
     mix = make_mix([(0,), (1,)], [0.5, 0.5], model=StubModel(
         log_marginal=lambda pts, th, yy: np.full(len(pts), -np.inf),
-        shift_index=lambda yy, pts: pts))
+        shift=lambda yy, pts, th: (pts, th)))
     y = ObservationRecord(0.0, (1,))
     with pytest.raises(ZeroLikelihood):
         update(mix, y)
@@ -308,7 +304,7 @@ def test_update_zero_likelihood_raises():
 def test_update_non_finite_marginal_raises():
     mix = make_mix([(0,)], [1.0], model=StubModel(
         log_marginal=lambda pts, th, yy: np.full(len(pts), np.nan),
-        shift_index=lambda yy, pts: pts))
+        shift=lambda yy, pts, th: (pts, th)))
     y = ObservationRecord(0.0, (1,))
     with pytest.raises(ZeroLikelihood):
         update(mix, y)
@@ -318,7 +314,7 @@ def test_update_merges_colliding_indices():
     # non-injective shift map: both components land on the same index
     mix = make_mix([(0,), (1,)], [0.25, 0.75], model=StubModel(
         log_marginal=lambda pts, th, yy: np.zeros(len(pts)),
-        shift_index=lambda yy, pts: np.full_like(pts, 7)))
+        shift=lambda yy, pts, th: (np.full_like(pts, 7), th)))
     y = ObservationRecord(0.0, (1,))
     out, _ = update(mix, y)
     assert out.points.tolist() == [[7]]
@@ -472,6 +468,40 @@ def test_pdf_domain_error(cir_model):
     mix = cir_model.prior_mixture()
     with pytest.raises(DomainError):
         mixture_pdf(mix, np.array([-0.5, 1.0]))
+
+
+def test_marginal_pdf_domain_error(cir_model):
+    # the CIR marginal density is the component density, which checks the grid
+    with pytest.raises(DomainError):
+        mixture_marginal_pdf(cir_model.prior_mixture(), np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("row", [[0.5, 0.6], [1.2, -0.2], [0.3, 0.3, 0.4]],
+                         ids=["sum", "negative", "length"])
+def test_wf_component_logpdf_checks_simplex(row):
+    model = WFModel(WFParams((1.0, 1.0)))
+    with pytest.raises(DomainError):
+        model.component_logpdf(np.array([row]), np.zeros((1, 2), dtype=np.int64))
+
+
+def test_component_moments_match_the_formulas():
+    # the Gamma and Dirichlet moment formulas, bit for bit, on random supports
+    rng = np.random.default_rng(18)
+    cir = gamma_model(delta=11.0, gamma=1.1)
+    m = np.unique(rng.integers(0, 30, (40, 1)), axis=0)
+    theta = cir.params.beta + rng.uniform(0.0, 5.0)
+    shapes = cir.params.alpha + m[:, 0]
+    mu, var = cir.component_moments(m, theta)
+    np.testing.assert_array_equal(mu, (shapes / theta)[:, None])
+    np.testing.assert_array_equal(var, (shapes / theta ** 2)[:, None])
+
+    wf = WFModel(WFParams((1.1, 0.7, 2.0)))
+    n = np.unique(rng.integers(0, 30, (40, 3)), axis=0)
+    a = np.asarray(wf.params.alpha) + n.astype(float)
+    total = a.sum(axis=1, keepdims=True)
+    mu, var = wf.component_moments(n)
+    np.testing.assert_array_equal(mu, a / total)
+    np.testing.assert_array_equal(var, (a / total) * (1.0 - a / total) / (total + 1.0))
 
 
 def test_wf_marginal_pdf_integrates_to_one():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from dualfilter import (AlignmentError, FilterConfig, ObservationRecord,
                         UnsupportedModel, WFModel, WFParams, mixture_moments,
@@ -21,7 +22,7 @@ def test_cir_closure_constant_in_x(cir_model):
     grid = np.linspace(0.1, 10.0, 100)
     spread = closure_spread(cir_model, (2,), (3,), 2.1, 3.1, grid)
     assert spread < 1e-9
-    assert cir_model.combine_param(2.1, 3.1) == pytest.approx(4.1)
+    assert cir_model.combine((2,), (3,), 2.1, 3.1)[1] == pytest.approx(4.1)
 
 
 def test_wf_closure_constant_in_x(wf3_model):
@@ -37,7 +38,7 @@ def test_cir_closure_value_identity(cir_model):
     for x in (0.3, 1.7, 6.0):
         lhs = (cir_log_density_ratio(x, 2, 2.1, p)
                + cir_log_density_ratio(x, 3, 3.1, p))
-        rhs = (cir_model.log_combine_const((2,), (3,), 2.1, 3.1)
+        rhs = (cir_model.combine((2,), (3,), 2.1, 3.1)[0]
                + cir_log_density_ratio(x, 5, 4.1, p))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -47,9 +48,39 @@ def test_wf_closure_value_identity(wf3_model):
     x = np.array([0.2, 0.5, 0.3])
     m, n = (2, 0, 1), (1, 1, 0)
     lhs = wf_log_density_ratio(x, m, p) + wf_log_density_ratio(x, n, p)
-    rhs = (wf3_model.log_combine_const(m, n)
+    rhs = (wf3_model.combine(m, n)[0]
            + wf_log_density_ratio(x, (3, 1, 1), p))
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_combine_matches_the_closure_formulas(cir_model, wf3_model):
+    # log C and the combined theta, bit for bit, on all pairs of two random
+    # supports shaped as the smoother pairs them
+    rng = np.random.default_rng(18)
+    p = cir_model.params
+    a, beta = p.alpha, p.beta
+    m, n = rng.integers(0, 30, (12, 1, 1)), rng.integers(0, 30, (1, 9, 1))
+    ta, tb = (beta + rng.uniform(0.0, 5.0, 2)).tolist()
+    mi, ni = m[..., 0], n[..., 0]
+    want = (gammaln(a) - gammaln(a + mi) - gammaln(a + ni) + gammaln(a + mi + ni)
+            - a * math.log(beta)
+            + (a + mi) * math.log(ta) + (a + ni) * math.log(tb)
+            - (a + mi + ni) * math.log(ta + tb - beta))
+    log_c, theta = cir_model.combine(m, n, ta, tb)
+    np.testing.assert_array_equal(log_c, want)
+    assert theta == ta + tb - beta
+
+    theta_wf, alpha = wf3_model.params.theta, np.asarray(wf3_model.params.alpha)
+    m = rng.integers(0, 10, (12, 1, 3)).astype(float)
+    n = rng.integers(0, 10, (1, 9, 3)).astype(float)
+    mt, nt = m.sum(axis=-1), n.sum(axis=-1)
+    want = (gammaln(theta_wf + mt) + gammaln(theta_wf + nt)
+            - gammaln(theta_wf) - gammaln(theta_wf + mt + nt)
+            + (gammaln(alpha) + gammaln(alpha + m + n)
+               - gammaln(alpha + m) - gammaln(alpha + n)).sum(axis=-1))
+    log_c, theta = wf3_model.combine(m, n)
+    np.testing.assert_array_equal(log_c, want)
+    assert theta is None
 
 
 def test_terminal_smoothing_equals_filtering(cir_model):
