@@ -18,6 +18,14 @@ Two dual processes drive propagation:
   construction (binomial survivors plus negative-binomial offspring,
   Poisson immigration) or by an event-driven (Gillespie) reference loop.
 
+``CIRModel`` defines each primitive the filters read once, in its class
+body: the conjugate update (``log_marginal_point``, ``shift``), the
+pure-death kernel and parameter flow (``pd_kernel``, ``theta_flow``), the
+signal draw and the emission likelihood.  The module-level functions are
+what the dual draws share with it: ``pure_death_flow`` (survival and
+parameter flow of the pure-death dual), the linear B&D rates and draws,
+and the event-driven B&D path.
+
 ``CIRModel.dual_sampler(kind)`` binds one draw of ``_DUAL_DRAWS`` to the
 shared :class:`~dualfilter.mixtures.DualSampler`: ``pure_death``
 (binomial thinning, ``theta`` moved along its flow), ``bd`` (one
@@ -48,15 +56,10 @@ from .mixtures import DualMixture, DualSampler, ObservationRecord, check_time_st
 __all__ = [
     "CIRParams",
     "CIRModel",
-    "log_marginal",
     "gillespie_bd",
     "linear_bd_rates",
     "linear_bd_sample_many",
-    "pure_death_theta",
-    "pure_death_survival",
-    "pure_death_pmf",
-    "cir_transition_sample_many",
-    "emission_log_pmf",
+    "pure_death_flow",
 ]
 
 @dataclass(frozen=True)
@@ -87,27 +90,6 @@ class CIRParams:
     @property
     def beta(self) -> float:
         return self.gamma / self.sigma ** 2
-
-
-def log_marginal(m, theta: float, y: ObservationRecord, p: CIRParams):
-    """Log marginal likelihood of a Poisson batch under Gamma(delta/2+m, theta).
-
-    This is the Gamma-Poisson (negative-binomial type) closed form for the
-    joint probability of the whole batch, including the Poisson factorial
-    normalizers.  An empty batch has likelihood one.  ``m`` is an integer
-    or an array of them; the result has its shape.
-    """
-    m = np.asarray(m)
-    counts = y.values
-    k = len(counts)
-    if k == 0:
-        return np.zeros(m.shape) if m.ndim else 0.0
-    a = p.alpha + m
-    s = sum(counts)
-    out = (s * math.log(p.tau) - sum(gammaln(c + 1) for c in counts)
-           + a * math.log(theta) - gammaln(a)
-           + gammaln(a + s) - (a + s) * math.log(theta + k * p.tau))
-    return out if out.ndim else float(out)
 
 
 def gillespie_bd(m0: int, t: float, theta: float, p: CIRParams,
@@ -238,61 +220,25 @@ def _linear_bd_draw(m0: int, t: float, step: tuple, rng: np.random.Generator,
     return native + immigrants
 
 
-def pure_death_theta(t, theta0: float, p: CIRParams):
-    """Deterministic dual parameter flow of the pure-death dual.
+def pure_death_flow(t: float, theta0: float, p: CIRParams) -> tuple[float, float]:
+    """(survival, Theta_t) of the pure-death dual over [0, t] from ``theta0``.
 
-    Closed logistic-type solution of
-    ``dTheta/dt = -2*sigma^2*Theta*(Theta - beta)``:
-    ``Theta_t = beta*theta0 / (theta0 - (theta0-beta)*exp(-2*gamma*t))``.
-    Starts at ``theta0`` and relaxes monotonically to ``beta``.
-    """
-    if not theta0 > 0:
-        raise ConfigError(f"theta0 must be positive, not {theta0!r}")
-    t = np.asarray(t, dtype=float)
-    beta = p.beta
-    denom = theta0 - (theta0 - beta) * np.exp(-2.0 * p.gamma * t)
-    out = beta * theta0 / denom
-    return out if out.shape else float(out)
-
-
-def pure_death_survival(t, theta0: float, p: CIRParams):
-    """Survival probability of one dual individual over [0, t].
-
-    Individuals die independently at the inhomogeneous per-capita rate
-    ``2*sigma^2*Theta_u``; the integrated hazard has the closed form
-    ``-log s(t) = 2*gamma*t + log(D(t)/beta)`` with
-    ``D(t) = theta0 - (theta0-beta)*exp(-2*gamma*t)``, hence
-    ``s(t) = beta*exp(-2*gamma*t) / D(t)``.
+    Both share ``D(t) = theta0 - (theta0-beta)*exp(-2*gamma*t)``.  The
+    parameter flow is the closed logistic-type solution of
+    ``dTheta/dt = -2*sigma^2*Theta*(Theta - beta)``,
+    ``Theta_t = beta*theta0 / D(t)``: it starts at ``theta0`` and relaxes
+    monotonically to ``beta``.  Individuals die independently at the
+    inhomogeneous per-capita rate ``2*sigma^2*Theta_u``; the integrated
+    hazard is ``-log s(t) = 2*gamma*t + log(D(t)/beta)``, hence the
+    survival probability ``s(t) = beta*exp(-2*gamma*t) / D(t)``.
     """
     if not theta0 > 0:
         raise ConfigError(f"theta0 must be positive, not {theta0!r}")
     t = np.asarray(t, dtype=float)
     beta = p.beta
     e = np.exp(-2.0 * p.gamma * t)
-    out = beta * e / (theta0 - (theta0 - beta) * e)
-    return out if out.shape else float(out)
-
-
-def pure_death_pmf(points, t: float, theta0: float, p: CIRParams):
-    """Binomial(m, s(t)) pure-death laws over [0, t] of the ``(M, 1)`` sources
-    ``m``, as the kernel triple ``(arrivals 0..m, probs, source index)``."""
-    m = np.asarray(points, dtype=np.int64)[:, 0]
-    if not t >= 0:
-        raise ConfigError(f"time must be non-negative, not {t!r}")
-    if np.any(m < 0):
-        raise ConfigError("m must be non-negative")
-    s = pure_death_survival(t, theta0, p)
-    source = np.repeat(np.arange(len(m)), m + 1)
-    top = m[source]
-    n = np.arange(len(source)) - (np.cumsum(m + 1) - (m + 1))[source]
-    if s >= 1.0:
-        pmf = (n == top).astype(float)
-    elif s <= 0.0:
-        pmf = (n == 0).astype(float)
-    else:
-        pmf = np.exp(gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
-                     + n * math.log(s) + (top - n) * math.log1p(-s))
-    return n[:, None], pmf, source
+    denom = theta0 - (theta0 - beta) * e
+    return float(beta * e / denom), float(beta * theta0 / denom)
 
 
 def _transition_constants(t: float, p: CIRParams) -> tuple[float, float]:
@@ -306,33 +252,6 @@ def _transition_constants(t: float, p: CIRParams) -> tuple[float, float]:
     e = math.exp(-2.0 * p.gamma * t)
     r = p.beta / (1.0 - e)
     return r * e, r
-
-
-def cir_transition_sample_many(x, t: float, p: CIRParams,
-                               rng: np.random.Generator) -> np.ndarray:
-    """Exact draws of ``X_t | X_0 = x`` via the Gamma-Poisson expansion,
-    one per value of ``x`` (a scalar is one path)."""
-    check_time_step(t)
-    c, r = _transition_constants(t, p)
-    j = rng.poisson(np.atleast_1d(x) * c)
-    return rng.gamma(p.alpha + j, 1.0 / r)
-
-
-def emission_log_pmf(x, y: ObservationRecord, p: CIRParams) -> np.ndarray:
-    """Log-likelihood of a Poisson batch at signal value(s) ``x``."""
-    x = np.asarray(x, dtype=float)
-    counts = y.values
-    k = len(counts)
-    if k == 0:
-        return np.zeros_like(x)
-    s = sum(counts)
-    const = s * math.log(p.tau) - sum(gammaln(c + 1) for c in counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.where(x > 0, np.log(x), -np.inf)
-        out = const + s * logx - k * p.tau * x
-    if s == 0:
-        out = np.where(x > 0, out, const)
-    return out
 
 
 def _gamma_logpdf(x: np.ndarray, a: np.ndarray, rate: float) -> np.ndarray:
@@ -350,9 +269,8 @@ def _gamma_logpdf(x: np.ndarray, a: np.ndarray, rate: float) -> np.ndarray:
 
 
 def _pure_death_draw(points, counts, theta, dt, p, rng):
-    s = pure_death_survival(dt, theta, p)
-    return (rng.binomial(np.repeat(points[:, 0], counts), s)[:, None],
-            pure_death_theta(dt, theta, p))
+    s, theta_t = pure_death_flow(dt, theta, p)
+    return rng.binomial(np.repeat(points[:, 0], counts), s)[:, None], theta_t
 
 
 def _bd_draw(points, counts, theta, dt, p, rng):
@@ -405,13 +323,48 @@ class CIRModel:
 
     def log_marginal_point(self, points: np.ndarray, theta: float,
                            y: ObservationRecord) -> np.ndarray:
-        return log_marginal(points[:, 0], theta, y, self.params)
+        """Log marginal likelihood of a Poisson batch under each
+        Gamma(delta/2 + m, theta), one per ``(M, 1)`` row ``m``.
+
+        This is the Gamma-Poisson (negative-binomial type) closed form for
+        the joint probability of the whole batch, including the Poisson
+        factorial normalizers.  An empty batch has likelihood one.
+        """
+        p = self.params
+        m = np.asarray(points)[:, 0]
+        counts = y.values
+        k = len(counts)
+        if k == 0:
+            return np.zeros(m.shape)
+        a = p.alpha + m
+        s = sum(counts)
+        return (s * math.log(p.tau) - sum(gammaln(c + 1) for c in counts)
+                + a * math.log(theta) - gammaln(a)
+                + gammaln(a + s) - (a + s) * math.log(theta + k * p.tau))
 
     def pd_kernel(self, points, theta: float, dt: float) -> tuple[np.ndarray, ...]:
-        return pure_death_pmf(points, dt, theta, self.params)
+        """Binomial(m, s(dt)) pure-death laws of the ``(M, 1)`` sources ``m``,
+        as the kernel triple ``(arrivals 0..m, probs, source index)``."""
+        m = np.asarray(points, dtype=np.int64)[:, 0]
+        if not dt >= 0:
+            raise ConfigError(f"time must be non-negative, not {dt!r}")
+        if np.any(m < 0):
+            raise ConfigError("m must be non-negative")
+        s, _ = pure_death_flow(dt, theta, self.params)
+        source = np.repeat(np.arange(len(m)), m + 1)
+        top = m[source]
+        n = np.arange(len(source)) - (np.cumsum(m + 1) - (m + 1))[source]
+        if s >= 1.0:
+            pmf = (n == top).astype(float)
+        elif s <= 0.0:
+            pmf = (n == 0).astype(float)
+        else:
+            pmf = np.exp(gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
+                         + n * math.log(s) + (top - n) * math.log1p(-s))
+        return n[:, None], pmf, source
 
     def theta_flow(self, theta: float, dt: float) -> float:
-        return pure_death_theta(dt, theta, self.params)
+        return pure_death_flow(dt, theta, self.params)[1]
 
     def dual_sampler(self, kind: str):
         if kind not in _DUAL_DRAWS:
@@ -449,10 +402,29 @@ class CIRModel:
 
     def signal_sample_many(self, x: np.ndarray, dt: float,
                            rng: np.random.Generator) -> np.ndarray:
-        return cir_transition_sample_many(x, dt, self.params, rng)
+        """Exact draws of ``X_dt | X_0 = x`` via the Gamma-Poisson expansion,
+        one per value of ``x``."""
+        check_time_step(dt)
+        c, r = _transition_constants(dt, self.params)
+        j = rng.poisson(np.atleast_1d(x) * c)
+        return rng.gamma(self.params.alpha + j, 1.0 / r)
 
     def emission_log_pmf(self, x: np.ndarray, y: ObservationRecord) -> np.ndarray:
-        return emission_log_pmf(x, y, self.params)
+        """Log-likelihood of a Poisson batch at each signal value in ``x``."""
+        p = self.params
+        x = np.asarray(x, dtype=float)
+        counts = y.values
+        k = len(counts)
+        if k == 0:
+            return np.zeros_like(x)
+        s = sum(counts)
+        const = s * math.log(p.tau) - sum(gammaln(c + 1) for c in counts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logx = np.where(x > 0, np.log(x), -np.inf)
+            out = const + s * logx - k * p.tau * x
+        if s == 0:
+            out = np.where(x > 0, out, const)
+        return out
 
     def sample_emission(self, x: float, batch: int, rng: np.random.Generator) -> tuple:
         return tuple(int(v) for v in rng.poisson(self.params.tau * x, batch))

@@ -316,9 +316,10 @@ def _filtering_cell(spec: ExperimentSpec, ctx: dict, seed: int,
 def _replicate(spec: ExperimentSpec, rep: int) -> list[tuple]:
     """Build replicate ``rep``'s context and run its cells in cell order.
 
-    Returns one ``(idx, rows, wall_s, error)`` tuple per cell.  A failing
-    cell yields a single ``metric="error"`` row and its error message;
-    ``error`` is ``None`` otherwise.
+    Returns one ``(idx, seed, rows, wall_s, error)`` tuple per cell, where
+    ``seed`` is the one the cell ran with.  A failing cell yields a single
+    ``metric="error"`` row and its error message; ``error`` is ``None``
+    otherwise.
     """
     if spec.flavor == "predictive":
         build_ctx, cell_fn = _predictive_context, _predictive_cell
@@ -333,10 +334,11 @@ def _replicate(spec: ExperimentSpec, rep: int) -> list[tuple]:
     for j, (label, n) in enumerate(
             (label, n) for label in spec.methods for n in spec.particle_counts):
         idx = rep * per_rep + j
+        seed = _cell_seed(spec, idx, rep)
         t0 = time_mod.perf_counter()
         error = None
         try:
-            rows = cell_fn(spec, ctx, _cell_seed(spec, idx, rep), rep, label, n)
+            rows = cell_fn(spec, ctx, seed, rep, label, n)
         except Exception as exc:  # noqa: BLE001 - per-cell failures are recorded
             method, dual = METHOD_TABLE[label]
             rows = [(spec.scenario, method, dual, n, rep, "", "error", float("nan"))]
@@ -345,7 +347,7 @@ def _replicate(spec: ExperimentSpec, rep: int) -> list[tuple]:
         wall_s = time_mod.perf_counter() - t0
         logger.info("%s cell %d/%d method=%s N=%d rep=%d done (%.2fs)", spec.scenario,
                     idx + 1, spec.replicates * per_rep, label, n, rep, wall_s)
-        out.append((idx, rows, wall_s, error))
+        out.append((idx, seed, rows, wall_s, error))
     return out
 
 
@@ -374,13 +376,12 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
     else:
         results = list(map(_replicate, specs, reps))
     cells = [cell for rep_cells in results for cell in rep_cells]
-    per_rep = len(spec.methods) * len(spec.particle_counts)
 
     csv_path = out / f"{spec.scenario}.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for _, rows, _, _ in cells:
+        for _, _, rows, _, _ in cells:
             writer.writerows([_fmt(v) for v in row] for row in rows)
 
     manifest = {
@@ -393,10 +394,9 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
         "reference": {"prune_eps": REFERENCE_PRUNE_EPS,
                       "kernel_tail_eps": REFERENCE_KERNEL_TAIL}
         if spec.flavor == "filtering" else {"method": "exact"},
-        "seed_table": {str(idx): _cell_seed(spec, idx, idx // per_rep)
-                       for idx, _, _, _ in cells},
-        "wall_times_s": {str(idx): wall_s for idx, _, wall_s, _ in cells},
-        "errors": {str(idx): error for idx, _, _, error in cells if error},
+        "seed_table": {str(idx): seed for idx, seed, _, _, _ in cells},
+        "wall_times_s": {str(idx): wall_s for idx, _, _, wall_s, _ in cells},
+        "errors": {str(idx): error for idx, _, _, _, error in cells if error},
     }
     with open(out / f"{spec.scenario}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -25,6 +25,12 @@ The block-counting chain is pure death with a lower bidiagonal generator,
 so its transition law is computed exactly and deterministically as a row
 of the generator's matrix exponential.
 
+``WFModel`` defines each primitive the filters read once, in its class
+body: the conjugate update, the typed-death kernel ``pd_kernel`` (cut at
+``kernel_tail_eps``), the signal draw and the emission likelihood.  The
+module keeps the block-count law, the dual draws and the signal transition
+draw ``wf_transition_sample_many``, which the ``wf_diffusion`` draw shares.
+
 Every ``*_sample_many`` draw takes one start row per path, an ``(N, K)``
 array (a single ``(K,)`` row is one path), and returns one draw per row.
 """
@@ -45,16 +51,13 @@ from .mixtures import DualMixture, DualSampler, ObservationRecord, check_time_st
 __all__ = [
     "WFParams",
     "WFModel",
-    "log_marginal",
     "block_count_probs",
-    "typed_death_kernel",
     "typed_death_sample_many",
     "moran_sample_many",
     "wf_chain_sample_many",
     "wf_diffusion_binned_sample_many",
     "wf_transition_sample_many",
     "entrance_truncation_level",
-    "emission_log_pmf",
 ]
 
 logger = logging.getLogger(__name__)
@@ -95,30 +98,6 @@ def _as_counts(n, k: int) -> tuple:
     return n
 
 
-def log_marginal(m, y: ObservationRecord, p: WFParams):
-    """Log marginal likelihood of a categorical count batch under Dirichlet(alpha+m).
-
-    Ordered-sample (sequence) probability: the multinomial coefficient is a
-    constant across mixture components and is omitted, so it cancels in
-    weight normalization.  ``m`` is one count vector, or an ``(M, K)``
-    array of them with one result per row.
-    """
-    m = np.asarray(m)
-    if m.shape[-1:] != (p.k,):
-        raise DimensionError(f"count vectors must have length {p.k}")
-    if np.any(m < 0):
-        raise ConfigError("counts must be non-negative")
-    c = np.asarray(_as_counts(y.values, p.k))
-    ctot = int(c.sum())
-    if ctot == 0:
-        return np.zeros(m.shape[:-1]) if m.ndim > 1 else 0.0
-    am = p.alpha_array() + m
-    atot = p.theta + m.sum(axis=-1)
-    out = (gammaln(atot) - gammaln(atot + ctot)
-           + (gammaln(am + c) - gammaln(am)).sum(axis=-1))
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Block-counting chain of the typed death dual
 # ---------------------------------------------------------------------------
@@ -154,44 +133,7 @@ def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
     if m_tot < 0:
         raise ConfigError("m_tot must be non-negative")
     check_time_step(t)
-    if m_tot == 0:
-        return np.ones(1)
     return _block_count_row(int(m_tot), float(t), p.theta)
-
-
-def typed_death_kernel(points, t: float, p: WFParams, tail_eps: float = 0.0):
-    """Transition laws of the typed Kingman dual from the ``(M, K)`` sources.
-
-    Returns ``(arrivals, probs, source)``: for each source ``m`` in turn,
-    the count vectors ``n <= m`` in ``np.meshgrid`` "ij" order, their
-    transition probabilities and the source index.  With ``tail_eps = 0``
-    each source's kernel mass is one up to floating point.  A positive
-    ``tail_eps`` drops the rows on surviving-count levels whose block
-    probability, in their own source's law, falls below it, losing at most
-    ``(|m|+1)*tail_eps`` mass; this keeps the propagated support small when
-    ``|m|`` is large but the horizon long.
-    """
-    points = _start_rows(points, p)
-    mtot = points.sum(axis=1)
-    # mixed-radix decoding of one index range; span[:, 0] is each box's size
-    span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]
-    source = np.repeat(np.arange(len(points)), span[:, 0])
-    first = np.cumsum(span[:, 0]) - span[:, 0]
-    arrivals = (np.arange(len(source)) - first[source])[:, None] % span[source]
-    arrivals //= (span // (points + 1))[source]
-    ntot = arrivals.sum(axis=1)
-    # block-count laws of the distinct totals, concatenated like the boxes
-    totals, level = np.unique(mtot, return_inverse=True)
-    laws = np.concatenate([block_count_probs(v, t, p) for v in totals.tolist()])
-    d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
-    if tail_eps > 0.0:
-        keep = d > tail_eps
-        arrivals, source, ntot, d = arrivals[keep], source[keep], ntot[keep], d[keep]
-    logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
-    loghyp = ((logfact[points][source] - logfact[arrivals]
-               - logfact[points[source] - arrivals]).sum(axis=1)
-              - (logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]))
-    return arrivals, d * np.exp(loghyp), source
 
 
 def _start_rows(n0, p: WFParams) -> np.ndarray:
@@ -397,20 +339,6 @@ def wf_diffusion_binned_sample_many(n0, t: float, p: WFParams,
     return state
 
 
-def emission_log_pmf(x, y: ObservationRecord, p: WFParams) -> np.ndarray:
-    """Log-likelihood of a categorical count batch at simplex point(s) ``x``.
-
-    Ordered-sample probability ``sum_j c_j log x_j`` (the multinomial
-    coefficient is constant across particles and components and is omitted).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    c = np.asarray(_as_counts(y.values, p.k), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.where(x > 0, np.log(x), -np.inf)
-        terms = np.where(c[None, :] > 0, c[None, :] * logx, 0.0)
-    return terms.sum(axis=1)
-
-
 def _per_path(draw):
     """``draw(rows, dt, params, rng)`` in the sampler protocol, on each source
     repeated by its copy count; ``theta`` (``None`` on WF) comes back unchanged."""
@@ -432,9 +360,9 @@ _DUAL_DRAWS = {
 class WFModel:
     """Bundles the WF primitives behind the interface the filters consume.
 
-    ``kernel_tail_eps`` is forwarded to :func:`typed_death_kernel`; leave
-    it at zero for exact kernels and set a tiny positive value to truncate
-    negligible surviving-count levels in long-horizon pruned runs.
+    ``kernel_tail_eps``, in ``[0, 1)``, is the level cut of :meth:`pd_kernel`;
+    leave it at zero for exact kernels and set a tiny positive value to
+    truncate negligible surviving-count levels in long-horizon pruned runs.
 
     Its mixtures hold Dirichlet(alpha + n) components; the component
     methods take the ``(M, K)`` support array of a mixture and return one
@@ -446,6 +374,8 @@ class WFModel:
     SIMPLEX_TOL = 1e-10
 
     def __init__(self, params: WFParams, kernel_tail_eps: float = 0.0):
+        if not 0.0 <= kernel_tail_eps < 1.0:
+            raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
         self.params = params
         self.kernel_tail_eps = kernel_tail_eps
 
@@ -464,10 +394,63 @@ class WFModel:
 
     def log_marginal_point(self, points: np.ndarray, theta,
                            y: ObservationRecord) -> np.ndarray:
-        return log_marginal(points, y, self.params)
+        """Log marginal likelihood of a categorical count batch under each
+        Dirichlet(alpha + m), one per ``(M, K)`` row ``m``.
+
+        Ordered-sample (sequence) probability: the multinomial coefficient
+        is a constant across mixture components and is omitted, so it
+        cancels in weight normalization.
+        """
+        p = self.params
+        m = np.asarray(points)
+        if m.shape[-1:] != (p.k,):
+            raise DimensionError(f"count vectors must have length {p.k}")
+        if np.any(m < 0):
+            raise ConfigError("counts must be non-negative")
+        c = np.asarray(_as_counts(y.values, p.k))
+        ctot = int(c.sum())
+        if ctot == 0:
+            return np.zeros(m.shape[:-1])
+        am = p.alpha_array() + m
+        atot = p.theta + m.sum(axis=-1)
+        return (gammaln(atot) - gammaln(atot + ctot)
+                + (gammaln(am + c) - gammaln(am)).sum(axis=-1))
 
     def pd_kernel(self, points, theta, dt: float) -> tuple[np.ndarray, ...]:
-        return typed_death_kernel(points, dt, self.params, self.kernel_tail_eps)
+        """Transition laws of the typed Kingman dual from the ``(M, K)`` sources.
+
+        Returns ``(arrivals, probs, source)``: for each source ``m`` in
+        turn, the count vectors ``n <= m`` in ``np.meshgrid`` "ij" order,
+        their transition probabilities over ``dt`` and the source index.
+        With ``kernel_tail_eps = 0`` each source's kernel mass is one up to
+        floating point.  A positive ``kernel_tail_eps`` drops the rows on
+        surviving-count levels whose block probability, in their own
+        source's law, falls below it, losing at most
+        ``(|m|+1)*kernel_tail_eps`` mass; this keeps the propagated support
+        small when ``|m|`` is large but the horizon long.
+        """
+        p = self.params
+        points = _start_rows(points, p)
+        mtot = points.sum(axis=1)
+        # mixed-radix decoding of one index range; span[:, 0] is each box's size
+        span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]
+        source = np.repeat(np.arange(len(points)), span[:, 0])
+        first = np.cumsum(span[:, 0]) - span[:, 0]
+        arrivals = (np.arange(len(source)) - first[source])[:, None] % span[source]
+        arrivals //= (span // (points + 1))[source]
+        ntot = arrivals.sum(axis=1)
+        # block-count laws of the distinct totals, concatenated like the boxes
+        totals, level = np.unique(mtot, return_inverse=True)
+        laws = np.concatenate([block_count_probs(v, dt, p) for v in totals.tolist()])
+        d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
+        if self.kernel_tail_eps > 0.0:
+            keep = d > self.kernel_tail_eps
+            arrivals, source, ntot, d = arrivals[keep], source[keep], ntot[keep], d[keep]
+        logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
+        loghyp = ((logfact[points][source] - logfact[arrivals]
+                   - logfact[points[source] - arrivals]).sum(axis=1)
+                  - (logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]))
+        return arrivals, d * np.exp(loghyp), source
 
     def theta_flow(self, theta, dt: float) -> None:
         return None
@@ -541,7 +524,18 @@ class WFModel:
         return wf_transition_sample_many(x, dt, self.params, rng)
 
     def emission_log_pmf(self, x: np.ndarray, y: ObservationRecord) -> np.ndarray:
-        return emission_log_pmf(x, y, self.params)
+        """Log-likelihood of a categorical count batch at each simplex row of ``x``.
+
+        Ordered-sample probability ``sum_j c_j log x_j`` (the multinomial
+        coefficient is constant across particles and components and is
+        omitted).
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        c = np.asarray(_as_counts(y.values, self.params.k), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logx = np.where(x > 0, np.log(x), -np.inf)
+            terms = np.where(c[None, :] > 0, c[None, :] * logx, 0.0)
+        return terms.sum(axis=1)
 
     def sample_emission(self, x: np.ndarray, batch: int,
                         rng: np.random.Generator) -> tuple:

@@ -364,8 +364,9 @@ def cir_grid_forward_backward(records, dt: float, p, n_grid: int = 2400,
     the log marginal likelihood, all computed by trapezoid integration on
     a fixed grid with the exact (noncentral chi-square) transition density.
     """
-    from dualfilter.cir import emission_log_pmf
+    from dualfilter.cir import CIRModel
 
+    model = CIRModel(p)
     if hi is None:
         hi = 8.0 * p.alpha / p.beta
     grid = np.linspace(1e-9, hi, n_grid)
@@ -377,7 +378,7 @@ def cir_grid_forward_backward(records, dt: float, p, n_grid: int = 2400,
     cur_pred = prior
     likes = []
     for i, y in enumerate(records):
-        like = np.exp(emission_log_pmf(grid, y, p))
+        like = np.exp(model.emission_log_pmf(grid, y))
         likes.append(like)
         pred.append(cur_pred)
         joint = cur_pred * like

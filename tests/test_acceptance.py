@@ -14,12 +14,9 @@ from scipy.stats import binom, nbinom
 
 from dualfilter import (CIRModel, CIRParams, FilterConfig, ObservationRecord,
                         WFModel, WFParams, run_filter, smoother)
-from dualfilter.cir import (cir_transition_sample_many, gillespie_bd,
-                            linear_bd_sample_many, log_marginal,
-                            pure_death_survival, pure_death_theta)
+from dualfilter.cir import gillespie_bd, linear_bd_sample_many, pure_death_flow
 from dualfilter.experiments import build_spec, run_scenario
-from dualfilter.wf import (log_marginal as wf_log_marginal, moran_sample_many,
-                           wf_transition_sample_many)
+from dualfilter.wf import moran_sample_many, wf_transition_sample_many
 
 from .oracles import (chi2_pvalue_vs_pmf, cir_two_step_enumeration, closure_spread,
                       tv_int_samples, tv_sample_vs_pmf, update_conjugate,
@@ -28,6 +25,16 @@ from .oracles import cir_density_ratio as density_ratio
 
 CIR = CIRParams(delta=11.0, gamma=1.1, sigma=1.0, tau=1.0)
 WF3 = WFParams((1.1, 1.1, 1.1))
+CIR_MODEL = CIRModel(CIR)
+WF3_MODEL = WFModel(WF3)
+
+
+def cir_log_marginal(m: int, theta: float, y) -> float:
+    return CIR_MODEL.log_marginal_point(np.array([[m]]), theta, y)[0]
+
+
+def wf_log_marginal(m: tuple, y) -> float:
+    return WF3_MODEL.log_marginal_point(np.array([m]), None, y)[0]
 WF2 = WFParams((1.1, 1.9))
 
 
@@ -53,9 +60,9 @@ def test_a01_conjugacy_exactness():
         mm, tm = update_conjugate(m, theta, ObservationRecord(0, b1 + b2), CIR)
         worst = max(worst, abs(m2 - mm), abs(t2 - tm))
         # the chain rule must hold on marginal likelihoods as well
-        lhs = (log_marginal(m, theta, ObservationRecord(0, b1), CIR)
-               + log_marginal(m1, t1, ObservationRecord(0, b2), CIR))
-        rhs = log_marginal(m, theta, ObservationRecord(0, b1 + b2), CIR)
+        lhs = (cir_log_marginal(m, theta, ObservationRecord(0, b1))
+               + cir_log_marginal(m1, t1, ObservationRecord(0, b2)))
+        rhs = cir_log_marginal(m, theta, ObservationRecord(0, b1 + b2))
         worst = max(worst, abs(lhs - rhs))
     for _ in range(200):
         m = tuple(int(v) for v in rng.integers(0, 12, 3))
@@ -66,13 +73,13 @@ def test_a01_conjugacy_exactness():
         b = update_counts(m, ObservationRecord(0, tuple(x + y for x, y in zip(c1, c2))),
                           WF3)
         worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
-        lhs = (wf_log_marginal(m, ObservationRecord(0, c1), WF3)
+        lhs = (wf_log_marginal(m, ObservationRecord(0, c1))
                + wf_log_marginal(update_counts(m, ObservationRecord(0, c1), WF3),
-                                 ObservationRecord(0, c2), WF3))
+                                 ObservationRecord(0, c2)))
         # sequential product gives the ordered-sample probability of the
         # concatenated batch, which is the merged-batch marginal
         rhs = wf_log_marginal(m, ObservationRecord(
-            0, tuple(x + y for x, y in zip(c1, c2))), WF3)
+            0, tuple(x + y for x, y in zip(c1, c2))))
         worst = max(worst, abs(lhs - rhs))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -92,7 +99,7 @@ def test_a02_cir_duality_identity():
     for xi, x in enumerate((0.5, 5.0)):
         for ti, t in enumerate((0.05, 0.5)):
             rng = np.random.default_rng(1000 + 10 * xi + ti)
-            xs = cir_transition_sample_many(np.full(n, x), t, CIR, rng)
+            xs = CIR_MODEL.signal_sample_many(np.full(n, x), t, rng)
             for thi, theta in enumerate((CIR.beta, CIR.beta + 1.0)):
                 for m in range(9):
                     lhs = density_ratio(xs, m, theta, CIR)
@@ -106,8 +113,7 @@ def test_a02_cir_duality_identity():
                     z_bd = abs(lhs_m - rhs.mean()) / max(
                         math.hypot(lhs_se, rhs.std() / math.sqrt(n)), 1e-300)
                     # pure-death dual: binomial thinning plus the theta flow
-                    s = pure_death_survival(t, theta, CIR)
-                    flow = pure_death_theta(t, theta, CIR)
+                    s, flow = pure_death_flow(t, theta, CIR)
                     ns = rng.binomial(m, s, n)
                     hv2 = np.array([density_ratio(x, int(k), flow, CIR)
                                     for k in range(m + 1)])

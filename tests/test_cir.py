@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from dualfilter import InvalidDualParam, ObservationRecord
-from dualfilter.cir import (cir_transition_sample_many, emission_log_pmf,
-                            gillespie_bd, linear_bd_rates, linear_bd_sample_many,
-                            log_marginal, pure_death_pmf, pure_death_survival,
-                            pure_death_theta)
+from dualfilter import CIRModel, InvalidDualParam, ObservationRecord
+from dualfilter.cir import (gillespie_bd, linear_bd_rates, linear_bd_sample_many,
+                            pure_death_flow)
 
 from .oracles import (chi2_pvalue_vs_pmf, embedded_up_prob, quad_cir_marginal,
                       quad_survival, rk_pure_death_theta, thinning_death_sample,
                       tv_int_samples, tv_sample_vs_pmf, update_conjugate)
 from .oracles import cir_density_ratio as density_ratio
 from .oracles import cir_log_density_ratio as log_density_ratio
+
+
+def log_marginal_at(m, theta, y, p) -> float:
+    """The model's log marginal likelihood of ``y`` at the one index ``m``."""
+    return CIRModel(p).log_marginal_point(np.array([[m]]), theta, y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -74,23 +77,23 @@ def test_log_marginal_exponential_case():
     # shape 1 (delta=2, m=0), theta=1, single zero count: int e^-x e^-x = 1/2
     from dualfilter.cir import CIRParams
     p = CIRParams(2.0, 1.0, 1.0)
-    got = log_marginal(0, 1.0, ObservationRecord(0, (0,)), p)
+    got = log_marginal_at(0, 1.0, ObservationRecord(0, (0,)), p)
     assert got == pytest.approx(math.log(0.5), abs=1e-12)
     assert math.exp(got) == pytest.approx(
         quad_cir_marginal(0, 1.0, [0], p), rel=1e-9)
 
 
 def test_log_marginal_empty_batch(cir_params):
-    assert log_marginal(7, 3.0, ObservationRecord(0, ()), cir_params) == 0.0
+    assert log_marginal_at(7, 3.0, ObservationRecord(0, ()), cir_params) == 0.0
 
 
 def test_log_marginal_chain_rule(cir_params):
     p = cir_params
     m, theta = 3, p.beta + 1.0
-    joint = log_marginal(m, theta, ObservationRecord(0, (2, 5)), p)
-    first = log_marginal(m, theta, ObservationRecord(0, (2,)), p)
+    joint = log_marginal_at(m, theta, ObservationRecord(0, (2, 5)), p)
+    first = log_marginal_at(m, theta, ObservationRecord(0, (2,)), p)
     m1, t1 = update_conjugate(m, theta, ObservationRecord(0, (2,)), p)
-    second = log_marginal(m1, t1, ObservationRecord(0, (5,)), p)
+    second = log_marginal_at(m1, t1, ObservationRecord(0, (5,)), p)
     assert joint == pytest.approx(first + second, abs=1e-12)
 
 
@@ -98,7 +101,8 @@ def test_log_marginal_matches_quadrature(cir_params):
     p = cir_params
     for m, theta, counts in [(0, p.beta, [4]), (2, p.beta + 1.0, [0, 3]),
                              (6, p.beta + 3.0, [1, 1, 2])]:
-        got = math.exp(log_marginal(m, theta, ObservationRecord(0, tuple(counts)), p))
+        got = math.exp(log_marginal_at(m, theta, ObservationRecord(0, tuple(counts)),
+                                       p))
         want = quad_cir_marginal(m, theta, counts, p)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -239,41 +243,41 @@ def test_linear_bd_zero_start_no_immigration(cir_params, rng):
 # pure-death dual: deterministic flow and transitions
 # ---------------------------------------------------------------------------
 
-def test_pure_death_theta_endpoints(cir_params):
-    assert pure_death_theta(0.0, 2.1, cir_params) == pytest.approx(2.1)
-    assert pure_death_theta(1e9, 2.1, cir_params) == pytest.approx(
-        cir_params.beta, rel=1e-12)
+def test_pure_death_theta_endpoints(cir_model):
+    assert cir_model.theta_flow(2.1, 0.0) == pytest.approx(2.1)
+    assert cir_model.theta_flow(2.1, 1e9) == pytest.approx(
+        cir_model.params.beta, rel=1e-12)
 
 
 def test_pure_death_theta_matches_runge_kutta(cir_params):
     for theta0, t in [(2.1, 0.1), (5.0, 0.5), (0.7, 1.0)]:
         want = rk_pure_death_theta(t, theta0, cir_params)
-        assert pure_death_theta(t, theta0, cir_params) == pytest.approx(
+        assert pure_death_flow(t, theta0, cir_params)[1] == pytest.approx(
             want, abs=1e-9)
 
 
 def test_pure_death_survival_matches_quadrature(cir_params):
     for theta0, t in [(2.1, 0.1), (4.0, 0.7)]:
         want = quad_survival(t, theta0, cir_params,
-                             lambda u, th, pp: pure_death_theta(u, th, pp))
-        assert pure_death_survival(t, theta0, cir_params) == pytest.approx(
+                             lambda u, th, pp: pure_death_flow(u, th, pp)[1])
+        assert pure_death_flow(t, theta0, cir_params)[0] == pytest.approx(
             want, abs=1e-11)
 
 
-def test_pure_death_pmf_am_t_zero(cir_params):
-    pmf = pure_death_pmf([[4]], 0.0, 2.1, cir_params)[1]
+def test_pure_death_pmf_am_t_zero(cir_model):
+    pmf = cir_model.pd_kernel(np.array([[4]]), 2.1, 0.0)[1]
     np.testing.assert_allclose(pmf, [0, 0, 0, 0, 1.0])
 
 
-def test_pure_death_pmf_normalizes(cir_params):
+def test_pure_death_pmf_normalizes(cir_model):
     for m in (1, 4, 17):
-        pmf = pure_death_pmf([[m]], 0.2, 2.5, cir_params)[1]
+        pmf = cir_model.pd_kernel(np.array([[m]]), 2.5, 0.2)[1]
         assert abs(pmf.sum() - 1.0) <= 1e-12
 
 
-def test_pure_death_transition_out_of_range(cir_params):
+def test_pure_death_transition_out_of_range(cir_model):
     # the pmf lives on 0..m: no mass above the start or below zero
-    pmf = pure_death_pmf([[4]], 0.1, 2.1, cir_params)[1]
+    pmf = cir_model.pd_kernel(np.array([[4]]), 2.1, 0.1)[1]
     assert len(pmf) == 5
     assert np.all(pmf >= 0.0)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -286,9 +290,9 @@ def test_pure_death_pmf_matches_thinning_gillespie(cir_params):
     rng = np.random.default_rng(11)
     samples = np.array([
         thinning_death_sample(m, t, theta0, p,
-                              lambda u, th, pp: pure_death_theta(u, th, pp), rng)
+                              lambda u, th, pp: pure_death_flow(u, th, pp)[1], rng)
         for _ in range(100_000)])
-    pmf = pure_death_pmf([[m]], t, theta0, p)[1]
+    pmf = CIRModel(p).pd_kernel(np.array([[m]]), theta0, t)[1]
     assert tv_sample_vs_pmf(samples, pmf) < 0.02
 
 
@@ -299,7 +303,7 @@ def test_pure_death_pmf_matches_thinning_gillespie(cir_params):
 def test_cir_transition_from_zero_is_gamma(cir_params, rng):
     p = cir_params
     t = 0.2
-    xs = cir_transition_sample_many(np.full(200_000, 0.0), t, p, rng)
+    xs = CIRModel(p).signal_sample_many(np.full(200_000, 0.0), t, rng)
     r = p.beta / (1.0 - math.exp(-2.0 * p.gamma * t))
     want_mean = p.alpha / r
     assert abs(xs.mean() - want_mean) < 3 * xs.std() / math.sqrt(len(xs))
@@ -309,7 +313,7 @@ def test_cir_transition_from_zero_is_gamma(cir_params, rng):
 
 def test_cir_transition_stationary_at_large_t(cir_params, rng):
     p = cir_params
-    xs = cir_transition_sample_many(np.full(200_000, 9.0), 20.0, p, rng)
+    xs = CIRModel(p).signal_sample_many(np.full(200_000, 9.0), 20.0, rng)
     want = p.delta * p.sigma ** 2 / (2.0 * p.gamma)
     assert abs(xs.mean() - want) < 3 * xs.std() / math.sqrt(len(xs))
 
@@ -317,8 +321,8 @@ def test_cir_transition_stationary_at_large_t(cir_params, rng):
 def test_cir_transition_mean_identity(cir_params):
     p = cir_params
     x0, t = 5.0, 0.1
-    xs = cir_transition_sample_many(np.full(1_000_000, x0), t, p,
-                                    np.random.default_rng(17))
+    xs = CIRModel(p).signal_sample_many(np.full(1_000_000, x0), t,
+                                        np.random.default_rng(17))
     want = x0 * math.exp(-2 * p.gamma * t) + \
         (p.delta * p.sigma ** 2 / (2 * p.gamma)) * (1 - math.exp(-2 * p.gamma * t))
     assert abs(xs.mean() - want) < 3 * xs.std() / math.sqrt(len(xs))
@@ -326,7 +330,7 @@ def test_cir_transition_mean_identity(cir_params):
 
 def test_cir_transition_scalar_wrapper(cir_params, rng):
     # one draw from one scalar state is a single non-negative value
-    out = cir_transition_sample_many(2.0, 0.5, cir_params, rng)
+    out = CIRModel(cir_params).signal_sample_many(2.0, 0.5, rng)
     assert out.shape == (1,)
     assert out[0] >= 0.0
 
@@ -339,21 +343,20 @@ def test_emission_log_pmf_matches_scipy(cir_params):
     from scipy.stats import poisson
     xs = np.array([0.3, 1.7, 6.0])
     y = ObservationRecord(0.0, (2, 0, 5))
-    got = emission_log_pmf(xs, y, cir_params)
+    got = CIRModel(cir_params).emission_log_pmf(xs, y)
     want = sum(poisson.logpmf(c, cir_params.tau * xs) for c in (2, 0, 5))
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_emission_log_pmf_boundary(cir_params):
+def test_emission_log_pmf_boundary(cir_model):
     y = ObservationRecord(0.0, (1,))
-    assert emission_log_pmf(np.array([0.0]), y, cir_params)[0] == -np.inf
+    assert cir_model.emission_log_pmf(np.array([0.0]), y)[0] == -np.inf
     y0 = ObservationRecord(0.0, (0, 0))
-    assert emission_log_pmf(np.array([0.0]), y0, cir_params)[0] == 0.0
+    assert cir_model.emission_log_pmf(np.array([0.0]), y0)[0] == 0.0
 
 
-def test_emission_log_pmf_empty_batch(cir_params):
-    got = emission_log_pmf(np.array([0.0, 0.5, 3.0]), ObservationRecord(0.0, ()),
-                           cir_params)
+def test_emission_log_pmf_empty_batch(cir_model):
+    got = cir_model.emission_log_pmf(np.array([0.0, 0.5, 3.0]), ObservationRecord(0.0, ()))
     np.testing.assert_array_equal(got, np.zeros(3))
 
 
@@ -365,7 +368,7 @@ def test_duality_identity_spot(cir_params):
     p = cir_params
     m, x, t, theta = 3, 0.5, 0.5, p.beta + 1.0
     rng = np.random.default_rng(5)
-    xs = cir_transition_sample_many(np.full(100_000, x), t, p, rng)
+    xs = CIRModel(p).signal_sample_many(np.full(100_000, x), t, rng)
     lhs = density_ratio(xs, m, theta, p)
     lhs_mean, lhs_se = lhs.mean(), lhs.std() / math.sqrt(len(lhs))
 

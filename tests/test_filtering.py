@@ -30,6 +30,7 @@ def wf_records(count_rows, dt=1.0):
 CIR = CIRParams(11.0, 1.1, 1.0)
 CIR_MODEL = CIRModel(CIR)
 WF2 = WFParams((1.1, 1.1))
+WF2_MODEL = WFModel(WF2)
 NAN, INF = float("nan"), float("inf")
 
 
@@ -71,10 +72,10 @@ def test_config_validation():
     lambda: FilterConfig(method="exact", seed=1.5),
     lambda: FilterConfig(method="bootstrap", n_particles=10, dual_kind="bd"),
     lambda: FilterConfig(method="exact", n_particles=2),
-    lambda: cir.pure_death_theta(0.1, 0.0, CIR),
-    lambda: cir.pure_death_survival(0.1, -1.0, CIR),
-    lambda: cir.pure_death_pmf(np.array([[-1]]), 0.1, 2.0, CIR),
-    lambda: cir.cir_transition_sample_many(1.0, 0.0, CIR, np.random.default_rng(0)),
+    lambda: CIR_MODEL.theta_flow(0.0, 0.1),
+    lambda: cir.pure_death_flow(0.1, -1.0, CIR),
+    lambda: CIR_MODEL.pd_kernel(np.array([[-1]]), 2.0, 0.1),
+    lambda: CIR_MODEL.signal_sample_many(1.0, 0.0, np.random.default_rng(0)),
     lambda: DualMixture(CIR_MODEL, np.array([0, 1]), [0.5, 0.5]),
     lambda: DualMixture(CIR_MODEL, [[-1]], [1.0]),
     lambda: DualMixture(CIR_MODEL, [[2], [1]], [0.5, 0.5]),
@@ -89,7 +90,8 @@ def test_config_validation():
                                     np.random.default_rng(0)),
     lambda: mixture_quantile(CIR_MODEL.prior_mixture(), 1.0),
     lambda: wf._as_counts((1, -1), 2),
-    lambda: wf.log_marginal(np.array([[-1, 2]]), ObservationRecord(0.0, (1, 1)), WF2),
+    lambda: WF2_MODEL.log_marginal_point(np.array([[-1, 2]]), None,
+                                         ObservationRecord(0.0, (1, 1))),
     lambda: wf._start_rows([[-1, 2]], WF2),
     lambda: wf.block_count_probs(-1, 0.1, WF2),
     lambda: wf.block_count_probs(3, 0.0, WF2),
@@ -101,11 +103,11 @@ def test_config_validation():
     lambda: wf.block_count_probs(5, NAN, WF2),
     lambda: wf.block_count_probs(3, INF, WF2),
     lambda: wf.block_count_probs(0, -1.0, WF2),
-    lambda: wf.typed_death_kernel([[1, 2]], NAN, WF2),
-    lambda: cir.pure_death_pmf([[3]], NAN, 2.0, CIR),
-    lambda: cir.pure_death_theta(0.1, NAN, CIR),
-    lambda: cir.pure_death_survival(0.1, NAN, CIR),
-    lambda: cir.cir_transition_sample_many(1.0, NAN, CIR, np.random.default_rng(0)),
+    lambda: WF2_MODEL.pd_kernel([[1, 2]], None, NAN),
+    lambda: CIR_MODEL.pd_kernel([[3]], 2.0, NAN),
+    lambda: CIR_MODEL.theta_flow(NAN, 0.1),
+    lambda: cir.pure_death_flow(0.1, NAN, CIR),
+    lambda: CIR_MODEL.signal_sample_many(1.0, NAN, np.random.default_rng(0)),
     lambda: cir.linear_bd_sample_many(3, NAN, 2.0, CIR, np.random.default_rng(0), 4),
     lambda: cir.linear_bd_sample_many(3, 0.1, NAN, CIR, np.random.default_rng(0), 4),
     lambda: wf.wf_transition_sample_many([0.5, 0.5], NAN, WF2, np.random.default_rng(0)),

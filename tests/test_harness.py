@@ -190,6 +190,27 @@ def test_manifest_seed_reruns_predictive_cell(tmp_path):
     assert [[exp._fmt(v) for v in row] for row in got] == rows[3 * idx:3 * idx + 3]
 
 
+def test_manifest_seed_reruns_filtering_cell(tmp_path):
+    import csv
+
+    import dualfilter.experiments as exp
+
+    spec = build_spec("cir_filtering", tiny_config(n_times=5), seed=5)
+    assert run_scenario(spec, tmp_path) == 0
+    with open(tmp_path / "cir_filtering.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    manifest = json.loads((tmp_path / "cir_filtering_manifest.json").read_text())
+    rep, label, n = 1, "bd", spec.particle_counts[1]
+    idx = ((rep * len(spec.methods) + spec.methods.index(label))
+           * len(spec.particle_counts) + 1)
+    ctx = exp._filtering_context(spec, rep)
+    got = [[exp._fmt(v) for v in row]
+           for row in exp._filtering_cell(spec, ctx, manifest["seed_table"][str(idx)],
+                                          rep, label, n)]
+    # a cell's rows are the ones with its (method, dual, N, replicate)
+    assert got == [row for row in rows if row[1:5] == got[0][1:5]]
+
+
 def test_run_scenario_reruns_byte_identical(tmp_path):
     spec = build_spec("cir_predictive", tiny_config(), seed=5)
     run_scenario(spec, tmp_path / "a")

@@ -25,10 +25,7 @@ from hypothesis import strategies as st
 from dualfilter import (CIRModel, CIRParams, DualMixture, FilterConfig,
                         ObservationRecord, WFModel, WFParams, propagate, prune,
                         run_filter, update)
-from dualfilter.cir import log_marginal as cir_log_marginal
-from dualfilter.cir import pure_death_theta
 from dualfilter.errors import DegenerateWeights
-from dualfilter.wf import log_marginal as wf_log_marginal
 
 from .oracles import from_weights_unique, linear_bd_draw_reference
 
@@ -75,11 +72,10 @@ def direct_propagate(model, mix, dt) -> dict:
 def direct_update(model, mix, y) -> dict:
     acc: dict = {}
     for pt, w in zip(mix.points.tolist(), mix.weights):
+        logmu = model.log_marginal_point(np.array([pt]), mix.theta, y)[0]
         if model is CIR:
-            logmu = cir_log_marginal(pt[0], mix.theta, y, CIR.params)
             key = (pt[0] + sum(y.values),)
         else:
-            logmu = wf_log_marginal(pt, y, WF.params)
             key = tuple(a + b for a, b in zip(pt, y.values))
         acc[key] = acc.get(key, 0.0) + w * math.exp(logmu)
     return normalized(acc)
@@ -214,7 +210,7 @@ def test_sampler_returns_one_int_row_per_particle(case):
     assert np.issubdtype(out.dtype, np.integer)
     assert np.all(out >= 0)
     assert theta_t == (None if model is WF
-                       else pure_death_theta(dt, theta, CIR.params) if kind == "pure_death"
+                       else CIR.theta_flow(theta, dt) if kind == "pure_death"
                        else theta)
 
 

@@ -11,8 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dualfilter.cir import linear_bd_rates, linear_bd_sample_many, pure_death_survival
-from dualfilter.wf import typed_death_kernel, wf_chain_sample_many
+from dualfilter.cir import linear_bd_rates, linear_bd_sample_many, pure_death_flow
+from dualfilter.wf import wf_chain_sample_many
 
 from .oracles import (kernel_dict, linear_bd_draw_reference, linear_bd_kernel_row,
                       tv_sample_vs_pmf)
@@ -60,7 +60,7 @@ def test_typed_death_never_exceeds_its_source(wf3_model):
 
 def test_cir_pure_death_batch_equals_per_source_draws(cir_model):
     theta, dt = cir_model.params.beta + 1.0, 0.3
-    s = pure_death_survival(dt, theta, cir_model.params)
+    s, _ = pure_death_flow(dt, theta, cir_model.params)
     rng = np.random.default_rng(4)
     ref = np.concatenate([rng.binomial(m, s, c) for (m,), c in zip(CIR_POINTS, COUNTS)])
     out = _draw(cir_model, "pure_death", CIR_POINTS, COUNTS, dt, 4)
@@ -96,7 +96,7 @@ def test_batched_typed_death_matches_kernel(wf3_model):
     counts, t = np.array([50_000, 50_000]), 0.3
     out = _draw(wf3_model, "pure_death", WF_POINTS, counts, t, 6)
     for src, block in zip(WF_POINTS, _blocks(out, counts)):
-        kern = kernel_dict(typed_death_kernel(src[None], t, wf3_model.params))
+        kern = kernel_dict(wf3_model.pd_kernel(src[None], None, t))
         assert _tv(block, kern) < 0.02
 
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dualfilter import DimensionError, ObservationRecord, WFModel, WFParams
-from dualfilter.wf import (block_count_probs, emission_log_pmf, log_marginal,
-                           moran_sample_many, typed_death_kernel,
+from dualfilter import ConfigError, DimensionError, ObservationRecord, WFModel, WFParams
+from dualfilter.wf import (block_count_probs, moran_sample_many,
                            typed_death_sample_many, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
                            wf_transition_sample_many)
@@ -24,7 +23,12 @@ from .oracles import wf_density_ratio as density_ratio
 
 
 def typed_kernel(m, t, p, tail_eps=0.0) -> dict:
-    return kernel_dict(typed_death_kernel([m], t, p, tail_eps))
+    return kernel_dict(WFModel(p, tail_eps).pd_kernel(np.array([m]), None, t))
+
+
+def log_marginal_at(m, y, p) -> float:
+    """The model's log marginal likelihood of ``y`` at the one count vector ``m``."""
+    return WFModel(p).log_marginal_point(np.array([m]), None, y)[0]
 
 
 def stacked(row, n: int) -> np.ndarray:
@@ -86,23 +90,23 @@ def test_update_counts_dimension_error(wf3_params):
 
 def test_log_marginal_symmetric_half():
     p = WFParams((1.0, 1.0))
-    got = log_marginal((0, 0), ObservationRecord(0, (1, 0)), p)
+    got = log_marginal_at((0, 0), ObservationRecord(0, (1, 0)), p)
     assert math.exp(got) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_log_marginal_empty_batch(wf3_params):
-    assert log_marginal((2, 1, 0), ObservationRecord(0, (0, 0, 0)), wf3_params) == 0.0
+    assert log_marginal_at((2, 1, 0), ObservationRecord(0, (0, 0, 0)), wf3_params) == 0.0
 
 
 def test_log_marginal_matches_quadrature(wf3_params):
-    got = math.exp(log_marginal((2, 0, 0), ObservationRecord(0, (1, 1, 0)),
+    got = math.exp(log_marginal_at((2, 0, 0), ObservationRecord(0, (1, 1, 0)),
                                 wf3_params))
     want = quad_wf_marginal((2, 0, 0), (1, 1, 0), wf3_params)
     assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_log_marginal_matches_quadrature_k2(wf2_params):
-    got = math.exp(log_marginal((3, 1), ObservationRecord(0, (2, 2)), wf2_params))
+    got = math.exp(log_marginal_at((3, 1), ObservationRecord(0, (2, 2)), wf2_params))
     want = quad_wf_marginal((3, 1), (2, 2), wf2_params)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -242,7 +246,9 @@ def test_block_count_row_properties(m, log_t, alpha):
 
 
 def test_block_count_zero_start(wf3_params):
-    np.testing.assert_allclose(block_count_probs(0, 1.0, wf3_params), [1.0])
+    probs = block_count_probs(0, 1.0, wf3_params)
+    np.testing.assert_allclose(probs, [1.0])
+    assert not probs.flags.writeable
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -327,6 +333,12 @@ def test_typed_kernel_truncation_keeps_whole_levels(wf3_params, m, t, eps):
     assert trunc.keys() == kept.keys()
     for k, v in kept.items():
         assert trunc[k] == pytest.approx(v, rel=1e-15)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0, 1.0, 2.0, float("inf")])
+def test_kernel_tail_eps_outside_unit_interval_raises(wf3_params, eps):
+    with pytest.raises(ConfigError):
+        WFModel(wf3_params, eps)
 
 
 def test_typed_kernel_matches_typed_gillespie(wf3_params):
@@ -523,7 +535,7 @@ def test_origin_is_absorbing_for_both_duals(wf3_params, rng):
 def test_emission_log_pmf_ordered_sample(wf3_params):
     xs = np.array([[0.5, 0.25, 0.25], [0.1, 0.8, 0.1]])
     y = ObservationRecord(0.0, (2, 1, 0))
-    got = emission_log_pmf(xs, y, wf3_params)
+    got = WFModel(wf3_params).emission_log_pmf(xs, y)
     want = 2 * np.log(xs[:, 0]) + np.log(xs[:, 1])
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -531,7 +543,7 @@ def test_emission_log_pmf_ordered_sample(wf3_params):
 def test_emission_log_pmf_zero_coordinate(wf3_params):
     xs = np.array([[0.0, 0.5, 0.5]])
     y = ObservationRecord(0.0, (1, 0, 0))
-    assert emission_log_pmf(xs, y, wf3_params)[0] == -np.inf
+    assert WFModel(wf3_params).emission_log_pmf(xs, y)[0] == -np.inf
 
 
 # ---------------------------------------------------------------------------
