@@ -386,8 +386,12 @@ class CIRModel:
             raise DomainError("CIR grid points must be non-negative")
         return _gamma_logpdf(x, self._shapes(points), theta)
 
-    # the signal is univariate: its first-coordinate marginal is itself
-    marginal_component_logpdf = component_logpdf
+    def marginal_component_logpdf(self, grid, points,
+                                  theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(component_logpdf(grid, points, theta), np.arange(M))``: the
+        signal is univariate, so each row is its own first-coordinate
+        marginal.  Raises ``DomainError`` at a negative grid point."""
+        return self.component_logpdf(grid, points, theta), np.arange(len(points))
 
     def marginal_component_cdf(self, x: float, points, theta: float) -> np.ndarray:
         return gammainc(self._shapes(points), theta * max(x, 0.0))

@@ -28,7 +28,9 @@ each taking the whole ``(M, K)`` support array at once:
 * moments: ``component_moments(points, theta) -> (mean, var)``;
 * densities: ``component_logpdf(x, points, theta)``, which raises
   ``DomainError`` off the state space, and
-  ``marginal_component_logpdf(grid, points, theta)``; the quantile:
+  ``marginal_component_logpdf(grid, points, theta) -> (logpdf, index)``,
+  the ``(P, G)`` log-densities of the distinct first-coordinate marginals
+  and each row's index into them; the quantile:
   ``marginal_component_cdf(x, points, theta)``;
 * draws: ``sample_component(points, theta, rng)``;
 * smoothing: ``combine(m, n, theta_a, theta_b) -> (log_c, theta)``;
@@ -36,11 +38,11 @@ each taking the whole ``(M, K)`` support array at once:
   ``emission_log_pmf`` and ``sample_emission``.
 
 Mixtures are built from raw rows and weights by
-:meth:`DualMixture.from_weights`, which sorts the rows with one stable
-``np.lexsort``, merges each run of repeated rows by summing its weights in
-input order, drops zero weights and normalizes.  Every later accumulation
-runs in the canonical row order, so floating-point sums are platform- and
-run-deterministic for a given input.
+:meth:`DualMixture.from_weights`, which merges repeated rows by one int64
+mixed-radix key per row (ascending keys are the lexicographic row order),
+sums each row's weights in input order, drops zero weights and normalizes.
+Every later accumulation runs in the canonical row order, so floating-point
+sums are platform- and run-deterministic for a given input.
 
 All mixture values are immutable after construction; the functions here are
 pure and safe to call concurrently as long as each caller owns its RNG.
@@ -169,10 +171,14 @@ class DualMixture:
                      theta: float | None = None) -> "DualMixture":
         """Build a mixture from ``(L, K)`` rows and non-negative raw weights.
 
-        The rows are sorted lexicographically by one stable ``np.lexsort``,
-        and each run of repeated rows is merged by adding its weights in
-        input order.  The total is normalized to one, and rows whose
-        normalized weight is zero are dropped, including denormal weights
+        Each row is read as one int64 key in the mixed radix
+        ``points.max(axis=0) + 1``, so ascending keys are the lexicographic
+        row order; ``np.unique`` of the keys gives the output rows and
+        ``np.bincount`` merges each row's weights by adding them in input
+        order.  Where the radix product reaches ``2**63``, or a coordinate
+        is negative, one stable ``np.lexsort`` sorts the rows instead, with
+        the same rows and sums.  The total is normalized to one, and rows
+        whose normalized weight is zero are dropped, including denormal weights
         that underflow in the division.  The output rows do not depend on
         the order of the input rows, but the merged weights do in the last
         bit: rows ``[[1], [1], [1], [2]]`` with weights ``[0.1, 0.2, 0.3,
@@ -195,15 +201,29 @@ class DualMixture:
             raise DegenerateWeights("all weights are zero")
         if points.shape[1] == 0:
             raise ConfigError("support points must be an (M, K) array with K >= 1")
-        order = np.lexsort(points.T[::-1])
-        rows = points[order]
-        starts = np.empty(len(rows), dtype=bool)
-        starts[0] = True
-        np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
-        merged = np.bincount(np.cumsum(starts) - 1, weights[order])
+        radix = [int(col.max()) + 1 for col in points.T]
+        if points.min() >= 0 and math.prod(radix) < 2 ** 63:
+            key = points[:, 0].copy()
+            for j in range(1, len(radix)):
+                key *= radix[j]
+                key += points[:, j]
+            uniq, inverse = np.unique(key, return_inverse=True)
+            merged = np.bincount(inverse, weights)
+            rows = np.empty((len(uniq), len(radix)), dtype=np.int64)
+            for j in range(len(radix) - 1, 0, -1):
+                uniq, rows[:, j] = np.divmod(uniq, radix[j])
+            rows[:, 0] = uniq
+        else:
+            order = np.lexsort(points.T[::-1])
+            rows = points[order]
+            starts = np.empty(len(rows), dtype=bool)
+            starts[0] = True
+            np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+            merged = np.bincount(np.cumsum(starts) - 1, weights[order])
+            rows = rows[starts]
         merged /= math.fsum(merged)
         keep = merged > 0.0
-        return cls(model=model, points=rows[starts][keep], weights=merged[keep],
+        return cls(model=model, points=rows[keep], weights=merged[keep],
                    theta=theta)
 
     def as_dict(self) -> dict[tuple, float]:
@@ -401,10 +421,11 @@ def mixture_marginal_pdf(mix: DualMixture, grid) -> np.ndarray:
     For the WF model this is the Beta-mixture marginal of the first
     coordinate, zero off ``[0, 1]``; for the univariate CIR model it equals
     :func:`mixture_pdf`, and so raises ``DomainError`` at a negative point.
+    Each distinct marginal is exponentiated once and gathered to its rows.
     """
     grid = np.asarray(grid, dtype=float)
-    return mix.weights @ np.exp(mix.model.marginal_component_logpdf(
-        grid, mix.points, mix.theta))
+    logpdf, index = mix.model.marginal_component_logpdf(grid, mix.points, mix.theta)
+    return mix.weights @ np.exp(logpdf)[index]
 
 
 def mixture_quantile(mix: DualMixture, q: float) -> float:

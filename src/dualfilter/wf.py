@@ -428,29 +428,41 @@ class WFModel:
         source's law, falls below it, losing at most
         ``(|m|+1)*kernel_tail_eps`` mass; this keeps the propagated support
         small when ``|m|`` is large but the horizon long.
+
+        Raises:
+            ConfigError: if ``kernel_tail_eps`` drops every row of a source.
         """
         p = self.params
         points = _start_rows(points, p)
+        k = points.shape[1]
         mtot = points.sum(axis=1)
-        # mixed-radix decoding of one index range; span[:, 0] is each box's size
-        span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]
-        source = np.repeat(np.arange(len(points)), span[:, 0])
-        first = np.cumsum(span[:, 0]) - span[:, 0]
-        arrivals = (np.arange(len(source)) - first[source])[:, None] % span[source]
-        arrivals //= (span // (points + 1))[source]
-        ntot = arrivals.sum(axis=1)
+        # each source's box of arrivals, decoded one mixed-radix column at a time
+        size = np.prod(points + 1, axis=1)
+        source = np.repeat(np.arange(len(points)), size)
+        index = np.arange(len(source)) - np.repeat(np.cumsum(size) - size, size)
+        cols = [None] * k
+        for j in range(k - 1, -1, -1):
+            index, cols[j] = np.divmod(index, (points[:, j] + 1)[source])
+        ntot = sum(cols[1:], cols[0])
         # block-count laws of the distinct totals, concatenated like the boxes
         totals, level = np.unique(mtot, return_inverse=True)
         laws = np.concatenate([block_count_probs(v, dt, p) for v in totals.tolist()])
         d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
         if self.kernel_tail_eps > 0.0:
             keep = d > self.kernel_tail_eps
-            arrivals, source, ntot, d = arrivals[keep], source[keep], ntot[keep], d[keep]
+            if not np.all(np.bincount(source[keep], minlength=len(points))):
+                raise ConfigError(f"kernel_tail_eps {self.kernel_tail_eps!r} drops "
+                                  f"every arrival of a source")
+            cols = [c[keep] for c in cols]
+            source, ntot, d = source[keep], ntot[keep], d[keep]
         logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
-        loghyp = ((logfact[points][source] - logfact[arrivals]
-                   - logfact[points[source] - arrivals]).sum(axis=1)
-                  - (logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]))
-        return arrivals, d * np.exp(loghyp), source
+        terms = [logfact[points[:, j]][source] - logfact[cols[j]]
+                 - logfact[points[:, j][source] - cols[j]] for j in range(k)]
+        # numpy's row sum .sum(axis=1) adds fewer than 8 terms left to right
+        # and more pairwise; summing columns in that order keeps it bitwise
+        loghyp = sum(terms[1:], terms[0]) if k < 8 else np.stack(terms, axis=1).sum(axis=1)
+        loghyp -= logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]
+        return np.stack(cols, axis=1), d * np.exp(loghyp), source
 
     def theta_flow(self, theta, dt: float) -> None:
         return None
@@ -493,20 +505,24 @@ class WFModel:
         a = self._concentrations(points)
         return a[:, 0], a.sum(axis=1) - a[:, 0]
 
-    def marginal_component_logpdf(self, grid, points, theta=None) -> np.ndarray:
-        """Beta log-densities ``(M, G)`` of the first coordinate on ``grid``.
+    def marginal_component_logpdf(self, grid, points,
+                                  theta=None) -> tuple[np.ndarray, np.ndarray]:
+        """Beta log-densities of the first coordinate on ``grid``, once per
+        distinct marginal.
 
-        Many rows share their float ``(a, b)`` pair, so each distinct pair
-        is evaluated once and gathered back to the rows; the result equals
-        the per-row evaluation bit for bit.
+        Returns ``(logpdf, index)``: the ``(P, G)`` log-densities of the
+        distinct float ``(a, b)`` pairs in ascending order and each of the
+        ``M`` rows' index into them, so ``logpdf[index]`` equals the per-row
+        evaluation bit for bit.  The pairs are found as the distinct complex
+        numbers ``a + 1j*b``, which sort and compare like the rows ``(a, b)``.
         """
-        pairs, inverse = np.unique(np.stack(self._beta_params(points), axis=1),
-                                   axis=0, return_inverse=True)
-        a, b = pairs[:, :1], pairs[:, 1:]
+        a, b = self._beta_params(points)
+        pairs, index = np.unique(a + 1j * b, return_inverse=True)
+        a, b = pairs.real[:, None], pairs.imag[:, None]
         x = np.asarray(grid, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
-        return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)[inverse.ravel()]
+        return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf), index
 
     def marginal_component_cdf(self, x: float, points, theta=None) -> np.ndarray:
         return betainc(*self._beta_params(points), min(max(x, 0.0), 1.0))

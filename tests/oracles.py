@@ -8,9 +8,10 @@ of helper are exceptions: the test-only conveniences
 ``wf_log_density_ratio``, ``wf_density_ratio``, ``update_counts`` and
 ``closure_spread``, built on the package's count checks and smoothing
 closure, ``linear_bd_draw_reference``, a frozen copy of the ``bd``
-draw that fixes its random stream, and ``beta_marginal_logpdf_rows``, the
-per-row Beta marginal formula that the package's deduplicated evaluation
-must match bit for bit.
+draw that fixes its random stream, ``wf_pd_kernel_rows``, a frozen copy of
+the vectorized WF kernel that ``WFModel.pd_kernel`` must match bit for bit,
+and ``beta_marginal_logpdf_rows``, the per-row Beta marginal formula that
+the package's deduplicated evaluation must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.linalg import expm
 from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi, xlog1py, xlogy
 from scipy.stats import chisquare, ncx2
 
-from dualfilter.wf import _as_counts
+from dualfilter.wf import _as_counts, block_count_probs
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +479,33 @@ def beta_marginal_logpdf_rows(grid, points, alpha) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
     return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)
+
+
+def wf_pd_kernel_rows(points, dt: float, p, kernel_tail_eps: float = 0.0) -> tuple:
+    """``(arrivals, probs, source)`` of the typed Kingman kernel from the
+    ``(M, K)`` sources, frozen as first vectorized: each source's box
+    decoded by ``%`` and ``//`` on ``(L, K)`` arrays, the type profile's log
+    terms summed by ``.sum(axis=1)``.  ``WFModel.pd_kernel`` must match it
+    bit for bit."""
+    points = np.array(points, dtype=np.int64, ndmin=2)
+    mtot = points.sum(axis=1)
+    span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]
+    source = np.repeat(np.arange(len(points)), span[:, 0])
+    first = np.cumsum(span[:, 0]) - span[:, 0]
+    arrivals = (np.arange(len(source)) - first[source])[:, None] % span[source]
+    arrivals //= (span // (points + 1))[source]
+    ntot = arrivals.sum(axis=1)
+    totals, level = np.unique(mtot, return_inverse=True)
+    laws = np.concatenate([block_count_probs(v, dt, p) for v in totals.tolist()])
+    d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
+    if kernel_tail_eps > 0.0:
+        keep = d > kernel_tail_eps
+        arrivals, source, ntot, d = arrivals[keep], source[keep], ntot[keep], d[keep]
+    logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
+    loghyp = ((logfact[points][source] - logfact[arrivals]
+               - logfact[points[source] - arrivals]).sum(axis=1)
+              - (logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]))
+    return arrivals, d * np.exp(loghyp), source
 
 
 def wf_density_ratio(x, n, p):

@@ -483,7 +483,11 @@ def test_density_on_grid_desk_wf_reference_matches_per_row_formula():
     ref, edges = ctx["ref_pred"], ctx["edges"]
     centers = 0.5 * (edges[:-1] + edges[1:])
     rows = beta_marginal_logpdf_rows(centers, ref.points, ref.model.params.alpha)
-    assert np.array_equal(ref.model.marginal_component_logpdf(centers, ref.points), rows)
+    logpdf, index = ref.model.marginal_component_logpdf(centers, ref.points)
+    assert np.array_equal(logpdf[index], rows)
+    # one row per distinct (a, b) pair
+    pairs = np.stack(ref.model._beta_params(ref.points), axis=1)
+    assert len(logpdf) == len(np.unique(pairs, axis=0)) < len(ref.points)
     assert np.array_equal(density_on_grid(ref, edges), ref.weights @ np.exp(rows))
 
 

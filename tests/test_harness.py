@@ -416,6 +416,24 @@ def test_console_entry_point_help():
     assert "--scenario" in result.stdout
 
 
+def test_cir_runs_never_import_scipy_linalg(tmp_path):
+    # the WF block-count law imports scipy.linalg on first use; a fresh
+    # process that runs only CIR scenarios must not pay for that import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = f"""
+import sys
+from dualfilter.experiments import build_spec, run_scenario
+for scenario in ("cir_filtering", "cir_predictive"):
+    spec = build_spec(scenario, {tiny_config()!r}, seed=5)
+    assert run_scenario(spec, {str(tmp_path / "out")!r} + scenario) == 0
+assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("scenario", ["cir_predictive", "wf_predictive"])
 def test_exact_predictive_cells_score_zero(tmp_path, scenario):
     # every cell scores against the replicate's one reference density; the

@@ -4,7 +4,7 @@ Each mixture example draws a model (CIR, or WF with K = 3), a mixture with
 a few random support rows and weights, one observation batch and a time
 step, and checks the array-backed recursion against direct per-point sums;
 the propagation example also draws the WF kernel's tail threshold.
-Each merge example draws rows of width 1-4, many of them repeated, in
+Each merge example draws rows of width 1-6, many of them repeated, in
 shuffled order, and checks ``DualMixture.from_weights`` against the
 ``np.unique`` merge of ``tests/oracles.py``.
 Each sampler example draws a dual kind, a few random sources with small
@@ -140,10 +140,12 @@ def test_pruned_at_zero_equals_exact(case, n_times):
 
 @st.composite
 def merge_cases(draw):
-    """(rows, weights): up to 8 distinct rows of width 1-4, each repeated up
-    to 5 times, shuffled, with some zero weights."""
-    k = draw(st.integers(1, 4))
-    distinct = draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), min_size=1,
+    """(rows, weights): up to 8 distinct rows of width 1-6 with values up to
+    3 or up to 10**6, each repeated up to 5 times, shuffled, with some zero
+    weights."""
+    k = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([3, 10 ** 6]))
+    distinct = draw(st.lists(st.tuples(*[st.integers(0, top)] * k), min_size=1,
                              max_size=8, unique=True))
     rows = draw(st.permutations([r for r in distinct
                                  for _ in range(draw(st.integers(1, 5)))]))
@@ -153,8 +155,19 @@ def merge_cases(draw):
     return np.array(rows, dtype=np.int64), np.array(weights)
 
 
+BIG = 2 ** 63 - 1
+
+
 @PROPERTY_SETTINGS
 @given(merge_cases())
+# radix products 2**63 - 1 (keyed merge, largest key 2**63 - 2; BIG is
+# divisible by 7) and 2**63 (lexsort merge), with K = 1 and K = 2
+@example((np.array([[BIG - 1], [3], [BIG - 1]]), np.array([0.25, 0.5, 0.25])))
+@example((np.array([[BIG], [3], [BIG]]), np.array([0.25, 0.5, 0.25])))
+@example((np.array([[6, BIG // 7 - 1], [0, 5], [6, BIG // 7 - 1], [6, 0]]),
+          np.array([0.1, 0.2, 0.3, 0.4])))
+@example((np.array([[1, 2 ** 62 - 1], [0, 5], [1, 2 ** 62 - 1], [1, 0]]),
+          np.array([0.1, 0.2, 0.3, 0.4])))
 def test_from_weights_matches_unique_merge(case):
     rows, weights = case
     mix = DualMixture.from_weights(None, rows, weights)

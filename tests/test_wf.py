@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dualfilter import ConfigError, DimensionError, ObservationRecord, WFModel, WFParams
+from dualfilter import (ConfigError, DimensionError, FilterConfig, ObservationRecord,
+                        WFModel, WFParams, run_filter)
 from dualfilter.wf import (block_count_probs, moran_sample_many,
                            typed_death_sample_many, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
@@ -18,7 +19,8 @@ from .oracles import (beta_marginal_logpdf_rows, block_count_path,
                       block_count_series_mp, gillespie_jump_chain, kernel_dict,
                       kingman_rates, kingman_transitions, moran_law, moran_path, moran_rates,
                       moran_transitions, quad_wf_marginal, tv_sample_vs_pmf,
-                      tv_tuple_samples, typed_kingman_path, update_counts)
+                      tv_tuple_samples, typed_kingman_path, update_counts,
+                      wf_pd_kernel_rows)
 from .oracles import wf_density_ratio as density_ratio
 
 
@@ -266,9 +268,12 @@ def test_marginal_logpdf_matches_per_row_formula(alpha, data):
     points = np.array([[pool[i][0]] + [pool[i][j] for j in perm] for i, perm in picks],
                       dtype=np.int64)
     grid = np.concatenate([[-0.1, 0.0, 1.0, 1.1], np.linspace(0.0, 1.0, 33)])
-    got = WFModel(WFParams(alpha)).marginal_component_logpdf(grid, points)
-    assert got.shape == (len(points), len(grid))
-    assert np.array_equal(got, beta_marginal_logpdf_rows(grid, points, alpha))
+    model = WFModel(WFParams(alpha))
+    logpdf, index = model.marginal_component_logpdf(grid, points)
+    # one row per distinct (a, b) pair
+    pairs = np.unique(np.stack(model._beta_params(points), axis=1), axis=0)
+    assert logpdf.shape == (len(pairs), len(grid))
+    assert np.array_equal(logpdf[index], beta_marginal_logpdf_rows(grid, points, alpha))
 
 
 @pytest.mark.parametrize("level", [50, 500])
@@ -339,6 +344,46 @@ def test_typed_kernel_truncation_keeps_whole_levels(wf3_params, m, t, eps):
 def test_kernel_tail_eps_outside_unit_interval_raises(wf3_params, eps):
     with pytest.raises(ConfigError):
         WFModel(wf3_params, eps)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(sources, alpha, dt): 1-4 sources of K = 2..9 types, of mixed totals,
+    with boxes of at most 5**4 or 3**9 rows."""
+    k = draw(st.integers(2, 9))
+    row = st.lists(st.integers(0, 4 if k <= 4 else 2), min_size=k, max_size=k)
+    sources = np.array(draw(st.lists(row, min_size=1, max_size=4)), dtype=np.int64)
+    alpha = tuple(draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k)))
+    return sources, alpha, draw(st.floats(0.01, 2.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kernel_cases(), st.sampled_from([0.0, 1e-14]))
+# K = 8 and 9 with varied counts: numpy sums rows of 8 or more log terms
+# pairwise, and a left-to-right sum differs from it in the last bit here
+@example((np.array([[3, 2, 1, 3, 0, 2, 1, 2], [1, 0, 2, 2, 1, 3, 2, 0]]),
+          (0.5, 1.1, 2.0, 0.3, 1.7, 0.9, 2.5, 1.3), 0.3), 0.0)
+@example((np.array([[2, 1, 3, 2, 1, 2, 0, 3, 1], [5, 0, 1, 1, 0, 2, 1, 0, 4]]),
+          (1.1,) * 9, 0.7), 1e-14)
+def test_pd_kernel_matches_frozen_vectorized_kernel(case, eps):
+    sources, alpha, dt = case
+    p = WFParams(alpha)
+    got = WFModel(p, eps).pd_kernel(sources, None, dt)
+    want = wf_pd_kernel_rows(sources, dt, p, eps)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+def test_kernel_tail_eps_that_drops_a_whole_source_raises():
+    records = [ObservationRecord(0.0, (2, 1, 0)), ObservationRecord(0.5, (0, 1, 2))]
+    p = WFParams((1.1, 1.1, 1.1))
+    with pytest.raises(ConfigError, match="kernel_tail_eps"):
+        run_filter(records, FilterConfig(method="exact"), WFModel(p, 0.9))
+    # the reference cut keeps every level a source's law puts mass on here
+    cut = run_filter(records, FilterConfig(method="exact"), WFModel(p, 1e-14))
+    full = run_filter(records, FilterConfig(method="exact"), WFModel(p))
+    for a, b in zip(cut.filtering, full.filtering, strict=True):
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
 
 
 def test_typed_kernel_matches_typed_gillespie(wf3_params):
