@@ -458,9 +458,7 @@ class WFModel:
         logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
         terms = [logfact[points[:, j]][source] - logfact[cols[j]]
                  - logfact[points[:, j][source] - cols[j]] for j in range(k)]
-        # numpy's row sum .sum(axis=1) adds fewer than 8 terms left to right
-        # and more pairwise; summing columns in that order keeps it bitwise
-        loghyp = sum(terms[1:], terms[0]) if k < 8 else np.stack(terms, axis=1).sum(axis=1)
+        loghyp = np.stack(terms, axis=1).sum(axis=1)
         loghyp -= logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]
         return np.stack(cols, axis=1), d * np.exp(loghyp), source
 
