@@ -20,11 +20,11 @@ Two dual processes drive propagation:
 
 ``CIRModel`` defines each primitive the filters read once, in its class
 body: the conjugate update (``log_marginal_point``, ``shift``), the
-pure-death kernel and parameter flow (``pd_kernel``, ``theta_flow``), the
-signal draw and the emission likelihood.  The module-level functions are
-what the dual draws share with it: ``pure_death_flow`` (survival and
-parameter flow of the pure-death dual), the linear B&D rates and draws,
-and the event-driven B&D path.
+pure-death law of the surviving count and the parameter flow
+(``pd_kernel``), the signal draw and the emission likelihood.  The
+module-level functions are what the dual draws share with it:
+``pure_death_flow`` (survival and parameter flow of the pure-death dual),
+the linear B&D rates and draws, and the event-driven B&D path.
 
 ``CIRModel.dual_sampler(kind)`` binds one draw of ``_DUAL_DRAWS`` to the
 shared :class:`~dualfilter.mixtures.DualSampler`: ``pure_death``
@@ -342,29 +342,23 @@ class CIRModel:
                 + a * math.log(theta) - gammaln(a)
                 + gammaln(a + s) - (a + s) * math.log(theta + k * p.tau))
 
-    def pd_kernel(self, points, theta: float, dt: float) -> tuple[np.ndarray, ...]:
-        """Binomial(m, s(dt)) pure-death laws of the ``(M, 1)`` sources ``m``,
-        as the kernel triple ``(arrivals 0..m, probs, source index)``."""
-        m = np.asarray(points, dtype=np.int64)[:, 0]
+    def pd_kernel(self, totals, theta: float, dt: float) -> tuple[np.ndarray, float]:
+        """Binomial(T, s(dt)) laws of the ``totals`` over ``0..T``, concatenated,
+        and ``theta_t``, both from one :func:`pure_death_flow` call."""
+        totals = np.asarray(totals, dtype=np.int64)
         if not dt >= 0:
             raise ConfigError(f"time must be non-negative, not {dt!r}")
-        if np.any(m < 0):
+        if np.any(totals < 0):
             raise ConfigError("m must be non-negative")
-        s, _ = pure_death_flow(dt, theta, self.params)
-        source = np.repeat(np.arange(len(m)), m + 1)
-        top = m[source]
-        n = np.arange(len(source)) - (np.cumsum(m + 1) - (m + 1))[source]
+        s, theta_t = pure_death_flow(dt, theta, self.params)
+        top = np.repeat(totals, totals + 1)
+        n = np.arange(len(top)) - np.repeat(np.cumsum(totals + 1) - totals - 1, totals + 1)
         if s >= 1.0:
-            pmf = (n == top).astype(float)
-        elif s <= 0.0:
-            pmf = (n == 0).astype(float)
-        else:
-            pmf = np.exp(gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
-                         + n * math.log(s) + (top - n) * math.log1p(-s))
-        return n[:, None], pmf, source
-
-    def theta_flow(self, theta: float, dt: float) -> float:
-        return pure_death_flow(dt, theta, self.params)[1]
+            return (n == top).astype(float), theta_t
+        if s <= 0.0:
+            return (n == 0).astype(float), theta_t
+        return np.exp(gammaln(top + 1) - gammaln(n + 1) - gammaln(top - n + 1)
+                      + n * math.log(s) + (top - n) * math.log1p(-s)), theta_t
 
     def dual_sampler(self, kind: str):
         if kind not in _DUAL_DRAWS:

@@ -266,11 +266,15 @@ def smoother(data: Sequence[ObservationRecord], model,
 
     Raises:
         UnsupportedModel: if the trace holds particle clouds.
+        ConfigError: if ``model`` differs in type or ``params`` from the trace's.
         AlignmentError: if the trace times differ from the record times or
             the observation times do not strictly increase.
     """
     if any(not isinstance(s, DualMixture) for s in trace.filtering):
         raise UnsupportedModel("smoothing needs a mixture trace, not particle clouds")
+    if any(type(s.model) is not type(model) or s.model.params != model.params
+           for s in trace.filtering):
+        raise ConfigError("the trace was filtered under a different model")
     if not np.array_equal(trace.times, [r.time for r in data]):
         raise AlignmentError("trace times differ from the record times")
 

@@ -18,13 +18,14 @@ Representation choices:
   components or ``wf.WFModel`` with Dirichlet ones).
 
 The model protocol is the members each operation reads from that model,
-each taking the whole ``(M, K)`` support array at once:
+each taking the whole ``(M, K)`` support array (or its totals) at once:
 
 * start: ``prior_mixture()``, read by the filters and the smoother;
 * update: ``log_marginal_point(points, theta, y)`` and
   ``shift(y, points, theta) -> (points, theta)``;
-* propagation: ``pd_kernel(points, theta, dt) -> (arrivals, probs,
-  source)`` and ``theta_flow(theta, dt)``; particles: ``dual_sampler(kind)``;
+* propagation: ``pd_kernel(totals, theta, dt) -> (laws, theta_t)``, the
+  law of the surviving total (:func:`death_kernel`); particles:
+  ``dual_sampler(kind)``;
 * moments: ``component_moments(points, theta) -> (mean, var)``;
 * densities: ``component_logpdf(x, points, theta)``, which raises
   ``DomainError`` off the state space, and
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigError, DegenerateWeights, InvalidKernel, ZeroLikelihood
 
@@ -63,6 +64,7 @@ __all__ = [
     "ObservationRecord",
     "DualMixture",
     "prune",
+    "death_kernel",
     "propagate",
     "update",
     "dual_particle_propagate",
@@ -266,30 +268,59 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
                                      mix.weights[keep], mix.theta), removed)
 
 
+def death_kernel(model, points, theta, dt: float) -> tuple:
+    """Rows ``(arrivals, probs, source, theta_t)`` of the typed pure-death
+    dual from the ``(M, K)`` sources: each source's box of ``n <= m`` in
+    ``np.meshgrid`` "ij" order, less the rows of zero level probability.
+
+    From ``m`` with ``T = |m|``, ``n`` has probability ``d_T(|n|) * prod_i
+    C(m_i, n_i) / C(T, |n|)``: the law ``d_T`` of the surviving total,
+    which ``model.pd_kernel`` gives with ``theta_t`` for the ascending
+    distinct totals, times a uniform thinning (one for ``K = 1``).
+    """
+    points = np.asarray(points, dtype=np.int64)
+    k = points.shape[1]
+    mtot = points.sum(axis=1)
+    totals, level = np.unique(mtot, return_inverse=True)
+    laws, theta_t = model.pd_kernel(totals, theta, dt)
+    size = np.prod(points + 1, axis=1)
+    source = np.repeat(np.arange(len(points)), size)
+    index = np.arange(len(source)) - np.repeat(np.cumsum(size) - size, size)
+    cols = [None] * k
+    for j in range(k - 1, -1, -1):
+        index, cols[j] = np.divmod(index, (points[:, j] + 1)[source])
+    ntot = sum(cols[1:], cols[0])
+    d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
+    keep = d > 0.0
+    if not keep.all():
+        cols = [c[keep] for c in cols]
+        source, ntot, d = source[keep], ntot[keep], d[keep]
+    logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
+    terms = [logfact[points[:, j]][source] - logfact[cols[j]]
+             - logfact[points[:, j][source] - cols[j]] for j in range(k)]
+    loghyp = np.stack(terms, axis=1).sum(axis=1)
+    loghyp -= logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]
+    return np.stack(cols, axis=1), d * np.exp(loghyp), source, theta_t
+
+
 def propagate(mix: DualMixture, dt: float) -> DualMixture:
     """Push a mixture through its model's pure-death dual over a time step.
 
-    ``mix.model.pd_kernel(points, theta, dt)`` is called once with the
-    whole ``(M, K)`` support and returns ``(arrivals, probs, source)``: an
-    ``(L, K)`` int array of arrival indices, their (sub-)probabilities and
-    the support row each one leaves from, grouped by source in source
-    order.  The arrivals, weighted by their source weights, are merged by
-    :meth:`DualMixture.from_weights`, so the output weight at ``n`` is
-    ``sum_m w_m * kernel(m)[n]``, renormalized.  The deterministic
-    parameter moves by ``mix.model.theta_flow(theta, dt)``.
+    The :func:`death_kernel` rows of the whole support, weighted by their
+    source weights, are merged by :meth:`DualMixture.from_weights`, so the
+    output weight at ``n`` is ``sum_m w_m * kernel(m)[n]``, renormalized.
 
     Raises:
         InvalidKernel: if any source kernel carries mass above ``1 + 1e-8``.
     """
     check_time_step(dt)
-    arrivals, probs, source = mix.model.pd_kernel(mix.points, mix.theta, dt)
+    arrivals, probs, source, theta = death_kernel(mix.model, mix.points, mix.theta, dt)
     mass = np.bincount(source, probs, minlength=mix.support_size)
     heavy = np.flatnonzero(mass > 1.0 + KERNEL_MASS_TOL)
     if heavy.size:
         raise InvalidKernel(f"kernel mass {mass[heavy[0]]:.12f} from "
                             f"{mix.points[heavy[0]].tolist()} exceeds one")
-    return DualMixture.from_weights(mix.model, arrivals, mix.weights[source] * probs,
-                                    mix.model.theta_flow(mix.theta, dt))
+    return DualMixture.from_weights(mix.model, arrivals, mix.weights[source] * probs, theta)
 
 
 def update(mix: DualMixture, y) -> tuple[DualMixture, float]:

@@ -26,10 +26,11 @@ so its transition law is computed exactly and deterministically as a row
 of the generator's matrix exponential.
 
 ``WFModel`` defines each primitive the filters read once, in its class
-body: the conjugate update, the typed-death kernel ``pd_kernel`` (cut at
-``kernel_tail_eps``), the signal draw and the emission likelihood.  The
-module keeps the block-count law, the dual draws and the signal transition
-draw ``wf_transition_sample_many``, which the ``wf_diffusion`` draw shares.
+body: the conjugate update, the block-count law of the typed-death kernel
+(``pd_kernel``, cut at ``kernel_tail_eps``), the signal draw and the
+emission likelihood.  The module keeps the block-count law, the dual draws
+and the signal transition draw ``wf_transition_sample_many``, which the
+``wf_diffusion`` draw shares.
 
 Every ``*_sample_many`` draw takes one start row per path, an ``(N, K)``
 array (a single ``(K,)`` row is one path), and returns one draw per row.
@@ -416,54 +417,22 @@ class WFModel:
         return (gammaln(atot) - gammaln(atot + ctot)
                 + (gammaln(am + c) - gammaln(am)).sum(axis=-1))
 
-    def pd_kernel(self, points, theta, dt: float) -> tuple[np.ndarray, ...]:
-        """Transition laws of the typed Kingman dual from the ``(M, K)`` sources.
-
-        Returns ``(arrivals, probs, source)``: for each source ``m`` in
-        turn, the count vectors ``n <= m`` in ``np.meshgrid`` "ij" order,
-        their transition probabilities over ``dt`` and the source index.
-        With ``kernel_tail_eps = 0`` each source's kernel mass is one up to
-        floating point.  A positive ``kernel_tail_eps`` drops the rows on
-        surviving-count levels whose block probability, in their own
-        source's law, falls below it, losing at most
-        ``(|m|+1)*kernel_tail_eps`` mass; this keeps the propagated support
-        small when ``|m|`` is large but the horizon long.
-
-        Raises:
-            ConfigError: if ``kernel_tail_eps`` drops every row of a source.
-        """
-        p = self.params
-        points = _start_rows(points, p)
-        k = points.shape[1]
-        mtot = points.sum(axis=1)
-        # each source's box of arrivals, decoded one mixed-radix column at a time
-        size = np.prod(points + 1, axis=1)
-        source = np.repeat(np.arange(len(points)), size)
-        index = np.arange(len(source)) - np.repeat(np.cumsum(size) - size, size)
-        cols = [None] * k
-        for j in range(k - 1, -1, -1):
-            index, cols[j] = np.divmod(index, (points[:, j] + 1)[source])
-        ntot = sum(cols[1:], cols[0])
-        # block-count laws of the distinct totals, concatenated like the boxes
-        totals, level = np.unique(mtot, return_inverse=True)
-        laws = np.concatenate([block_count_probs(v, dt, p) for v in totals.tolist()])
-        d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
-        if self.kernel_tail_eps > 0.0:
-            keep = d > self.kernel_tail_eps
-            if not np.all(np.bincount(source[keep], minlength=len(points))):
+    def pd_kernel(self, totals, theta, dt: float) -> tuple:
+        """``(laws, None)``: the :func:`block_count_probs` rows of the
+        ``totals``, concatenated, with the levels at or below
+        ``kernel_tail_eps`` zeroed: a source loses at most
+        ``(|m|+1)*kernel_tail_eps`` mass, and the support stays small when
+        ``|m|`` is large but the horizon long.  Raises ``ConfigError`` if
+        the cut zeroes every level of a total."""
+        laws = []
+        for total in np.asarray(totals).tolist():
+            law = block_count_probs(total, dt, self.params)
+            law = np.where(law > self.kernel_tail_eps, law, 0.0)
+            if not law.any():
                 raise ConfigError(f"kernel_tail_eps {self.kernel_tail_eps!r} drops "
                                   f"every arrival of a source")
-            cols = [c[keep] for c in cols]
-            source, ntot, d = source[keep], ntot[keep], d[keep]
-        logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
-        terms = [logfact[points[:, j]][source] - logfact[cols[j]]
-                 - logfact[points[:, j][source] - cols[j]] for j in range(k)]
-        loghyp = np.stack(terms, axis=1).sum(axis=1)
-        loghyp -= logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]
-        return np.stack(cols, axis=1), d * np.exp(loghyp), source
-
-    def theta_flow(self, theta, dt: float) -> None:
-        return None
+            laws.append(law)
+        return np.concatenate(laws), None
 
     def dual_sampler(self, kind: str):
         if kind not in _DUAL_DRAWS:

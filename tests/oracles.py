@@ -9,7 +9,7 @@ of helper are exceptions: the test-only conveniences
 ``closure_spread``, built on the package's count checks and smoothing
 closure, ``linear_bd_draw_reference``, a frozen copy of the ``bd``
 draw that fixes its random stream, ``wf_pd_kernel_rows``, a frozen copy of
-the vectorized WF kernel that ``WFModel.pd_kernel`` must match bit for bit,
+the vectorized WF kernel that ``mixtures.death_kernel`` must match bit for bit,
 and ``beta_marginal_logpdf_rows``, the per-row Beta marginal formula that
 the package's deduplicated evaluation must match bit for bit.
 """
@@ -34,8 +34,9 @@ from dualfilter.wf import _as_counts, block_count_probs
 # ---------------------------------------------------------------------------
 
 def kernel_dict(kernel) -> dict:
-    """``{arrival tuple: probability}`` of one source's ``(arrivals, probs,
-    source)`` kernel triple, without its zero entries."""
+    """``{arrival tuple: probability}`` of one source's kernel rows,
+    ``death_kernel``'s ``(arrivals, probs, source, theta_t)``, without
+    their zero entries."""
     pts, probs = kernel[:2]
     return {tuple(pt): float(pr) for pt, pr in zip(np.asarray(pts).tolist(), probs)
             if pr > 0.0}
@@ -485,8 +486,8 @@ def wf_pd_kernel_rows(points, dt: float, p, kernel_tail_eps: float = 0.0) -> tup
     """``(arrivals, probs, source)`` of the typed Kingman kernel from the
     ``(M, K)`` sources, frozen as first vectorized: each source's box
     decoded by ``%`` and ``//`` on ``(L, K)`` arrays, the type profile's log
-    terms summed by ``.sum(axis=1)``.  ``WFModel.pd_kernel`` must match it
-    bit for bit."""
+    terms summed by ``.sum(axis=1)``.  ``mixtures.death_kernel`` of a
+    ``WFModel`` must match its rows of nonzero probability bit for bit."""
     points = np.array(points, dtype=np.int64, ndmin=2)
     mtot = points.sum(axis=1)
     span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]

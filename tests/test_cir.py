@@ -244,8 +244,8 @@ def test_linear_bd_zero_start_no_immigration(cir_params, rng):
 # ---------------------------------------------------------------------------
 
 def test_pure_death_theta_endpoints(cir_model):
-    assert cir_model.theta_flow(2.1, 0.0) == pytest.approx(2.1)
-    assert cir_model.theta_flow(2.1, 1e9) == pytest.approx(
+    assert cir_model.pd_kernel(np.array([0]), 2.1, 0.0)[1] == pytest.approx(2.1)
+    assert cir_model.pd_kernel(np.array([0]), 2.1, 1e9)[1] == pytest.approx(
         cir_model.params.beta, rel=1e-12)
 
 
@@ -265,19 +265,19 @@ def test_pure_death_survival_matches_quadrature(cir_params):
 
 
 def test_pure_death_pmf_am_t_zero(cir_model):
-    pmf = cir_model.pd_kernel(np.array([[4]]), 2.1, 0.0)[1]
+    pmf = cir_model.pd_kernel(np.array([4]), 2.1, 0.0)[0]
     np.testing.assert_allclose(pmf, [0, 0, 0, 0, 1.0])
 
 
 def test_pure_death_pmf_normalizes(cir_model):
     for m in (1, 4, 17):
-        pmf = cir_model.pd_kernel(np.array([[m]]), 2.5, 0.2)[1]
+        pmf = cir_model.pd_kernel(np.array([m]), 2.5, 0.2)[0]
         assert abs(pmf.sum() - 1.0) <= 1e-12
 
 
 def test_pure_death_transition_out_of_range(cir_model):
     # the pmf lives on 0..m: no mass above the start or below zero
-    pmf = cir_model.pd_kernel(np.array([[4]]), 2.1, 0.1)[1]
+    pmf = cir_model.pd_kernel(np.array([4]), 2.1, 0.1)[0]
     assert len(pmf) == 5
     assert np.all(pmf >= 0.0)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -292,7 +292,7 @@ def test_pure_death_pmf_matches_thinning_gillespie(cir_params):
         thinning_death_sample(m, t, theta0, p,
                               lambda u, th, pp: pure_death_flow(u, th, pp)[1], rng)
         for _ in range(100_000)])
-    pmf = CIRModel(p).pd_kernel(np.array([[m]]), theta0, t)[1]
+    pmf = CIRModel(p).pd_kernel(np.array([m]), theta0, t)[0]
     assert tv_sample_vs_pmf(samples, pmf) < 0.02
 
 

@@ -72,9 +72,9 @@ def test_config_validation():
     lambda: FilterConfig(method="exact", seed=1.5),
     lambda: FilterConfig(method="bootstrap", n_particles=10, dual_kind="bd"),
     lambda: FilterConfig(method="exact", n_particles=2),
-    lambda: CIR_MODEL.theta_flow(0.0, 0.1),
+    lambda: CIR_MODEL.pd_kernel(np.array([3]), 0.0, 0.1),
     lambda: cir.pure_death_flow(0.1, -1.0, CIR),
-    lambda: CIR_MODEL.pd_kernel(np.array([[-1]]), 2.0, 0.1),
+    lambda: CIR_MODEL.pd_kernel(np.array([-1]), 2.0, 0.1),
     lambda: CIR_MODEL.signal_sample_many(1.0, 0.0, np.random.default_rng(0)),
     lambda: DualMixture(CIR_MODEL, np.array([0, 1]), [0.5, 0.5]),
     lambda: DualMixture(CIR_MODEL, [[-1]], [1.0]),
@@ -103,9 +103,9 @@ def test_config_validation():
     lambda: wf.block_count_probs(5, NAN, WF2),
     lambda: wf.block_count_probs(3, INF, WF2),
     lambda: wf.block_count_probs(0, -1.0, WF2),
-    lambda: WF2_MODEL.pd_kernel([[1, 2]], None, NAN),
-    lambda: CIR_MODEL.pd_kernel([[3]], 2.0, NAN),
-    lambda: CIR_MODEL.theta_flow(NAN, 0.1),
+    lambda: WF2_MODEL.pd_kernel([3], None, NAN),
+    lambda: CIR_MODEL.pd_kernel([3], 2.0, NAN),
+    lambda: CIR_MODEL.pd_kernel([3], NAN, 0.1),
     lambda: cir.pure_death_flow(0.1, NAN, CIR),
     lambda: CIR_MODEL.signal_sample_many(1.0, NAN, np.random.default_rng(0)),
     lambda: cir.linear_bd_sample_many(3, NAN, 2.0, CIR, np.random.default_rng(0), 4),

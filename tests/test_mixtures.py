@@ -26,10 +26,8 @@ def gamma_model(delta=2.0, gamma=1.0, sigma=1.0):
 class StubModel:
     """A model whose update and propagation pieces are the given functions."""
 
-    def __init__(self, kernel=None, theta_flow=lambda th, dt: th, log_marginal=None,
-                 shift=None):
-        self.pd_kernel = kernel
-        self.theta_flow = theta_flow
+    def __init__(self, law=None, log_marginal=None, shift=None):
+        self.pd_kernel = law
         self.log_marginal_point = log_marginal
         self.shift = shift
 
@@ -40,7 +38,8 @@ def test_models_define_every_protocol_member_in_their_class_body():
     doc = mixtures.__doc__
     protocol = doc[doc.index("The model protocol"):doc.index("Mixtures are built")]
     members = set(re.findall(r"``([a-z_][a-z0-9_]*)[(`]", protocol))
-    assert len(members) == 16
+    assert len(members) == 15
+    assert "theta_flow" not in members
     for model in (CIRModel, WFModel):
         assert members <= vars(model).keys(), members - vars(model).keys()
 
@@ -174,67 +173,70 @@ def test_prune_rejects_bad_eps():
 # propagate
 # ---------------------------------------------------------------------------
 
-def identity_kernel(pts, th, dt):
-    return pts, np.ones(len(pts)), np.arange(len(pts))
+def level_law(pick):
+    """A ``pd_kernel`` whose law from each total puts all mass on ``pick(total)``."""
+    def law(totals, th, dt):
+        return np.concatenate([np.arange(t + 1) == pick(t) for t in totals]) * 1.0, th
+    return law
+
+
+identity_law = level_law(lambda t: t)
 
 
 def test_propagate_identity_kernel():
     mix = make_mix([(0,), (2,), (5,)], [0.2, 0.5, 0.3],
-                   model=StubModel(kernel=identity_kernel))
+                   model=StubModel(law=identity_law))
     out = propagate(mix, 0.5)
     np.testing.assert_array_equal(out.points, mix.points)
     np.testing.assert_allclose(out.weights, mix.weights, atol=1e-15)
 
 
 def test_propagate_absorbing_kernel():
-    mix = make_mix([(1,), (4,)], [0.5, 0.5], model=StubModel(
-        kernel=lambda pts, th, dt: (np.zeros_like(pts), np.ones(len(pts)),
-                                    np.arange(len(pts)))))
+    mix = make_mix([(1,), (4,)], [0.5, 0.5], model=StubModel(law=level_law(lambda t: 0)))
     out = propagate(mix, 0.1)
     assert out.points.tolist() == [[0]]
     assert out.weights[0] == 1.0
 
 
 def test_propagate_matches_matrix_exponential():
-    # restricted 3-state birth-death chain; kernel rows from expm are the
-    # exact transition probabilities, propagate must reproduce w @ P
-    q = np.array([[-1.5, 1.5, 0.0],
-                  [0.7, -1.9, 1.2],
-                  [0.0, 2.0, -2.0]])
+    # 3-state pure-death chain; kernel rows from expm are the exact
+    # transition probabilities, propagate must reproduce w @ P
+    q = np.array([[0.0, 0.0, 0.0],
+                  [0.7, -0.7, 0.0],
+                  [0.3, 2.0, -2.3]])
     dt = 0.1
     p_mat = expm(q * dt)
     w = np.array([0.5, 0.3, 0.2])
 
-    def kernel(pts, th, _dt):
-        return (np.tile(np.arange(3), len(pts))[:, None], p_mat[pts[:, 0]].ravel(),
-                np.repeat(np.arange(len(pts)), 3))
+    def law(totals, th, _dt):
+        return np.concatenate([p_mat[t, :t + 1] for t in totals]), th
 
-    mix = make_mix([(0,), (1,), (2,)], w, model=StubModel(kernel=kernel))
+    mix = make_mix([(0,), (1,), (2,)], w, model=StubModel(law=law))
     out = propagate(mix, dt)
     want = w @ p_mat
     np.testing.assert_allclose(np.asarray(out.weights), want, atol=1e-8)
     # mass before renormalization is preserved by a stochastic kernel
     raw = {}
-    for n, pr, src in zip(*kernel(mix.points, None, dt)):
+    for n, pr, src in zip(*mixtures.death_kernel(mix.model, mix.points, None, dt)[:3]):
         raw[n[0]] = raw.get(n[0], 0.0) + mix.weights[src] * pr
     assert abs(math.fsum(raw.values()) - 1.0) <= 1e-8
 
 
 def test_propagate_rejects_super_stochastic_kernel():
     mix = make_mix([(0,)], [1.0], model=StubModel(
-        kernel=lambda pts, th, dt: ([[0], [1]], [0.7, 0.5], [0, 0])))
+        law=lambda totals, th, dt: (np.array([1.2]), th)))
     with pytest.raises(InvalidKernel):
         propagate(mix, 0.1)
     # the error names the source whose mass exceeds one
     mix = make_mix([(0,), (2,)], [0.5, 0.5], model=StubModel(
-        kernel=lambda pts, th, dt: ([[0], [0], [1]], [1.0, 0.7, 0.5], [0, 1, 1])))
+        law=lambda totals, th, dt: (np.array([1.0, 0.7, 0.0, 0.5]), th)))
     with pytest.raises(InvalidKernel, match=r"from \[2\]"):
         propagate(mix, 0.1)
 
 
 def test_propagate_evolves_theta():
     mix = make_mix([(0,)], [1.0], theta=2.0, model=StubModel(
-        kernel=identity_kernel, theta_flow=lambda th, dt: th + dt))
+        law=lambda totals, th, dt: (identity_law(totals, th, dt)[0], th + dt)))
     out = propagate(mix, 0.25)
     assert out.theta == 2.25
 

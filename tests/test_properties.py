@@ -4,6 +4,9 @@ Each mixture example draws a model (CIR, or WF with K = 3), a mixture with
 a few random support rows and weights, one observation batch and a time
 step, and checks the array-backed recursion against direct per-point sums;
 the propagation example also draws the WF kernel's tail threshold.
+Each death-kernel example draws CIR rows, or WF rows with K = 2..4 and a
+kernel cut, and checks each model's law of the surviving total and the
+mass the row builder gives each source.
 Each merge example draws rows of width 1-6, many of them repeated, in
 shuffled order, and checks ``DualMixture.from_weights`` against the
 ``np.unique`` merge of ``tests/oracles.py``.
@@ -21,11 +24,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
-from dualfilter import (CIRModel, CIRParams, DualMixture, FilterConfig,
+from dualfilter import (CIRModel, CIRParams, ConfigError, DualMixture, FilterConfig,
                         ObservationRecord, WFModel, WFParams, propagate, prune,
                         run_filter, update)
+from dualfilter.cir import pure_death_flow
 from dualfilter.errors import DegenerateWeights
+from dualfilter.mixtures import death_kernel
+from dualfilter.wf import block_count_probs
 
 from .oracles import from_weights_unique, linear_bd_draw_reference
 
@@ -63,7 +70,7 @@ def normalized(acc: dict) -> dict:
 def direct_propagate(model, mix, dt) -> dict:
     acc: dict = {}
     for pt, w in zip(mix.points, mix.weights):
-        arrivals, probs, _ = model.pd_kernel(pt[None], mix.theta, dt)
+        arrivals, probs, _, _ = death_kernel(model, pt[None], mix.theta, dt)
         for n, pr in zip(np.asarray(arrivals).tolist(), probs):
             acc[tuple(n)] = acc.get(tuple(n), 0.0) + w * pr
     return normalized(acc)
@@ -104,6 +111,61 @@ def test_propagate_matches_direct_sum(case, tail_eps):
     # the pure-death dual only moves down: every arrival lies below a source
     below = (out.points[:, None, :] <= mix.points[None, :, :]).all(axis=2)
     assert below.any(axis=1).all()
+
+
+@st.composite
+def death_cases(draw):
+    """(model, points, theta, dt): 1-5 distinct rows of the CIR model
+    (counts up to 40), or of a WF model with K = 2..4 (counts up to 6) and a
+    kernel cut of 0, 1e-6, 0.05 or 0.6."""
+    if draw(st.booleans()):
+        model, theta = CIR, CIR.params.beta + draw(st.floats(0.0, 3.0))
+        row = st.tuples(st.integers(0, 40))
+    else:
+        k = draw(st.integers(2, 4))
+        alpha = draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k))
+        model = WFModel(WFParams(alpha), draw(st.sampled_from([0.0, 1e-6, 0.05, 0.6])))
+        theta, row = None, st.tuples(*[st.integers(0, 6)] * k)
+    points = np.array(draw(st.lists(row, min_size=1, max_size=5, unique=True)))
+    return model, points, theta, draw(st.floats(0.01, 2.0))
+
+
+@PROPERTY_SETTINGS
+@given(death_cases())
+def test_level_laws_and_death_kernel_rows(case):
+    model, points, theta, dt = case
+    totals = np.unique(points.sum(axis=1))
+    eps = getattr(model, "kernel_tail_eps", 0.0)
+    if model is CIR:
+        s, flow = pure_death_flow(dt, theta, CIR.params)
+        want = [binom.pmf(np.arange(t + 1), t, s) for t in totals]
+    else:
+        # the cut zeroes exactly the levels at or below it, and a total
+        # that keeps no level raises
+        flow, want = None, [np.where(d > eps, d, 0.0) for d in
+                            (block_count_probs(t, dt, model.params) for t in totals)]
+        if not all(w.any() for w in want):
+            with pytest.raises(ConfigError, match="kernel_tail_eps"):
+                model.pd_kernel(totals, theta, dt)
+            return
+    laws, theta_t = model.pd_kernel(totals, theta, dt)
+    assert theta_t == flow
+    segments = np.split(laws, np.cumsum(totals + 1)[:-1])
+    for seg, w, t in zip(segments, want, totals, strict=True):
+        assert len(seg) == t + 1 and np.all(seg >= 0.0)
+        if model is CIR:
+            np.testing.assert_allclose(seg, w, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(seg, w)
+        if eps == 0.0:
+            assert abs(math.fsum(seg) - 1.0) <= 1e-12
+    # the row builder's mass from each source is one, less the cut levels
+    _, probs, source, theta_b = death_kernel(model, points, theta, dt)
+    assert theta_b == theta_t
+    mass = np.bincount(source, probs, minlength=len(points))
+    lost = np.array([1.0 - math.fsum(w) for w in want])
+    np.testing.assert_allclose(mass, 1.0 - lost[np.searchsorted(totals, points.sum(axis=1))],
+                               rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS
@@ -223,7 +285,7 @@ def test_sampler_returns_one_int_row_per_particle(case):
     assert np.issubdtype(out.dtype, np.integer)
     assert np.all(out >= 0)
     assert theta_t == (None if model is WF
-                       else CIR.theta_flow(theta, dt) if kind == "pure_death"
+                       else CIR.pd_kernel([0], theta, dt)[1] if kind == "pure_death"
                        else theta)
 
 

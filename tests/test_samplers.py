@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dualfilter.cir import linear_bd_rates, linear_bd_sample_many, pure_death_flow
+from dualfilter.mixtures import death_kernel
 from dualfilter.wf import wf_chain_sample_many
 
 from .oracles import (kernel_dict, linear_bd_draw_reference, linear_bd_kernel_row,
@@ -96,7 +97,7 @@ def test_batched_typed_death_matches_kernel(wf3_model):
     counts, t = np.array([50_000, 50_000]), 0.3
     out = _draw(wf3_model, "pure_death", WF_POINTS, counts, t, 6)
     for src, block in zip(WF_POINTS, _blocks(out, counts)):
-        kern = kernel_dict(wf3_model.pd_kernel(src[None], None, t))
+        kern = kernel_dict(death_kernel(wf3_model, src[None], None, t))
         assert _tv(block, kern) < 0.02
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from dualfilter import (AlignmentError, FilterConfig, ObservationRecord,
-                        UnsupportedModel, WFModel, WFParams, mixture_moments,
-                        run_filter, smoother)
+from dualfilter import (AlignmentError, CIRModel, CIRParams, ConfigError, FilterConfig,
+                        ObservationRecord, UnsupportedModel, WFModel, WFParams,
+                        mixture_moments, run_filter, smoother)
 from dualfilter.mixtures import mixture_pdf
 
 from .oracles import (cir_grid_forward_backward, cir_log_density_ratio, closure_spread,
@@ -134,17 +134,21 @@ def test_smoothing_matches_grid_forward_backward(cir_model):
     np.testing.assert_allclose(dens, grid["smooth"][0], atol=2e-3)
 
 
-@pytest.mark.parametrize("gap", [1.0, 0.1, 0.05])
+@pytest.mark.parametrize("gap", [1.0, 0.1, 0.05, pytest.param(
+    np.random.default_rng(11).exponential(0.4, 4), id="exponential")])
 @pytest.mark.parametrize("alpha", [(1.1, 1.1), (3.0, 1.5), (0.7, 2.0), (1.1, 0.7, 2.0)])
 def test_wf_exact_filter_and_smoother_match_spectral_oracle(alpha, gap):
     # 5 records of 6-20 draws; the K = 3 model sees (c1, 0, 0) only, so its
-    # first coordinate is the two-type model (a1, a2 + a3) seeing (c1, 0)
+    # first coordinate is the two-type model (a1, a2 + a3) seeing (c1, 0).
+    # ``gap`` is one equal gap or the four irregular gaps 0.092-0.449
+    times = ([i * gap for i in range(5)] if np.isscalar(gap)
+             else np.cumsum(np.r_[0.0, gap]).tolist())
     rng = np.random.default_rng(7)
     records = []
-    for i in range(5):
+    for t in times:
         n = int(rng.integers(6, 21))
         c1 = int(rng.binomial(n, 0.35))
-        records.append(ObservationRecord(i * gap, (c1, n - c1) if len(alpha) == 2
+        records.append(ObservationRecord(t, (c1, n - c1) if len(alpha) == 2
                                          else (c1, 0, 0)))
     model = WFModel(WFParams(alpha))
     trace = run_filter(records, FilterConfig("exact"), model)
@@ -191,6 +195,21 @@ def test_smoother_rejects_trace_at_other_times(cir_model):
                        cir_model)
     with pytest.raises(AlignmentError):
         smoother(cir_records([4, 2, 7], dt=5.0), cir_model, trace)
+
+
+def test_smoother_rejects_a_model_other_than_the_traces(cir_model, wf3_params):
+    records = cir_records([4, 2, 7])
+    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
+    with pytest.raises(ConfigError, match="different model"):
+        smoother(records, CIRModel(CIRParams(3.0, 0.2, 2.0)), trace)
+    with pytest.raises(ConfigError, match="different model"):
+        smoother(records, WFModel(WFParams((1.1, 1.1))), trace)
+    # an equal model built anew is accepted, and so is a WF model that
+    # differs only in its kernel cut
+    assert len(smoother(records, CIRModel(cir_model.params), trace)) == 3
+    wf_records = [ObservationRecord(0.0, (2, 1, 0)), ObservationRecord(0.5, (0, 1, 2))]
+    wf_trace = run_filter(wf_records, FilterConfig(method="exact"), WFModel(wf3_params))
+    assert len(smoother(wf_records, WFModel(wf3_params, 1e-14), wf_trace)) == 2
 
 
 def test_smoother_pruned_trace_close_to_exact(cir_model):

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from dualfilter import (ConfigError, DimensionError, FilterConfig, ObservationRecord,
                         WFModel, WFParams, run_filter)
+from dualfilter.mixtures import death_kernel
 from dualfilter.wf import (block_count_probs, moran_sample_many,
                            typed_death_sample_many, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
@@ -25,7 +26,7 @@ from .oracles import wf_density_ratio as density_ratio
 
 
 def typed_kernel(m, t, p, tail_eps=0.0) -> dict:
-    return kernel_dict(WFModel(p, tail_eps).pd_kernel(np.array([m]), None, t))
+    return kernel_dict(death_kernel(WFModel(p, tail_eps), np.array([m]), None, t))
 
 
 def log_marginal_at(m, y, p) -> float:
@@ -368,8 +369,9 @@ def kernel_cases(draw):
 def test_pd_kernel_matches_frozen_vectorized_kernel(case, eps):
     sources, alpha, dt = case
     p = WFParams(alpha)
-    got = WFModel(p, eps).pd_kernel(sources, None, dt)
+    got = death_kernel(WFModel(p, eps), sources, None, dt)[:3]
     want = wf_pd_kernel_rows(sources, dt, p, eps)
+    want = [w[want[1] > 0.0] for w in want]
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
