@@ -21,7 +21,7 @@ processes.  A worker runs one replicate at a time (its context, then its
 cells); rows are flushed in cell order after all replicates complete.  The
 manifest's ``seed_table`` holds the seed each cell ran with: the
 ``FilterConfig`` seed of a filtering cell, the SeedSequence entropy list of
-a predictive cell.
+a predictive cell, and its ``reference`` the thresholds of :data:`REFERENCE`.
 """
 
 from __future__ import annotations
@@ -71,11 +71,9 @@ METHOD_TABLE = {
     "bootstrap": ("bootstrap", ""),
 }
 
-#: pruning threshold of the reference filter in filtering scenarios; the
+#: reference filter of the filtering scenarios, for both models: the
 #: induced mean error is orders of magnitude below the particle errors
-REFERENCE_PRUNE_EPS = 1e-10
-#: typed-kernel tail truncation used only by the WF reference filter
-REFERENCE_KERNEL_TAIL = 1e-14
+REFERENCE = FilterConfig("pruned", prune_eps=1e-10, kernel_tail_eps=1e-14)
 
 
 @dataclass(frozen=True)
@@ -132,10 +130,10 @@ class ExperimentSpec:
                 raise ConfigError(f"forced_last must have {len(self.params)} counts, "
                                   f"not {len(last)}")
 
-    def build_model(self, kernel_tail_eps: float = 0.0):
+    def build_model(self):
         if self.model == "cir":
             return CIRModel(CIRParams(*self.params))
-        return WFModel(WFParams(tuple(self.params)), kernel_tail_eps)
+        return WFModel(WFParams(tuple(self.params)))
 
 
 PRESETS: dict = {
@@ -269,14 +267,11 @@ def _predictive_context(spec: ExperimentSpec, rep: int) -> dict:
 
 
 def _filtering_context(spec: ExperimentSpec, rep: int) -> dict:
-    tail = REFERENCE_KERNEL_TAIL if spec.model == "wf" else 0.0
-    ref_model = spec.build_model(kernel_tail_eps=tail)
+    model = spec.build_model()
     rng = _derive_rng(_entropy(spec.seed, spec.scenario, 0xDA7A, rep))
     signal, records = simulate_dataset(spec, rng)
-    ref_cfg = FilterConfig(method="pruned", prune_eps=REFERENCE_PRUNE_EPS)
-    ref_trace = run_filter(records, ref_cfg, ref_model)
-    return dict(model=spec.build_model(), records=records, signal=signal,
-                ref_trace=ref_trace)
+    return dict(model=model, records=records, signal=signal,
+                ref_trace=run_filter(records, REFERENCE, model))
 
 
 def _predictive_cell(spec: ExperimentSpec, ctx: dict, seed: list[int],
@@ -391,8 +386,8 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": __import__("scipy").__version__,
-        "reference": {"prune_eps": REFERENCE_PRUNE_EPS,
-                      "kernel_tail_eps": REFERENCE_KERNEL_TAIL}
+        "reference": {"prune_eps": REFERENCE.prune_eps,
+                      "kernel_tail_eps": REFERENCE.kernel_tail_eps}
         if spec.flavor == "filtering" else {"method": "exact"},
         "seed_table": {str(idx): seed for idx, seed, _, _, _ in cells},
         "wall_times_s": {str(idx): wall_s for idx, _, _, wall_s, _ in cells},

@@ -7,8 +7,8 @@ the gap to the next observation time (the times must strictly increase):
 
 * ``exact``: the finite-mixture recursion driven by the model's
   pure-death dual (closed-form transitions, polynomial support growth);
-* ``pruned``: the same recursion with small arrival weights dropped and
-  the remainder renormalized after every propagation;
+* ``pruned``: the same recursion with small kernel levels and arrival
+  weights dropped and the remainder renormalized after every propagation;
 * ``dual_particle``: exact Bayes updates of a finite mixture combined
   with a particle approximation of the propagation on the dual space
   (a Baum-Welch-style filter with systematic resampling of dual indices);
@@ -58,12 +58,15 @@ class FilterConfig:
     """Which inference procedure to run and with what knobs.
 
     No time step is configured: the filters step by the gaps between the
-    observation times.  Particle methods resample systematically.
+    observation times.  Particle methods resample systematically.  The
+    truncations ``prune_eps`` and ``kernel_tail_eps`` (see :func:`_steps`)
+    lie in ``[0, 1)`` and need method ``pruned`` when positive.
     """
 
     method: str                   # member of _METHODS
     seed: int = 0
     prune_eps: float = 0.0
+    kernel_tail_eps: float = 0.0
     n_particles: int | None = None
     # CIR: pure_death | bd | bd_gillespie; WF: pure_death | moran | wf_chain | wf_diffusion
     dual_kind: str | None = None
@@ -71,10 +74,12 @@ class FilterConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if not 0.0 <= self.prune_eps < 1.0:
-            raise ConfigError("prune_eps must lie in [0, 1)")
-        if self.prune_eps > 0.0 and self.method != "pruned":
-            raise ConfigError(f"prune_eps > 0 needs method 'pruned', not {self.method!r}")
+        for name in ("prune_eps", "kernel_tail_eps"):
+            eps = getattr(self, name)
+            if not 0.0 <= eps < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), not {eps!r}")
+            if eps > 0.0 and self.method != "pruned":
+                raise ConfigError(f"{name} > 0 needs method 'pruned', not {self.method!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.n_particles is not None and not isinstance(self.n_particles,
@@ -174,8 +179,9 @@ def _steps(cfg: FilterConfig, model, rng: np.random.Generator | None) -> tuple:
     """``(start, update_step, propagate_step)`` of ``cfg.method`` for :func:`_recursion`.
 
     ``exact`` and ``pruned`` start at the prior mixture and propagate with
-    the pure-death kernel and parameter flow, dropping arrival weights
-    below ``prune_eps`` (the identity at ``prune_eps = 0``).
+    the pure-death kernel and parameter flow, its levels cut at
+    ``kernel_tail_eps``, then drop arrival weights below ``prune_eps``
+    (both the identity at 0, as on ``exact``).
     ``dual_particle`` instead pushes ``n_particles`` systematically
     resampled dual indices through the ``dual_kind`` sampler.  Both update
     a mixture exactly.  ``bootstrap`` starts from ``n_particles`` prior
@@ -210,7 +216,7 @@ def _steps(cfg: FilterConfig, model, rng: np.random.Generator | None) -> tuple:
             return dual_particle_propagate(mix, sampler, cfg.n_particles, gap, rng)
     else:
         def move_mixture(mix, gap):
-            return prune(propagate(mix, gap), cfg.prune_eps)[0]
+            return prune(propagate(mix, gap, cfg.kernel_tail_eps), cfg.prune_eps)[0]
 
     return model.prior_mixture(), update, move_mixture
 

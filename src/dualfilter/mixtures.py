@@ -24,7 +24,8 @@ each taking the whole ``(M, K)`` support array (or its totals) at once:
 * update: ``log_marginal_point(points, theta, y)`` and
   ``shift(y, points, theta) -> (points, theta)``;
 * propagation: ``pd_kernel(totals, theta, dt) -> (laws, theta_t)``, the
-  law of the surviving total (:func:`death_kernel`); particles:
+  exact law of the surviving total, which :func:`death_kernel` thins over
+  the types and cuts at a level threshold; particles:
   ``dual_sampler(kind)``;
 * moments: ``component_moments(points, theta) -> (mean, var)``;
 * densities: ``component_logpdf(x, points, theta)``, which raises
@@ -178,8 +179,8 @@ class DualMixture:
         row order; ``np.unique`` of the keys gives the output rows and
         ``np.bincount`` merges each row's weights by adding them in input
         order.  Where the radix product reaches ``2**63``, or a coordinate
-        is negative, one stable ``np.lexsort`` sorts the rows instead, with
-        the same rows and sums.  The total is normalized to one, and rows
+        is negative, ``np.unique`` of the rows themselves gives the same
+        rows and sums.  The total is normalized to one, and rows
         whose normalized weight is zero are dropped, including denormal weights
         that underflow in the division.  The output rows do not depend on
         the order of the input rows, but the merged weights do in the last
@@ -216,13 +217,8 @@ class DualMixture:
                 uniq, rows[:, j] = np.divmod(uniq, radix[j])
             rows[:, 0] = uniq
         else:
-            order = np.lexsort(points.T[::-1])
-            rows = points[order]
-            starts = np.empty(len(rows), dtype=bool)
-            starts[0] = True
-            np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
-            merged = np.bincount(np.cumsum(starts) - 1, weights[order])
-            rows = rows[starts]
+            rows, inverse = np.unique(points, axis=0, return_inverse=True)
+            merged = np.bincount(inverse, weights)
         merged /= math.fsum(merged)
         keep = merged > 0.0
         return cls(model=model, points=rows[keep], weights=merged[keep],
@@ -268,7 +264,7 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
                                      mix.weights[keep], mix.theta), removed)
 
 
-def death_kernel(model, points, theta, dt: float) -> tuple:
+def death_kernel(model, points, theta, dt: float, kernel_tail_eps: float = 0.0) -> tuple:
     """Rows ``(arrivals, probs, source, theta_t)`` of the typed pure-death
     dual from the ``(M, K)`` sources: each source's box of ``n <= m`` in
     ``np.meshgrid`` "ij" order, less the rows of zero level probability.
@@ -276,13 +272,21 @@ def death_kernel(model, points, theta, dt: float) -> tuple:
     From ``m`` with ``T = |m|``, ``n`` has probability ``d_T(|n|) * prod_i
     C(m_i, n_i) / C(T, |n|)``: the law ``d_T`` of the surviving total,
     which ``model.pd_kernel`` gives with ``theta_t`` for the ascending
-    distinct totals, times a uniform thinning (one for ``K = 1``).
+    distinct totals, times a uniform thinning (one for ``K = 1``).  The
+    levels ``d_T(l) <= kernel_tail_eps`` are zeroed, so a source loses at
+    most ``(T + 1) * kernel_tail_eps`` mass; ``0`` keeps the exact kernel.
+
+    Raises:
+        ConfigError: if ``kernel_tail_eps`` is not in ``[0, 1)``.
     """
+    if not 0.0 <= kernel_tail_eps < 1.0:
+        raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
     points = np.asarray(points, dtype=np.int64)
     k = points.shape[1]
     mtot = points.sum(axis=1)
     totals, level = np.unique(mtot, return_inverse=True)
     laws, theta_t = model.pd_kernel(totals, theta, dt)
+    laws = np.where(laws > kernel_tail_eps, laws, 0.0)
     size = np.prod(points + 1, axis=1)
     source = np.repeat(np.arange(len(points)), size)
     index = np.arange(len(source)) - np.repeat(np.cumsum(size) - size, size)
@@ -303,19 +307,26 @@ def death_kernel(model, points, theta, dt: float) -> tuple:
     return np.stack(cols, axis=1), d * np.exp(loghyp), source, theta_t
 
 
-def propagate(mix: DualMixture, dt: float) -> DualMixture:
+def propagate(mix: DualMixture, dt: float, kernel_tail_eps: float = 0.0) -> DualMixture:
     """Push a mixture through its model's pure-death dual over a time step.
 
-    The :func:`death_kernel` rows of the whole support, weighted by their
-    source weights, are merged by :meth:`DualMixture.from_weights`, so the
-    output weight at ``n`` is ``sum_m w_m * kernel(m)[n]``, renormalized.
+    The :func:`death_kernel` rows of the whole support, cut at
+    ``kernel_tail_eps``, weighted by their source weights, are merged by
+    :meth:`DualMixture.from_weights`, so the output weight at ``n`` is
+    ``sum_m w_m * kernel(m)[n]``, renormalized.
 
     Raises:
+        ConfigError: if ``kernel_tail_eps`` is not in ``[0, 1)``, or the cut
+            drops every arrival of a source.
         InvalidKernel: if any source kernel carries mass above ``1 + 1e-8``.
     """
     check_time_step(dt)
-    arrivals, probs, source, theta = death_kernel(mix.model, mix.points, mix.theta, dt)
+    arrivals, probs, source, theta = death_kernel(mix.model, mix.points, mix.theta, dt,
+                                                  kernel_tail_eps)
     mass = np.bincount(source, probs, minlength=mix.support_size)
+    if not mass.all():
+        raise ConfigError(f"kernel_tail_eps {kernel_tail_eps!r} drops every arrival "
+                          f"from {mix.points[mass.argmin()].tolist()}")
     heavy = np.flatnonzero(mass > 1.0 + KERNEL_MASS_TOL)
     if heavy.size:
         raise InvalidKernel(f"kernel mass {mass[heavy[0]]:.12f} from "

@@ -26,11 +26,10 @@ so its transition law is computed exactly and deterministically as a row
 of the generator's matrix exponential.
 
 ``WFModel`` defines each primitive the filters read once, in its class
-body: the conjugate update, the block-count law of the typed-death kernel
-(``pd_kernel``, cut at ``kernel_tail_eps``), the signal draw and the
-emission likelihood.  The module keeps the block-count law, the dual draws
-and the signal transition draw ``wf_transition_sample_many``, which the
-``wf_diffusion`` draw shares.
+body: the conjugate update, the exact block-count law of the typed-death
+kernel (``pd_kernel``), the signal draw and the emission likelihood.  The
+module keeps the block-count law, the dual draws and the signal transition
+draw ``wf_transition_sample_many``, which the ``wf_diffusion`` draw shares.
 
 Every ``*_sample_many`` draw takes one start row per path, an ``(N, K)``
 array (a single ``(K,)`` row is one path), and returns one draw per row.
@@ -361,10 +360,6 @@ _DUAL_DRAWS = {
 class WFModel:
     """Bundles the WF primitives behind the interface the filters consume.
 
-    ``kernel_tail_eps``, in ``[0, 1)``, is the level cut of :meth:`pd_kernel`;
-    leave it at zero for exact kernels and set a tiny positive value to
-    truncate negligible surviving-count levels in long-horizon pruned runs.
-
     Its mixtures hold Dirichlet(alpha + n) components; the component
     methods take the ``(M, K)`` support array of a mixture and return one
     row per support point.
@@ -374,11 +369,8 @@ class WFModel:
     #: tolerance on simplex membership
     SIMPLEX_TOL = 1e-10
 
-    def __init__(self, params: WFParams, kernel_tail_eps: float = 0.0):
-        if not 0.0 <= kernel_tail_eps < 1.0:
-            raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
+    def __init__(self, params: WFParams):
         self.params = params
-        self.kernel_tail_eps = kernel_tail_eps
 
     @property
     def signal_dim(self) -> int:
@@ -419,20 +411,9 @@ class WFModel:
 
     def pd_kernel(self, totals, theta, dt: float) -> tuple:
         """``(laws, None)``: the :func:`block_count_probs` rows of the
-        ``totals``, concatenated, with the levels at or below
-        ``kernel_tail_eps`` zeroed: a source loses at most
-        ``(|m|+1)*kernel_tail_eps`` mass, and the support stays small when
-        ``|m|`` is large but the horizon long.  Raises ``ConfigError`` if
-        the cut zeroes every level of a total."""
-        laws = []
-        for total in np.asarray(totals).tolist():
-            law = block_count_probs(total, dt, self.params)
-            law = np.where(law > self.kernel_tail_eps, law, 0.0)
-            if not law.any():
-                raise ConfigError(f"kernel_tail_eps {self.kernel_tail_eps!r} drops "
-                                  f"every arrival of a source")
-            laws.append(law)
-        return np.concatenate(laws), None
+        ``totals``, concatenated."""
+        return np.concatenate([block_count_probs(total, dt, self.params)
+                               for total in np.asarray(totals).tolist()]), None
 
     def dual_sampler(self, kind: str):
         if kind not in _DUAL_DRAWS:

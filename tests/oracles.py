@@ -349,7 +349,7 @@ def cir_transition_matrix(grid: np.ndarray, t: float, p) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=4)
 def _cir_grid_transition(n_grid: int, hi: float, dt: float, p) -> np.ndarray:
     """:func:`cir_transition_matrix` on the forward-backward grid, built once
     per key (a 2400-point build takes seconds) and returned read-only."""
@@ -358,13 +358,15 @@ def _cir_grid_transition(n_grid: int, hi: float, dt: float, p) -> np.ndarray:
     return trans
 
 
-def cir_grid_forward_backward(records, dt: float, p, n_grid: int = 2400,
-                              hi: float | None = None):
+def cir_grid_forward_backward(records, p, n_grid: int = 2400, hi: float | None = None):
     """Grid-based forward-backward pass for the CIR HMM.
 
-    Returns per-step dicts with filtering/predictive/smoothing means and
-    the log marginal likelihood, all computed by trapezoid integration on
-    a fixed grid with the exact (noncentral chi-square) transition density.
+    Steps by the gaps between the record times, with one cached transition
+    matrix per distinct gap; gaps that agree to 12 significant digits, such
+    as the float differences of ``0.1 * i``, share one.  Returns per-step
+    dicts with filtering/predictive/smoothing means and the log marginal
+    likelihood, all computed by trapezoid integration on a fixed grid with
+    the exact (noncentral chi-square) transition density.
     """
     from dualfilter.cir import CIRModel
 
@@ -374,7 +376,8 @@ def cir_grid_forward_backward(records, dt: float, p, n_grid: int = 2400,
     grid = np.linspace(1e-9, hi, n_grid)
     w = np.gradient(grid)
     prior = gamma_pdf(grid, p.alpha, p.beta)
-    trans = _cir_grid_transition(n_grid, hi, dt, p)
+    gaps = [float(f"{g:.12g}") for g in np.diff([r.time for r in records])]
+    trans = [_cir_grid_transition(n_grid, hi, g, p) for g in gaps]
 
     filt, pred, loglik = [], [], []
     cur_pred = prior
@@ -389,13 +392,13 @@ def cir_grid_forward_backward(records, dt: float, p, n_grid: int = 2400,
         f = joint / z
         filt.append(f)
         if i + 1 < len(records):
-            cur_pred = (f * w) @ trans
+            cur_pred = (f * w) @ trans[i]
 
     n = len(records)
     back = [np.ones_like(grid)]
     for i in range(n - 2, -1, -1):
         nxt = likes[i + 1] * back[0]
-        back.insert(0, trans @ (nxt * w))
+        back.insert(0, trans[i] @ (nxt * w))
     smooth = []
     for f, b in zip(filt, back):
         s = f * b

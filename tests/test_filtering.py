@@ -51,6 +51,10 @@ def test_config_validation():
     lambda: FilterConfig(method="nope"),
     lambda: FilterConfig(method="exact", prune_eps=1.0),
     lambda: FilterConfig(method="exact", prune_eps=0.05),
+    lambda: FilterConfig(method="exact", kernel_tail_eps=1e-14),
+    lambda: FilterConfig(method="dual_particle", n_particles=10, dual_kind="pure_death",
+                         kernel_tail_eps=1e-14),
+    lambda: FilterConfig(method="bootstrap", n_particles=10, kernel_tail_eps=1e-14),
     lambda: FilterConfig(method="bootstrap"),
     lambda: FilterConfig(method="dual_particle", n_particles=100),
     lambda: ObservationRecord(-0.1, (1,)),
@@ -118,8 +122,9 @@ def test_config_validation():
     lambda: dual_particle_propagate(CIR_MODEL.prior_mixture(),
                                     CIR_MODEL.dual_sampler("bd_gillespie"), 4, NAN,
                                     np.random.default_rng(0)),
-], ids=["method", "prune_eps", "prune_eps_unpruned", "n_particles", "dual_kind",
-        "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
+], ids=["method", "prune_eps", "prune_eps_unpruned", "kernel_tail_eps_exact",
+        "kernel_tail_eps_dual_particle", "kernel_tail_eps_bootstrap", "n_particles",
+        "dual_kind", "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
         "cir_kind", "wf_kind", "record_fractional_count", "record_nan_count",
         "record_inf_count", "record_nan_time", "cir_nan_param", "wf_nan_weight",
         "wf_inf_weight", "fractional_n_particles", "negative_seed",
@@ -180,7 +185,7 @@ def test_exact_matches_grid_forward_backward(cir_model):
     records = cir_records([4, 2, 7, 3, 5])
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
-    grid = cir_grid_forward_backward(records, 0.1, cir_model.params)
+    grid = cir_grid_forward_backward(records, cir_model.params)
     np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"],
                                atol=2e-4)
     np.testing.assert_allclose(trace.filt_sd[:, 0], grid["filt_sd"], atol=2e-4)

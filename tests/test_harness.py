@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualfilter import ConfigError
+from dualfilter import ConfigError, FilterConfig, run_filter
 from dualfilter.cli import main
 from dualfilter.experiments import (CSV_HEADER, PRESETS, build_spec,
                                     run_scenario, simulate_dataset)
@@ -209,6 +209,24 @@ def test_manifest_seed_reruns_filtering_cell(tmp_path):
                                           rep, label, n)]
     # a cell's rows are the ones with its (method, dual, N, replicate)
     assert got == [row for row in rows if row[1:5] == got[0][1:5]]
+
+
+@pytest.mark.parametrize("scenario", ["cir_filtering", "wf_filtering"])
+def test_manifest_reference_reruns_the_reference_trace(tmp_path, scenario):
+    import dualfilter.experiments as exp
+
+    spec = build_spec(scenario, tiny_config(replicates=1, particle_counts=[10],
+                                            methods=["pd"]), seed=5)
+    assert run_scenario(spec, tmp_path) == 0
+    manifest = json.loads((tmp_path / f"{scenario}_manifest.json").read_text())
+    cfg = FilterConfig(method="pruned", **manifest["reference"])
+    ctx = exp._filtering_context(spec, 0)
+    got, want = run_filter(ctx["records"], cfg, ctx["model"]), ctx["ref_trace"]
+    for a, b in zip(got.predictive + got.filtering, want.predictive + want.filtering,
+                    strict=True):
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+        assert a.theta == b.theta
+    assert np.array_equal(got.loglik, want.loglik)
 
 
 def test_run_scenario_reruns_byte_identical(tmp_path):
@@ -414,6 +432,15 @@ def test_console_entry_point_help():
                             env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0
     assert "--scenario" in result.stdout
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    exec(compile(block[:block.index("```")], "README.md", "exec"), {})
+    # the exact filter's means, the particle errors and one smoothed row per time
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 5
 
 
 def test_cir_runs_never_import_scipy_linalg(tmp_path):

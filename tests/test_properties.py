@@ -3,10 +3,11 @@
 Each mixture example draws a model (CIR, or WF with K = 3), a mixture with
 a few random support rows and weights, one observation batch and a time
 step, and checks the array-backed recursion against direct per-point sums;
-the propagation example also draws the WF kernel's tail threshold.
-Each death-kernel example draws CIR rows, or WF rows with K = 2..4 and a
-kernel cut, and checks each model's law of the surviving total and the
-mass the row builder gives each source.
+the propagation example also draws the kernel's tail threshold.
+Each death-kernel example draws CIR rows, or WF rows with K = 2..4, and a
+kernel cut, and checks each model's exact law of the surviving total, the
+mass the row builder gives each source under the cut, and that propagation
+raises where the cut drops every arrival of a source.
 Each merge example draws rows of width 1-6, many of them repeated, in
 shuffled order, and checks ``DualMixture.from_weights`` against the
 ``np.unique`` merge of ``tests/oracles.py``.
@@ -17,7 +18,6 @@ draws what the reference draw of ``tests/oracles.py`` draws source by
 source from the same seed.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -67,10 +67,11 @@ def normalized(acc: dict) -> dict:
     return {k: v / total for k, v in acc.items()}
 
 
-def direct_propagate(model, mix, dt) -> dict:
+def direct_propagate(model, mix, dt, kernel_tail_eps) -> dict:
     acc: dict = {}
     for pt, w in zip(mix.points, mix.weights):
-        arrivals, probs, _, _ = death_kernel(model, pt[None], mix.theta, dt)
+        arrivals, probs, _, _ = death_kernel(model, pt[None], mix.theta, dt,
+                                             kernel_tail_eps)
         for n, pr in zip(np.asarray(arrivals).tolist(), probs):
             acc[tuple(n)] = acc.get(tuple(n), 0.0) + w * pr
     return normalized(acc)
@@ -104,10 +105,8 @@ def test_propagate_matches_direct_sum(case, tail_eps):
         # rows of different totals have different block-count rows, which
         # pins the tail filter to each source's own row
         assume(tail_eps == 0.0 or len(np.unique(mix.points.sum(axis=1))) > 1)
-        model = WFModel(WF.params, kernel_tail_eps=tail_eps)
-        mix = dataclasses.replace(mix, model=model)
-    out = propagate(mix, dt)
-    assert_matches(out, direct_propagate(model, mix, dt))
+    out = propagate(mix, dt, tail_eps)
+    assert_matches(out, direct_propagate(model, mix, dt, tail_eps))
     # the pure-death dual only moves down: every arrival lies below a source
     below = (out.points[:, None, :] <= mix.points[None, :, :]).all(axis=2)
     assert below.any(axis=1).all()
@@ -115,39 +114,32 @@ def test_propagate_matches_direct_sum(case, tail_eps):
 
 @st.composite
 def death_cases(draw):
-    """(model, points, theta, dt): 1-5 distinct rows of the CIR model
-    (counts up to 40), or of a WF model with K = 2..4 (counts up to 6) and a
-    kernel cut of 0, 1e-6, 0.05 or 0.6."""
+    """(model, points, theta, dt, eps): 1-5 distinct rows of the CIR model
+    (counts up to 40), or of a WF model with K = 2..4 (counts up to 6), and
+    a kernel cut of 0, 1e-6, 0.05 or 0.6."""
     if draw(st.booleans()):
         model, theta = CIR, CIR.params.beta + draw(st.floats(0.0, 3.0))
         row = st.tuples(st.integers(0, 40))
     else:
         k = draw(st.integers(2, 4))
         alpha = draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k))
-        model = WFModel(WFParams(alpha), draw(st.sampled_from([0.0, 1e-6, 0.05, 0.6])))
+        model = WFModel(WFParams(alpha))
         theta, row = None, st.tuples(*[st.integers(0, 6)] * k)
+    eps = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.6]))
     points = np.array(draw(st.lists(row, min_size=1, max_size=5, unique=True)))
-    return model, points, theta, draw(st.floats(0.01, 2.0))
+    return model, points, theta, draw(st.floats(0.01, 2.0)), eps
 
 
 @PROPERTY_SETTINGS
 @given(death_cases())
 def test_level_laws_and_death_kernel_rows(case):
-    model, points, theta, dt = case
+    model, points, theta, dt, eps = case
     totals = np.unique(points.sum(axis=1))
-    eps = getattr(model, "kernel_tail_eps", 0.0)
     if model is CIR:
         s, flow = pure_death_flow(dt, theta, CIR.params)
         want = [binom.pmf(np.arange(t + 1), t, s) for t in totals]
     else:
-        # the cut zeroes exactly the levels at or below it, and a total
-        # that keeps no level raises
-        flow, want = None, [np.where(d > eps, d, 0.0) for d in
-                            (block_count_probs(t, dt, model.params) for t in totals)]
-        if not all(w.any() for w in want):
-            with pytest.raises(ConfigError, match="kernel_tail_eps"):
-                model.pd_kernel(totals, theta, dt)
-            return
+        flow, want = None, [block_count_probs(t, dt, model.params) for t in totals]
     laws, theta_t = model.pd_kernel(totals, theta, dt)
     assert theta_t == flow
     segments = np.split(laws, np.cumsum(totals + 1)[:-1])
@@ -157,15 +149,23 @@ def test_level_laws_and_death_kernel_rows(case):
             np.testing.assert_allclose(seg, w, rtol=0, atol=1e-12)
         else:
             assert np.array_equal(seg, w)
-        if eps == 0.0:
-            assert abs(math.fsum(seg) - 1.0) <= 1e-12
-    # the row builder's mass from each source is one, less the cut levels
-    _, probs, source, theta_b = death_kernel(model, points, theta, dt)
+        assert abs(math.fsum(seg) - 1.0) <= 1e-12
+    # the cut zeroes exactly the levels at or below it: the row builder's
+    # mass from each source is one, less those levels, and propagation
+    # raises iff a source's total keeps no level
+    cut = [np.where(seg > eps, seg, 0.0) for seg in segments]
+    _, probs, source, theta_b = death_kernel(model, points, theta, dt, eps)
     assert theta_b == theta_t
     mass = np.bincount(source, probs, minlength=len(points))
-    lost = np.array([1.0 - math.fsum(w) for w in want])
+    lost = np.array([1.0 - math.fsum(w) for w in cut])
     np.testing.assert_allclose(mass, 1.0 - lost[np.searchsorted(totals, points.sum(axis=1))],
                                rtol=0, atol=1e-12)
+    mix = DualMixture.from_weights(model, points, np.ones(len(points)), theta)
+    if all(w.any() for w in cut):
+        assert propagate(mix, dt, eps).support_size >= 1
+    else:
+        with pytest.raises(ConfigError, match="kernel_tail_eps"):
+            propagate(mix, dt, eps)
 
 
 @PROPERTY_SETTINGS

@@ -125,7 +125,7 @@ def test_smoothing_matches_grid_forward_backward(cir_model):
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
     out = smoother(records, cir_model, trace)
-    grid = cir_grid_forward_backward(records, 0.1, cir_model.params)
+    grid = cir_grid_forward_backward(records, cir_model.params)
     for i, res in enumerate(out):
         mean, _ = mixture_moments(res.mixture)
         assert mean[0] == pytest.approx(grid["smooth_mean"][i], abs=3e-4)
@@ -158,6 +158,24 @@ def test_wf_exact_filter_and_smoother_match_spectral_oracle(alpha, gap):
     np.testing.assert_allclose(trace.filt_mean[:, 0], want["filt_mean"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(trace.loglik, want["loglik"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(smooth, want["smooth_mean"], rtol=0, atol=1e-10)
+
+
+def test_cir_exact_filter_and_smoother_match_grid_oracle_at_irregular_gaps(cir_model):
+    # gaps 0.05, 0.3, 0.05, 0.3 and 0.15: three distinct transitions of the
+    # grid oracle, whose trapezoid sums of these smooth laws reach 1e-13 at
+    # 600 points
+    times = np.cumsum([0.0, 0.05, 0.3, 0.05, 0.3, 0.15]).tolist()
+    records = [ObservationRecord(t, (c,)) for t, c in zip(times, [4, 2, 7, 3, 5, 6])]
+    trace = run_filter(records, FilterConfig("exact"), cir_model)
+    out = smoother(records, cir_model, trace)
+    grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
+    np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(trace.filt_sd[:, 0], grid["filt_sd"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(trace.loglik, grid["loglik"], rtol=0, atol=1e-10)
+    smooth = [mixture_moments(res.mixture)[0][0] for res in out]
+    np.testing.assert_allclose(smooth, grid["smooth_mean"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(mixture_pdf(out[0].mixture, grid["grid"]), grid["smooth"][0],
+                               rtol=0, atol=1e-10)
 
 
 def test_smoothing_moves_toward_future_information(cir_model):
@@ -204,12 +222,13 @@ def test_smoother_rejects_a_model_other_than_the_traces(cir_model, wf3_params):
         smoother(records, CIRModel(CIRParams(3.0, 0.2, 2.0)), trace)
     with pytest.raises(ConfigError, match="different model"):
         smoother(records, WFModel(WFParams((1.1, 1.1))), trace)
-    # an equal model built anew is accepted, and so is a WF model that
-    # differs only in its kernel cut
+    # an equal model built anew is accepted, and so is a trace whose kernel
+    # was cut, since the cut is a setting of the filter, not of the model
     assert len(smoother(records, CIRModel(cir_model.params), trace)) == 3
     wf_records = [ObservationRecord(0.0, (2, 1, 0)), ObservationRecord(0.5, (0, 1, 2))]
-    wf_trace = run_filter(wf_records, FilterConfig(method="exact"), WFModel(wf3_params))
-    assert len(smoother(wf_records, WFModel(wf3_params, 1e-14), wf_trace)) == 2
+    cut = FilterConfig(method="pruned", kernel_tail_eps=1e-14)
+    wf_trace = run_filter(wf_records, cut, WFModel(wf3_params))
+    assert len(smoother(wf_records, WFModel(wf3_params), wf_trace)) == 2
 
 
 def test_smoother_pruned_trace_close_to_exact(cir_model):
