@@ -51,7 +51,8 @@ from scipy.special import gammainc, gammaln
 
 from .errors import (ConfigError, DomainError, InvalidDualParam,
                      SimulationBudgetExceeded)
-from .mixtures import DualMixture, DualSampler, ObservationRecord, check_time_step
+from .mixtures import (DualMixture, DualSampler, ObservationRecord, check_time_step,
+                       dual_rows)
 
 __all__ = [
     "CIRParams",
@@ -315,8 +316,7 @@ class CIRModel:
     # -- conjugate filtering interface ------------------------------------
 
     def prior_mixture(self) -> DualMixture:
-        return DualMixture(self, np.zeros((1, 1), dtype=np.int64),
-                           np.array([1.0]), self.params.beta)
+        return DualMixture(self, [[0]], [1.0], self.params.beta)
 
     def shift(self, y: ObservationRecord, points: np.ndarray, theta: float) -> tuple:
         return points + sum(y.values), theta + len(y.values) * self.params.tau
@@ -331,12 +331,11 @@ class CIRModel:
         factorial normalizers.  An empty batch has likelihood one.
         """
         p = self.params
-        m = np.asarray(points)[:, 0]
+        a = self._shapes(points)
         counts = y.values
         k = len(counts)
         if k == 0:
-            return np.zeros(m.shape)
-        a = p.alpha + m
+            return np.zeros(a.shape)
         s = sum(counts)
         return (s * math.log(p.tau) - sum(gammaln(c + 1) for c in counts)
                 + a * math.log(theta) - gammaln(a)
@@ -345,11 +344,9 @@ class CIRModel:
     def pd_kernel(self, totals, theta: float, dt: float) -> tuple[np.ndarray, float]:
         """Binomial(T, s(dt)) laws of the ``totals`` over ``0..T``, concatenated,
         and ``theta_t``, both from one :func:`pure_death_flow` call."""
-        totals = np.asarray(totals, dtype=np.int64)
+        totals = dual_rows(np.reshape(totals, (-1, 1)))[:, 0]
         if not dt >= 0:
             raise ConfigError(f"time must be non-negative, not {dt!r}")
-        if np.any(totals < 0):
-            raise ConfigError("m must be non-negative")
         s, theta_t = pure_death_flow(dt, theta, self.params)
         top = np.repeat(totals, totals + 1)
         n = np.arange(len(top)) - np.repeat(np.cumsum(totals + 1) - totals - 1, totals + 1)
@@ -369,7 +366,7 @@ class CIRModel:
     # -- mixture components -----------------------------------------------
 
     def _shapes(self, points) -> np.ndarray:
-        return self.params.alpha + np.asarray(points)[:, 0]
+        return self.params.alpha + dual_rows(points, 1)[:, 0]
 
     def component_moments(self, points, theta: float) -> tuple[np.ndarray, np.ndarray]:
         shapes = self._shapes(points)

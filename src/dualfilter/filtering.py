@@ -356,7 +356,7 @@ def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
     averages each metric over the second half of the time steps.
 
     Raises:
-        AlignmentError: if the two traces live on different time grids.
+        AlignmentError: if the traces, or a ``(T, K)`` signal, differ in grid.
     """
     if len(trace_a) != len(trace_ref) or not np.allclose(trace_a.times, trace_ref.times):
         raise AlignmentError("traces are not on a common time grid")
@@ -366,7 +366,9 @@ def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
         "err_sd": np.abs(trace_a.filt_sd - trace_ref.filt_sd).mean(axis=1),
     }
     if signal is not None:
-        sig = np.asarray(signal, dtype=float).reshape(t, -1)
+        sig = np.asarray(signal, dtype=float)
+        if sig.shape != trace_ref.filt_mean.shape:
+            raise AlignmentError(f"signal shape {sig.shape} != {trace_ref.filt_mean.shape}")
         per["err_signal"] = np.abs(trace_a.filt_mean - sig).mean(axis=1)
     half = t // 2
     summary = {k: float(v[half:].mean()) for k, v in per.items()}

@@ -12,6 +12,8 @@ Representation choices:
 * the support of a mixture is one read-only int64 array of shape
   ``(M, K)``, one multi-index per row (``K = 1`` for one-dimensional
   duals), with distinct rows in lexicographic order;
+* every entry reads index rows through :func:`dual_rows`; the algebra takes
+  any ``K``, and each model checks its own width where it reads rows;
 * the deterministic dual parameter is a ``float`` (or ``None`` for models
   whose dual has no deterministic component);
 * each mixture holds the model that built it (``cir.CIRModel`` with Gamma
@@ -59,11 +61,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ConfigError, DegenerateWeights, InvalidKernel, ZeroLikelihood
+from .errors import (ConfigError, DegenerateWeights, DimensionError, InvalidKernel,
+                     ZeroLikelihood)
 
 __all__ = [
     "ObservationRecord",
     "DualMixture",
+    "dual_rows",
     "prune",
     "death_kernel",
     "propagate",
@@ -118,6 +122,25 @@ class ObservationRecord:
         object.__setattr__(self, "values", values)
 
 
+def dual_rows(rows, k: int | None = None) -> np.ndarray:
+    """``rows`` as a 2-D int64 ``(M, K)`` array of finite, whole, non-negative
+    values with ``K >= 1``, and ``K == k`` if given, else ``DimensionError``
+    for the width and ``ConfigError`` for the rest.  An int64 array comes
+    back uncopied; others must cast exactly, so integral floats pass."""
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ConfigError(f"dual index rows must be (M, K) with K >= 1, not {arr.shape}")
+    if k is not None and arr.shape[1] != k:
+        raise DimensionError(f"dual index rows have {arr.shape[1]} columns, expected {k}")
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        ints = arr.astype(np.int64, copy=False)
+    if ints is not arr and not np.array_equal(ints, arr):
+        raise ConfigError("dual index rows must be finite whole numbers")
+    if ints.size and ints.min() < 0:
+        raise ConfigError("dual index rows must be non-negative")
+    return ints
+
+
 def _strictly_increasing_rows(points: np.ndarray) -> bool:
     """True if consecutive rows increase strictly in lexicographic order."""
     step = np.diff(points, axis=0)
@@ -148,11 +171,7 @@ class DualMixture:
     theta: float | None = None
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.int64)
-        if points.ndim != 2 or points.shape[1] == 0:
-            raise ConfigError("support points must be an (M, K) array with K >= 1")
-        if np.any(points < 0):
-            raise ConfigError("negative coordinate in a support point")
+        points = np.array(dual_rows(self.points))
         if not _strictly_increasing_rows(points):
             raise ConfigError("support points must be distinct and sorted")
         w = np.array(self.weights, dtype=float)
@@ -175,37 +194,34 @@ class DualMixture:
         """Build a mixture from ``(L, K)`` rows and non-negative raw weights.
 
         Each row is read as one int64 key in the mixed radix
-        ``points.max(axis=0) + 1``, so ascending keys are the lexicographic
-        row order; ``np.unique`` of the keys gives the output rows and
+        ``points.max(axis=0) + 1``, so ascending keys are the lexicographic row
+        order; ``np.unique`` of the keys gives the output rows and
         ``np.bincount`` merges each row's weights by adding them in input
-        order.  Where the radix product reaches ``2**63``, or a coordinate
-        is negative, ``np.unique`` of the rows themselves gives the same
-        rows and sums.  The total is normalized to one, and rows
-        whose normalized weight is zero are dropped, including denormal weights
-        that underflow in the division.  The output rows do not depend on
-        the order of the input rows, but the merged weights do in the last
-        bit: rows ``[[1], [1], [1], [2]]`` with weights ``[0.1, 0.2, 0.3,
-        0.4]`` give row ``[1]`` the weight ``0.6000000000000001``, and
-        weights ``[0.3, 0.2, 0.1, 0.4]`` give it ``0.6``.
+        order.  Where the radix product reaches ``2**63``, ``np.unique`` of the
+        rows themselves gives the same rows and sums.  The total is normalized
+        to one, and rows whose normalized weight is zero are dropped, including
+        denormal weights that underflow in the division.  The output rows do not
+        depend on the order of the input rows, but the merged weights do in the
+        last bit: rows ``[[1], [1], [1], [2]]`` with weights ``[0.1, 0.2, 0.3,
+        0.4]`` give row ``[1]`` the weight ``0.6000000000000001``, and weights
+        ``[0.3, 0.2, 0.1, 0.4]`` give it ``0.6``.
 
         Raises:
             DegenerateWeights: if no weight is strictly positive, or any weight
                 is negative or non-finite.
-            ConfigError: if the rows are not ``(L, K)`` with ``K >= 1`` and one
-                weight per row.
+            ConfigError: if the rows are not dual index rows (:func:`dual_rows`)
+                with one weight per row.
         """
-        points = np.asarray(points, dtype=np.int64)
+        points = dual_rows(points)
         weights = np.asarray(weights, dtype=float)
-        if points.ndim != 2 or weights.shape != (len(points),):
-            raise ConfigError("need (L, K) points with one weight per row")
+        if weights.shape != (len(points),):
+            raise ConfigError("need one weight per row")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise DegenerateWeights("weights must be finite and non-negative")
         if not np.any(weights > 0.0):
             raise DegenerateWeights("all weights are zero")
-        if points.shape[1] == 0:
-            raise ConfigError("support points must be an (M, K) array with K >= 1")
         radix = [int(col.max()) + 1 for col in points.T]
-        if points.min() >= 0 and math.prod(radix) < 2 ** 63:
+        if math.prod(radix) < 2 ** 63:
             key = points[:, 0].copy()
             for j in range(1, len(radix)):
                 key *= radix[j]
@@ -281,7 +297,7 @@ def death_kernel(model, points, theta, dt: float, kernel_tail_eps: float = 0.0) 
     """
     if not 0.0 <= kernel_tail_eps < 1.0:
         raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
-    points = np.asarray(points, dtype=np.int64)
+    points = dual_rows(points)
     k = points.shape[1]
     mtot = points.sum(axis=1)
     totals, level = np.unique(mtot, return_inverse=True)
@@ -400,7 +416,8 @@ def dual_particle_propagate(mix: DualMixture,
     ``theta_t`` the deterministic parameter at ``dt``: the pair is the
     dual state ``(M_t, Theta_t)`` the particles move to.  The result is the
     empirical law of ``rows`` at ``theta_t``, bit-reproducible for a given
-    seeded ``rng``.
+    seeded ``rng``.  Rows that are not ``n_particles`` dual index rows
+    raise ``ConfigError``, or ``DimensionError`` if not ``mix.dim`` wide.
     """
     if n_particles < 1:
         raise ConfigError("need at least one particle")
@@ -409,11 +426,9 @@ def dual_particle_propagate(mix: DualMixture,
 
     drawn = counts > 0
     rows, theta = sampler(mix.points[drawn], counts[drawn], mix.theta, dt, rng)
-    arrivals = np.asarray(rows)
-    if arrivals.shape != (n_particles, mix.dim):
-        raise ValueError(f"sampler returned shape {arrivals.shape}, "
-                         f"expected {(n_particles, mix.dim)}")
-    # DualMixture rejects arrivals with a negative coordinate
+    arrivals = dual_rows(rows, mix.dim)
+    if len(arrivals) != n_particles:
+        raise ConfigError(f"sampler gave {len(arrivals)} rows, expected {n_particles}")
     return DualMixture.from_weights(mix.model, arrivals, np.ones(n_particles), theta)
 
 
@@ -498,8 +513,10 @@ def sample_mixture(mix: DualMixture, rng: np.random.Generator, size: int) -> np.
 
     Component counts are multinomial; the returned array keeps components
     grouped, which is immaterial for exchangeable downstream use (particle
-    clouds).
+    clouds).  A negative ``size`` raises ``ConfigError``.
     """
+    if size < 0:
+        raise ConfigError(f"sample size must be non-negative, not {size!r}")
     counts = rng.multinomial(size, mix.weights)
     return mix.model.sample_component(np.repeat(mix.points, counts, axis=0),
                                       mix.theta, rng)

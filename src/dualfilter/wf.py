@@ -46,7 +46,8 @@ import numpy as np
 from scipy.special import betainc, betaln, gammaln, xlog1py, xlogy
 
 from .errors import ConfigError, DimensionError, DomainError
-from .mixtures import DualMixture, DualSampler, ObservationRecord, check_time_step
+from .mixtures import (DualMixture, DualSampler, ObservationRecord, check_time_step,
+                       dual_rows)
 
 __all__ = [
     "WFParams",
@@ -89,15 +90,6 @@ class WFParams:
         return np.asarray(self.alpha, dtype=float)
 
 
-def _as_counts(n, k: int) -> tuple:
-    n = tuple(int(v) for v in n)
-    if len(n) != k:
-        raise DimensionError(f"count vector has length {len(n)}, expected {k}")
-    if any(v < 0 for v in n):
-        raise ConfigError("counts must be non-negative")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Block-counting chain of the typed death dual
 # ---------------------------------------------------------------------------
@@ -137,13 +129,8 @@ def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
 
 
 def _start_rows(n0, p: WFParams) -> np.ndarray:
-    """The ``(N, K)`` start rows, one per path; a single ``(K,)`` row is one path."""
-    rows = np.array(n0, dtype=np.int64, ndmin=2)
-    if rows.shape[1:] != (p.k,):
-        raise DimensionError(f"start rows must have {p.k} columns")
-    if np.any(rows < 0):
-        raise ConfigError("counts must be non-negative")
-    return rows
+    """A copy of the ``(N, K)`` start rows, one per path; a ``(K,)`` row is one path."""
+    return dual_rows(np.array(n0, ndmin=2), p.k)
 
 
 def _dirichlet_rows(concentrations, rng: np.random.Generator) -> np.ndarray:
@@ -379,11 +366,10 @@ class WFModel:
     # -- conjugate filtering interface ------------------------------------
 
     def prior_mixture(self) -> DualMixture:
-        return DualMixture(self, np.zeros((1, self.params.k), dtype=np.int64),
-                           np.array([1.0]), None)
+        return DualMixture(self, [[0] * self.params.k], [1.0])
 
     def shift(self, y: ObservationRecord, points: np.ndarray, theta) -> tuple:
-        return points + np.asarray(_as_counts(y.values, self.params.k)), None
+        return points + dual_rows([y.values], self.params.k)[0], None
 
     def log_marginal_point(self, points: np.ndarray, theta,
                            y: ObservationRecord) -> np.ndarray:
@@ -395,19 +381,15 @@ class WFModel:
         cancels in weight normalization.
         """
         p = self.params
-        m = np.asarray(points)
-        if m.shape[-1:] != (p.k,):
-            raise DimensionError(f"count vectors must have length {p.k}")
-        if np.any(m < 0):
-            raise ConfigError("counts must be non-negative")
-        c = np.asarray(_as_counts(y.values, p.k))
+        m = dual_rows(points, p.k)
+        c = dual_rows([y.values], p.k)[0]
         ctot = int(c.sum())
         if ctot == 0:
-            return np.zeros(m.shape[:-1])
+            return np.zeros(len(m))
         am = p.alpha_array() + m
-        atot = p.theta + m.sum(axis=-1)
+        atot = p.theta + m.sum(axis=1)
         return (gammaln(atot) - gammaln(atot + ctot)
-                + (gammaln(am + c) - gammaln(am)).sum(axis=-1))
+                + (gammaln(am + c) - gammaln(am)).sum(axis=1))
 
     def pd_kernel(self, totals, theta, dt: float) -> tuple:
         """``(laws, None)``: the :func:`block_count_probs` rows of the
@@ -423,7 +405,7 @@ class WFModel:
     # -- mixture components -----------------------------------------------
 
     def _concentrations(self, points) -> np.ndarray:
-        return self.params.alpha_array() + np.asarray(points, dtype=float)
+        return self.params.alpha_array() + dual_rows(points, self.params.k)
 
     def component_moments(self, points, theta=None) -> tuple[np.ndarray, np.ndarray]:
         a = self._concentrations(points)
@@ -495,7 +477,7 @@ class WFModel:
         omitted).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        c = np.asarray(_as_counts(y.values, self.params.k), dtype=float)
+        c = dual_rows([y.values], self.params.k)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             logx = np.where(x > 0, np.log(x), -np.inf)
             terms = np.where(c[None, :] > 0, c[None, :] * logx, 0.0)

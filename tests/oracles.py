@@ -26,7 +26,13 @@ from scipy.linalg import expm
 from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi, xlog1py, xlogy
 from scipy.stats import chisquare, ncx2
 
-from dualfilter.wf import _as_counts, block_count_probs
+from dualfilter.mixtures import dual_rows
+from dualfilter.wf import block_count_probs
+
+
+def _counts(n, k: int) -> tuple:
+    """One count vector of length ``k``, checked by ``mixtures.dual_rows``."""
+    return tuple(dual_rows([n], k)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +465,7 @@ def wf_log_density_ratio(x, n, p):
     Returns ``-inf`` where some ``x_i`` is zero with ``n_i > 0``; the ratio
     is identically one at ``n = 0``.
     """
-    n = _as_counts(n, p.k)
+    n = _counts(n, p.k)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     ntot = sum(n)
     const = (gammaln(p.theta + ntot) - gammaln(p.theta)
@@ -520,8 +526,8 @@ def wf_density_ratio(x, n, p):
 
 def update_counts(m, y, p) -> tuple:
     """Conjugate Dirichlet-categorical update: add the batch count vector."""
-    m = _as_counts(m, p.k)
-    c = _as_counts(y.values, p.k)
+    m = _counts(m, p.k)
+    c = _counts(y.values, p.k)
     return tuple(mi + ci for mi, ci in zip(m, c))
 
 

@@ -11,8 +11,9 @@ from dualfilter import (AlignmentError, CIRModel, CIRParams, DualFilterError,
 from dualfilter import cir, wf
 from dualfilter.experiments import build_spec, simulate_dataset
 from dualfilter.filtering import density_on_grid, grid_l1, metric_edges
-from dualfilter.mixtures import (DualMixture, dual_particle_propagate, mixture_quantile,
-                                 propagate, prune, systematic_counts)
+from dualfilter.mixtures import (DualMixture, death_kernel, dual_particle_propagate,
+                                 mixture_quantile, propagate, prune, sample_mixture,
+                                 systematic_counts, update)
 
 from .oracles import (beta_marginal_logpdf_rows, cir_grid_forward_backward,
                       cir_two_step_enumeration, wf_two_step_brute_force)
@@ -31,7 +32,14 @@ CIR = CIRParams(11.0, 1.1, 1.0)
 CIR_MODEL = CIRModel(CIR)
 WF2 = WFParams((1.1, 1.1))
 WF2_MODEL = WFModel(WF2)
+WF3 = WFParams((1.1, 1.1, 1.1))
+WF3_MODEL = WFModel(WF3)
 NAN, INF = float("nan"), float("inf")
+
+
+def cir_metrics_with_signal(signal):
+    trace = run_filter(cir_records([4, 2, 7]), FilterConfig(method="exact"), CIR_MODEL)
+    return error_metrics(trace, trace, signal=signal)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +101,8 @@ def test_config_validation():
                                     CIR_MODEL.dual_sampler("pure_death"), 0, 0.1,
                                     np.random.default_rng(0)),
     lambda: mixture_quantile(CIR_MODEL.prior_mixture(), 1.0),
-    lambda: wf._as_counts((1, -1), 2),
+    lambda: WF2_MODEL.shift(ObservationRecord(0.0, (1, 2, 3)), np.zeros((1, 2), np.int64),
+                            None),
     lambda: WF2_MODEL.log_marginal_point(np.array([[-1, 2]]), None,
                                          ObservationRecord(0.0, (1, 1))),
     lambda: wf._start_rows([[-1, 2]], WF2),
@@ -122,6 +131,25 @@ def test_config_validation():
     lambda: dual_particle_propagate(CIR_MODEL.prior_mixture(),
                                     CIR_MODEL.dual_sampler("bd_gillespie"), 4, NAN,
                                     np.random.default_rng(0)),
+    lambda: DualMixture(CIR_MODEL, [[1.5]], [1.0], 2.0),
+    lambda: DualMixture.from_weights(CIR_MODEL, [[1.5], [1.7]], [1, 1], 2.0),
+    lambda: wf.moran_sample_many([1.5, 2, 3], 0.1, WF3, np.random.default_rng(0)),
+    lambda: WF3_MODEL.log_marginal_point([[0.5, 0, 0]], None,
+                                         ObservationRecord(0.0, (1, 0, 0))),
+    lambda: death_kernel(WF3_MODEL, [[3, -1, 0]], None, 0.5),
+    lambda: death_kernel(WF3_MODEL, [[3, -2, 1]], None, 0.5),
+    lambda: death_kernel(CIR_MODEL, [3], 2.0, 0.1),
+    lambda: DualMixture.from_weights(CIR_MODEL, [[NAN]], [1.0]),
+    lambda: DualMixture(CIR_MODEL, [[1, 2]], [1.0], 2.0).moments(),
+    lambda: update(DualMixture(CIR_MODEL, [[1, 2]], [1.0], 2.0),
+                   ObservationRecord(0.0, (1,))),
+    lambda: DualMixture(WF3_MODEL, [[1, 2]], [1.0]).moments(),
+    lambda: dual_particle_propagate(CIR_MODEL.prior_mixture(),
+                                    lambda pts, c, th, dt, r: (pts, th), 4, 0.1,
+                                    np.random.default_rng(0)),
+    lambda: cir_metrics_with_signal(np.ones(5)),
+    lambda: cir_metrics_with_signal(np.ones(6)),
+    lambda: sample_mixture(CIR_MODEL.prior_mixture(), np.random.default_rng(0), -1),
 ], ids=["method", "prune_eps", "prune_eps_unpruned", "kernel_tail_eps_exact",
         "kernel_tail_eps_dual_particle", "kernel_tail_eps_bootstrap", "n_particles",
         "dual_kind", "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
@@ -140,7 +168,13 @@ def test_config_validation():
         "typed_kernel_nan_time", "pd_pmf_nan_time", "pd_theta_nan_rate",
         "pd_survival_nan_rate", "cir_transition_nan_time", "bd_nan_time", "bd_nan_theta",
         "wf_transition_nan_time", "wf_transition_inf_time", "moran_nan_time",
-        "wf_chain_nan_time", "propagate_nan_time", "particle_nan_time"])
+        "wf_chain_nan_time", "propagate_nan_time", "particle_nan_time",
+        "mixture_fractional", "from_weights_fractional", "moran_fractional_start",
+        "wf_log_marginal_fractional", "death_kernel_negative",
+        "death_kernel_negative_total",
+        "death_kernel_1d", "from_weights_nan", "cir_moments_width", "cir_update_width",
+        "wf_moments_width", "particle_row_count", "signal_size", "signal_width",
+        "sample_negative_size"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()
@@ -185,11 +219,10 @@ def test_exact_matches_grid_forward_backward(cir_model):
     records = cir_records([4, 2, 7, 3, 5])
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
-    grid = cir_grid_forward_backward(records, cir_model.params)
-    np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"],
-                               atol=2e-4)
-    np.testing.assert_allclose(trace.filt_sd[:, 0], grid["filt_sd"], atol=2e-4)
-    assert trace.total_loglik == pytest.approx(sum(grid["loglik"]), abs=1e-4)
+    grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
+    np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"], atol=1e-10)
+    np.testing.assert_allclose(trace.filt_sd[:, 0], grid["filt_sd"], atol=1e-10)
+    assert trace.total_loglik == pytest.approx(sum(grid["loglik"]), abs=1e-10)
 
 
 def test_exact_batch_order_within_time_is_irrelevant(cir_model):

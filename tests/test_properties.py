@@ -10,7 +10,12 @@ mass the row builder gives each source under the cut, and that propagation
 raises where the cut drops every arrival of a source.
 Each merge example draws rows of width 1-6, many of them repeated, in
 shuffled order, and checks ``DualMixture.from_weights`` against the
-``np.unique`` merge of ``tests/oracles.py``.
+``np.unique`` merge of ``tests/oracles.py``, and that the same rows as
+integral floats build the same mixture bit for bit.
+Each bad-row example draws CIR or WF rows with one flaw (a fractional,
+non-finite or negative value, a 1-D or zero-width shape, or a wrong
+width) and checks that every entry taking dual index rows raises
+``ConfigError``, or ``DimensionError`` for the width.
 Each sampler example draws a dual kind, a few random sources with small
 copy counts, a time step and a seed, and checks the support bounds of the
 arrivals, the theta the sampler moves to, and that the batched ``bd`` call
@@ -26,13 +31,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from dualfilter import (CIRModel, CIRParams, ConfigError, DualMixture, FilterConfig,
-                        ObservationRecord, WFModel, WFParams, propagate, prune,
-                        run_filter, update)
+from dualfilter import (CIRModel, CIRParams, ConfigError, DimensionError, DualMixture,
+                        FilterConfig, ObservationRecord, WFModel, WFParams,
+                        dual_particle_propagate, propagate, prune, run_filter, update)
 from dualfilter.cir import pure_death_flow
 from dualfilter.errors import DegenerateWeights
-from dualfilter.mixtures import death_kernel
-from dualfilter.wf import block_count_probs
+from dualfilter.mixtures import death_kernel, dual_rows
+from dualfilter.wf import block_count_probs, moran_sample_many, typed_death_sample_many
 
 from .oracles import from_weights_unique, linear_bd_draw_reference
 
@@ -236,6 +241,14 @@ def test_from_weights_matches_unique_merge(case):
     want_rows, want_weights = from_weights_unique(rows, weights)
     np.testing.assert_array_equal(mix.points, want_rows)
     assert np.array_equal(mix.weights, want_weights)
+    if rows.max() < 2 ** 53:  # integral floats that hold the same dual indices
+        same = DualMixture.from_weights(None, rows.astype(float), weights)
+        assert same.points.dtype == np.int64
+        assert np.array_equal(same.points, mix.points)
+        assert np.array_equal(same.weights, mix.weights)
+        direct = DualMixture(None, mix.points.astype(float), mix.weights)
+        assert np.array_equal(direct.points, mix.points)
+        assert np.array_equal(direct.weights, mix.weights)
 
 
 def test_from_weights_rejects_empty_rows_and_zero_width():
@@ -243,6 +256,73 @@ def test_from_weights_rejects_empty_rows_and_zero_width():
         DualMixture.from_weights(None, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
     with pytest.raises(ValueError):
         DualMixture.from_weights(None, np.zeros((3, 0), dtype=np.int64), np.ones(3))
+
+
+FLAWS = ["fractional", "non-finite", "negative", "1-D", "zero width", "wrong width"]
+
+
+@st.composite
+def bad_rows(draw):
+    """(model, rows, flaw): 1-4 CIR rows or WF rows (K = 3) with one of ``FLAWS``."""
+    model = draw(st.sampled_from([CIR, WF]))
+    k = model.signal_dim
+    flaw = draw(st.sampled_from(FLAWS))
+    width = k
+    if flaw == "wrong width":
+        width = draw(st.sampled_from([w for w in range(1, 5) if w != k]))
+    rows = np.array(draw(st.lists(st.lists(st.integers(0, 5), min_size=width,
+                                           max_size=width), min_size=1, max_size=4)))
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+    if flaw == "fractional":
+        rows = rows.astype(float)
+        rows[i, j] += draw(st.floats(0.01, 0.99))
+    elif flaw == "non-finite":
+        rows = rows.astype(float)
+        rows[i, j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif flaw == "negative":
+        rows[i, j] = -draw(st.integers(1, 5))
+    elif flaw == "1-D":
+        rows = rows[i]
+    elif flaw == "zero width":
+        rows = rows[:, :0]
+    return model, rows, flaw
+
+
+def row_entries(model, rows):
+    """(call, flaws it lets pass) of each entry that takes dual index rows:
+    the mixture algebra takes any width, and a WF path draw takes a single
+    ``(K,)`` row as one path."""
+    theta = None if model is WF else CIR.params.beta + 1.0
+    y = ObservationRecord(0.0, (1,) * model.signal_dim)
+    n = len(rows) if np.ndim(rows) == 2 else 1
+    weights = np.full(n, 1.0 / n)
+    rng = np.random.default_rng(0)
+    entries = [
+        (lambda: dual_rows(rows, model.signal_dim), ()),
+        (lambda: DualMixture(model, rows, weights, theta), ("wrong width",)),
+        (lambda: DualMixture.from_weights(model, rows, weights, theta), ("wrong width",)),
+        (lambda: death_kernel(model, rows, theta, 0.1), ("wrong width",)),
+        (lambda: model.log_marginal_point(rows, theta, y), ()),
+        (lambda: model.component_moments(rows, theta), ()),
+        (lambda: model.sample_component(rows, theta, rng), ()),
+        (lambda: dual_particle_propagate(model.prior_mixture(),
+                                         lambda *_: (rows, theta), n, 0.1, rng), ()),
+    ]
+    if model is WF:
+        entries += [(lambda path=path: path(rows, 0.1, WF.params, rng), ("1-D",))
+                    for path in (typed_death_sample_many, moran_sample_many)]
+    return entries
+
+
+@PROPERTY_SETTINGS
+@given(bad_rows())
+def test_every_row_entry_rejects_bad_rows(case):
+    model, rows, flaw = case
+    error = DimensionError if flaw == "wrong width" else ConfigError
+    for call, passes in row_entries(model, rows):
+        if flaw not in passes:
+            with pytest.raises(error):
+                call()
 
 
 @st.composite

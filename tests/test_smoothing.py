@@ -125,13 +125,13 @@ def test_smoothing_matches_grid_forward_backward(cir_model):
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
     out = smoother(records, cir_model, trace)
-    grid = cir_grid_forward_backward(records, cir_model.params)
+    grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
     for i, res in enumerate(out):
         mean, _ = mixture_moments(res.mixture)
-        assert mean[0] == pytest.approx(grid["smooth_mean"][i], abs=3e-4)
+        assert mean[0] == pytest.approx(grid["smooth_mean"][i], abs=1e-10)
     # pointwise density agreement at the first time
     dens = mixture_pdf(out[0].mixture, grid["grid"])
-    np.testing.assert_allclose(dens, grid["smooth"][0], atol=2e-3)
+    np.testing.assert_allclose(dens, grid["smooth"][0], atol=1e-10)
 
 
 @pytest.mark.parametrize("gap", [1.0, 0.1, 0.05, pytest.param(
