@@ -23,8 +23,8 @@ from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
                        systematic_counts, update)
 from .cir import CIRModel, CIRParams
 from .wf import WFModel, WFParams
-from .filtering import (FilterConfig, FilterTrace, ParticleCloud,
-                        SmoothingResult, error_metrics, run_filter, smoother)
+from .filtering import (FilterConfig, FilterTrace, ParticleCloud, error_metrics,
+                        run_filter, smoother)
 from .experiments import ExperimentSpec, build_spec, run_scenario, simulate_dataset
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "update", "dual_particle_propagate", "mixture_moments", "mixture_pdf",
     "mixture_marginal_pdf", "sample_mixture", "systematic_counts",
     "CIRParams", "CIRModel", "WFParams", "WFModel",
-    "FilterConfig", "FilterTrace", "ParticleCloud", "SmoothingResult",
+    "FilterConfig", "FilterTrace", "ParticleCloud",
     "run_filter", "smoother", "error_metrics",
     "ExperimentSpec", "build_spec", "run_scenario", "simulate_dataset",
 ]

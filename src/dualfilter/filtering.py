@@ -16,9 +16,10 @@ the gap to the next observation time (the times must strictly increase):
   general baseline (propagate through the signal transition, weight by
   the emission likelihood, resample every step).
 
-The smoother's backward pass is the same recursion run on the reversed
-records.  A single filter run is sequential; replicate runs are embarrassingly
-parallel and are orchestrated by :mod:`dualfilter.experiments`.
+The smoother's backward pass is the same recursion run on a trace's
+reversed records, at the trace's thresholds.  A single filter run is
+sequential; replicate runs are embarrassingly parallel and are orchestrated
+by :mod:`dualfilter.experiments`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "FilterConfig",
     "ParticleCloud",
     "FilterTrace",
-    "SmoothingResult",
     "run_filter",
     "smoother",
     "error_metrics",
@@ -113,9 +113,10 @@ class ParticleCloud:
 
 @dataclass
 class FilterTrace:
-    """Per-step filtering output (one entry per observation time)."""
+    """Per-step filtering output (one entry per record), its records and config."""
 
-    times: np.ndarray
+    config: FilterConfig
+    records: tuple              # the ObservationRecords, in time order
     predictive: list            # DualMixture or ParticleCloud per step
     filtering: list
     pred_mean: np.ndarray       # (T, K_signal)
@@ -128,16 +129,21 @@ class FilterTrace:
     def total_loglik(self) -> float:
         return math.fsum(self.loglik)
 
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([y.time for y in self.records], dtype=float)
+
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.records)
 
 
-def _assemble_trace(data, predictive, filtering, loglik) -> FilterTrace:
+def _assemble_trace(cfg, data, predictive, filtering, loglik) -> FilterTrace:
     pred = [s.moments() for s in predictive]
     filt = [s.moments() for s in filtering]
     k = pred[0][0].shape[0] if pred else 1  # empty datasets yield empty traces
     return FilterTrace(
-        times=np.array([y.time for y in data], dtype=float),
+        config=cfg,
+        records=tuple(data),
         predictive=predictive,
         filtering=filtering,
         pred_mean=np.array([m for m, _ in pred]).reshape(-1, k),
@@ -235,68 +241,56 @@ def run_filter(data: Sequence[ObservationRecord], cfg: FilterConfig, model) -> F
             likelihood.
     """
     start, update_step, propagate_step = _steps(cfg, model, np.random.default_rng(cfg.seed))
-    return _assemble_trace(data, *_recursion(data, _gaps(data), start, update_step,
-                                             propagate_step))
+    return _assemble_trace(cfg, data, *_recursion(data, _gaps(data), start, update_step,
+                                                  propagate_step))
 
 
 # ---------------------------------------------------------------------------
 # Smoothing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothingResult:
-    """Marginal smoothing law at one observation time."""
+def smoother(trace: FilterTrace) -> list[DualMixture]:
+    """Marginal smoothing laws, one per record of a forward mixture trace.
 
-    time: float
-    mixture: DualMixture
-
-
-def smoother(data: Sequence[ObservationRecord], model,
-             trace: FilterTrace) -> list[SmoothingResult]:
-    """Marginal smoothing laws from a forward trace and a backward recursion.
-
-    Takes any forward trace of ``data`` whose laws are mixtures (``exact``,
-    ``pruned`` or ``dual_particle``); the backward pass is always exact.
-    It is the forward recursion run on the reversed records and gaps from
-    the model prior: ``B_n`` is the prior mixture and
-    ``B_{i-1} = propagate(update(B_i, y_i))`` over the gap
-    ``t_i - t_{i-1}`` with the exact pure-death kernel and parameter flow,
-    so ``B_i`` carries the likelihood of the observations after time ``i``.
+    Takes any trace whose laws are mixtures (``exact``, ``pruned`` or
+    ``dual_particle``) and reads its records, model and thresholds.  The
+    backward pass is the forward recursion run ``pruned`` at the trace's
+    ``prune_eps`` and ``kernel_tail_eps`` (exact where both are 0, as on
+    ``exact`` and ``dual_particle`` traces) on the reversed records and
+    gaps from the model prior: ``B_n`` is the prior mixture and ``B_{i-1}
+    = propagate(update(B_i, y_i))`` over the gap ``t_i - t_{i-1}``, so
+    ``B_i`` carries the likelihood of the observations after time ``i``.
     Each backward mixture is combined with the filtering mixture at the
     same time through the product closure of the mixture kernels, all
     pairs of support rows at once in log space: the index rows add, and
     ``model.combine(m, n, theta_back, theta_filt)`` gives the log constant
-    factor of each pair and the combined parameter.  This yields one mixture
-    per observation time; at the terminal time the result coincides with
-    the filtering law.
+    factor of each pair and the combined parameter.  At the terminal time
+    the result is the filtering law.  Backward weights are pruned before
+    the closure reweights them, so the error has no a-priori bound in
+    ``prune_eps``.
 
     Raises:
         UnsupportedModel: if the trace holds particle clouds.
-        ConfigError: if ``model`` differs in type or ``params`` from the trace's.
-        AlignmentError: if the trace times differ from the record times or
-            the observation times do not strictly increase.
     """
     if any(not isinstance(s, DualMixture) for s in trace.filtering):
         raise UnsupportedModel("smoothing needs a mixture trace, not particle clouds")
-    if any(type(s.model) is not type(model) or s.model.params != model.params
-           for s in trace.filtering):
-        raise ConfigError("the trace was filtered under a different model")
-    if not np.array_equal(trace.times, [r.time for r in data]):
-        raise AlignmentError("trace times differ from the record times")
-
-    backward, _, _ = _recursion(data[::-1], _gaps(data)[::-1],
-                                *_steps(FilterConfig("exact"), model, None))
+    if not trace.records:
+        return []
+    model, cfg, records = trace.filtering[0].model, trace.config, trace.records
+    backward_cfg = FilterConfig("pruned", prune_eps=cfg.prune_eps,
+                                kernel_tail_eps=cfg.kernel_tail_eps)
+    backward, _, _ = _recursion(records[::-1], _gaps(records)[::-1],
+                                *_steps(backward_cfg, model, None))
     backward.reverse()
 
     out = []
-    for time, filt, back in zip(trace.times, trace.filtering, backward):
+    for filt, back in zip(trace.filtering, backward):
         fwd_rows, back_rows = filt.points[None, :, :], back.points[:, None, :]
         log_c, theta = model.combine(back_rows, fwd_rows, back.theta, filt.theta)
         logw = np.log(back.weights)[:, None] + np.log(filt.weights)[None, :] + log_c
         points = (back_rows + fwd_rows).reshape(-1, filt.dim)
-        mixture = DualMixture.from_weights(filt.model, points,
-                                           np.exp(logw - logw.max()).ravel(), theta)
-        out.append(SmoothingResult(time=float(time), mixture=mixture))
+        out.append(DualMixture.from_weights(model, points,
+                                            np.exp(logw - logw.max()).ravel(), theta))
     return out
 
 

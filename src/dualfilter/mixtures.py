@@ -12,8 +12,9 @@ Representation choices:
 * the support of a mixture is one read-only int64 array of shape
   ``(M, K)``, one multi-index per row (``K = 1`` for one-dimensional
   duals), with distinct rows in lexicographic order;
-* every entry reads index rows through :func:`dual_rows`; the algebra takes
-  any ``K``, and each model checks its own width where it reads rows;
+* every entry reads index rows through :func:`dual_rows`; a mixture and
+  :func:`death_kernel` hold them to their model's ``signal_dim`` (a
+  mixture without a model takes any ``K``);
 * the deterministic dual parameter is a ``float`` (or ``None`` for models
   whose dual has no deterministic component);
 * each mixture holds the model that built it (``cir.CIRModel`` with Gamma
@@ -171,7 +172,8 @@ class DualMixture:
     theta: float | None = None
 
     def __post_init__(self):
-        points = np.array(dual_rows(self.points))
+        k = None if self.model is None else self.model.signal_dim
+        points = np.array(dual_rows(self.points, k))
         if not _strictly_increasing_rows(points):
             raise ConfigError("support points must be distinct and sorted")
         w = np.array(self.weights, dtype=float)
@@ -210,7 +212,8 @@ class DualMixture:
             DegenerateWeights: if no weight is strictly positive, or any weight
                 is negative or non-finite.
             ConfigError: if the rows are not dual index rows (:func:`dual_rows`)
-                with one weight per row.
+                with one weight per row (``DimensionError`` if not
+                ``model.signal_dim`` wide).
         """
         points = dual_rows(points)
         weights = np.asarray(weights, dtype=float)
@@ -294,10 +297,11 @@ def death_kernel(model, points, theta, dt: float, kernel_tail_eps: float = 0.0) 
 
     Raises:
         ConfigError: if ``kernel_tail_eps`` is not in ``[0, 1)``.
+        DimensionError: if the sources are not ``model.signal_dim`` wide.
     """
     if not 0.0 <= kernel_tail_eps < 1.0:
         raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
-    points = dual_rows(points)
+    points = dual_rows(points, model.signal_dim)
     k = points.shape[1]
     mtot = points.sum(axis=1)
     totals, level = np.unique(mtot, return_inverse=True)

@@ -351,8 +351,8 @@ def test_a11_smoothing_consistency():
     records = [ObservationRecord(i * 0.1, (c,)) for i, c in
                enumerate([4, 2, 7, 3, 5])]
     trace = run_filter(records, cfg, model)
-    smooth = smoother(records, model, trace)
-    last, filt = smooth[-1].mixture, trace.filtering[-1]
+    smooth = smoother(trace)
+    last, filt = smooth[-1], trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
     worst = float(np.max(np.abs(np.asarray(last.weights)
                                 - np.asarray(filt.weights))))
@@ -366,8 +366,8 @@ def test_a11_smoothing_consistency():
     wf_cfg = FilterConfig(method="exact")
     wf_records = [ObservationRecord(0.0, (3, 1, 0)), ObservationRecord(0.5, (1, 1, 1))]
     wf_trace = run_filter(wf_records, wf_cfg, wf_model)
-    wf_smooth = smoother(wf_records, wf_model, wf_trace)
-    worst_wf = float(np.max(np.abs(np.asarray(wf_smooth[-1].mixture.weights)
+    wf_smooth = smoother(wf_trace)
+    worst_wf = float(np.max(np.abs(np.asarray(wf_smooth[-1].weights)
                                    - np.asarray(wf_trace.filtering[-1].weights))))
     ok = worst <= 1e-12 and worst_wf <= 1e-12 and spread_cir < 1e-9 and spread_wf < 1e-9
     report("A11", ok,

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import beta, dirichlet
 
-from dualfilter import (DegenerateWeights, DomainError, DualMixture,
+from dualfilter import (DegenerateWeights, DimensionError, DomainError, DualMixture,
                         InvalidKernel, ObservationRecord, ZeroLikelihood,
                         dual_particle_propagate, mixture_marginal_pdf,
                         mixture_moments, mixture_pdf, propagate, prune,
@@ -24,7 +24,10 @@ def gamma_model(delta=2.0, gamma=1.0, sigma=1.0):
 
 
 class StubModel:
-    """A model whose update and propagation pieces are the given functions."""
+    """A one-dimensional model whose update and propagation pieces are the
+    given functions."""
+
+    signal_dim = 1
 
     def __init__(self, law=None, log_marginal=None, shift=None):
         self.pd_kernel = law
@@ -113,6 +116,19 @@ def test_mixture_rejects_unsorted_or_negative_points():
         DualMixture(model, ((2,), (1,)), np.array([0.5, 0.5]), 1.0)
     with pytest.raises(ValueError):
         DualMixture(model, ((-1,), (1,)), np.array([0.5, 0.5]), 1.0)
+
+
+def test_mixture_holds_rows_to_its_models_width():
+    # two-column rows used to propagate to a wider mixture and fail only at
+    # the next update or moments
+    with pytest.raises(DimensionError):
+        propagate(DualMixture(gamma_model(), [[1, 2]], [1.0], 2.0), 0.1)
+    with pytest.raises(DimensionError):
+        propagate(DualMixture(WFModel(WFParams((1.1, 1.1, 1.1))), [[1, 2]], [1.0]), 0.1)
+    with pytest.raises(DimensionError):
+        mixtures.death_kernel(gamma_model(), [[1, 2]], 2.0, 0.1)
+    # a mixture without a model takes any width
+    assert DualMixture(None, [[1, 2]], [1.0]).dim == 2
 
 
 def test_mixture_weights_immutable():

@@ -290,8 +290,7 @@ def bad_rows(draw):
 
 def row_entries(model, rows):
     """(call, flaws it lets pass) of each entry that takes dual index rows:
-    the mixture algebra takes any width, and a WF path draw takes a single
-    ``(K,)`` row as one path."""
+    a WF path draw takes a single ``(K,)`` row as one path."""
     theta = None if model is WF else CIR.params.beta + 1.0
     y = ObservationRecord(0.0, (1,) * model.signal_dim)
     n = len(rows) if np.ndim(rows) == 2 else 1
@@ -299,9 +298,9 @@ def row_entries(model, rows):
     rng = np.random.default_rng(0)
     entries = [
         (lambda: dual_rows(rows, model.signal_dim), ()),
-        (lambda: DualMixture(model, rows, weights, theta), ("wrong width",)),
-        (lambda: DualMixture.from_weights(model, rows, weights, theta), ("wrong width",)),
-        (lambda: death_kernel(model, rows, theta, 0.1), ("wrong width",)),
+        (lambda: DualMixture(model, rows, weights, theta), ()),
+        (lambda: DualMixture.from_weights(model, rows, weights, theta), ()),
+        (lambda: death_kernel(model, rows, theta, 0.1), ()),
         (lambda: model.log_marginal_point(rows, theta, y), ()),
         (lambda: model.component_moments(rows, theta), ()),
         (lambda: model.sample_component(rows, theta, rng), ()),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from dualfilter import (AlignmentError, CIRModel, CIRParams, ConfigError, FilterConfig,
-                        ObservationRecord, UnsupportedModel, WFModel, WFParams,
-                        mixture_moments, run_filter, smoother)
+from dualfilter import (FilterConfig, ObservationRecord, UnsupportedModel, WFModel,
+                        WFParams, mixture_moments, run_filter, smoother)
+from dualfilter.experiments import REFERENCE
 from dualfilter.mixtures import mixture_pdf
 
 from .oracles import (cir_grid_forward_backward, cir_log_density_ratio, closure_spread,
@@ -87,8 +87,8 @@ def test_terminal_smoothing_equals_filtering(cir_model):
     records = cir_records([4, 2, 7, 1])
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
-    out = smoother(records, cir_model, trace)
-    last = out[-1].mixture
+    out = smoother(trace)
+    last = out[-1]
     filt = trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
     assert last.theta == pytest.approx(filt.theta, rel=1e-12)
@@ -101,8 +101,8 @@ def test_terminal_smoothing_equals_filtering_wf(wf3_model):
                ObservationRecord(0.5, (1, 1, 1))]
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, wf3_model)
-    out = smoother(records, wf3_model, trace)
-    last = out[-1].mixture
+    out = smoother(trace)
+    last = out[-1]
     filt = trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
     np.testing.assert_allclose(np.asarray(last.weights),
@@ -113,9 +113,9 @@ def test_single_observation_smoothing_is_filtering(cir_model):
     records = cir_records([4])
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
-    out = smoother(records, cir_model, trace)
+    out = smoother(trace)
     assert len(out) == 1
-    np.testing.assert_allclose(np.asarray(out[0].mixture.weights),
+    np.testing.assert_allclose(np.asarray(out[0].weights),
                                np.asarray(trace.filtering[0].weights),
                                atol=1e-14)
 
@@ -124,13 +124,13 @@ def test_smoothing_matches_grid_forward_backward(cir_model):
     records = cir_records([4, 2, 7, 3])
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
-    out = smoother(records, cir_model, trace)
+    out = smoother(trace)
     grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
-    for i, res in enumerate(out):
-        mean, _ = mixture_moments(res.mixture)
+    for i, mix in enumerate(out):
+        mean, _ = mixture_moments(mix)
         assert mean[0] == pytest.approx(grid["smooth_mean"][i], abs=1e-10)
     # pointwise density agreement at the first time
-    dens = mixture_pdf(out[0].mixture, grid["grid"])
+    dens = mixture_pdf(out[0], grid["grid"])
     np.testing.assert_allclose(dens, grid["smooth"][0], atol=1e-10)
 
 
@@ -152,7 +152,7 @@ def test_wf_exact_filter_and_smoother_match_spectral_oracle(alpha, gap):
                                          else (c1, 0, 0)))
     model = WFModel(WFParams(alpha))
     trace = run_filter(records, FilterConfig("exact"), model)
-    smooth = [mixture_moments(res.mixture)[0][0] for res in smoother(records, model, trace)]
+    smooth = [mixture_moments(mix)[0][0] for mix in smoother(trace)]
     pairs = [ObservationRecord(r.time, (r.values[0], sum(r.values[1:]))) for r in records]
     want = wf_spectral_forward_backward(pairs, (alpha[0], sum(alpha[1:])))
     np.testing.assert_allclose(trace.filt_mean[:, 0], want["filt_mean"], rtol=0, atol=1e-10)
@@ -167,15 +167,45 @@ def test_cir_exact_filter_and_smoother_match_grid_oracle_at_irregular_gaps(cir_m
     times = np.cumsum([0.0, 0.05, 0.3, 0.05, 0.3, 0.15]).tolist()
     records = [ObservationRecord(t, (c,)) for t, c in zip(times, [4, 2, 7, 3, 5, 6])]
     trace = run_filter(records, FilterConfig("exact"), cir_model)
-    out = smoother(records, cir_model, trace)
+    out = smoother(trace)
     grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
     np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(trace.filt_sd[:, 0], grid["filt_sd"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(trace.loglik, grid["loglik"], rtol=0, atol=1e-10)
-    smooth = [mixture_moments(res.mixture)[0][0] for res in out]
+    smooth = [mixture_moments(mix)[0][0] for mix in out]
     np.testing.assert_allclose(smooth, grid["smooth_mean"], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(mixture_pdf(out[0].mixture, grid["grid"]), grid["smooth"][0],
+    np.testing.assert_allclose(mixture_pdf(out[0], grid["grid"]), grid["smooth"][0],
                                rtol=0, atol=1e-10)
+
+
+def test_reference_trace_smooths_close_to_the_cir_grid_oracle(cir_model):
+    # the irregular-gap records above, filtered and smoothed under the
+    # scenarios' reference cuts (errors 9.9e-11 and 1.0e-11 when written)
+    times = np.cumsum([0.0, 0.05, 0.3, 0.05, 0.3, 0.15]).tolist()
+    records = [ObservationRecord(t, (c,)) for t, c in zip(times, [4, 2, 7, 3, 5, 6])]
+    out = smoother(run_filter(records, REFERENCE, cir_model))
+    grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
+    smooth = [mixture_moments(mix)[0][0] for mix in out]
+    np.testing.assert_allclose(smooth, grid["smooth_mean"], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(mixture_pdf(out[0], grid["grid"]), grid["smooth"][0],
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [(1.1, 1.1), (3.0, 1.5)])
+def test_pruned_wf_smoother_matches_spectral_oracle_at_desk_size(alpha):
+    # 10 records of 20 draws at gap 1, as in the wf_filtering desk preset;
+    # the smoothed laws keep at most 115 rows (errors below 5e-14 when
+    # written)
+    rng = np.random.default_rng(5)
+    records = []
+    for t in range(10):
+        c1 = int(rng.binomial(20, 0.35))
+        records.append(ObservationRecord(float(t), (c1, 20 - c1)))
+    cfg = FilterConfig("pruned", prune_eps=1e-12, kernel_tail_eps=1e-14)
+    out = smoother(run_filter(records, cfg, WFModel(WFParams(alpha))))
+    want = wf_spectral_forward_backward(records, alpha)
+    smooth = [mixture_moments(mix)[0][0] for mix in out]
+    np.testing.assert_allclose(smooth, want["smooth_mean"], rtol=0, atol=1e-11)
 
 
 def test_smoothing_moves_toward_future_information(cir_model):
@@ -184,8 +214,8 @@ def test_smoothing_moves_toward_future_information(cir_model):
     records = cir_records([2, 20])
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
-    out = smoother(records, cir_model, trace)
-    smooth_mean, _ = mixture_moments(out[0].mixture)
+    out = smoother(trace)
+    smooth_mean, _ = mixture_moments(out[0])
     assert smooth_mean[0] > trace.filt_mean[0, 0]
 
 
@@ -194,54 +224,46 @@ def test_smoother_rejects_particle_trace(cir_model):
     cfg = FilterConfig(method="bootstrap", n_particles=50, seed=1)
     trace = run_filter(records, cfg, cir_model)
     with pytest.raises(UnsupportedModel):
-        smoother(records, cir_model, trace)
+        smoother(trace)
 
 
-@pytest.mark.parametrize("times", [(0.0, 0.1, 0.1), (0.0, 0.2, 0.1)],
-                         ids=["equal", "decreasing"])
-def test_smoother_rejects_non_increasing_times(cir_model, times):
-    records = cir_records([4, 2, 7])
-    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
-    bad = [ObservationRecord(t, y.values) for t, y in zip(times, records)]
-    with pytest.raises(AlignmentError):
-        smoother(bad, cir_model, trace)
+def test_smoother_of_an_empty_trace_is_empty(cir_model):
+    assert smoother(run_filter([], FilterConfig(method="exact"), cir_model)) == []
 
 
-def test_smoother_rejects_trace_at_other_times(cir_model):
-    # same counts, filtered at gaps of 0.1 but smoothed against gaps of 5.0
-    trace = run_filter(cir_records([4, 2, 7]), FilterConfig(method="exact"),
-                       cir_model)
-    with pytest.raises(AlignmentError):
-        smoother(cir_records([4, 2, 7], dt=5.0), cir_model, trace)
-
-
-def test_smoother_rejects_a_model_other_than_the_traces(cir_model, wf3_params):
-    records = cir_records([4, 2, 7])
-    trace = run_filter(records, FilterConfig(method="exact"), cir_model)
-    with pytest.raises(ConfigError, match="different model"):
-        smoother(records, CIRModel(CIRParams(3.0, 0.2, 2.0)), trace)
-    with pytest.raises(ConfigError, match="different model"):
-        smoother(records, WFModel(WFParams((1.1, 1.1))), trace)
-    # an equal model built anew is accepted, and so is a trace whose kernel
-    # was cut, since the cut is a setting of the filter, not of the model
-    assert len(smoother(records, CIRModel(cir_model.params), trace)) == 3
-    wf_records = [ObservationRecord(0.0, (2, 1, 0)), ObservationRecord(0.5, (0, 1, 2))]
+def test_smoother_takes_a_kernel_cut_wf_trace(wf3_model):
+    records = [ObservationRecord(0.0, (2, 1, 0)), ObservationRecord(0.5, (0, 1, 2))]
     cut = FilterConfig(method="pruned", kernel_tail_eps=1e-14)
-    wf_trace = run_filter(wf_records, cut, WFModel(wf3_params))
-    assert len(smoother(wf_records, WFModel(wf3_params), wf_trace)) == 2
+    assert len(smoother(run_filter(records, cut, wf3_model))) == 2
+
+
+@pytest.mark.parametrize("name", ["cir", "wf"])
+def test_pruned_trace_at_zero_smooths_like_exact(cir_model, wf3_model, name):
+    # a pruned trace at eps 0 runs the exact steps, forward and backward
+    if name == "cir":
+        model, records = cir_model, cir_records([4, 2, 7, 3, 5, 1])
+    else:
+        model = wf3_model
+        records = [ObservationRecord(0.0, (3, 1, 0)), ObservationRecord(0.5, (1, 1, 1)),
+                   ObservationRecord(1.0, (0, 2, 1))]
+    zero = FilterConfig("pruned", prune_eps=0.0, kernel_tail_eps=0.0)
+    a = smoother(run_filter(records, FilterConfig("exact"), model))
+    b = smoother(run_filter(records, zero, model))
+    for ma, mb in zip(a, b, strict=True):
+        np.testing.assert_array_equal(ma.points, mb.points)
+        np.testing.assert_array_equal(ma.weights, mb.weights)
+        assert ma.theta == mb.theta
 
 
 def test_smoother_pruned_trace_close_to_exact(cir_model):
     records = cir_records([4, 2, 7, 3, 5, 1])
     exact_cfg = FilterConfig(method="exact")
     pruned_cfg = FilterConfig(method="pruned", prune_eps=1e-10)
-    a = smoother(records, cir_model,
-                 run_filter(records, exact_cfg, cir_model))
-    b = smoother(records, cir_model,
-                 run_filter(records, pruned_cfg, cir_model))
+    a = smoother(run_filter(records, exact_cfg, cir_model))
+    b = smoother(run_filter(records, pruned_cfg, cir_model))
     for ra, rb in zip(a, b):
-        ma, _ = mixture_moments(ra.mixture)
-        mb, _ = mixture_moments(rb.mixture)
+        ma, _ = mixture_moments(ra)
+        mb, _ = mixture_moments(rb)
         assert ma[0] == pytest.approx(mb[0], abs=1e-6)
 
 
@@ -259,7 +281,7 @@ def test_terminal_smoothing_of_dual_particle_trace_is_filtering(cir_model, wf3_m
                    ObservationRecord(1.0, (0, 2, 1))]
     cfg = FilterConfig(method="dual_particle", n_particles=200, dual_kind=kind, seed=3)
     trace = run_filter(records, cfg, model)
-    last, filt = smoother(records, model, trace)[-1].mixture, trace.filtering[-1]
+    last, filt = smoother(trace)[-1], trace.filtering[-1]
     np.testing.assert_array_equal(last.points, filt.points)
     np.testing.assert_allclose(last.weights, filt.weights, rtol=0.0, atol=1e-12)
     if filt.theta is None:
@@ -275,8 +297,8 @@ def test_wf_smoothing_mean_against_monte_carlo(wf3_model):
                ObservationRecord(0.4, (0, 2, 2))]
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, wf3_model)
-    out = smoother(records, wf3_model, trace)
-    smooth_mean, _ = mixture_moments(out[0].mixture)
+    out = smoother(trace)
+    smooth_mean, _ = mixture_moments(out[0])
 
     rng = np.random.default_rng(8)
     n_outer, n_inner = 20_000, 40
@@ -300,9 +322,9 @@ def test_smoother_long_series_keeps_weights_positive(cir_model):
     records = cir_records(counts.tolist())
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
-    out = smoother(records, cir_model, trace)
+    out = smoother(trace)
     assert len(out) == 200
-    for res in out:
-        weights = np.asarray(res.mixture.weights)
+    for mix in out:
+        weights = np.asarray(mix.weights)
         assert np.all(weights > 0.0)
         assert abs(weights.sum() - 1.0) <= 1e-10
