@@ -69,8 +69,6 @@ def main(argv=None) -> int:
                 particles = [int(v) for v in args.particles.split(",") if v]
             except ValueError:
                 raise ConfigError(f"bad --particles value {args.particles!r}") from None
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         spec = build_spec(scenario, config, seed=args.seed,
                           particles=particles, replicates=args.replicates,
                           full=args.full)

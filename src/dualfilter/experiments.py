@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import numbers
 import sys
 import time as time_mod
 import zlib
@@ -42,8 +41,8 @@ from .cir import CIRModel, CIRParams
 from .errors import ConfigError
 from .filtering import (FilterConfig, ParticleCloud, density_on_grid, error_metrics,
                         grid_l1, metric_edges, run_filter)
-from .mixtures import (ObservationRecord, dual_particle_propagate, propagate,
-                       sample_mixture)
+from .mixtures import (ObservationRecord, dual_particle_propagate, is_integer,
+                       propagate, sample_mixture)
 from .wf import WFModel, WFParams
 
 __all__ = [
@@ -111,9 +110,9 @@ class ExperimentSpec:
         for name, low in (("n_times", 0), ("batch_size", 0), ("replicates", 1),
                           ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, not {value!r}")
-        if not self.particle_counts or not all(isinstance(v, numbers.Integral) and v >= 1
+        if not self.particle_counts or not all(is_integer(v) and v >= 1
                                                for v in self.particle_counts):
             raise ConfigError(f"particle counts must be positive integers, "
                               f"not {self.particle_counts!r}")
@@ -353,12 +352,15 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
     ``threads`` is 1 and otherwise in a pool of ``min(threads, replicates)``
     worker processes.  Returns the CLI exit code: 0 on success, 2 if any
     cell failed (failures are recorded as ``metric="error"`` rows and the
-    run continues).  A spec without observation times raises
-    :class:`ConfigError` before anything is written.
+    run continues).  A spec without observation times, or a ``threads``
+    that is not an integer >= 1, raises :class:`ConfigError` before
+    anything is written.
     """
     from pathlib import Path
     if spec.n_times < 1:
         raise ConfigError(f"{spec.scenario} needs n_times >= 1, got {spec.n_times}")
+    if not is_integer(threads) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, not {threads!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

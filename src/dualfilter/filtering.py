@@ -25,7 +25,6 @@ by :mod:`dualfilter.experiments`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +33,7 @@ from scipy.special import logsumexp
 
 from .errors import AlignmentError, ConfigError, UnsupportedModel, ZeroLikelihood
 from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
-                       mixture_marginal_pdf, mixture_quantile,
+                       is_integer, mixture_marginal_pdf, mixture_quantile,
                        propagate, prune, systematic_counts, update)
 
 __all__ = [
@@ -80,10 +79,9 @@ class FilterConfig:
                 raise ConfigError(f"{name} must lie in [0, 1), not {eps!r}")
             if eps > 0.0 and self.method != "pruned":
                 raise ConfigError(f"{name} > 0 needs method 'pruned', not {self.method!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
-        if self.n_particles is not None and not isinstance(self.n_particles,
-                                                           numbers.Integral):
+        if self.n_particles is not None and not is_integer(self.n_particles):
             raise ConfigError(f"n_particles must be an integer, not {self.n_particles!r}")
         if self.method in ("dual_particle", "bootstrap"):
             if self.n_particles is None or self.n_particles < 1:
@@ -351,10 +349,13 @@ def error_metrics(trace_a: FilterTrace, trace_ref: FilterTrace,
 
     Raises:
         AlignmentError: if the traces, or a ``(T, K)`` signal, differ in grid.
+        ConfigError: if the traces have no steps.
     """
     if len(trace_a) != len(trace_ref) or not np.allclose(trace_a.times, trace_ref.times):
         raise AlignmentError("traces are not on a common time grid")
     t = len(trace_ref)
+    if t == 0:
+        raise ConfigError("error metrics need traces with at least one step")
     per: dict[str, np.ndarray] = {
         "err_mean": np.abs(trace_a.filt_mean - trace_ref.filt_mean).mean(axis=1),
         "err_sd": np.abs(trace_a.filt_sd - trace_ref.filt_sd).mean(axis=1),

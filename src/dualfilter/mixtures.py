@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,11 @@ logger = logging.getLogger(__name__)
 WEIGHT_SUM_TOL = 1e-12
 #: tolerance on kernel mass before a kernel is declared super-stochastic
 KERNEL_MASS_TOL = 1e-8
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, but not for a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_time_step(t) -> None:

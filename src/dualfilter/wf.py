@@ -23,7 +23,7 @@ Two dual processes drive propagation:
 
 The block-counting chain is pure death with a lower bidiagonal generator,
 so its transition law is computed exactly and deterministically as a row
-of the generator's matrix exponential.
+of the generator's matrix exponential, cached by ``(m_tot, t, p)``.
 
 ``WFModel`` defines each primitive the filters read once, in its class
 body: the conjugate update, the exact block-count law of the typed-death
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, xlog1py, xlogy
+from scipy.special import betainc, betaln, gammaln, polygamma, psi, xlog1py, xlogy
 
 from .errors import ConfigError, DimensionError, DomainError
 from .mixtures import (DualMixture, DualSampler, ObservationRecord, check_time_step,
@@ -58,7 +58,6 @@ __all__ = [
     "wf_chain_sample_many",
     "wf_diffusion_binned_sample_many",
     "wf_transition_sample_many",
-    "entrance_truncation_level",
 ]
 
 logger = logging.getLogger(__name__)
@@ -95,37 +94,27 @@ class WFParams:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1024)
-def _block_count_row(m_tot: int, t: float, theta: float) -> np.ndarray:
-    """Row ``m_tot`` of ``expm(Q t)`` for the block-counting generator ``Q``.
-
-    ``Q`` is lower bidiagonal on ``0..m_tot``: level ``k`` steps to ``k-1``
-    at rate ``k (theta + k - 1) / 2``.  Entries are clipped at zero and the
-    row renormalized; the cache holds rows only, never the matrix.
-    """
-    from scipy.linalg import expm  # on first use: CIR runs never load it
-    k = np.arange(m_tot + 1, dtype=float)
-    rates = k * (theta + k - 1.0) / 2.0
-    q = np.diag(-rates) + np.diag(rates[1:], -1)
-    row = np.clip(expm(q * t)[m_tot], 0.0, None)
-    row /= row.sum()
-    row.setflags(write=False)
-    return row
-
-
 def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
     """Transition probabilities of the block-counting death chain.
 
     Starting from ``m_tot`` lineages, returns the vector of probabilities
     of holding ``n`` lineages after time ``t`` for ``n = 0..m_tot``; the
-    chain steps down at rate ``k (theta + k - 1) / 2``.  The law is the
-    exact row of the matrix exponential of the chain's generator; the
-    result is read-only and shared between calls with the same
-    ``(m_tot, t, theta)``.
+    chain steps down at rate ``k (theta + k - 1) / 2``.  The law is row
+    ``m_tot`` of ``expm(Q t)`` for the chain's lower bidiagonal generator
+    ``Q``, clipped at zero and renormalized.  The result is read-only and
+    cached by ``(m_tot, t, p)``; bad arguments raise and are never cached.
     """
     if m_tot < 0:
         raise ConfigError("m_tot must be non-negative")
     check_time_step(t)
-    return _block_count_row(int(m_tot), float(t), p.theta)
+    from scipy.linalg import expm  # on first use: CIR runs never load it
+    k = np.arange(int(m_tot) + 1, dtype=float)
+    rates = k * (p.theta + k - 1.0) / 2.0
+    q = np.diag(-rates) + np.diag(rates[1:], -1)
+    row = np.clip(expm(q * t)[-1], 0.0, None)
+    row /= row.sum()
+    row.setflags(write=False)
+    return row
 
 
 def _start_rows(n0, p: WFParams) -> np.ndarray:
@@ -223,11 +212,6 @@ def wf_chain_sample_many(n0, t: float, p: WFParams,
     return state
 
 
-def entrance_truncation_level(t: float) -> int:
-    """Starting level used to approximate the coalescent entrance boundary."""
-    return int(min(500, max(50, math.ceil(10.0 / t))))
-
-
 def _entrance_descent_time(level: int, theta: float) -> float:
     """Expected time for the block chain to fall from infinity to ``level``.
 
@@ -237,41 +221,34 @@ def _entrance_descent_time(level: int, theta: float) -> float:
     starting the chain at ``level`` but at this (deterministic) age makes
     the entrance-boundary truncation error second order.
     """
-    from scipy.special import polygamma, psi
     c = theta - 1.0
     if abs(c) < 1e-9:
         return float(2.0 * polygamma(1, level + 1))
     return float(2.0 / c * (psi(level + 1 + c) - psi(level + 1)))
 
 
-_SENSITIVITY_CHECKED: set = set()
-
-
+@functools.lru_cache(maxsize=256)
 def _entrance_block_pmf(t: float, p: WFParams) -> np.ndarray:
     """Block-count law from the entrance boundary, truncated and age-shifted.
 
-    The chain is started at the truncation level at its expected entrance
-    age, i.e. the law returned is ``block_count_probs(level, t - eps)``
-    with ``eps`` from :func:`_entrance_descent_time`.  On first use for a
-    given (t, alpha) the start-level sensitivity is checked by doubling the
-    truncation level; a shift above 1e-3 in any probability is logged as a
-    warning.
+    The chain is started at the truncation level ``min(500, max(50,
+    ceil(10/t)))`` at its expected entrance age, i.e. the law returned is
+    ``block_count_probs(level, t - eps)`` with ``eps`` from
+    :func:`_entrance_descent_time`.  The law is cached by ``(t, p)``; when
+    it is built, the start-level sensitivity is checked by doubling the
+    level, and a shift above 1e-3 in any probability is logged as a warning.
     """
     def shifted(level: int) -> np.ndarray:
         t_eff = max(t - _entrance_descent_time(level, p.theta), 1e-12)
         return block_count_probs(level, t_eff, p)
 
-    level = entrance_truncation_level(t)
+    level = int(min(500, max(50, math.ceil(10.0 / t))))
     pmf = shifted(level)
-    key = (float(t), p.alpha)
-    if key not in _SENSITIVITY_CHECKED:
-        _SENSITIVITY_CHECKED.add(key)
-        pmf2 = shifted(2 * level)
-        shift = np.max(np.abs(pmf - pmf2[:len(pmf)]))
-        if shift > 1e-3:
-            logger.warning(
-                "entrance truncation level %d at t=%g is sensitive "
-                "(doubling shifts a probability by %.2e)", level, t, shift)
+    shift = np.max(np.abs(pmf - shifted(2 * level)[:len(pmf)]))
+    if shift > 1e-3:
+        logger.warning(
+            "entrance truncation level %d at t=%g is sensitive "
+            "(doubling shifts a probability by %.2e)", level, t, shift)
     return pmf
 
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dualfilter import (AlignmentError, CIRModel, CIRParams, DualFilterError,
-                        FilterConfig, ObservationRecord, ParticleCloud,
-                        WFModel, WFParams, ZeroLikelihood, error_metrics,
-                        run_filter)
+from dualfilter import (AlignmentError, CIRModel, CIRParams, ConfigError,
+                        DualFilterError, FilterConfig, ObservationRecord,
+                        ParticleCloud, WFModel, WFParams, ZeroLikelihood,
+                        error_metrics, run_filter)
 from dualfilter import cir, wf
 from dualfilter.experiments import build_spec, simulate_dataset
 from dualfilter.filtering import density_on_grid, grid_l1, metric_edges
@@ -150,6 +150,8 @@ def test_config_validation():
     lambda: cir_metrics_with_signal(np.ones(5)),
     lambda: cir_metrics_with_signal(np.ones(6)),
     lambda: sample_mixture(CIR_MODEL.prior_mixture(), np.random.default_rng(0), -1),
+    lambda: FilterConfig(method="bootstrap", n_particles=True),
+    lambda: FilterConfig(method="exact", seed=False),
 ], ids=["method", "prune_eps", "prune_eps_unpruned", "kernel_tail_eps_exact",
         "kernel_tail_eps_dual_particle", "kernel_tail_eps_bootstrap", "n_particles",
         "dual_kind", "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
@@ -174,7 +176,7 @@ def test_config_validation():
         "death_kernel_negative_total",
         "death_kernel_1d", "from_weights_nan", "cir_moments_width", "cir_update_width",
         "wf_moments_width", "particle_row_count", "signal_size", "signal_width",
-        "sample_negative_size"])
+        "sample_negative_size", "bool_n_particles", "bool_seed"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()
@@ -488,6 +490,12 @@ def test_error_metrics_alignment_error(cir_model):
     b = run_filter(cir_records([4, 2, 1]), FilterConfig(method="exact"), cir_model)
     with pytest.raises(AlignmentError):
         error_metrics(a, b)
+
+
+def test_error_metrics_rejects_traces_without_steps(cir_model):
+    trace = run_filter([], FilterConfig(method="exact"), cir_model)
+    with pytest.raises(ConfigError):
+        error_metrics(trace, trace)
 
 
 def test_grid_l1_between_mixture_and_cloud(cir_model, rng):

@@ -85,12 +85,19 @@ def test_build_spec_rejects_fractional_counts(config, overrides):
     # a label whose dual the model does not have
     ("cir_filtering", {"methods": ["pd", "moran"]}),
     ("wf_filtering", {"methods": ["bd"]}),
+    # a JSON true is not the integer 1
+    ("cir_filtering", {"replicates": True}),
+    ("cir_filtering", {"n_times": True}),
+    ("cir_filtering", {"batch_size": True}),
+    ("cir_filtering", {"seed": True}),
+    ("cir_filtering", {"particle_counts": [True]}),
 ], ids=["forced_last_length", "forced_last_negative", "forced_last_cir_negative",
         "forced_last_fractional", "horizon_inf", "horizon_nan", "delta_t_inf",
         "delta_t_nan", "no_particle_counts", "no_methods", "flavor", "model",
         "method_label", "predictive_without_horizon", "delta_t_type",
         "negative_seed", "fractional_seed", "preset_model", "preset_flavor",
-        "preset_scenario", "moran_on_cir", "bd_on_wf"])
+        "preset_scenario", "moran_on_cir", "bd_on_wf", "bool_replicates",
+        "bool_n_times", "bool_batch_size", "bool_seed", "bool_particle_count"])
 def test_build_spec_rejects_bad_values(scenario, config):
     with pytest.raises(ConfigError):
         build_spec(scenario, config)
@@ -252,6 +259,16 @@ def test_run_scenario_thread_count_invariant(tmp_path):
         assert len(manifest.pop("wall_times_s")) == spec.replicates * 3 * 2
         manifests.append(manifest)
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("threads", [0, -1, True, 2.5])
+def test_run_scenario_rejects_bad_threads(tmp_path, threads):
+    spec = build_spec("cir_predictive", tiny_config(replicates=1, particle_counts=[10],
+                                                    n_times=2, methods=["exact"]), seed=5)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        run_scenario(spec, out, threads=threads)
+    assert not out.exists()
 
 
 def test_run_scenario_filtering_with_exact_method(tmp_path):

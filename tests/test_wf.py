@@ -579,15 +579,30 @@ def test_wf_transition_scalar_wrapper(wf3_params, rng):
 
 @pytest.mark.parametrize("alpha, t", [((3.0,) * 4, 0.1), ((3.0,) * 4, 0.2),
                                       ((1.1,) * 3, 0.1), ((1.1,) * 3, 1.0)])
-def test_wf_transition_entrance_level_not_sensitive(alpha, t, monkeypatch, caplog):
+def test_wf_transition_entrance_level_not_sensitive(alpha, t, caplog):
     from dualfilter import wf
-    monkeypatch.setattr(wf, "_SENSITIVITY_CHECKED", set())
+    wf._entrance_block_pmf.cache_clear()
     p = WFParams(alpha)
     with caplog.at_level(logging.WARNING, logger="dualfilter.wf"):
         wf_transition_sample_many(stacked(np.full(p.k, 1.0 / p.k), 10), t, p,
                                   np.random.default_rng(0))
     assert not any("entrance truncation level" in r.getMessage()
                    for r in caplog.records)
+
+
+def test_wf_transition_entrance_warning_fires_once_per_law(caplog):
+    # at t = 0.01 the level is 500, and doubling it shifts a probability by
+    # about 1.4e-3; the check runs when the law is built, not on a cache hit
+    from dualfilter import wf
+    wf._entrance_block_pmf.cache_clear()
+    p = WFParams((1.1, 1.1, 1.1))
+    with caplog.at_level(logging.WARNING, logger="dualfilter.wf"):
+        for seed in (0, 1):
+            wf_transition_sample_many(stacked(np.full(p.k, 1.0 / p.k), 10), 0.01, p,
+                                      np.random.default_rng(seed))
+    warnings = [r.getMessage() for r in caplog.records
+                if "entrance truncation level 500" in r.getMessage()]
+    assert len(warnings) == 1
 
 
 # ---------------------------------------------------------------------------
