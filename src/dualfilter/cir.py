@@ -52,7 +52,7 @@ from scipy.special import gammainc, gammaln
 from .errors import (ConfigError, DomainError, InvalidDualParam,
                      SimulationBudgetExceeded)
 from .mixtures import (DualMixture, DualSampler, ObservationRecord, check_time_step,
-                       dual_rows)
+                       dual_rows, is_real)
 
 __all__ = [
     "CIRParams",
@@ -80,7 +80,7 @@ class CIRParams:
     def __post_init__(self):
         for name in ("delta", "gamma", "sigma", "tau"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (is_real(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and strictly positive, "
                                   f"not {value!r}")
 

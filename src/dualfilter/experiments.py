@@ -42,7 +42,7 @@ from .errors import ConfigError
 from .filtering import (FilterConfig, ParticleCloud, density_on_grid, error_metrics,
                         grid_l1, metric_edges, run_filter)
 from .mixtures import (ObservationRecord, dual_particle_propagate, is_integer,
-                       propagate, sample_mixture)
+                       is_real, propagate, sample_mixture)
 from .wf import WFModel, WFParams
 
 __all__ = [
@@ -116,12 +116,11 @@ class ExperimentSpec:
                                                for v in self.particle_counts):
             raise ConfigError(f"particle counts must be positive integers, "
                               f"not {self.particle_counts!r}")
-        if not (np.isfinite(self.delta_t) and self.delta_t > 0):
+        if not (is_real(self.delta_t) and self.delta_t > 0):
             raise ConfigError(f"delta_t must be finite and positive, not {self.delta_t!r}")
         if self.flavor == "predictive" and self.horizon is None:
             raise ConfigError("predictive scenarios need a horizon")
-        if self.horizon is not None and not (np.isfinite(self.horizon)
-                                             and self.horizon > 0):
+        if self.horizon is not None and not (is_real(self.horizon) and self.horizon > 0):
             raise ConfigError(f"horizon must be finite and positive, not {self.horizon!r}")
         if self.forced_last is not None:
             last = ObservationRecord(0.0, self.forced_last).values

@@ -33,7 +33,7 @@ from scipy.special import logsumexp
 
 from .errors import AlignmentError, ConfigError, UnsupportedModel, ZeroLikelihood
 from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
-                       is_integer, mixture_marginal_pdf, mixture_quantile,
+                       is_integer, is_real, mixture_marginal_pdf, mixture_quantile,
                        propagate, prune, systematic_counts, update)
 
 __all__ = [
@@ -75,7 +75,7 @@ class FilterConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         for name in ("prune_eps", "kernel_tail_eps"):
             eps = getattr(self, name)
-            if not 0.0 <= eps < 1.0:
+            if not (is_real(eps) and 0.0 <= eps < 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1), not {eps!r}")
             if eps > 0.0 and self.method != "pruned":
                 raise ConfigError(f"{name} > 0 needs method 'pruned', not {self.method!r}")

@@ -12,9 +12,9 @@ Representation choices:
 * the support of a mixture is one read-only int64 array of shape
   ``(M, K)``, one multi-index per row (``K = 1`` for one-dimensional
   duals), with distinct rows in lexicographic order;
-* every entry reads index rows through :func:`dual_rows`; a mixture and
-  :func:`death_kernel` hold them to their model's ``signal_dim`` (a
-  mixture without a model takes any ``K``);
+* every entry reads index rows through :func:`dual_rows`; a mixture holds
+  them to its model's ``signal_dim`` (a mixture without a model takes any
+  ``K``);
 * the deterministic dual parameter is a ``float`` (or ``None`` for models
   whose dual has no deterministic component);
 * each mixture holds the model that built it (``cir.CIRModel`` with Gamma
@@ -27,9 +27,9 @@ each taking the whole ``(M, K)`` support array (or its totals) at once:
 * update: ``log_marginal_point(points, theta, y)`` and
   ``shift(y, points, theta) -> (points, theta)``;
 * propagation: ``pd_kernel(totals, theta, dt) -> (laws, theta_t)``, the
-  exact law of the surviving total, which :func:`death_kernel` thins over
-  the types and cuts at a level threshold; particles:
-  ``dual_sampler(kind)``;
+  exact law of the surviving total, which :func:`propagate` cuts at a level
+  threshold, checks once per total and pushes through the thinning over the
+  types one coordinate at a time; particles: ``dual_sampler(kind)``;
 * moments: ``component_moments(points, theta) -> (mean, var)``;
 * densities: ``component_logpdf(x, points, theta)``, which raises
   ``DomainError`` off the state space, and
@@ -71,7 +71,6 @@ __all__ = [
     "DualMixture",
     "dual_rows",
     "prune",
-    "death_kernel",
     "propagate",
     "update",
     "dual_particle_propagate",
@@ -96,6 +95,12 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a finite Python or numpy real number, but not for a ``bool``."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def check_time_step(t) -> None:
     """Raise ``ConfigError`` unless ``t`` is a finite positive time step."""
     if not (math.isfinite(t) and t > 0):
@@ -115,7 +120,7 @@ class ObservationRecord:
     values: tuple
 
     def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0):
+        if not (is_real(self.time) and self.time >= 0):
             raise ConfigError(f"observation time must be finite and non-negative, "
                               f"not {self.time!r}")
         try:
@@ -201,12 +206,9 @@ class DualMixture:
                      theta: float | None = None) -> "DualMixture":
         """Build a mixture from ``(L, K)`` rows and non-negative raw weights.
 
-        Each row is read as one int64 key in the mixed radix
-        ``points.max(axis=0) + 1``, so ascending keys are the lexicographic row
-        order; ``np.unique`` of the keys gives the output rows and
-        ``np.bincount`` merges each row's weights by adding them in input
-        order.  Where the radix product reaches ``2**63``, ``np.unique`` of the
-        rows themselves gives the same rows and sums.  The total is normalized
+        Repeated rows are merged by :func:`_merge_rows`, one int64
+        mixed-radix key per row, which adds each row's weights in input order
+        and returns the rows in lexicographic order.  The total is normalized
         to one, and rows whose normalized weight is zero are dropped, including
         denormal weights that underflow in the division.  The output rows do not
         depend on the order of the input rows, but the merged weights do in the
@@ -229,25 +231,10 @@ class DualMixture:
             raise DegenerateWeights("weights must be finite and non-negative")
         if not np.any(weights > 0.0):
             raise DegenerateWeights("all weights are zero")
-        radix = [int(col.max()) + 1 for col in points.T]
-        if math.prod(radix) < 2 ** 63:
-            key = points[:, 0].copy()
-            for j in range(1, len(radix)):
-                key *= radix[j]
-                key += points[:, j]
-            uniq, inverse = np.unique(key, return_inverse=True)
-            merged = np.bincount(inverse, weights)
-            rows = np.empty((len(uniq), len(radix)), dtype=np.int64)
-            for j in range(len(radix) - 1, 0, -1):
-                uniq, rows[:, j] = np.divmod(uniq, radix[j])
-            rows[:, 0] = uniq
-        else:
-            rows, inverse = np.unique(points, axis=0, return_inverse=True)
-            merged = np.bincount(inverse, weights)
+        rows, merged = _merge_rows(points, weights)
         merged /= math.fsum(merged)
         keep = merged > 0.0
-        return cls(model=model, points=rows[keep], weights=merged[keep],
-                   theta=theta)
+        return cls(model=model, points=rows[keep], weights=merged[keep], theta=theta)
 
     def as_dict(self) -> dict[tuple, float]:
         return dict(zip(map(tuple, self.points.tolist()), self.weights.tolist()))
@@ -289,67 +276,57 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
                                      mix.weights[keep], mix.theta), removed)
 
 
-def death_kernel(model, points, theta, dt: float, kernel_tail_eps: float = 0.0) -> tuple:
-    """Rows ``(arrivals, probs, source, theta_t)`` of the typed pure-death
-    dual from the ``(M, K)`` sources: each source's box of ``n <= m`` in
-    ``np.meshgrid`` "ij" order, less the rows of zero level probability.
-
-    From ``m`` with ``T = |m|``, ``n`` has probability ``d_T(|n|) * prod_i
-    C(m_i, n_i) / C(T, |n|)``: the law ``d_T`` of the surviving total,
-    which ``model.pd_kernel`` gives with ``theta_t`` for the ascending
-    distinct totals, times a uniform thinning (one for ``K = 1``).  The
-    levels ``d_T(l) <= kernel_tail_eps`` are zeroed, so a source loses at
-    most ``(T + 1) * kernel_tail_eps`` mass; ``0`` keeps the exact kernel.
-
-    Raises:
-        ConfigError: if ``kernel_tail_eps`` is not in ``[0, 1)``.
-        DimensionError: if the sources are not ``model.signal_dim`` wide.
-    """
-    if not 0.0 <= kernel_tail_eps < 1.0:
-        raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
-    points = dual_rows(points, model.signal_dim)
-    k = points.shape[1]
-    mtot = points.sum(axis=1)
-    totals, level = np.unique(mtot, return_inverse=True)
-    laws, theta_t = model.pd_kernel(totals, theta, dt)
-    laws = np.where(laws > kernel_tail_eps, laws, 0.0)
-    size = np.prod(points + 1, axis=1)
-    source = np.repeat(np.arange(len(points)), size)
-    index = np.arange(len(source)) - np.repeat(np.cumsum(size) - size, size)
-    cols = [None] * k
-    for j in range(k - 1, -1, -1):
-        index, cols[j] = np.divmod(index, (points[:, j] + 1)[source])
-    ntot = sum(cols[1:], cols[0])
-    d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
-    keep = d > 0.0
-    if not keep.all():
-        cols = [c[keep] for c in cols]
-        source, ntot, d = source[keep], ntot[keep], d[keep]
-    logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
-    terms = [logfact[points[:, j]][source] - logfact[cols[j]]
-             - logfact[points[:, j][source] - cols[j]] for j in range(k)]
-    loghyp = np.stack(terms, axis=1).sum(axis=1)
-    loghyp -= logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]
-    return np.stack(cols, axis=1), d * np.exp(loghyp), source, theta_t
+def _merge_rows(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the int64 ``(L, C)`` ``points`` in lexicographic
+    order and their weights added in input order (zero sums may be left out),
+    by ``np.bincount`` of one mixed-radix int64 key per row: over the key range
+    while it spans at most 8 keys per row, else over the ``np.unique`` index of
+    the keys, or of the rows themselves once the keys would reach ``2**63``."""
+    radix = [int(col.max()) + 1 for col in points.T]
+    span = math.prod(radix)
+    if span >= 2 ** 63:
+        rows, inverse = np.unique(points, axis=0, return_inverse=True)
+        return rows, np.bincount(inverse, weights)
+    key = points @ np.cumprod([1] + radix[:0:-1])[::-1]  # the place values of the radix
+    if span <= 8 * len(key):
+        merged = np.bincount(key, weights)
+        key = np.flatnonzero(merged)
+        merged = merged[key]
+    else:
+        key, inverse = np.unique(key, return_inverse=True)
+        merged = np.bincount(inverse, weights)
+    rows = np.empty((len(key), len(radix)), dtype=np.int64)
+    for j in range(len(radix) - 1, 0, -1):
+        key, rows[:, j] = np.divmod(key, radix[j])
+    rows[:, 0] = key
+    return rows, merged
 
 
 def propagate(mix: DualMixture, dt: float, kernel_tail_eps: float = 0.0) -> DualMixture:
-    """Push a mixture through its model's pure-death dual over a time step.
+    """Push a mixture through its model's typed pure-death dual over a time step.
 
-    The :func:`death_kernel` rows of the whole support, cut at
-    ``kernel_tail_eps``, weighted by their source weights, are merged by
-    :meth:`DualMixture.from_weights`, so the output weight at ``n`` is
-    ``sum_m w_m * kernel(m)[n]``, renormalized.
+    From ``m`` with ``T = |m|`` the dual moves to ``n <= m`` with probability
+    ``d_T(|n|) * prod_i C(m_i, n_i) / C(T, |n|)``; ``model.pd_kernel`` gives
+    ``theta_t`` and the law ``d_T`` of the surviving total, whose levels at or
+    below ``kernel_tail_eps`` are zeroed.  Rows ``(n_1..n_{i-1}, m_i..m_K, T)``
+    expand one coordinate at a time to every ``n_i <= m_i`` and merge, their
+    weights carrying the hypergeometric law of the prefix (at most one, so any
+    total stays in range); the last rows take ``d_T(|n|)`` and merge over ``T``
+    in :meth:`DualMixture.from_weights`.  For ``K = 1`` that is the level law.
 
-    Raises:
+    Raises (naming a source of the total at fault):
         ConfigError: if ``kernel_tail_eps`` is not in ``[0, 1)``, or the cut
-            drops every arrival of a source.
-        InvalidKernel: if any source kernel carries mass above ``1 + 1e-8``.
+            drops every level of a total.
+        InvalidKernel: if the law of a total has mass above ``1 + 1e-8``.
     """
     check_time_step(dt)
-    arrivals, probs, source, theta = death_kernel(mix.model, mix.points, mix.theta, dt,
-                                                  kernel_tail_eps)
-    mass = np.bincount(source, probs, minlength=mix.support_size)
+    if not 0.0 <= kernel_tail_eps < 1.0:
+        raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
+    k = mix.dim
+    totals, level = np.unique(mix.points.sum(axis=1), return_inverse=True)
+    laws, theta = mix.model.pd_kernel(totals, mix.theta, dt)
+    laws = np.where(laws > kernel_tail_eps, laws, 0.0)
+    mass = np.bincount(np.repeat(np.arange(len(totals)), totals + 1), laws)[level]
     if not mass.all():
         raise ConfigError(f"kernel_tail_eps {kernel_tail_eps!r} drops every arrival "
                           f"from {mix.points[mass.argmin()].tolist()}")
@@ -357,7 +334,28 @@ def propagate(mix: DualMixture, dt: float, kernel_tail_eps: float = 0.0) -> Dual
     if heavy.size:
         raise InvalidKernel(f"kernel mass {mass[heavy[0]]:.12f} from "
                             f"{mix.points[heavy[0]].tolist()} exceeds one")
-    return DualMixture.from_weights(mix.model, arrivals, mix.weights[source] * probs, theta)
+    logfact = gammaln(np.arange(totals[-1] + 1) + 1.0)
+    rows, weights = np.column_stack([mix.points, level]), mix.weights
+    s = 0  # n[0] + .. + n[i-1] of each row
+    for i in range(k):
+        if i >= 2:  # rows first collide after two coordinates
+            rows, weights = _merge_rows(rows, weights)
+        cols = list(rows.T)  # added column by column: a short-axis sum is slow
+        m = cols[i]
+        size = m + 1
+        n = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        weights = np.repeat(weights, size)
+        if i:  # times C(low, s) C(m[i], n[i]) / C(low + m[i], s + n[i]), one at i = 0
+            s = sum(cols[1:i], cols[0])
+            low = totals[cols[k]] - sum(cols[i + 1:k], m)  # m[0] + .. + m[i-1]
+            scale = logfact[low] - logfact[s] - logfact[low - s] + logfact[m] - logfact[low + m]
+            s, m, low = (np.repeat(x, size) for x in (s, m, low))
+            weights *= np.exp(np.repeat(scale, size) - logfact[n] - logfact[m - n]
+                              + logfact[s + n] + logfact[low + m - s - n])
+        rows = np.repeat(rows, size, axis=0)
+        rows[:, i] = n
+    d = laws[(np.cumsum(totals + 1) - (totals + 1))[rows[:, k]] + s + n]
+    return DualMixture.from_weights(mix.model, rows[:, :k], weights * d, theta)
 
 
 def update(mix: DualMixture, y) -> tuple[DualMixture, float]:

@@ -47,7 +47,7 @@ from scipy.special import betainc, betaln, gammaln, polygamma, psi, xlog1py, xlo
 
 from .errors import ConfigError, DimensionError, DomainError
 from .mixtures import (DualMixture, DualSampler, ObservationRecord, check_time_step,
-                       dual_rows)
+                       dual_rows, is_real)
 
 __all__ = [
     "WFParams",
@@ -69,13 +69,13 @@ class WFParams:
     alpha: tuple
 
     def __post_init__(self):
-        alpha = tuple(float(a) for a in self.alpha)
+        alpha = tuple(self.alpha)
         if len(alpha) < 2:
             raise ConfigError("need at least two types")
-        if not all(math.isfinite(a) and a > 0 for a in alpha):
+        if not all(is_real(a) and a > 0 for a in alpha):
             raise ConfigError(f"all mutation weights must be finite and strictly "
                               f"positive, not {alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", tuple(float(a) for a in alpha))
 
     @property
     def k(self) -> int:

@@ -8,10 +8,13 @@ of helper are exceptions: the test-only conveniences
 ``wf_log_density_ratio``, ``wf_density_ratio``, ``update_counts`` and
 ``closure_spread``, built on the package's count checks and smoothing
 closure, ``linear_bd_draw_reference``, a frozen copy of the ``bd``
-draw that fixes its random stream, ``wf_pd_kernel_rows``, a frozen copy of
-the vectorized WF kernel that ``mixtures.death_kernel`` must match bit for bit,
-and ``beta_marginal_logpdf_rows``, the per-row Beta marginal formula that
-the package's deduplicated evaluation must match bit for bit.
+draw that fixes its random stream, ``death_kernel``, the box of every
+source's arrivals under the model's ``pd_kernel`` law, whose weighted sum
+``mixtures.propagate`` must match, ``wf_pd_kernel_rows``, a frozen copy of
+the vectorized WF kernel whose merged rows ``mixtures.propagate`` must give
+exactly (and its weights to a relative tolerance), and
+``beta_marginal_logpdf_rows``, the per-row Beta marginal formula that the
+package's deduplicated evaluation must match bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from scipy.linalg import expm
 from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi, xlog1py, xlogy
 from scipy.stats import chisquare, ncx2
 
+from dualfilter.errors import ConfigError
 from dualfilter.mixtures import dual_rows
 from dualfilter.wf import block_count_probs
 
@@ -38,6 +42,47 @@ def _counts(n, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Mixture and kernel views
 # ---------------------------------------------------------------------------
+
+def death_kernel(model, points, theta, dt: float, kernel_tail_eps: float = 0.0) -> tuple:
+    """Rows ``(arrivals, probs, source, theta_t)`` of the typed pure-death
+    dual from the ``(M, K)`` sources: each source's box of ``n <= m`` in
+    ``np.meshgrid`` "ij" order, less the rows of zero level probability.
+
+    From ``m`` with ``T = |m|``, ``n`` has probability ``d_T(|n|) * prod_i
+    C(m_i, n_i) / C(T, |n|)``: the law ``d_T`` of the surviving total,
+    which ``model.pd_kernel`` gives with ``theta_t`` for the ascending
+    distinct totals, times a uniform thinning (one for ``K = 1``).  The
+    levels ``d_T(l) <= kernel_tail_eps`` are zeroed.  Raises
+    ``ConfigError`` for a cut outside ``[0, 1)`` and ``DimensionError``
+    for sources that are not ``model.signal_dim`` wide.
+    """
+    if not 0.0 <= kernel_tail_eps < 1.0:
+        raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
+    points = dual_rows(points, model.signal_dim)
+    k = points.shape[1]
+    mtot = points.sum(axis=1)
+    totals, level = np.unique(mtot, return_inverse=True)
+    laws, theta_t = model.pd_kernel(totals, theta, dt)
+    laws = np.where(laws > kernel_tail_eps, laws, 0.0)
+    size = np.prod(points + 1, axis=1)
+    source = np.repeat(np.arange(len(points)), size)
+    index = np.arange(len(source)) - np.repeat(np.cumsum(size) - size, size)
+    cols = [None] * k
+    for j in range(k - 1, -1, -1):
+        index, cols[j] = np.divmod(index, (points[:, j] + 1)[source])
+    ntot = sum(cols[1:], cols[0])
+    d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
+    keep = d > 0.0
+    if not keep.all():
+        cols = [c[keep] for c in cols]
+        source, ntot, d = source[keep], ntot[keep], d[keep]
+    logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
+    terms = [logfact[points[:, j]][source] - logfact[cols[j]]
+             - logfact[points[:, j][source] - cols[j]] for j in range(k)]
+    loghyp = np.stack(terms, axis=1).sum(axis=1)
+    loghyp -= logfact[mtot][source] - logfact[ntot] - logfact[mtot[source] - ntot]
+    return np.stack(cols, axis=1), d * np.exp(loghyp), source, theta_t
+
 
 def kernel_dict(kernel) -> dict:
     """``{arrival tuple: probability}`` of one source's kernel rows,
@@ -495,8 +540,9 @@ def wf_pd_kernel_rows(points, dt: float, p, kernel_tail_eps: float = 0.0) -> tup
     """``(arrivals, probs, source)`` of the typed Kingman kernel from the
     ``(M, K)`` sources, frozen as first vectorized: each source's box
     decoded by ``%`` and ``//`` on ``(L, K)`` arrays, the type profile's log
-    terms summed by ``.sum(axis=1)``.  ``mixtures.death_kernel`` of a
-    ``WFModel`` must match its rows of nonzero probability bit for bit."""
+    terms summed by ``.sum(axis=1)``.  Merged by ``from_weights_unique``,
+    its rows of nonzero probability are those of ``mixtures.propagate`` of a
+    ``WFModel`` mixture."""
     points = np.array(points, dtype=np.int64, ndmin=2)
     mtot = points.sum(axis=1)
     span = np.cumprod(points[:, ::-1] + 1, axis=1)[:, ::-1]

@@ -11,9 +11,9 @@ from dualfilter import (AlignmentError, CIRModel, CIRParams, ConfigError,
 from dualfilter import cir, wf
 from dualfilter.experiments import build_spec, simulate_dataset
 from dualfilter.filtering import density_on_grid, grid_l1, metric_edges
-from dualfilter.mixtures import (DualMixture, death_kernel, dual_particle_propagate,
-                                 mixture_quantile, propagate, prune, sample_mixture,
-                                 systematic_counts, update)
+from dualfilter.mixtures import (DualMixture, dual_particle_propagate, mixture_quantile,
+                                 propagate, prune, sample_mixture, systematic_counts,
+                                 update)
 
 from .oracles import (beta_marginal_logpdf_rows, cir_grid_forward_backward,
                       cir_two_step_enumeration, wf_two_step_brute_force)
@@ -136,9 +136,6 @@ def test_config_validation():
     lambda: wf.moran_sample_many([1.5, 2, 3], 0.1, WF3, np.random.default_rng(0)),
     lambda: WF3_MODEL.log_marginal_point([[0.5, 0, 0]], None,
                                          ObservationRecord(0.0, (1, 0, 0))),
-    lambda: death_kernel(WF3_MODEL, [[3, -1, 0]], None, 0.5),
-    lambda: death_kernel(WF3_MODEL, [[3, -2, 1]], None, 0.5),
-    lambda: death_kernel(CIR_MODEL, [3], 2.0, 0.1),
     lambda: DualMixture.from_weights(CIR_MODEL, [[NAN]], [1.0]),
     lambda: DualMixture(CIR_MODEL, [[1, 2]], [1.0], 2.0).moments(),
     lambda: update(DualMixture(CIR_MODEL, [[1, 2]], [1.0], 2.0),
@@ -172,13 +169,27 @@ def test_config_validation():
         "wf_transition_nan_time", "wf_transition_inf_time", "moran_nan_time",
         "wf_chain_nan_time", "propagate_nan_time", "particle_nan_time",
         "mixture_fractional", "from_weights_fractional", "moran_fractional_start",
-        "wf_log_marginal_fractional", "death_kernel_negative",
-        "death_kernel_negative_total",
-        "death_kernel_1d", "from_weights_nan", "cir_moments_width", "cir_update_width",
+        "wf_log_marginal_fractional", "from_weights_nan", "cir_moments_width", "cir_update_width",
         "wf_moments_width", "particle_row_count", "signal_size", "signal_width",
         "sample_negative_size", "bool_n_particles", "bool_seed"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FilterConfig("pruned", prune_eps=False),
+    lambda: FilterConfig("pruned", kernel_tail_eps=False),
+    lambda: build_spec("cir_predictive", {"delta_t": True}),
+    lambda: build_spec("cir_predictive", {"horizon": True}),
+    lambda: WFParams((True, 2.0)),
+    lambda: CIRParams(True, 1.0, 1.0),
+    lambda: ObservationRecord(time=True, values=(1,)),
+], ids=["prune_eps", "kernel_tail_eps", "delta_t", "horizon", "wf_alpha", "cir_delta",
+        "record_time"])
+def test_bool_in_a_float_field_raises_config_error(make):
+    # bool is an int subclass, so True used to pass as 1.0 and False as 0.0
+    with pytest.raises(ConfigError):
         make()
 
 

@@ -16,7 +16,7 @@ from dualfilter.cir import CIRModel, CIRParams
 from dualfilter.mixtures import mixture_quantile
 from dualfilter.wf import WFModel, WFParams
 
-from .oracles import quad_cir_marginal
+from .oracles import death_kernel, quad_cir_marginal
 
 
 def gamma_model(delta=2.0, gamma=1.0, sigma=1.0):
@@ -125,8 +125,6 @@ def test_mixture_holds_rows_to_its_models_width():
         propagate(DualMixture(gamma_model(), [[1, 2]], [1.0], 2.0), 0.1)
     with pytest.raises(DimensionError):
         propagate(DualMixture(WFModel(WFParams((1.1, 1.1, 1.1))), [[1, 2]], [1.0]), 0.1)
-    with pytest.raises(DimensionError):
-        mixtures.death_kernel(gamma_model(), [[1, 2]], 2.0, 0.1)
     # a mixture without a model takes any width
     assert DualMixture(None, [[1, 2]], [1.0]).dim == 2
 
@@ -233,7 +231,7 @@ def test_propagate_matches_matrix_exponential():
     np.testing.assert_allclose(np.asarray(out.weights), want, atol=1e-8)
     # mass before renormalization is preserved by a stochastic kernel
     raw = {}
-    for n, pr, src in zip(*mixtures.death_kernel(mix.model, mix.points, None, dt)[:3]):
+    for n, pr, src in zip(*death_kernel(mix.model, mix.points, None, dt)[:3]):
         raw[n[0]] = raw.get(n[0], 0.0) + mix.weights[src] * pr
     assert abs(math.fsum(raw.values()) - 1.0) <= 1e-8
 

@@ -36,10 +36,10 @@ from dualfilter import (CIRModel, CIRParams, ConfigError, DimensionError, DualMi
                         dual_particle_propagate, propagate, prune, run_filter, update)
 from dualfilter.cir import pure_death_flow
 from dualfilter.errors import DegenerateWeights
-from dualfilter.mixtures import death_kernel, dual_rows
+from dualfilter.mixtures import dual_rows
 from dualfilter.wf import block_count_probs, moran_sample_many, typed_death_sample_many
 
-from .oracles import from_weights_unique, linear_bd_draw_reference
+from .oracles import death_kernel, from_weights_unique, linear_bd_draw_reference
 
 CIR = CIRModel(CIRParams(11.0, 1.1, 1.0))
 WF = WFModel(WFParams((1.1, 1.1, 1.1)))
@@ -174,6 +174,24 @@ def test_level_laws_and_death_kernel_rows(case):
 
 
 @PROPERTY_SETTINGS
+@given(death_cases())
+def test_cir_push_is_the_merged_box_bit_for_bit(case):
+    # for K = 1 the thinning is one, so the push is the level law itself
+    model, points, theta, dt, eps = case
+    assume(model is CIR)
+    weights = 1.0 / np.arange(1, len(points) + 1)
+    mix = DualMixture.from_weights(model, points, weights, theta)
+    arrivals, probs, source, theta_t = death_kernel(model, mix.points, theta, dt, eps)
+    # a cut that drops a whole source raises, as the test above checks
+    assume(np.bincount(source, probs, minlength=len(points)).all())
+    want = DualMixture.from_weights(model, arrivals, mix.weights[source] * probs, theta_t)
+    got = propagate(mix, dt, eps)
+    assert got.theta == want.theta
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.weights, want.weights)
+
+
+@PROPERTY_SETTINGS
 @given(cases())
 def test_update_matches_direct_sum(case):
     model, mix, y, _ = case
@@ -300,7 +318,6 @@ def row_entries(model, rows):
         (lambda: dual_rows(rows, model.signal_dim), ()),
         (lambda: DualMixture(model, rows, weights, theta), ()),
         (lambda: DualMixture.from_weights(model, rows, weights, theta), ()),
-        (lambda: death_kernel(model, rows, theta, 0.1), ()),
         (lambda: model.log_marginal_point(rows, theta, y), ()),
         (lambda: model.component_moments(rows, theta), ()),
         (lambda: model.sample_component(rows, theta, rng), ()),

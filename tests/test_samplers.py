@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from dualfilter.cir import linear_bd_rates, linear_bd_sample_many, pure_death_flow
-from dualfilter.mixtures import death_kernel
 from dualfilter.wf import wf_chain_sample_many
 
-from .oracles import (kernel_dict, linear_bd_draw_reference, linear_bd_kernel_row,
-                      tv_sample_vs_pmf)
+from .oracles import (death_kernel, kernel_dict, linear_bd_draw_reference,
+                      linear_bd_kernel_row, tv_sample_vs_pmf)
 
 CIR_POINTS = np.array([[3], [7]])
 WF_POINTS = np.array([[2, 1, 0], [3, 1, 1]])

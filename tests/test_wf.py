@@ -8,16 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dualfilter import (ConfigError, DimensionError, FilterConfig, ObservationRecord,
-                        WFModel, WFParams, propagate, run_filter)
-from dualfilter.mixtures import death_kernel
+from dualfilter import (ConfigError, DimensionError, DualMixture, FilterConfig,
+                        ObservationRecord, WFModel, WFParams, propagate, run_filter)
 from dualfilter.wf import (block_count_probs, moran_sample_many,
                            typed_death_sample_many, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
                            wf_transition_sample_many)
 
 from .oracles import (beta_marginal_logpdf_rows, block_count_path,
-                      block_count_series_mp, gillespie_jump_chain, kernel_dict,
+                      block_count_series_mp, death_kernel, from_weights_unique,
+                      gillespie_jump_chain, kernel_dict,
                       kingman_rates, kingman_transitions, moran_law, moran_path, moran_rates,
                       moran_transitions, quad_wf_marginal, tv_sample_vs_pmf,
                       tv_tuple_samples, typed_kingman_path, update_counts,
@@ -349,7 +349,7 @@ def test_kernel_tail_eps_outside_unit_interval_raises(wf3_params, eps):
     with pytest.raises(ConfigError, match="kernel_tail_eps"):
         propagate(model.prior_mixture(), 0.5, eps)
     with pytest.raises(ConfigError, match="kernel_tail_eps"):
-        death_kernel(model, np.array([[2, 1, 0]]), None, 0.5, eps)
+        propagate(DualMixture.from_weights(model, [[2, 1, 0]], [1.0]), 0.5, eps)
 
 
 @st.composite
@@ -363,22 +363,40 @@ def kernel_cases(draw):
     return sources, alpha, draw(st.floats(0.01, 2.0))
 
 
+def assert_push_matches_box(mix, dt, eps, rtol) -> None:
+    """``propagate`` of a WF mixture has the rows of the frozen box kernel,
+    merged, and its weights to ``rtol`` relative above ``1e-250``."""
+    got = propagate(mix, dt, eps)
+    arrivals, probs, source = wf_pd_kernel_rows(mix.points, dt, mix.model.params, eps)
+    rows, weights = from_weights_unique(arrivals, mix.weights[source] * probs)
+    assert np.array_equal(got.points, rows)
+    big = weights > 1e-250
+    np.testing.assert_allclose(got.weights[big], weights[big], rtol=rtol, atol=0)
+    np.testing.assert_allclose(got.weights, weights, rtol=rtol, atol=1e-250)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(kernel_cases(), st.sampled_from([0.0, 1e-14]))
-# K = 8 and 9 with varied counts: numpy sums rows of 8 or more log terms
-# pairwise, and a left-to-right sum differs from it in the last bit here
+@given(kernel_cases(), st.sampled_from([0.0, 1e-14, 1e-6]))
+# K = 8 and 9 with varied counts, which merge rows at every coordinate
 @example((np.array([[3, 2, 1, 3, 0, 2, 1, 2], [1, 0, 2, 2, 1, 3, 2, 0]]),
           (0.5, 1.1, 2.0, 0.3, 1.7, 0.9, 2.5, 1.3), 0.3), 0.0)
 @example((np.array([[2, 1, 3, 2, 1, 2, 0, 3, 1], [5, 0, 1, 1, 0, 2, 1, 0, 4]]),
           (1.1,) * 9, 0.7), 1e-14)
-def test_pd_kernel_matches_frozen_vectorized_kernel(case, eps):
+def test_push_matches_frozen_vectorized_kernel(case, eps):
+    # the coordinate-wise push sums the kernel rows of every source
     sources, alpha, dt = case
-    p = WFParams(alpha)
-    got = death_kernel(WFModel(p), sources, None, dt, eps)[:3]
-    want = wf_pd_kernel_rows(sources, dt, p, eps)
-    want = [w[want[1] > 0.0] for w in want]
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g, w)
+    weights = 1.0 / np.arange(1, len(sources) + 1)
+    mix = DualMixture.from_weights(WFModel(WFParams(alpha)), sources, weights)
+    assert_push_matches_box(mix, dt, eps, rtol=1e-12)
+
+
+def test_push_keeps_range_above_float_binomials():
+    # at a total of 1,120 the thinning's binomial product overflows float64,
+    # and log-factorials near 6,700 round at about 1e-12 relative
+    with pytest.raises(OverflowError):
+        float(math.comb(560, 280) ** 2)
+    mix = DualMixture.from_weights(WFModel(WFParams((1.1, 1.1))), [[560, 560]], [1.0])
+    assert_push_matches_box(mix, 0.5, 0.0, rtol=1e-11)
 
 
 def test_kernel_tail_eps_that_drops_a_whole_source_raises():
