@@ -278,23 +278,19 @@ def prune(mix: DualMixture, eps: float) -> tuple[DualMixture, float]:
 
 def _merge_rows(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the int64 ``(L, C)`` ``points`` in lexicographic
-    order and their weights added in input order (zero sums may be left out),
-    by ``np.bincount`` of one mixed-radix int64 key per row: over the key range
-    while it spans at most 8 keys per row, else over the ``np.unique`` index of
-    the keys, or of the rows themselves once the keys would reach ``2**63``."""
+    order and their weights added in input order, by ``np.bincount`` over the
+    ``np.unique`` index of one mixed-radix int64 key per row, or of the rows
+    themselves once the keys would reach ``2**63``."""
     radix = [int(col.max()) + 1 for col in points.T]
-    span = math.prod(radix)
-    if span >= 2 ** 63:
+    if math.prod(radix) >= 2 ** 63:
         rows, inverse = np.unique(points, axis=0, return_inverse=True)
         return rows, np.bincount(inverse, weights)
-    key = points @ np.cumprod([1] + radix[:0:-1])[::-1]  # the place values of the radix
-    if span <= 8 * len(key):
-        merged = np.bincount(key, weights)
-        key = np.flatnonzero(merged)
-        merged = merged[key]
-    else:
-        key, inverse = np.unique(key, return_inverse=True)
-        merged = np.bincount(inverse, weights)
+    key = points[:, 0].copy()
+    for j in range(1, len(radix)):
+        key *= radix[j]
+        key += points[:, j]
+    key, inverse = np.unique(key, return_inverse=True)
+    merged = np.bincount(inverse, weights)
     rows = np.empty((len(key), len(radix)), dtype=np.int64)
     for j in range(len(radix) - 1, 0, -1):
         key, rows[:, j] = np.divmod(key, radix[j])
