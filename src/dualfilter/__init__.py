@@ -18,7 +18,7 @@ from .errors import (AlignmentError, ConfigError, DegenerateWeights,
                      SimulationBudgetExceeded, UnsupportedModel,
                      ZeroLikelihood)
 from .mixtures import (DualMixture, ObservationRecord, dual_particle_propagate,
-                       mixture_marginal_pdf, mixture_moments, mixture_pdf,
+                       mixture_marginal_pdf, mixture_pdf,
                        propagate, prune, sample_mixture,
                        systematic_counts, update)
 from .cir import CIRModel, CIRParams
@@ -34,7 +34,7 @@ __all__ = [
     "SimulationBudgetExceeded", "AlignmentError", "UnsupportedModel",
     "ConfigError",
     "DualMixture", "ObservationRecord", "prune", "propagate",
-    "update", "dual_particle_propagate", "mixture_moments", "mixture_pdf",
+    "update", "dual_particle_propagate", "mixture_pdf",
     "mixture_marginal_pdf", "sample_mixture", "systematic_counts",
     "CIRParams", "CIRModel", "WFParams", "WFModel",
     "FilterConfig", "FilterTrace", "ParticleCloud",

@@ -74,7 +74,6 @@ __all__ = [
     "propagate",
     "update",
     "dual_particle_propagate",
-    "mixture_moments",
     "mixture_pdf",
     "mixture_marginal_pdf",
     "mixture_quantile",
@@ -103,7 +102,7 @@ def is_real(value) -> bool:
 
 def check_time_step(t) -> None:
     """Raise ``ConfigError`` unless ``t`` is a finite positive time step."""
-    if not (math.isfinite(t) and t > 0):
+    if not (is_real(t) and t > 0):
         raise ConfigError(f"time step must be finite and positive, not {t!r}")
 
 
@@ -236,9 +235,6 @@ class DualMixture:
         keep = merged > 0.0
         return cls(model=model, points=rows[keep], weights=merged[keep], theta=theta)
 
-    def as_dict(self) -> dict[tuple, float]:
-        return dict(zip(map(tuple, self.points.tolist()), self.weights.tolist()))
-
     @property
     def support_size(self) -> int:
         return len(self.points)
@@ -248,7 +244,7 @@ class DualMixture:
         return self.points.shape[1]
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact mean and standard deviation vectors (:func:`mixture_moments`)."""
+        """Exact mean and standard deviation vectors of the mixture."""
         return mixture_moments(self)
 
 
@@ -450,7 +446,8 @@ class DualSampler:
 
 
 def mixture_moments(mix: DualMixture) -> tuple[np.ndarray, np.ndarray]:
-    """Exact mean and standard deviation vectors of a mixture.
+    """:meth:`DualMixture.moments`, at module level so that
+    ``perfbench/tracing.py`` times it by this name.
 
     Component moments come from the mixture's model (Gamma components for
     the CIR model, Dirichlet components for WF) and are combined exactly:

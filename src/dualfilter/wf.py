@@ -23,7 +23,8 @@ Two dual processes drive propagation:
 
 The block-counting chain is pure death with a lower bidiagonal generator,
 so its transition law is computed exactly and deterministically as a row
-of the generator's matrix exponential, cached by ``(m_tot, t, p)``.
+of the generator's matrix exponential, built in numpy with its diagonal
+and sub-diagonal in closed form and cached by ``(m_tot, t, p)``.
 
 ``WFModel`` defines each primitive the filters read once, in its class
 body: the conjugate update, the exact block-count law of the typed-death
@@ -47,7 +48,7 @@ from scipy.special import betainc, betaln, gammaln, polygamma, psi, xlog1py, xlo
 
 from .errors import ConfigError, DimensionError, DomainError
 from .mixtures import (DualMixture, DualSampler, ObservationRecord, check_time_step,
-                       dual_rows, is_real)
+                       dual_rows, is_integer, is_real)
 
 __all__ = [
     "WFParams",
@@ -93,25 +94,81 @@ class WFParams:
 # Block-counting chain of the typed death dual
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1024)
+#: coefficients ``b_k = (26-k)! / (k! (13-k)!)`` of the degree-13 Pade
+#: approximant to exp, and the 1-norm up to which it is accurate to double
+#: precision (Higham, 2005)
+_PADE13 = tuple(
+    float(math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k)))
+    for k in range(14))
+_THETA13 = 5.371920351148152
+
+
+def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
+    """``(e^b - e^a) / (b - a)`` for each consecutive pair ``a, b`` of ``x``.
+
+    Close exponents use ``e^((a+b)/2) sinh(h) / h`` with ``h = (b-a)/2``
+    (Higham, 2008, (10.42)), which does not cancel.
+    """
+    a, b = x[:-1], x[1:]
+    h = (b - a) / 2.0
+    with np.errstate(all="ignore"):
+        far = (np.exp(b) - np.exp(a)) / (b - a)
+        near = np.exp(a + h) * np.where(h == 0.0, 1.0, np.sinh(h) / h)
+    return np.where(np.abs(h) < 1.0, near, far)
+
+
+def _death_chain_expm(rates: np.ndarray, t: float) -> np.ndarray:
+    """``expm(Q t)`` for the pure-death generator with death rates ``rates``.
+
+    ``Q`` is lower bidiagonal, ``-rates`` on the diagonal and ``rates[1:]``
+    below it.  Scaling and squaring with the degree-13 Pade approximant
+    (Higham, 2005), plus the triangular refinement of Al-Mohy & Higham
+    (2009, Sec. 2): after the Pade step and after each squaring, the
+    diagonal and sub-diagonal of ``expm(Q t / 2^j)`` are overwritten with
+    their closed forms, so the squarings do not amplify their rounding.
+    """
+    n = len(rates)
+    a = (np.diag(-rates) + np.diag(rates[1:], -1)) * t
+    norm = np.abs(a).sum(axis=0).max()
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a /= 2.0 ** s
+    b, ident = _PADE13, np.eye(n)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    x = np.tril(np.linalg.solve(v - u, v + u))
+    for j in range(s, -1, -1):
+        if j < s:
+            x = x @ x
+        scaled = rates * (t / 2.0 ** j)
+        x.flat[::n + 1] = np.exp(-scaled)
+        x.flat[n::n + 1] = scaled[1:] * _exp_divided_difference(-scaled)
+    return x
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
 def block_count_probs(m_tot: int, t: float, p: WFParams) -> np.ndarray:
     """Transition probabilities of the block-counting death chain.
 
     Starting from ``m_tot`` lineages, returns the vector of probabilities
     of holding ``n`` lineages after time ``t`` for ``n = 0..m_tot``; the
     chain steps down at rate ``k (theta + k - 1) / 2``.  The law is row
-    ``m_tot`` of ``expm(Q t)`` for the chain's lower bidiagonal generator
-    ``Q``, clipped at zero and renormalized.  The result is read-only and
-    cached by ``(m_tot, t, p)``; bad arguments raise and are never cached.
+    ``m_tot`` of the exponential of the chain's lower bidiagonal generator
+    ``Q t``, computed in numpy by Pade scaling and squaring with exact
+    diagonal and sub-diagonal (:func:`_death_chain_expm`), clipped at zero
+    and renormalized.  The result is read-only and cached by
+    ``(m_tot, t, p)`` and their types; bad arguments raise and are never
+    cached.
     """
-    if m_tot < 0:
-        raise ConfigError("m_tot must be non-negative")
+    if not (is_integer(m_tot) and m_tot >= 0):
+        raise ConfigError(f"m_tot must be a non-negative integer, not {m_tot!r}")
     check_time_step(t)
-    from scipy.linalg import expm  # on first use: CIR runs never load it
-    k = np.arange(int(m_tot) + 1, dtype=float)
-    rates = k * (p.theta + k - 1.0) / 2.0
-    q = np.diag(-rates) + np.diag(rates[1:], -1)
-    row = np.clip(expm(q * t)[-1], 0.0, None)
+    k = np.arange(m_tot + 1, dtype=float)
+    row = np.clip(_death_chain_expm(k * (p.theta + k - 1.0) / 2.0, t)[-1], 0.0, None)
     row /= row.sum()
     row.setflags(write=False)
     return row

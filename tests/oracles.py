@@ -7,7 +7,8 @@ of helper are exceptions: the test-only conveniences
 ``cir_log_density_ratio``, ``cir_density_ratio``, ``update_conjugate``,
 ``wf_log_density_ratio``, ``wf_density_ratio``, ``update_counts`` and
 ``closure_spread``, built on the package's count checks and smoothing
-closure, ``linear_bd_draw_reference``, a frozen copy of the ``bd``
+closure, ``mixture_dict``, a mixture's weights keyed by row,
+``linear_bd_draw_reference``, a frozen copy of the ``bd``
 draw that fixes its random stream, ``death_kernel``, the box of every
 source's arrivals under the model's ``pd_kernel`` law, whose weighted sum
 ``mixtures.propagate`` must match, ``wf_pd_kernel_rows``, a frozen copy of
@@ -91,6 +92,11 @@ def kernel_dict(kernel) -> dict:
     pts, probs = kernel[:2]
     return {tuple(pt): float(pr) for pt, pr in zip(np.asarray(pts).tolist(), probs)
             if pr > 0.0}
+
+
+def mixture_dict(mix) -> dict:
+    """``{row tuple: weight}`` of a mixture's support."""
+    return dict(zip(map(tuple, mix.points.tolist()), mix.weights.tolist()))
 
 
 def from_weights_unique(points, weights) -> tuple[np.ndarray, np.ndarray]:

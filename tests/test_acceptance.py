@@ -19,7 +19,7 @@ from dualfilter.experiments import build_spec, run_scenario
 from dualfilter.wf import moran_sample_many, wf_transition_sample_many
 
 from .oracles import (chi2_pvalue_vs_pmf, cir_two_step_enumeration, closure_spread,
-                      tv_int_samples, tv_sample_vs_pmf, update_conjugate,
+                      mixture_dict, tv_int_samples, tv_sample_vs_pmf, update_conjugate,
                       update_counts, wf_density_ratio, wf_two_step_brute_force)
 from .oracles import cir_density_ratio as density_ratio
 
@@ -220,7 +220,7 @@ def test_a06_exact_filter_oracles():
     records = [ObservationRecord(0.0, (4,)), ObservationRecord(0.1, (2,))]
     trace = run_filter(records, cfg, model)
     want, _, _ = cir_two_step_enumeration(4, 2, 0.1, CIR)
-    got = trace.filtering[1].as_dict()
+    got = mixture_dict(trace.filtering[1])
     worst = max(abs(got.get(k, 0.0) - v) for k, v in want.items())
     assert worst <= 1e-8
 
@@ -231,7 +231,7 @@ def test_a06_exact_filter_oracles():
                           ObservationRecord(dt, y1)], wf_cfg, wf_model)
     bf = wf_two_step_brute_force(y0, y1, dt, WF2, 100_000,
                                  np.random.default_rng(55))
-    got_wf = wf_trace.filtering[1].as_dict()
+    got_wf = mixture_dict(wf_trace.filtering[1])
     keys = set(got_wf) | set(bf)
     tv = 0.5 * sum(abs(got_wf.get(kk, 0.0) - bf.get(kk, 0.0)) for kk in keys)
     ok = worst <= 1e-8 and tv < 0.03

@@ -16,7 +16,7 @@ from dualfilter.mixtures import (DualMixture, dual_particle_propagate, mixture_q
                                  update)
 
 from .oracles import (beta_marginal_logpdf_rows, cir_grid_forward_backward,
-                      cir_two_step_enumeration, wf_two_step_brute_force)
+                      cir_two_step_enumeration, mixture_dict, wf_two_step_brute_force)
 
 
 def cir_records(counts, dt=0.1):
@@ -149,6 +149,11 @@ def test_config_validation():
     lambda: sample_mixture(CIR_MODEL.prior_mixture(), np.random.default_rng(0), -1),
     lambda: FilterConfig(method="bootstrap", n_particles=True),
     lambda: FilterConfig(method="exact", seed=False),
+    lambda: wf.block_count_probs(2.5, 0.1, WF2),
+    lambda: wf.block_count_probs(True, 0.1, WF2),
+    lambda: wf.block_count_probs("3", 0.1, WF2),
+    lambda: wf.block_count_probs(3, True, WF2),
+    lambda: wf.block_count_probs(3, "0.1", WF2),
 ], ids=["method", "prune_eps", "prune_eps_unpruned", "kernel_tail_eps_exact",
         "kernel_tail_eps_dual_particle", "kernel_tail_eps_bootstrap", "n_particles",
         "dual_kind", "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
@@ -171,7 +176,9 @@ def test_config_validation():
         "mixture_fractional", "from_weights_fractional", "moran_fractional_start",
         "wf_log_marginal_fractional", "from_weights_nan", "cir_moments_width", "cir_update_width",
         "wf_moments_width", "particle_row_count", "signal_size", "signal_width",
-        "sample_negative_size", "bool_n_particles", "bool_seed"])
+        "sample_negative_size", "bool_n_particles", "bool_seed",
+        "block_count_fractional_total", "block_count_bool_total", "block_count_str_total",
+        "block_count_bool_time", "block_count_str_time"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()
@@ -211,7 +218,7 @@ def test_exact_long_horizon_collapses_to_prior(cir_model):
     cfg = FilterConfig(method="exact")
     trace = run_filter(cir_records([4]), cfg, cir_model)
     pred = propagate(trace.filtering[0], 1e3)
-    assert pred.as_dict().get((0,), 0.0) >= 1.0 - 1e-6
+    assert mixture_dict(pred).get((0,), 0.0) >= 1.0 - 1e-6
     assert pred.theta == pytest.approx(cir_model.params.beta, rel=1e-12)
 
 
@@ -220,7 +227,7 @@ def test_exact_two_step_matches_path_enumeration(cir_model):
     trace = run_filter(cir_records([4, 2]), cfg, cir_model)
     want, want_theta, want_loglik = cir_two_step_enumeration(
         4, 2, 0.1, cir_model.params)
-    got = trace.filtering[1].as_dict()
+    got = mixture_dict(trace.filtering[1])
     assert set(got) == set(want)
     for k, v in want.items():
         assert got[k] == pytest.approx(v, abs=1e-8)
@@ -297,7 +304,7 @@ def test_wf_exact_two_step_matches_brute_force(wf2_params):
     y0, y1, dt = (3, 1), (1, 1), 0.5
     cfg = FilterConfig(method="exact")
     trace = run_filter(wf_records([y0, y1], dt), cfg, model)
-    got = trace.filtering[1].as_dict()
+    got = mixture_dict(trace.filtering[1])
     want = wf_two_step_brute_force(y0, y1, dt, wf2_params, 100_000,
                                    np.random.default_rng(23))
     keys = set(got) | set(want)
@@ -314,7 +321,7 @@ def test_exact_steps_by_the_observation_gap(cir_model):
     trace = run_filter(records, FilterConfig(method="exact"), cir_model)
     want, want_theta, want_loglik = cir_two_step_enumeration(
         4, 2, 0.4, cir_model.params)
-    got = trace.filtering[1].as_dict()
+    got = mixture_dict(trace.filtering[1])
     assert set(got) == set(want)
     for k, v in want.items():
         assert got[k] == pytest.approx(v, abs=1e-8)

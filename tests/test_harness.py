@@ -460,21 +460,39 @@ def test_readme_quick_start_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2 + 5
 
 
-def test_cir_runs_never_import_scipy_linalg(tmp_path):
-    # the WF block-count law imports scipy.linalg on first use; a fresh
-    # process that runs only CIR scenarios must not pay for that import
+def run_scenarios_fresh(runs, out_dir):
+    """Run each ``(scenario, config)`` in one fresh interpreter on the source
+    tree, then fail unless ``scipy.linalg`` is still unimported."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = f"""
 import sys
 from dualfilter.experiments import build_spec, run_scenario
-for scenario in ("cir_filtering", "cir_predictive"):
-    spec = build_spec(scenario, {tiny_config()!r}, seed=5)
-    assert run_scenario(spec, {str(tmp_path / "out")!r} + scenario) == 0
+for scenario, config in {runs!r}:
+    spec = build_spec(scenario, config, seed=5)
+    assert run_scenario(spec, {str(out_dir)!r} + scenario) == 0
 assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
 """
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_cir_runs_never_import_scipy_linalg(tmp_path):
+    # no scenario needs scipy.linalg; a fresh process that runs only CIR
+    # scenarios must not pay for its import
+    result = run_scenarios_fresh([(scenario, tiny_config())
+                                  for scenario in ("cir_filtering", "cir_predictive")],
+                                 tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+
+
+def test_wf_runs_never_import_scipy_linalg(tmp_path):
+    # exact and pruned propagation, the moran dual and the entrance law all
+    # read the block-count law, whose matrix exponential is built in numpy
+    methods = ["exact", "moran", "wf_diffusion", "bootstrap"]
+    result = run_scenarios_fresh([("wf_predictive", tiny_config()),
+                                  ("wf_filtering", tiny_config(methods=methods))],
+                                 tmp_path / "out")
     assert result.returncode == 0, result.stderr
 
 

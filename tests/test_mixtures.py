@@ -9,14 +9,13 @@ from scipy.stats import beta, dirichlet
 from dualfilter import (DegenerateWeights, DimensionError, DomainError, DualMixture,
                         InvalidKernel, ObservationRecord, ZeroLikelihood,
                         dual_particle_propagate, mixture_marginal_pdf,
-                        mixture_moments, mixture_pdf, propagate, prune,
-                        systematic_counts, update)
+                        mixture_pdf, propagate, prune, systematic_counts, update)
 from dualfilter import mixtures
 from dualfilter.cir import CIRModel, CIRParams
 from dualfilter.mixtures import mixture_quantile
 from dualfilter.wf import WFModel, WFParams
 
-from .oracles import death_kernel, quad_cir_marginal
+from .oracles import death_kernel, mixture_dict, quad_cir_marginal
 
 
 def gamma_model(delta=2.0, gamma=1.0, sigma=1.0):
@@ -58,14 +57,14 @@ def make_mix(points, weights, theta=1.0, model=None):
 
 def test_normalize_symmetric():
     out = make_mix([(0,), (1,)], [2.0, 2.0])
-    assert out.as_dict() == {(0,): 0.5, (1,): 0.5}
+    assert mixture_dict(out) == {(0,): 0.5, (1,): 0.5}
 
 
 def test_normalize_drops_zero_weights():
     out = make_mix([(0,), (1,)], [3.0, 0.0])
-    assert out.as_dict() == {(0,): 1.0}
+    assert mixture_dict(out) == {(0,): 1.0}
     # a denormal weight that underflows to zero in the division
-    assert make_mix([(0,), (1,)], [4.0, 5e-324]).as_dict() == {(0,): 1.0}
+    assert mixture_dict(make_mix([(0,), (1,)], [4.0, 5e-324])) == {(0,): 1.0}
 
 
 def test_normalize_rejects_all_zero():
@@ -83,7 +82,7 @@ def test_normalize_order_independent():
     a = make_mix([(3,), (1,), (2,)], [0.1, 0.7, 0.2])
     b = make_mix([(1,), (2,), (3,)], [0.7, 0.2, 0.1])
     assert a.points.tolist() == b.points.tolist() == [[1], [2], [3]]
-    assert a.as_dict() == b.as_dict()
+    assert mixture_dict(a) == mixture_dict(b)
 
 
 def test_from_weights_merges_repeated_rows():
@@ -166,8 +165,8 @@ def test_prune_geometric_l1_bound():
     mix = make_mix([(i,) for i in range(n)], weights)
     eps = 1e-10
     out, removed = prune(mix, eps)
-    kept = out.as_dict()
-    l1 = sum(abs(kept.get(pt, 0.0) - w) for pt, w in mix.as_dict().items())
+    kept = mixture_dict(out)
+    l1 = sum(abs(kept.get(pt, 0.0) - w) for pt, w in mixture_dict(mix).items())
     assert l1 <= n * eps / (1.0 - 1e-7)
 
 
@@ -374,8 +373,8 @@ def test_dual_particle_identity_sampler_l1():
     mix = make_mix(pts, w)
     out = dual_particle_propagate(
         mix, lambda pts, c, th, dt, r: (np.repeat(pts, c, axis=0), th), 100_000, 0.1, rng)
-    got = out.as_dict()
-    l1 = sum(abs(got.get(pt, 0.0) - wi) for pt, wi in mix.as_dict().items())
+    got = mixture_dict(out)
+    l1 = sum(abs(got.get(pt, 0.0) - wi) for pt, wi in mixture_dict(mix).items())
     assert l1 < 0.02
 
 
@@ -436,7 +435,7 @@ def test_dual_particle_rejects_bad_sampler_output(sampler):
 def test_moments_single_gamma_component():
     model = gamma_model(delta=4.0)  # shape 2
     mix = DualMixture(model, ((1,),), np.array([1.0]), 1.5)  # Ga(3, 1.5)
-    mean, sd = mixture_moments(mix)
+    mean, sd = mix.moments()
     assert mean[0] == pytest.approx(3.0 / 1.5)
     assert sd[0] == pytest.approx(math.sqrt(3.0) / 1.5)
 
@@ -444,7 +443,7 @@ def test_moments_single_gamma_component():
 def test_moments_single_dirichlet_component():
     model = WFModel(WFParams((1.0, 1.0)))
     mix = DualMixture(model, ((0, 0),), np.array([1.0]), None)
-    mean, sd = mixture_moments(mix)
+    mean, sd = mix.moments()
     np.testing.assert_allclose(mean, [0.5, 0.5])
     assert sd[0] == pytest.approx(math.sqrt(0.25 / 3.0))
 
@@ -452,7 +451,7 @@ def test_moments_single_dirichlet_component():
 def test_moments_two_component_gamma_vs_monte_carlo():
     model = gamma_model(delta=5.0)
     mix = DualMixture(model, ((0,), (4,)), np.array([0.3, 0.7]), 2.0)
-    mean, sd = mixture_moments(mix)
+    mean, sd = mix.moments()
     rng = np.random.default_rng(77)
     n = 10_000_000
     comp = rng.random(n) < 0.7

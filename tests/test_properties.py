@@ -39,7 +39,8 @@ from dualfilter.errors import DegenerateWeights
 from dualfilter.mixtures import dual_rows
 from dualfilter.wf import block_count_probs, moran_sample_many, typed_death_sample_many
 
-from .oracles import death_kernel, from_weights_unique, linear_bd_draw_reference
+from .oracles import (death_kernel, from_weights_unique, linear_bd_draw_reference,
+                      mixture_dict)
 
 CIR = CIRModel(CIRParams(11.0, 1.1, 1.0))
 WF = WFModel(WFParams((1.1, 1.1, 1.1)))
@@ -95,7 +96,7 @@ def direct_update(model, mix, y) -> dict:
 
 
 def assert_matches(mix: DualMixture, want: dict) -> None:
-    got = mix.as_dict()
+    got = mixture_dict(mix)
     assert set(got) == {k for k, v in want.items() if v > 0.0}
     for key, w in got.items():
         assert abs(w - want[key]) <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from dualfilter import (FilterConfig, ObservationRecord, UnsupportedModel, WFModel,
-                        WFParams, mixture_moments, run_filter, smoother)
+                        WFParams, run_filter, smoother)
 from dualfilter.experiments import REFERENCE
 from dualfilter.mixtures import mixture_pdf
 
@@ -127,7 +127,7 @@ def test_smoothing_matches_grid_forward_backward(cir_model):
     out = smoother(trace)
     grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
     for i, mix in enumerate(out):
-        mean, _ = mixture_moments(mix)
+        mean, _ = mix.moments()
         assert mean[0] == pytest.approx(grid["smooth_mean"][i], abs=1e-10)
     # pointwise density agreement at the first time
     dens = mixture_pdf(out[0], grid["grid"])
@@ -152,7 +152,7 @@ def test_wf_exact_filter_and_smoother_match_spectral_oracle(alpha, gap):
                                          else (c1, 0, 0)))
     model = WFModel(WFParams(alpha))
     trace = run_filter(records, FilterConfig("exact"), model)
-    smooth = [mixture_moments(mix)[0][0] for mix in smoother(trace)]
+    smooth = [mix.moments()[0][0] for mix in smoother(trace)]
     pairs = [ObservationRecord(r.time, (r.values[0], sum(r.values[1:]))) for r in records]
     want = wf_spectral_forward_backward(pairs, (alpha[0], sum(alpha[1:])))
     np.testing.assert_allclose(trace.filt_mean[:, 0], want["filt_mean"], rtol=0, atol=1e-10)
@@ -172,7 +172,7 @@ def test_cir_exact_filter_and_smoother_match_grid_oracle_at_irregular_gaps(cir_m
     np.testing.assert_allclose(trace.filt_mean[:, 0], grid["filt_mean"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(trace.filt_sd[:, 0], grid["filt_sd"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(trace.loglik, grid["loglik"], rtol=0, atol=1e-10)
-    smooth = [mixture_moments(mix)[0][0] for mix in out]
+    smooth = [mix.moments()[0][0] for mix in out]
     np.testing.assert_allclose(smooth, grid["smooth_mean"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(mixture_pdf(out[0], grid["grid"]), grid["smooth"][0],
                                rtol=0, atol=1e-10)
@@ -185,7 +185,7 @@ def test_reference_trace_smooths_close_to_the_cir_grid_oracle(cir_model):
     records = [ObservationRecord(t, (c,)) for t, c in zip(times, [4, 2, 7, 3, 5, 6])]
     out = smoother(run_filter(records, REFERENCE, cir_model))
     grid = cir_grid_forward_backward(records, cir_model.params, n_grid=600)
-    smooth = [mixture_moments(mix)[0][0] for mix in out]
+    smooth = [mix.moments()[0][0] for mix in out]
     np.testing.assert_allclose(smooth, grid["smooth_mean"], rtol=0, atol=1e-9)
     np.testing.assert_allclose(mixture_pdf(out[0], grid["grid"]), grid["smooth"][0],
                                rtol=0, atol=1e-9)
@@ -204,7 +204,7 @@ def test_pruned_wf_smoother_matches_spectral_oracle_at_desk_size(alpha):
     cfg = FilterConfig("pruned", prune_eps=1e-12, kernel_tail_eps=1e-14)
     out = smoother(run_filter(records, cfg, WFModel(WFParams(alpha))))
     want = wf_spectral_forward_backward(records, alpha)
-    smooth = [mixture_moments(mix)[0][0] for mix in out]
+    smooth = [mix.moments()[0][0] for mix in out]
     np.testing.assert_allclose(smooth, want["smooth_mean"], rtol=0, atol=1e-11)
 
 
@@ -215,7 +215,7 @@ def test_smoothing_moves_toward_future_information(cir_model):
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, cir_model)
     out = smoother(trace)
-    smooth_mean, _ = mixture_moments(out[0])
+    smooth_mean, _ = out[0].moments()
     assert smooth_mean[0] > trace.filt_mean[0, 0]
 
 
@@ -262,8 +262,8 @@ def test_smoother_pruned_trace_close_to_exact(cir_model):
     a = smoother(run_filter(records, exact_cfg, cir_model))
     b = smoother(run_filter(records, pruned_cfg, cir_model))
     for ra, rb in zip(a, b):
-        ma, _ = mixture_moments(ra)
-        mb, _ = mixture_moments(rb)
+        ma, _ = ra.moments()
+        mb, _ = rb.moments()
         assert ma[0] == pytest.approx(mb[0], abs=1e-6)
 
 
@@ -298,7 +298,7 @@ def test_wf_smoothing_mean_against_monte_carlo(wf3_model):
     cfg = FilterConfig(method="exact")
     trace = run_filter(records, cfg, wf3_model)
     out = smoother(trace)
-    smooth_mean, _ = mixture_moments(out[0])
+    smooth_mean, _ = out[0].moments()
 
     rng = np.random.default_rng(8)
     n_outer, n_inner = 20_000, 40

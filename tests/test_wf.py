@@ -233,6 +233,25 @@ def test_block_count_matches_high_precision_series(m, t, alpha):
     assert np.max(np.abs(block_count_probs(m, t, p) - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("m, t", [(60, 1.0), (200, 0.5)])
+def test_block_count_exponential_is_exact_to_rounding(m, t):
+    # a uniformized scaling and squaring is off by 3e-14 in L1 here; the
+    # Pade exponential with closed-form bands must hold the 80-digit series
+    p = WFParams((1.1,) * 3)
+    want = block_count_series_mp(m, t, p.theta)
+    assert np.abs(block_count_probs(m, t, p) - want).sum() <= 1e-15
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5])
+@pytest.mark.parametrize("alpha", [(1.1,) * 3, (3.0,) * 4], ids=["theta3.3", "theta12"])
+def test_block_count_matches_scipy_expm(t, alpha):
+    p, m = WFParams(alpha), 500
+    k = np.arange(m + 1, dtype=float)
+    rates = k * (p.theta + k - 1.0) / 2.0
+    q = np.diag(-rates) + np.diag(rates[1:], -1)
+    assert np.max(np.abs(block_count_probs(m, t, p) - expm(q * t)[-1])) <= 1e-14
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(1, 150),
        log_t=st.floats(math.log(1e-3), math.log(5.0)),
