@@ -233,9 +233,10 @@ def pure_death_flow(t: float, theta0: float, p: CIRParams) -> tuple[float, float
     hazard is ``-log s(t) = 2*gamma*t + log(D(t)/beta)``, hence the
     survival probability ``s(t) = beta*exp(-2*gamma*t) / D(t)``.
     """
-    if not theta0 > 0:
-        raise ConfigError(f"theta0 must be positive, not {theta0!r}")
-    t = np.asarray(t, dtype=float)
+    if not (is_real(t) and t >= 0):
+        raise ConfigError(f"time must be finite and non-negative, not {t!r}")
+    if not (is_real(theta0) and theta0 > 0):
+        raise ConfigError(f"theta0 must be finite and positive, not {theta0!r}")
     beta = p.beta
     e = np.exp(-2.0 * p.gamma * t)
     denom = theta0 - (theta0 - beta) * e
@@ -345,8 +346,6 @@ class CIRModel:
         """Binomial(T, s(dt)) laws of the ``totals`` over ``0..T``, concatenated,
         and ``theta_t``, both from one :func:`pure_death_flow` call."""
         totals = dual_rows(np.reshape(totals, (-1, 1)))[:, 0]
-        if not dt >= 0:
-            raise ConfigError(f"time must be non-negative, not {dt!r}")
         s, theta_t = pure_death_flow(dt, theta, self.params)
         top = np.repeat(totals, totals + 1)
         n = np.arange(len(top)) - np.repeat(np.cumsum(totals + 1) - totals - 1, totals + 1)

@@ -35,8 +35,8 @@ class SimulationBudgetExceeded(DualFilterError):
 
 class AlignmentError(DualFilterError):
     """Raised when observation times do not strictly increase, when two filter
-    traces do not share a time grid, or when a trace and its data differ in
-    length or times."""
+    traces do not share a time grid, or when a signal path does not match a
+    trace's shape."""
 
 
 class UnsupportedModel(DualFilterError):

@@ -21,7 +21,7 @@ processes.  A worker runs one replicate at a time (its context, then its
 cells); rows are flushed in cell order after all replicates complete.  The
 manifest's ``seed_table`` holds the seed each cell ran with: the
 ``FilterConfig`` seed of a filtering cell, the SeedSequence entropy list of
-a predictive cell, and its ``reference`` the thresholds of :data:`REFERENCE`.
+a predictive cell, and its ``reference`` the ``prune_eps`` of :data:`REFERENCE`.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ METHOD_TABLE = {
 
 #: reference filter of the filtering scenarios, for both models: the
 #: induced mean error is orders of magnitude below the particle errors
-REFERENCE = FilterConfig("pruned", prune_eps=1e-10, kernel_tail_eps=1e-14)
+REFERENCE = FilterConfig("pruned", prune_eps=1e-10)
 
 
 @dataclass(frozen=True)
@@ -387,8 +387,7 @@ def run_scenario(spec: ExperimentSpec, out_dir, threads: int = 1) -> int:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": __import__("scipy").__version__,
-        "reference": {"prune_eps": REFERENCE.prune_eps,
-                      "kernel_tail_eps": REFERENCE.kernel_tail_eps}
+        "reference": {"prune_eps": REFERENCE.prune_eps}
         if spec.flavor == "filtering" else {"method": "exact"},
         "seed_table": {str(idx): seed for idx, seed, _, _, _ in cells},
         "wall_times_s": {str(idx): wall_s for idx, _, _, wall_s, _ in cells},

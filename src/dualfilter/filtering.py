@@ -7,8 +7,8 @@ the gap to the next observation time (the times must strictly increase):
 
 * ``exact``: the finite-mixture recursion driven by the model's
   pure-death dual (closed-form transitions, polynomial support growth);
-* ``pruned``: the same recursion with small kernel levels and arrival
-  weights dropped and the remainder renormalized after every propagation;
+* ``pruned``: the same recursion with arrival weights below ``prune_eps``
+  dropped and the remainder renormalized after every propagation;
 * ``dual_particle``: exact Bayes updates of a finite mixture combined
   with a particle approximation of the propagation on the dual space
   (a Baum-Welch-style filter with systematic resampling of dual indices);
@@ -17,7 +17,7 @@ the gap to the next observation time (the times must strictly increase):
   the emission likelihood, resample every step).
 
 The smoother's backward pass is the same recursion run on a trace's
-reversed records, at the trace's thresholds.  A single filter run is
+reversed records, at the trace's ``prune_eps``.  A single filter run is
 sequential; replicate runs are embarrassingly parallel and are orchestrated
 by :mod:`dualfilter.experiments`.
 """
@@ -58,14 +58,13 @@ class FilterConfig:
 
     No time step is configured: the filters step by the gaps between the
     observation times.  Particle methods resample systematically.  The
-    truncations ``prune_eps`` and ``kernel_tail_eps`` (see :func:`_steps`)
-    lie in ``[0, 1)`` and need method ``pruned`` when positive.
+    truncation ``prune_eps`` (see :func:`_steps`) lies in ``[0, 1)`` and
+    needs method ``pruned`` when positive.
     """
 
     method: str                   # member of _METHODS
     seed: int = 0
     prune_eps: float = 0.0
-    kernel_tail_eps: float = 0.0
     n_particles: int | None = None
     # CIR: pure_death | bd | bd_gillespie; WF: pure_death | moran | wf_chain | wf_diffusion
     dual_kind: str | None = None
@@ -73,12 +72,10 @@ class FilterConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        for name in ("prune_eps", "kernel_tail_eps"):
-            eps = getattr(self, name)
-            if not (is_real(eps) and 0.0 <= eps < 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1), not {eps!r}")
-            if eps > 0.0 and self.method != "pruned":
-                raise ConfigError(f"{name} > 0 needs method 'pruned', not {self.method!r}")
+        if not (is_real(self.prune_eps) and 0.0 <= self.prune_eps < 1.0):
+            raise ConfigError(f"prune_eps must lie in [0, 1), not {self.prune_eps!r}")
+        if self.prune_eps > 0.0 and self.method != "pruned":
+            raise ConfigError(f"prune_eps > 0 needs method 'pruned', not {self.method!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.n_particles is not None and not is_integer(self.n_particles):
@@ -183,9 +180,8 @@ def _steps(cfg: FilterConfig, model, rng: np.random.Generator | None) -> tuple:
     """``(start, update_step, propagate_step)`` of ``cfg.method`` for :func:`_recursion`.
 
     ``exact`` and ``pruned`` start at the prior mixture and propagate with
-    the pure-death kernel and parameter flow, its levels cut at
-    ``kernel_tail_eps``, then drop arrival weights below ``prune_eps``
-    (both the identity at 0, as on ``exact``).
+    the pure-death kernel and parameter flow, then drop arrival weights
+    below ``prune_eps`` (the identity at 0, as on ``exact``).
     ``dual_particle`` instead pushes ``n_particles`` systematically
     resampled dual indices through the ``dual_kind`` sampler.  Both update
     a mixture exactly.  ``bootstrap`` starts from ``n_particles`` prior
@@ -220,7 +216,7 @@ def _steps(cfg: FilterConfig, model, rng: np.random.Generator | None) -> tuple:
             return dual_particle_propagate(mix, sampler, cfg.n_particles, gap, rng)
     else:
         def move_mixture(mix, gap):
-            return prune(propagate(mix, gap, cfg.kernel_tail_eps), cfg.prune_eps)[0]
+            return prune(propagate(mix, gap), cfg.prune_eps)[0]
 
     return model.prior_mixture(), update, move_mixture
 
@@ -251,11 +247,11 @@ def smoother(trace: FilterTrace) -> list[DualMixture]:
     """Marginal smoothing laws, one per record of a forward mixture trace.
 
     Takes any trace whose laws are mixtures (``exact``, ``pruned`` or
-    ``dual_particle``) and reads its records, model and thresholds.  The
+    ``dual_particle``) and reads its records, model and ``prune_eps``.  The
     backward pass is the forward recursion run ``pruned`` at the trace's
-    ``prune_eps`` and ``kernel_tail_eps`` (exact where both are 0, as on
-    ``exact`` and ``dual_particle`` traces) on the reversed records and
-    gaps from the model prior: ``B_n`` is the prior mixture and ``B_{i-1}
+    ``prune_eps`` (exact where it is 0, as on ``exact`` and
+    ``dual_particle`` traces) on the reversed records and gaps from the
+    model prior: ``B_n`` is the prior mixture and ``B_{i-1}
     = propagate(update(B_i, y_i))`` over the gap ``t_i - t_{i-1}``, so
     ``B_i`` carries the likelihood of the observations after time ``i``.
     Each backward mixture is combined with the filtering mixture at the
@@ -274,9 +270,8 @@ def smoother(trace: FilterTrace) -> list[DualMixture]:
         raise UnsupportedModel("smoothing needs a mixture trace, not particle clouds")
     if not trace.records:
         return []
-    model, cfg, records = trace.filtering[0].model, trace.config, trace.records
-    backward_cfg = FilterConfig("pruned", prune_eps=cfg.prune_eps,
-                                kernel_tail_eps=cfg.kernel_tail_eps)
+    model, records = trace.filtering[0].model, trace.records
+    backward_cfg = FilterConfig("pruned", prune_eps=trace.config.prune_eps)
     backward, _, _ = _recursion(records[::-1], _gaps(records)[::-1],
                                 *_steps(backward_cfg, model, None))
     backward.reverse()

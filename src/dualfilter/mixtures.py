@@ -27,9 +27,9 @@ each taking the whole ``(M, K)`` support array (or its totals) at once:
 * update: ``log_marginal_point(points, theta, y)`` and
   ``shift(y, points, theta) -> (points, theta)``;
 * propagation: ``pd_kernel(totals, theta, dt) -> (laws, theta_t)``, the
-  exact law of the surviving total, which :func:`propagate` cuts at a level
-  threshold, checks once per total and pushes through the thinning over the
-  types one coordinate at a time; particles: ``dual_sampler(kind)``;
+  exact law of the surviving total, which :func:`propagate` checks once per
+  total and pushes through the thinning over the types one coordinate at a
+  time; particles: ``dual_sampler(kind)``;
 * moments: ``component_moments(points, theta) -> (mean, var)``;
 * densities: ``component_logpdf(x, points, theta)``, which raises
   ``DomainError`` off the state space, and
@@ -294,34 +294,26 @@ def _merge_rows(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     return rows, merged
 
 
-def propagate(mix: DualMixture, dt: float, kernel_tail_eps: float = 0.0) -> DualMixture:
+def propagate(mix: DualMixture, dt: float) -> DualMixture:
     """Push a mixture through its model's typed pure-death dual over a time step.
 
     From ``m`` with ``T = |m|`` the dual moves to ``n <= m`` with probability
     ``d_T(|n|) * prod_i C(m_i, n_i) / C(T, |n|)``; ``model.pd_kernel`` gives
-    ``theta_t`` and the law ``d_T`` of the surviving total, whose levels at or
-    below ``kernel_tail_eps`` are zeroed.  Rows ``(n_1..n_{i-1}, m_i..m_K, T)``
-    expand one coordinate at a time to every ``n_i <= m_i`` and merge, their
-    weights carrying the hypergeometric law of the prefix (at most one, so any
-    total stays in range); the last rows take ``d_T(|n|)`` and merge over ``T``
-    in :meth:`DualMixture.from_weights`.  For ``K = 1`` that is the level law.
+    ``theta_t`` and the law ``d_T`` of the surviving total.  Rows
+    ``(n_1..n_{i-1}, m_i..m_K, T)`` expand one coordinate at a time to every
+    ``n_i <= m_i`` and merge, their weights carrying the hypergeometric law
+    of the prefix (at most one, so any total stays in range); the last rows
+    take ``d_T(|n|)`` and merge over ``T`` in :meth:`DualMixture.from_weights`.
+    For ``K = 1`` that is the level law.
 
     Raises (naming a source of the total at fault):
-        ConfigError: if ``kernel_tail_eps`` is not in ``[0, 1)``, or the cut
-            drops every level of a total.
         InvalidKernel: if the law of a total has mass above ``1 + 1e-8``.
     """
     check_time_step(dt)
-    if not 0.0 <= kernel_tail_eps < 1.0:
-        raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
     k = mix.dim
     totals, level = np.unique(mix.points.sum(axis=1), return_inverse=True)
     laws, theta = mix.model.pd_kernel(totals, mix.theta, dt)
-    laws = np.where(laws > kernel_tail_eps, laws, 0.0)
     mass = np.bincount(np.repeat(np.arange(len(totals)), totals + 1), laws)[level]
-    if not mass.all():
-        raise ConfigError(f"kernel_tail_eps {kernel_tail_eps!r} drops every arrival "
-                          f"from {mix.points[mass.argmin()].tolist()}")
     heavy = np.flatnonzero(mass > 1.0 + KERNEL_MASS_TOL)
     if heavy.size:
         raise InvalidKernel(f"kernel mass {mass[heavy[0]]:.12f} from "
@@ -357,8 +349,9 @@ def update(mix: DualMixture, y) -> tuple[DualMixture, float]:
     log marginal likelihoods of the support rows, and
     ``mix.model.shift(y, points, theta)`` their ``(M, K)`` shifted rows and
     the shifted ``theta``.  New weights are proportional to
-    ``w_m * exp(log_marginal[m])``, normalized via log-sum-exp; rows that
-    the shift sends to the same index are merged.
+    ``w_m * exp(log_marginal[m])``, normalized via log-sum-exp.  The shift
+    adds the same row to every index, so :meth:`DualMixture.from_weights`
+    merges nothing; it normalizes and drops weights that underflow.
 
     Returns the posterior mixture and the log marginal likelihood of ``y``
     under the prior mixture (the filter's log-evidence increment).
@@ -387,6 +380,8 @@ def systematic_counts(weights: np.ndarray, n: int, offset: float) -> np.ndarray:
     the cumulative weights, so every index with weight ``w`` receives either
     ``floor(n*w)`` or ``ceil(n*w)`` copies.
     """
+    if not (is_integer(n) and n >= 0):
+        raise ConfigError(f"draw count must be a non-negative integer, not {n!r}")
     if not 0.0 <= offset < 1.0:
         raise ConfigError("offset must lie in [0, 1)")
     positions = (np.arange(n) + offset) / n
@@ -419,8 +414,8 @@ def dual_particle_propagate(mix: DualMixture,
     seeded ``rng``.  Rows that are not ``n_particles`` dual index rows
     raise ``ConfigError``, or ``DimensionError`` if not ``mix.dim`` wide.
     """
-    if n_particles < 1:
-        raise ConfigError("need at least one particle")
+    if not (is_integer(n_particles) and n_particles >= 1):
+        raise ConfigError(f"need an integer n_particles >= 1, not {n_particles!r}")
     check_time_step(dt)
     counts = systematic_counts(mix.weights, n_particles, rng.uniform())
 
@@ -514,10 +509,11 @@ def sample_mixture(mix: DualMixture, rng: np.random.Generator, size: int) -> np.
 
     Component counts are multinomial; the returned array keeps components
     grouped, which is immaterial for exchangeable downstream use (particle
-    clouds).  A negative ``size`` raises ``ConfigError``.
+    clouds).  A ``size`` that is not a non-negative integer raises
+    ``ConfigError``.
     """
-    if size < 0:
-        raise ConfigError(f"sample size must be non-negative, not {size!r}")
+    if not (is_integer(size) and size >= 0):
+        raise ConfigError(f"sample size must be a non-negative integer, not {size!r}")
     counts = rng.multinomial(size, mix.weights)
     return mix.model.sample_component(np.repeat(mix.points, counts, axis=0),
                                       mix.theta, rng)

@@ -30,7 +30,6 @@ from scipy.linalg import expm
 from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi, xlog1py, xlogy
 from scipy.stats import chisquare, ncx2
 
-from dualfilter.errors import ConfigError
 from dualfilter.mixtures import dual_rows
 from dualfilter.wf import block_count_probs
 
@@ -44,7 +43,7 @@ def _counts(n, k: int) -> tuple:
 # Mixture and kernel views
 # ---------------------------------------------------------------------------
 
-def death_kernel(model, points, theta, dt: float, kernel_tail_eps: float = 0.0) -> tuple:
+def death_kernel(model, points, theta, dt: float) -> tuple:
     """Rows ``(arrivals, probs, source, theta_t)`` of the typed pure-death
     dual from the ``(M, K)`` sources: each source's box of ``n <= m`` in
     ``np.meshgrid`` "ij" order, less the rows of zero level probability.
@@ -52,19 +51,14 @@ def death_kernel(model, points, theta, dt: float, kernel_tail_eps: float = 0.0) 
     From ``m`` with ``T = |m|``, ``n`` has probability ``d_T(|n|) * prod_i
     C(m_i, n_i) / C(T, |n|)``: the law ``d_T`` of the surviving total,
     which ``model.pd_kernel`` gives with ``theta_t`` for the ascending
-    distinct totals, times a uniform thinning (one for ``K = 1``).  The
-    levels ``d_T(l) <= kernel_tail_eps`` are zeroed.  Raises
-    ``ConfigError`` for a cut outside ``[0, 1)`` and ``DimensionError``
-    for sources that are not ``model.signal_dim`` wide.
+    distinct totals, times a uniform thinning (one for ``K = 1``).  Raises
+    ``DimensionError`` for sources that are not ``model.signal_dim`` wide.
     """
-    if not 0.0 <= kernel_tail_eps < 1.0:
-        raise ConfigError(f"kernel_tail_eps must lie in [0, 1), not {kernel_tail_eps!r}")
     points = dual_rows(points, model.signal_dim)
     k = points.shape[1]
     mtot = points.sum(axis=1)
     totals, level = np.unique(mtot, return_inverse=True)
     laws, theta_t = model.pd_kernel(totals, theta, dt)
-    laws = np.where(laws > kernel_tail_eps, laws, 0.0)
     size = np.prod(points + 1, axis=1)
     source = np.repeat(np.arange(len(points)), size)
     index = np.arange(len(source)) - np.repeat(np.cumsum(size) - size, size)
@@ -542,7 +536,7 @@ def beta_marginal_logpdf_rows(grid, points, alpha) -> np.ndarray:
     return np.where((x >= 0.0) & (x <= 1.0), out, -np.inf)
 
 
-def wf_pd_kernel_rows(points, dt: float, p, kernel_tail_eps: float = 0.0) -> tuple:
+def wf_pd_kernel_rows(points, dt: float, p) -> tuple:
     """``(arrivals, probs, source)`` of the typed Kingman kernel from the
     ``(M, K)`` sources, frozen as first vectorized: each source's box
     decoded by ``%`` and ``//`` on ``(L, K)`` arrays, the type profile's log
@@ -560,9 +554,6 @@ def wf_pd_kernel_rows(points, dt: float, p, kernel_tail_eps: float = 0.0) -> tup
     totals, level = np.unique(mtot, return_inverse=True)
     laws = np.concatenate([block_count_probs(v, dt, p) for v in totals.tolist()])
     d = laws[(np.cumsum(totals + 1) - (totals + 1))[level[source]] + ntot]
-    if kernel_tail_eps > 0.0:
-        keep = d > kernel_tail_eps
-        arrivals, source, ntot, d = arrivals[keep], source[keep], ntot[keep], d[keep]
     logfact = gammaln(np.arange(mtot.max() + 1) + 1.0)
     loghyp = ((logfact[points][source] - logfact[arrivals]
                - logfact[points[source] - arrivals]).sum(axis=1)
@@ -810,6 +801,20 @@ def moran_law(n0, t: float, p) -> dict:
             state = tuple(ci + ri for ci, ri in zip(c, r))
             law[state] = law.get(state, 0.0) + block[ancestors] * hyp * math.exp(log_dm)
     return law
+
+
+def moran_generator_row(n0, t: float, p) -> dict:
+    """Row ``n0`` of ``expm(Q t)`` for the Moran generator on ``|n| = |n0|``,
+    ``{state: probability}`` over every composition of ``|n0|``."""
+    states = [s for s in itertools.product(range(sum(n0) + 1), repeat=p.k)
+              if sum(s) == sum(n0)]
+    index = {s: i for i, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for s in states:
+        for nxt, rate in moran_transitions(p)(s):
+            q[index[s], index[nxt]] += rate
+    q[np.diag_indices_from(q)] = -q.sum(axis=1)
+    return dict(zip(states, expm(q * t)[index[tuple(n0)]]))
 
 
 def wf_two_step_brute_force(y0, y1, dt: float, p, n_paths: int,

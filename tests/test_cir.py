@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from dualfilter import CIRModel, InvalidDualParam, ObservationRecord
+from dualfilter import (CIRModel, DualMixture, InvalidDualParam, ObservationRecord,
+                        mixture_pdf, propagate)
 from dualfilter.cir import (gillespie_bd, linear_bd_rates, linear_bd_sample_many,
                             pure_death_flow)
 
-from .oracles import (chi2_pvalue_vs_pmf, embedded_up_prob, quad_cir_marginal,
-                      quad_survival, rk_pure_death_theta, thinning_death_sample,
-                      tv_int_samples, tv_sample_vs_pmf, update_conjugate)
+from .oracles import (chi2_pvalue_vs_pmf, embedded_up_prob, linear_bd_kernel_row,
+                      quad_cir_marginal, quad_survival, rk_pure_death_theta,
+                      thinning_death_sample, tv_int_samples, tv_sample_vs_pmf,
+                      update_conjugate)
 from .oracles import cir_density_ratio as density_ratio
 from .oracles import cir_log_density_ratio as log_density_ratio
 
@@ -378,6 +380,24 @@ def test_duality_identity_spot(cir_params):
     rhs = hvals[ms]
     rhs_mean, rhs_se = rhs.mean(), rhs.std() / math.sqrt(len(rhs))
     assert abs(lhs_mean - rhs_mean) <= 4.0 * math.hypot(lhs_se, rhs_se)
+
+
+@pytest.mark.parametrize("m0, gap, t", [(0, 0.0, 0.1), (3, 0.5, 0.05), (12, 3.0, 0.7),
+                                       (30, 10.0, 0.3), (7, 1.0, 2.0)])
+def test_bd_kernel_mixture_equals_pure_death_push(cir_params, cir_model, m0, gap, t):
+    # both duals carry Gamma(alpha + m0, theta) to the same law at t: the
+    # B&D chain at fixed theta, here the expm row of its generator on
+    # 0..400, and the pure-death push with its theta flow
+    theta = cir_params.beta + gap
+    row = linear_bd_kernel_row(m0, t, *linear_bd_rates(theta, cir_params), 400)
+    assert abs(math.fsum(row) - 1.0) <= 1e-12
+    # expm may round a far-tail entry below zero
+    bd = DualMixture.from_weights(cir_model, np.arange(401)[:, None],
+                                  np.maximum(row, 0.0), theta)
+    pd = propagate(DualMixture(cir_model, [[m0]], [1.0], theta), t)
+    grid = np.linspace(0.0, 6.0 * (cir_params.alpha + m0) / theta, 401)[1:]
+    np.testing.assert_allclose(mixture_pdf(bd, grid), mixture_pdf(pd, grid),
+                               rtol=1e-12, atol=0)
 
 
 def test_gillespie_bd_budget(cir_params, rng):

@@ -37,6 +37,10 @@ WF3_MODEL = WFModel(WF3)
 NAN, INF = float("nan"), float("inf")
 
 
+def unreachable_sampler(*args):
+    raise AssertionError("the particle count must be checked before the sampler runs")
+
+
 def cir_metrics_with_signal(signal):
     trace = run_filter(cir_records([4, 2, 7]), FilterConfig(method="exact"), CIR_MODEL)
     return error_metrics(trace, trace, signal=signal)
@@ -59,10 +63,6 @@ def test_config_validation():
     lambda: FilterConfig(method="nope"),
     lambda: FilterConfig(method="exact", prune_eps=1.0),
     lambda: FilterConfig(method="exact", prune_eps=0.05),
-    lambda: FilterConfig(method="exact", kernel_tail_eps=1e-14),
-    lambda: FilterConfig(method="dual_particle", n_particles=10, dual_kind="pure_death",
-                         kernel_tail_eps=1e-14),
-    lambda: FilterConfig(method="bootstrap", n_particles=10, kernel_tail_eps=1e-14),
     lambda: FilterConfig(method="bootstrap"),
     lambda: FilterConfig(method="dual_particle", n_particles=100),
     lambda: ObservationRecord(-0.1, (1,)),
@@ -154,8 +154,20 @@ def test_config_validation():
     lambda: wf.block_count_probs("3", 0.1, WF2),
     lambda: wf.block_count_probs(3, True, WF2),
     lambda: wf.block_count_probs(3, "0.1", WF2),
-], ids=["method", "prune_eps", "prune_eps_unpruned", "kernel_tail_eps_exact",
-        "kernel_tail_eps_dual_particle", "kernel_tail_eps_bootstrap", "n_particles",
+    lambda: sample_mixture(CIR_MODEL.prior_mixture(), np.random.default_rng(0), 2.5),
+    lambda: sample_mixture(CIR_MODEL.prior_mixture(), np.random.default_rng(0), True),
+    lambda: dual_particle_propagate(CIR_MODEL.prior_mixture(), unreachable_sampler, True,
+                                    0.1, np.random.default_rng(0)),
+    lambda: dual_particle_propagate(CIR_MODEL.prior_mixture(), unreachable_sampler, 2.5,
+                                    0.1, np.random.default_rng(0)),
+    lambda: systematic_counts(np.array([0.5, 0.5]), 2.5, 0.5),
+    lambda: systematic_counts(np.array([0.5, 0.5]), True, 0.5),
+    lambda: systematic_counts(np.array([0.5, 0.5]), -1, 0.5),
+    lambda: CIR_MODEL.pd_kernel([3], 2.0, True),
+    lambda: CIR_MODEL.pd_kernel([3], 2.0, INF),
+    lambda: CIR_MODEL.pd_kernel([3], True, 0.1),
+    lambda: cir.pure_death_flow(True, 2.0, CIR),
+], ids=["method", "prune_eps", "prune_eps_unpruned", "n_particles",
         "dual_kind", "record_time", "record_counts", "cir_params", "wf_types", "wf_weights",
         "cir_kind", "wf_kind", "record_fractional_count", "record_nan_count",
         "record_inf_count", "record_nan_time", "cir_nan_param", "wf_nan_weight",
@@ -178,7 +190,11 @@ def test_config_validation():
         "wf_moments_width", "particle_row_count", "signal_size", "signal_width",
         "sample_negative_size", "bool_n_particles", "bool_seed",
         "block_count_fractional_total", "block_count_bool_total", "block_count_str_total",
-        "block_count_bool_time", "block_count_str_time"])
+        "block_count_bool_time", "block_count_str_time", "sample_fractional_size",
+        "sample_bool_size", "particle_bool_count", "particle_fractional_count",
+        "systematic_fractional_n", "systematic_bool_n", "systematic_negative_n",
+        "pd_pmf_bool_time", "pd_pmf_inf_time", "pd_pmf_bool_theta",
+        "pd_survival_bool_time"])
 def test_boundary_inputs_raise_package_errors(make):
     with pytest.raises(DualFilterError):
         make()
@@ -186,13 +202,12 @@ def test_boundary_inputs_raise_package_errors(make):
 
 @pytest.mark.parametrize("make", [
     lambda: FilterConfig("pruned", prune_eps=False),
-    lambda: FilterConfig("pruned", kernel_tail_eps=False),
     lambda: build_spec("cir_predictive", {"delta_t": True}),
     lambda: build_spec("cir_predictive", {"horizon": True}),
     lambda: WFParams((True, 2.0)),
     lambda: CIRParams(True, 1.0, 1.0),
     lambda: ObservationRecord(time=True, values=(1,)),
-], ids=["prune_eps", "kernel_tail_eps", "delta_t", "horizon", "wf_alpha", "cir_delta",
+], ids=["prune_eps", "delta_t", "horizon", "wf_alpha", "cir_delta",
         "record_time"])
 def test_bool_in_a_float_field_raises_config_error(make):
     # bool is an int subclass, so True used to pass as 1.0 and False as 0.0

@@ -2,12 +2,10 @@
 
 Each mixture example draws a model (CIR, or WF with K = 3), a mixture with
 a few random support rows and weights, one observation batch and a time
-step, and checks the array-backed recursion against direct per-point sums;
-the propagation example also draws the kernel's tail threshold.
-Each death-kernel example draws CIR rows, or WF rows with K = 2..4, and a
-kernel cut, and checks each model's exact law of the surviving total, the
-mass the row builder gives each source under the cut, and that propagation
-raises where the cut drops every arrival of a source.
+step, and checks the array-backed recursion against direct per-point sums.
+Each death-kernel example draws CIR rows, or WF rows with K = 2..4, and
+checks each model's exact law of the surviving total and that the row
+builder gives each source mass one.
 Each merge example draws rows of width 1-6, many of them repeated, in
 shuffled order, and checks ``DualMixture.from_weights`` against the
 ``np.unique`` merge of ``tests/oracles.py``, and that the same rows as
@@ -73,11 +71,10 @@ def normalized(acc: dict) -> dict:
     return {k: v / total for k, v in acc.items()}
 
 
-def direct_propagate(model, mix, dt, kernel_tail_eps) -> dict:
+def direct_propagate(model, mix, dt) -> dict:
     acc: dict = {}
     for pt, w in zip(mix.points, mix.weights):
-        arrivals, probs, _, _ = death_kernel(model, pt[None], mix.theta, dt,
-                                             kernel_tail_eps)
+        arrivals, probs, _, _ = death_kernel(model, pt[None], mix.theta, dt)
         for n, pr in zip(np.asarray(arrivals).tolist(), probs):
             acc[tuple(n)] = acc.get(tuple(n), 0.0) + w * pr
     return normalized(acc)
@@ -104,15 +101,11 @@ def assert_matches(mix: DualMixture, want: dict) -> None:
 
 
 @PROPERTY_SETTINGS
-@given(cases(), st.sampled_from([0.0, 1e-6]))
-def test_propagate_matches_direct_sum(case, tail_eps):
+@given(cases())
+def test_propagate_matches_direct_sum(case):
     model, mix, _, dt = case
-    if model is WF:
-        # rows of different totals have different block-count rows, which
-        # pins the tail filter to each source's own row
-        assume(tail_eps == 0.0 or len(np.unique(mix.points.sum(axis=1))) > 1)
-    out = propagate(mix, dt, tail_eps)
-    assert_matches(out, direct_propagate(model, mix, dt, tail_eps))
+    out = propagate(mix, dt)
+    assert_matches(out, direct_propagate(model, mix, dt))
     # the pure-death dual only moves down: every arrival lies below a source
     below = (out.points[:, None, :] <= mix.points[None, :, :]).all(axis=2)
     assert below.any(axis=1).all()
@@ -120,9 +113,8 @@ def test_propagate_matches_direct_sum(case, tail_eps):
 
 @st.composite
 def death_cases(draw):
-    """(model, points, theta, dt, eps): 1-5 distinct rows of the CIR model
-    (counts up to 40), or of a WF model with K = 2..4 (counts up to 6), and
-    a kernel cut of 0, 1e-6, 0.05 or 0.6."""
+    """(model, points, theta, dt): 1-5 distinct rows of the CIR model
+    (counts up to 40), or of a WF model with K = 2..4 (counts up to 6)."""
     if draw(st.booleans()):
         model, theta = CIR, CIR.params.beta + draw(st.floats(0.0, 3.0))
         row = st.tuples(st.integers(0, 40))
@@ -131,15 +123,14 @@ def death_cases(draw):
         alpha = draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k))
         model = WFModel(WFParams(alpha))
         theta, row = None, st.tuples(*[st.integers(0, 6)] * k)
-    eps = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.6]))
     points = np.array(draw(st.lists(row, min_size=1, max_size=5, unique=True)))
-    return model, points, theta, draw(st.floats(0.01, 2.0)), eps
+    return model, points, theta, draw(st.floats(0.01, 2.0))
 
 
 @PROPERTY_SETTINGS
 @given(death_cases())
 def test_level_laws_and_death_kernel_rows(case):
-    model, points, theta, dt, eps = case
+    model, points, theta, dt = case
     totals = np.unique(points.sum(axis=1))
     if model is CIR:
         s, flow = pure_death_flow(dt, theta, CIR.params)
@@ -156,37 +147,24 @@ def test_level_laws_and_death_kernel_rows(case):
         else:
             assert np.array_equal(seg, w)
         assert abs(math.fsum(seg) - 1.0) <= 1e-12
-    # the cut zeroes exactly the levels at or below it: the row builder's
-    # mass from each source is one, less those levels, and propagation
-    # raises iff a source's total keeps no level
-    cut = [np.where(seg > eps, seg, 0.0) for seg in segments]
-    _, probs, source, theta_b = death_kernel(model, points, theta, dt, eps)
+    # the row builder's mass from each source is one
+    _, probs, source, theta_b = death_kernel(model, points, theta, dt)
     assert theta_b == theta_t
     mass = np.bincount(source, probs, minlength=len(points))
-    lost = np.array([1.0 - math.fsum(w) for w in cut])
-    np.testing.assert_allclose(mass, 1.0 - lost[np.searchsorted(totals, points.sum(axis=1))],
-                               rtol=0, atol=1e-12)
-    mix = DualMixture.from_weights(model, points, np.ones(len(points)), theta)
-    if all(w.any() for w in cut):
-        assert propagate(mix, dt, eps).support_size >= 1
-    else:
-        with pytest.raises(ConfigError, match="kernel_tail_eps"):
-            propagate(mix, dt, eps)
+    np.testing.assert_allclose(mass, 1.0, rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS
 @given(death_cases())
 def test_cir_push_is_the_merged_box_bit_for_bit(case):
     # for K = 1 the thinning is one, so the push is the level law itself
-    model, points, theta, dt, eps = case
+    model, points, theta, dt = case
     assume(model is CIR)
     weights = 1.0 / np.arange(1, len(points) + 1)
     mix = DualMixture.from_weights(model, points, weights, theta)
-    arrivals, probs, source, theta_t = death_kernel(model, mix.points, theta, dt, eps)
-    # a cut that drops a whole source raises, as the test above checks
-    assume(np.bincount(source, probs, minlength=len(points)).all())
+    arrivals, probs, source, theta_t = death_kernel(model, mix.points, theta, dt)
     want = DualMixture.from_weights(model, arrivals, mix.weights[source] * probs, theta_t)
-    got = propagate(mix, dt, eps)
+    got = propagate(mix, dt)
     assert got.theta == want.theta
     assert np.array_equal(got.points, want.points)
     assert np.array_equal(got.weights, want.weights)

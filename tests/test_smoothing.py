@@ -201,7 +201,7 @@ def test_pruned_wf_smoother_matches_spectral_oracle_at_desk_size(alpha):
     for t in range(10):
         c1 = int(rng.binomial(20, 0.35))
         records.append(ObservationRecord(float(t), (c1, 20 - c1)))
-    cfg = FilterConfig("pruned", prune_eps=1e-12, kernel_tail_eps=1e-14)
+    cfg = FilterConfig("pruned", prune_eps=1e-12)
     out = smoother(run_filter(records, cfg, WFModel(WFParams(alpha))))
     want = wf_spectral_forward_backward(records, alpha)
     smooth = [mix.moments()[0][0] for mix in out]
@@ -231,12 +231,6 @@ def test_smoother_of_an_empty_trace_is_empty(cir_model):
     assert smoother(run_filter([], FilterConfig(method="exact"), cir_model)) == []
 
 
-def test_smoother_takes_a_kernel_cut_wf_trace(wf3_model):
-    records = [ObservationRecord(0.0, (2, 1, 0)), ObservationRecord(0.5, (0, 1, 2))]
-    cut = FilterConfig(method="pruned", kernel_tail_eps=1e-14)
-    assert len(smoother(run_filter(records, cut, wf3_model))) == 2
-
-
 @pytest.mark.parametrize("name", ["cir", "wf"])
 def test_pruned_trace_at_zero_smooths_like_exact(cir_model, wf3_model, name):
     # a pruned trace at eps 0 runs the exact steps, forward and backward
@@ -246,7 +240,7 @@ def test_pruned_trace_at_zero_smooths_like_exact(cir_model, wf3_model, name):
         model = wf3_model
         records = [ObservationRecord(0.0, (3, 1, 0)), ObservationRecord(0.5, (1, 1, 1)),
                    ObservationRecord(1.0, (0, 2, 1))]
-    zero = FilterConfig("pruned", prune_eps=0.0, kernel_tail_eps=0.0)
+    zero = FilterConfig("pruned", prune_eps=0.0)
     a = smoother(run_filter(records, FilterConfig("exact"), model))
     b = smoother(run_filter(records, zero, model))
     for ma, mb in zip(a, b, strict=True):

@@ -1,4 +1,3 @@
-import itertools
 import logging
 import math
 
@@ -8,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dualfilter import (ConfigError, DimensionError, DualMixture, FilterConfig,
-                        ObservationRecord, WFModel, WFParams, propagate, run_filter)
+from dualfilter import (DimensionError, DualMixture, ObservationRecord, WFModel,
+                        WFParams, mixture_pdf, propagate)
 from dualfilter.wf import (block_count_probs, moran_sample_many,
                            typed_death_sample_many, wf_chain_sample_many,
                            wf_diffusion_binned_sample_many,
@@ -17,16 +16,16 @@ from dualfilter.wf import (block_count_probs, moran_sample_many,
 
 from .oracles import (beta_marginal_logpdf_rows, block_count_path,
                       block_count_series_mp, death_kernel, from_weights_unique,
-                      gillespie_jump_chain, kernel_dict,
-                      kingman_rates, kingman_transitions, moran_law, moran_path, moran_rates,
-                      moran_transitions, quad_wf_marginal, tv_sample_vs_pmf,
-                      tv_tuple_samples, typed_kingman_path, update_counts,
-                      wf_pd_kernel_rows)
+                      gillespie_jump_chain, kernel_dict, kingman_rates,
+                      kingman_transitions, moran_generator_row, moran_law, moran_path,
+                      moran_rates, moran_transitions, quad_wf_marginal,
+                      tv_sample_vs_pmf, tv_tuple_samples, typed_kingman_path,
+                      update_counts, wf_pd_kernel_rows)
 from .oracles import wf_density_ratio as density_ratio
 
 
-def typed_kernel(m, t, p, tail_eps=0.0) -> dict:
-    return kernel_dict(death_kernel(WFModel(p), np.array([m]), None, t, tail_eps))
+def typed_kernel(m, t, p) -> dict:
+    return kernel_dict(death_kernel(WFModel(p), np.array([m]), None, t))
 
 
 def log_marginal_at(m, y, p) -> float:
@@ -335,42 +334,6 @@ def test_typed_kernel_mass_is_one(wf3_params):
     assert sum(kern.values()) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_typed_kernel_tail_truncation_close(wf3_params):
-    full = typed_kernel((4, 3, 2), 1.0, wf3_params)
-    trunc = typed_kernel((4, 3, 2), 1.0, wf3_params, tail_eps=1e-12)
-    drop = sum(v for k, v in full.items() if k not in trunc)
-    assert drop < 10 * 1e-12
-    for k, v in trunc.items():
-        assert v == pytest.approx(full[k], rel=1e-9)
-
-
-@pytest.mark.parametrize("m,t,eps", [((4, 3, 2), 1.0, 1e-12),
-                                     ((6, 0, 5), 0.2, 1e-4),
-                                     ((9, 7, 8), 2.0, 1e-14)])
-def test_typed_kernel_truncation_keeps_whole_levels(wf3_params, m, t, eps):
-    # the truncated kernel is the full kernel restricted to the levels whose
-    # block-count probability exceeds eps
-    full = typed_kernel(m, t, wf3_params)
-    trunc = typed_kernel(m, t, wf3_params, tail_eps=eps)
-    d = block_count_probs(sum(m), t, wf3_params)
-    kept = {k: v for k, v in full.items() if d[sum(k)] > eps}
-    assert len(kept) < len(full)
-    assert trunc.keys() == kept.keys()
-    for k, v in kept.items():
-        assert trunc[k] == pytest.approx(v, rel=1e-15)
-
-
-@pytest.mark.parametrize("eps", [float("nan"), -1.0, 1.0, 2.0, float("inf")])
-def test_kernel_tail_eps_outside_unit_interval_raises(wf3_params, eps):
-    model = WFModel(wf3_params)
-    with pytest.raises(ConfigError, match="kernel_tail_eps"):
-        FilterConfig(method="pruned", kernel_tail_eps=eps)
-    with pytest.raises(ConfigError, match="kernel_tail_eps"):
-        propagate(model.prior_mixture(), 0.5, eps)
-    with pytest.raises(ConfigError, match="kernel_tail_eps"):
-        propagate(DualMixture.from_weights(model, [[2, 1, 0]], [1.0]), 0.5, eps)
-
-
 @st.composite
 def kernel_cases(draw):
     """(sources, alpha, dt): 1-4 sources of K = 2..9 types, of mixed totals,
@@ -382,11 +345,11 @@ def kernel_cases(draw):
     return sources, alpha, draw(st.floats(0.01, 2.0))
 
 
-def assert_push_matches_box(mix, dt, eps, rtol) -> None:
+def assert_push_matches_box(mix, dt, rtol) -> None:
     """``propagate`` of a WF mixture has the rows of the frozen box kernel,
     merged, and its weights to ``rtol`` relative above ``1e-250``."""
-    got = propagate(mix, dt, eps)
-    arrivals, probs, source = wf_pd_kernel_rows(mix.points, dt, mix.model.params, eps)
+    got = propagate(mix, dt)
+    arrivals, probs, source = wf_pd_kernel_rows(mix.points, dt, mix.model.params)
     rows, weights = from_weights_unique(arrivals, mix.weights[source] * probs)
     assert np.array_equal(got.points, rows)
     big = weights > 1e-250
@@ -395,18 +358,18 @@ def assert_push_matches_box(mix, dt, eps, rtol) -> None:
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(kernel_cases(), st.sampled_from([0.0, 1e-14, 1e-6]))
+@given(kernel_cases())
 # K = 8 and 9 with varied counts, which merge rows at every coordinate
 @example((np.array([[3, 2, 1, 3, 0, 2, 1, 2], [1, 0, 2, 2, 1, 3, 2, 0]]),
-          (0.5, 1.1, 2.0, 0.3, 1.7, 0.9, 2.5, 1.3), 0.3), 0.0)
+          (0.5, 1.1, 2.0, 0.3, 1.7, 0.9, 2.5, 1.3), 0.3))
 @example((np.array([[2, 1, 3, 2, 1, 2, 0, 3, 1], [5, 0, 1, 1, 0, 2, 1, 0, 4]]),
-          (1.1,) * 9, 0.7), 1e-14)
-def test_push_matches_frozen_vectorized_kernel(case, eps):
+          (1.1,) * 9, 0.7))
+def test_push_matches_frozen_vectorized_kernel(case):
     # the coordinate-wise push sums the kernel rows of every source
     sources, alpha, dt = case
     weights = 1.0 / np.arange(1, len(sources) + 1)
     mix = DualMixture.from_weights(WFModel(WFParams(alpha)), sources, weights)
-    assert_push_matches_box(mix, dt, eps, rtol=1e-12)
+    assert_push_matches_box(mix, dt, rtol=1e-12)
 
 
 def test_push_keeps_range_above_float_binomials():
@@ -415,20 +378,7 @@ def test_push_keeps_range_above_float_binomials():
     with pytest.raises(OverflowError):
         float(math.comb(560, 280) ** 2)
     mix = DualMixture.from_weights(WFModel(WFParams((1.1, 1.1))), [[560, 560]], [1.0])
-    assert_push_matches_box(mix, 0.5, 0.0, rtol=1e-11)
-
-
-def test_kernel_tail_eps_that_drops_a_whole_source_raises():
-    records = [ObservationRecord(0.0, (2, 1, 0)), ObservationRecord(0.5, (0, 1, 2))]
-    p = WFParams((1.1, 1.1, 1.1))
-    model = WFModel(p)
-    with pytest.raises(ConfigError, match="kernel_tail_eps"):
-        run_filter(records, FilterConfig(method="pruned", kernel_tail_eps=0.9), model)
-    # the reference cut keeps every level a source's law puts mass on here
-    cut = run_filter(records, FilterConfig(method="pruned", kernel_tail_eps=1e-14), model)
-    full = run_filter(records, FilterConfig(method="exact"), model)
-    for a, b in zip(cut.filtering, full.filtering, strict=True):
-        assert np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights)
+    assert_push_matches_box(mix, 0.5, rtol=1e-11)
 
 
 def test_typed_kernel_matches_typed_gillespie(wf3_params):
@@ -484,19 +434,6 @@ def test_moran_empty_configuration_is_fixed(wf3_params, rng):
     assert np.all(out == 0)
 
 
-def moran_generator_row(n0, t, p) -> dict:
-    """Row ``n0`` of ``expm(Q t)`` for the Moran generator on ``|n| = |n0|``."""
-    states = [s for s in itertools.product(range(sum(n0) + 1), repeat=p.k)
-              if sum(s) == sum(n0)]
-    index = {s: i for i, s in enumerate(states)}
-    q = np.zeros((len(states), len(states)))
-    for s in states:
-        for nxt, rate in moran_transitions(p)(s):
-            q[index[s], index[nxt]] += rate
-    q[np.diag_indices_from(q)] = -q.sum(axis=1)
-    return dict(zip(states, expm(q * t)[index[tuple(n0)]]))
-
-
 @pytest.mark.parametrize("alpha, n0, t", [((1.1, 1.9), (3, 2), 0.3),
                                           ((1.1, 1.1, 1.1), (4, 2, 0), 0.5),
                                           ((1.1, 1.1, 1.1), (6, 0, 0), 0.05),
@@ -507,6 +444,26 @@ def test_moran_law_matches_generator_exponential(alpha, n0, t):
     law, want = moran_law(n0, t, p), moran_generator_row(n0, t, p)
     assert set(law) == set(want)
     assert max(abs(law[s] - v) for s, v in want.items()) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, n0", [((1.1, 1.1, 1.1), (4, 3, 3)),
+                                       ((3.0, 1.5, 0.7), (2, 5, 3)),
+                                       ((3.0, 3.0, 3.0, 3.0), (5, 4, 3, 3))],
+                         ids=["k3", "k3-skewed", "k4"])
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+def test_moran_kernel_mixture_equals_pure_death_push(alpha, n0, t):
+    # both duals carry Dirichlet(alpha + n0) to the same law at t: the Moran
+    # chain on the compositions of |n0| (66 and 816 states) and the push
+    p = WFParams(alpha)
+    model = WFModel(p)
+    row = moran_generator_row(n0, t, p)
+    assert abs(math.fsum(row.values()) - 1.0) <= 1e-12
+    # expm may round a small entry below zero
+    moran = DualMixture.from_weights(model, list(row), np.maximum(list(row.values()), 0.0))
+    pd = propagate(DualMixture(model, [n0], [1.0]), t)
+    x = np.random.default_rng(7).dirichlet(np.ones(p.k), 300)
+    np.testing.assert_allclose(mixture_pdf(moran, x), mixture_pdf(pd, x),
+                               rtol=1e-12, atol=0)
 
 
 def test_moran_matches_genealogy_law(wf3_params):
